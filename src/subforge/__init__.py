@@ -2,7 +2,7 @@
 of a desk-scale hyperbolic group presentation."""
 
 from .ball import BallCapExceeded, CayleyBall, GeodesicCapExceeded, TrustRadiusError, enumerate_ball
-from .hyperbolicity import DeltaEstimate, compute_delta, validate_delta
+from .hyperbolicity import DeltaEstimate, compute_delta
 from .language import (
     ConeTypeTable,
     GeodesicTree,
@@ -32,10 +32,9 @@ from .subdivision import (
     Witness,
     assign_labels,
     build_subdivision_graph,
-    cone_neighborhood,
     geodesically_close,
     verify_axioms,
 )
-from .words import GeneratorAlphabet, Word, free_reduce, shortlex_compare
+from .words import GeneratorAlphabet, Word, free_reduce
 
 __version__ = "0.1.0"

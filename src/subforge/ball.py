@@ -4,20 +4,22 @@ Elements are dense integer ids in shortlex-BFS discovery order (0 is the
 identity), so id order is exactly shortlex order of the normal forms and
 ids agree across balls of different radii over the same presentation.
 
-Equality testing during BFS follows a two-stage scheme: candidates are
-bucketed by an abelianization fingerprint (exponent vector reduced modulo
-the lattice spanned by the relator exponent vectors, plus word-length
-parity when every relator has even length), and only same-bucket pairs are
-confirmed through the word-problem oracle.  The fingerprint is a true
-homomorphism invariant, so it is sound as a negative filter and never used
-as an equality proof.
+Only enumeration decides group equality, by a two-stage scheme: candidates
+are bucketed by an abelianization fingerprint (exponent vector reduced
+modulo the lattice spanned by the relator exponent vectors, plus
+word-length parity when every relator has even length), and only
+same-bucket pairs are confirmed through the word-problem oracle.  The
+fingerprint is a true homomorphism invariant, so it is sound as a negative
+filter and never used as an equality proof.  The finished ball keeps only
+the Cayley graph; its queries walk that graph, and only ``element_of``
+falls back to the oracle for words that leave the ball.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .presentation import ORACLE_FREE, Presentation
 from .words import EMPTY_WORD, Word, exponent_vector, inverse_word
@@ -106,6 +108,10 @@ class IntegerLattice:
         return tuple(v)
 
 
+# Everything the cache stores besides the presentation text.
+_GRAPH_FIELDS = ("radius", "normal_forms", "sphere_of", "parent", "last_letter", "neighbors", "spheres")
+
+
 @dataclass
 class CayleyBall:
     """Enumerated ball with normal forms, parents and in-ball adjacency.
@@ -122,11 +128,7 @@ class CayleyBall:
     parent: list[int]
     last_letter: list[int]
     neighbors: list[dict[int, int]]
-    fingerprints: list[tuple[int, ...]]
     spheres: list[list[int]]
-    _buckets: dict[tuple, dict[int, list[int]]] = field(repr=False, default_factory=dict)
-    _lattice: IntegerLattice | None = field(repr=False, default=None)
-    _parity_key: bool = field(repr=False, default=False)
 
     # -- queries ----------------------------------------------------------
 
@@ -137,12 +139,6 @@ class CayleyBall:
     @property
     def sphere_sizes(self) -> list[int]:
         return [len(s) for s in self.spheres]
-
-    def distance(self, e: int) -> int:
-        return self.sphere_of[e]
-
-    def neighbors_of(self, e: int) -> list[tuple[int, int]]:
-        return list(self.neighbors[e].items())
 
     def sphere(self, n: int) -> list[int]:
         if not 0 <= n <= self.radius:
@@ -160,9 +156,6 @@ class CayleyBall:
             e = nxt
         return e
 
-    def _fingerprint_key(self, vec: tuple[int, ...]) -> tuple:
-        return self._lattice.reduce(vec) if self._lattice else vec
-
     def element_of(self, word: Word | str) -> int | None:
         """Resolve a word to its element id, or None when the element lies
         outside the ball.  Raises on letters not in the alphabet."""
@@ -179,24 +172,53 @@ class CayleyBall:
         e = self.walk(0, reduced)
         if e is not None:
             return e
-        # The reduced word still strayed outside; fall back to bucket search.
-        vec = exponent_vector(reduced, self.presentation.alphabet)
-        by_sphere = self._buckets.get(self._fingerprint_key(vec), {})
-        for s in sorted(by_sphere):
-            if s > len(reduced):
-                continue
-            if self._parity_key and (s & 1) != (len(reduced) & 1):
-                continue
-            for u in by_sphere[s]:
-                probe = reduced + inverse_word(self.normal_forms[u], self.presentation.alphabet)
-                if oracle.is_identity(probe):
-                    return u
+        # The reduced word still strayed outside.  Any element it equals is
+        # no longer than it, so an oracle scan in id (shortlex) order up to
+        # that length decides membership.
+        limit = min(len(reduced), self.radius)
+        alphabet = self.presentation.alphabet
+        for u in range(self.size):
+            if self.sphere_of[u] > limit:
+                break
+            if oracle.is_identity(reduced + inverse_word(self.normal_forms[u], alphabet)):
+                return u
         return None
 
     def relative_element(self, u: int, v: int) -> int | None:
-        """Id of u^-1 v when it lies in the ball."""
+        """Id of u^-1 v when it lies in the ball.
+
+        The letters of an in-ball path from u to v spell u^-1 v, and when
+        the path has at most R letters every prefix stays inside the ball,
+        so walking it from the identity is exact.  Only pairs with no such
+        path go through ``element_of``."""
+        path = self._path_word(u, v)
+        if path is not None:
+            return self.walk(0, path)
         word = inverse_word(self.normal_forms[u], self.presentation.alphabet) + self.normal_forms[v]
         return self.element_of(word)
+
+    def _path_word(self, u: int, v: int) -> Word | None:
+        """Letters of a shortest in-ball path from u to v, or None when it
+        is longer than the radius."""
+        back: dict[int, tuple[int, int] | None] = {u: None}
+        frontier = [u]
+        for _ in range(self.radius):
+            if v in back:
+                break
+            nxt = []
+            for w in frontier:
+                for x, t in self.neighbors[w].items():
+                    if t not in back:
+                        back[t] = (w, x)
+                        nxt.append(t)
+            frontier = nxt
+        if v not in back:
+            return None
+        letters = []
+        while v != u:
+            v, x = back[v]
+            letters.append(x)
+        return tuple(reversed(letters))
 
     def distance_between(self, u: int, v: int, limit: int) -> int | None:
         """Graph distance of u, v measured inside the ball, or None if it
@@ -222,85 +244,11 @@ class CayleyBall:
             frontier = nxt
         return None
 
-    # -- geodesics from the identity --------------------------------------
-
-    def _geodesic_layers(self, g: int) -> list[dict[int, None]]:
-        """Layer t holds the vertices v on geodesics from the identity to g
-        with d(v, g) = t (so |v| = |g| - t)."""
-        target_len = self.sphere_of[g]
-        layers: list[dict[int, None]] = [{g: None}]
-        for t in range(1, target_len + 1):
-            want = target_len - t
-            layer: dict[int, None] = {}
-            for v in layers[t - 1]:
-                for w in self.neighbors[v].values():
-                    if self.sphere_of[w] == want:
-                        layer[w] = None
-            layers.append(layer)
-        return layers
-
-    def geodesics_between(self, g: int, cap: int | None = None):
-        """Yield every geodesic word from the identity to g, in shortlex
-        order; the first word is the normal form.  Raises
-        GeodesicCapExceeded past ``cap``."""
-        layers = self._geodesic_layers(g)
-        n = self.sphere_of[g]
-        on_geodesic = [set(layer) for layer in layers]
-        count = 0
-        stack: list[int] = []
-
-        def rec(v: int, depth: int):
-            nonlocal count
-            if depth == n:
-                if v == g:
-                    count += 1
-                    if cap is not None and count > cap:
-                        raise GeodesicCapExceeded(cap, count - 1)
-                    yield tuple(stack)
-                return
-            allowed = on_geodesic[n - depth - 1]
-            for x in sorted(self.neighbors[v]):
-                w = self.neighbors[v][x]
-                if w in allowed:
-                    stack.append(x)
-                    yield from rec(w, depth + 1)
-                    stack.pop()
-
-        yield from rec(0, 0)
-
-    def count_geodesics(self, g: int) -> int:
-        layers = self._geodesic_layers(g)
-        n = self.sphere_of[g]
-        ways = {0: 1}
-        for depth in range(n):
-            allowed = layers[n - depth - 1]
-            nxt: dict[int, int] = {}
-            for v, c in ways.items():
-                for w in self.neighbors[v].values():
-                    if w in allowed:
-                        nxt[w] = nxt.get(w, 0) + c
-            ways = nxt
-        return ways.get(g, 0)
-
     # -- cache -------------------------------------------------------------
 
-    def cache_key(self) -> str:
-        return cache_key(self.presentation, self.radius)
-
     def to_bytes(self) -> bytes:
-        payload = {
-            "text": self.presentation.text(),
-            "radius": self.radius,
-            "normal_forms": self.normal_forms,
-            "sphere_of": self.sphere_of,
-            "parent": self.parent,
-            "last_letter": self.last_letter,
-            "neighbors": self.neighbors,
-            "fingerprints": self.fingerprints,
-            "spheres": self.spheres,
-            "buckets": self._buckets,
-            "parity_key": self._parity_key,
-        }
+        payload = {"text": self.presentation.text()}
+        payload.update((name, getattr(self, name)) for name in _GRAPH_FIELDS)
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
@@ -308,23 +256,7 @@ class CayleyBall:
         payload = pickle.loads(data)
         if payload["text"] != presentation.text():
             raise ValueError("cached ball belongs to a different presentation")
-        lattice = IntegerLattice(
-            [exponent_vector(r, presentation.alphabet) for r in presentation.relators]
-        )
-        return cls(
-            presentation=presentation,
-            radius=payload["radius"],
-            normal_forms=payload["normal_forms"],
-            sphere_of=payload["sphere_of"],
-            parent=payload["parent"],
-            last_letter=payload["last_letter"],
-            neighbors=payload["neighbors"],
-            fingerprints=payload["fingerprints"],
-            spheres=payload["spheres"],
-            _buckets=payload["buckets"],
-            _lattice=lattice,
-            _parity_key=payload["parity_key"],
-        )
+        return cls(presentation, **{name: payload[name] for name in _GRAPH_FIELDS})
 
 
 def cache_key(pres: Presentation, radius: int) -> str:
@@ -340,8 +272,10 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     Candidates of sphere n+1 are generated from sphere n in shortlex order,
     so the first word reaching a new element is its shortlex normal form
     and every prefix of a stored normal form is itself stored.  A candidate
-    can only collide with spheres n-1, n and n+1, which keeps the oracle
-    work near-linear after fingerprint bucketing.
+    from sphere n lies in sphere n-1, n or n+1; every edge into sphere n-1
+    was recorded while that sphere was processed, so only spheres n and
+    n+1 are searched, which keeps the oracle work near-linear after
+    fingerprint bucketing.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -417,19 +351,14 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
             for x in range(alphabet.size):
                 if x in neighbors[g]:
                     continue  # edge already known from the other endpoint
-                if last_letter[g] == inv[x]:
-                    p = parent[g]
-                    neighbors[g][x] = p
-                    neighbors[p].setdefault(inv[x], g)
-                    continue
                 cand = nf_g + (x,)
                 vec = tuple(a + b for a, b in zip(vec_g, units[x]))
                 if free_shortcut:
                     found = None
                 else:
-                    # a candidate can only collide with spheres n-1, n, n+1;
+                    # edges into sphere n-1 are already in neighbors[g];
                     # with even relators parity rules out sphere n
-                    allowed = (n + 1, n - 1) if parity_key else (n + 1, n, n - 1)
+                    allowed = (n + 1,) if parity_key else (n + 1, n)
                     found = resolve(cand, vec, allowed)
                 if found is not None:
                     neighbors[g][x] = found
@@ -447,7 +376,7 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
             nf_g = normal_forms[g]
             vec_g = vecs[g]
             for x in range(alphabet.size):
-                if x in neighbors[g] or last_letter[g] == inv[x]:
+                if x in neighbors[g]:
                     continue
                 vec = tuple(a + b for a, b in zip(vec_g, units[x]))
                 found = resolve(nf_g + (x,), vec, (radius,))
@@ -455,7 +384,7 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
                     neighbors[g][x] = found
                     neighbors[found].setdefault(inv[x], g)
 
-    ball = CayleyBall(
+    return CayleyBall(
         presentation=pres,
         radius=radius,
         normal_forms=normal_forms,
@@ -463,10 +392,5 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
         parent=parent,
         last_letter=last_letter,
         neighbors=neighbors,
-        fingerprints=vecs,
         spheres=spheres,
-        _buckets=buckets,
-        _lattice=lattice,
-        _parity_key=parity_key,
     )
-    return ball

@@ -23,9 +23,7 @@ lower bound.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .ball import CayleyBall, GeodesicCapExceeded
@@ -34,8 +32,6 @@ MODE_EXHAUSTIVE = "exhaustive-triangles"
 MODE_SAMPLED = "sampled-triangles"
 
 DEFAULT_GEODESIC_CAP = 10_000
-
-THREADS_ENV = "SUBFORGE_THREADS"
 
 
 class _LazyDistances:
@@ -69,15 +65,6 @@ class _LazyDistances:
             self._state[source] = (dist, nxt, layers)
             frontier = nxt
         return layers
-
-    def distance(self, source: int, target: int, limit: int) -> int | None:
-        dist, _, _ = self._entry(source)
-        d = dist.get(target)
-        if d is not None:
-            return d
-        layers = self.expand(source, limit)
-        dist, _, _ = self._state[source]
-        return dist.get(target)
 
     def field(self, source: int, depth: int) -> dict[int, int]:
         self.expand(source, depth)
@@ -243,37 +230,16 @@ def compute_delta(
         raise ValueError(f"delta radius {r} needs ball radius >= {2 * r}")
     warnings: list[str] = []
     if mode == MODE_EXHAUSTIVE:
-        pairs = list(_pairs_exhaustive(ball, r))
+        pairs = _pairs_exhaustive(ball, r)
     else:
         rng = random.Random(seed)
         ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
         pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(samples)]
 
-    threads = max(1, int(os.environ.get(THREADS_ENV, "1") or "1"))
-
-    def eval_chunk(chunk):
-        local = _LazyDistances(ball)
-        local_warnings: list[str] = []
-        best = (-1, None, True, False)
-        for x, y in chunk:
-            value, witness, exact, capped = triangle_thinness(ball, local, x, y, geo_cap, local_warnings)
-            if value > best[0]:
-                best = (value, witness, exact and best[2], capped or best[3])
-            else:
-                best = (best[0], best[1], best[2] and exact, best[3] or capped)
-        return best, local_warnings
-
-    if threads == 1 or len(pairs) < 64:
-        results = [eval_chunk(pairs)]
-    else:
-        step = (len(pairs) + threads - 1) // threads
-        chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_chunk, chunks))
-
+    dists = _LazyDistances(ball)
     value, witness, exact, capped = -1, None, True, False
-    for (v, w, ex, cp), local_warnings in results:
-        warnings.extend(local_warnings)
+    for x, y in pairs:
+        v, w, ex, cp = triangle_thinness(ball, dists, x, y, geo_cap, warnings)
         if v > value:
             value, witness = v, w
         exact = exact and ex
@@ -290,38 +256,3 @@ def compute_delta(
         warnings=tuple(warnings),
     )
 
-
-def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness, geo_cap=DEFAULT_GEODESIC_CAP) -> int:
-    """Recompute the thinness value of a stored witness triangle."""
-    dists = _LazyDistances(ball)
-    warnings: list[str] = []
-    sides, _ = _side_geodesics(ball, dists, witness.x, witness.y, geo_cap, warnings)
-    others = [sides[(witness.side + 1) % 3], sides[(witness.side + 2) % 3]]
-    value, _ = _point_thinness(ball, dists, witness.point, others)
-    return value
-
-
-def validate_delta(
-    ball: CayleyBall,
-    delta: float,
-    samples: int,
-    seed: int = 0,
-    r: int | None = None,
-    geo_cap: int = DEFAULT_GEODESIC_CAP,
-):
-    """Sample anchored triangles and check delta-thinness; returns
-    (passed, counterexample witness or None)."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if r is None:
-        r = ball.radius // 2
-    rng = random.Random(seed)
-    ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
-    dists = _LazyDistances(ball)
-    warnings: list[str] = []
-    for _ in range(samples):
-        x, y = rng.choice(ids), rng.choice(ids)
-        value, witness, _, _ = triangle_thinness(ball, dists, x, y, geo_cap, warnings)
-        if value > delta:
-            return False, witness
-    return True, None

@@ -105,9 +105,6 @@ class ConeTypeTable:
     def class_count(self) -> int:
         return len(self.fingerprints)
 
-    def members(self, cls: int) -> list[int]:
-        return [e for e, c in self.class_of.items() if c == cls]
-
 
 def cone_type_classes(ball: CayleyBall, k: int) -> ConeTypeTable:
     """Class every element of the trusted region |g| <= R - K by its
@@ -211,20 +208,6 @@ class WordAcceptor:
                 return False
             s = nxt
         return True
-
-    def language(self, max_len: int):
-        """Yield accepted words up to ``max_len`` in shortlex order."""
-        frontier: list[tuple[Word, int]] = [((), self.initial)]
-        yield ()
-        for _ in range(max_len):
-            nxt: list[tuple[Word, int]] = []
-            for word, s in frontier:
-                for (state, letter), t in sorted(self.transitions.items()):
-                    if state == s:
-                        w = word + (letter,)
-                        yield w
-                        nxt.append((w, t))
-            frontier = nxt
 
 
 @dataclass

@@ -9,6 +9,7 @@ failed, 1 operational error.
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from dataclasses import dataclass, replace
@@ -41,6 +42,8 @@ from .subdivision import (
     verify_axioms,
     working_constant,
 )
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -136,11 +139,27 @@ def _ball_with_cache(pres: Presentation, config: RunConfig) -> CayleyBall:
     os.makedirs(config.cache_dir, exist_ok=True)
     path = os.path.join(config.cache_dir, ball_mod.cache_key(pres, config.radius) + ".ball")
     if os.path.exists(path):
-        with open(path, "rb") as fh:
-            return CayleyBall.from_bytes(fh.read(), pres)
+        # A file that does not load as this presentation's ball of this
+        # radius (truncated, corrupt, foreign) is a cache miss: it is
+        # re-enumerated and overwritten.
+        try:
+            with open(path, "rb") as fh:
+                ball = CayleyBall.from_bytes(fh.read(), pres)
+            if ball.radius != config.radius:
+                raise ValueError(f"cached ball has radius {ball.radius}")
+            return ball
+        except Exception as exc:
+            log.warning("ball cache %s unusable (%s: %s); re-enumerating", path, type(exc).__name__, exc)
     ball = enumerate_ball(pres, config.radius, cap=config.element_cap)
-    with open(path, "wb") as fh:
-        fh.write(ball.to_bytes())
+    # write to a temp file and rename, so readers never see a partial file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(ball.to_bytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return ball
 
 
@@ -179,7 +198,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "prefilter": config.prefilter,
             "force_k": config.force_k,
             "corrupt_vertex_label": config.corrupt_vertex_label,
-            "threads": os.environ.get(hyp.THREADS_ENV, "1"),
         },
     }
     artifacts = Artifacts()

@@ -63,10 +63,6 @@ class SubdivisionGraph:
     edge_labels: dict[tuple[int, int], EdgeLabel] = field(default_factory=dict)
     label_warnings: tuple[str, ...] = ()
 
-    @property
-    def labeled(self) -> bool:
-        return bool(self.vertex_labels) or self.n_max < 0
-
     def all_level_edges(self):
         for n in sorted(self.level_edges):
             for e in self.level_edges[n]:
@@ -224,31 +220,6 @@ def build_subdivision_graph(
         witnesses=witnesses,
         unstable_levels=tuple(sorted(unstable)),
     )
-
-
-def cone_neighborhood(
-    ball: CayleyBall, table: ConeTypeTable, g: int, horizon: int | None = None
-) -> VertexLabel:
-    """Cone K-neighborhood of g: each h with |h| < K and (g, g h)
-    geodesically close, tagged with the cone type of g h."""
-    k = table.k
-    horizon = ball.radius if horizon is None else horizon
-    level = ball.sphere_of[g]
-    if level + k > ball.radius:
-        raise ValueError(f"cone neighborhood of |g|={level} needs radius {level + k}")
-    members = []
-    for h in range(1, ball.size):
-        if ball.sphere_of[h] >= k:
-            break
-        gh = ball.walk(g, ball.normal_forms[h])
-        if gh is None:
-            raise InternalConsistencyError("in-trust walk left the ball")
-        if gh == g or ball.sphere_of[gh] != level:
-            continue
-        if geodesically_close(ball, g, gh, horizon) is not None:
-            members.append((ball.normal_forms[h], table.class_of[gh]))
-    members.sort(key=lambda m: ((len(m[0]), m[0]), m[1]))
-    return VertexLabel(own_type=table.class_of[g], neighborhood=tuple(members))
 
 
 def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionGraph:

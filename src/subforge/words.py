@@ -133,26 +133,6 @@ def cyclically_reduce(word: Word, alphabet: GeneratorAlphabet) -> Word:
     return w[lo:hi]
 
 
-def is_freely_reduced(word: Word, alphabet: GeneratorAlphabet) -> bool:
-    inv = alphabet.inverse
-    return all(word[i + 1] != inv[word[i]] for i in range(len(word) - 1))
-
-
-def shortlex_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
-
-
-def shortlex_compare(w1: Word, w2: Word) -> int:
-    """Total order: shorter first, equal lengths letterwise by alphabet
-    order.  Returns -1, 0 or 1."""
-    k1, k2 = shortlex_key(w1), shortlex_key(w2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
 def exponent_vector(word: Word, alphabet: GeneratorAlphabet) -> tuple[int, ...]:
     """Exponent sum per generator pair (image in the free abelianization)."""
     pairs = alphabet.pairs

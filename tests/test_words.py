@@ -8,7 +8,6 @@ from subforge.words import (
     exponent_vector,
     free_reduce,
     inverse_word,
-    shortlex_compare,
 )
 
 F2 = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B"])
@@ -65,26 +64,6 @@ def test_cyclic_reduce():
     assert cyclically_reduce(F2.parse_word("Aba"), F2) == F2.parse_word("b")
     assert cyclically_reduce(F2.parse_word("abAB"), F2) == F2.parse_word("abAB")
     assert cyclically_reduce(F2.parse_word("aa"), F2) == F2.parse_word("aa")
-
-
-def test_shortlex_examples():
-    assert shortlex_compare(F2.parse_word("a"), F2.parse_word("b")) == -1
-    assert shortlex_compare(F2.parse_word("ab"), F2.parse_word("b")) == 1
-    assert shortlex_compare(F2.parse_word("ab"), F2.parse_word("ab")) == 0
-
-
-@given(words, words)
-def test_shortlex_antisymmetric(w1, w2):
-    c12 = shortlex_compare(w1, w2)
-    c21 = shortlex_compare(w2, w1)
-    assert c12 == -c21
-    assert (c12 == 0) == (w1 == w2)
-
-
-@given(words, words, words)
-def test_shortlex_transitive(w1, w2, w3):
-    if shortlex_compare(w1, w2) <= 0 and shortlex_compare(w2, w3) <= 0:
-        assert shortlex_compare(w1, w3) <= 0
 
 
 def test_exponent_vector():
