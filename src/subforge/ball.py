@@ -4,15 +4,13 @@ Elements are dense integer ids in shortlex-BFS discovery order (0 is the
 identity), so id order is exactly shortlex order of the normal forms and
 ids agree across balls of different radii over the same presentation.
 
-Only enumeration decides group equality, by a two-stage scheme: candidates
-are bucketed by an abelianization fingerprint (exponent vector reduced
-modulo the lattice spanned by the relator exponent vectors, plus
-word-length parity when every relator has even length), and only
-same-bucket pairs are confirmed through the word-problem oracle.  The
-fingerprint is a true homomorphism invariant, so it is sound as a negative
-filter and never used as an equality proof.  The finished ball keeps only
-the Cayley graph; its queries walk that graph, and only ``element_of``
-falls back to the oracle for words that leave the ball.
+Enumeration decides group equality without a word-problem oracle: a
+coincidence g*x = u is found by walking one relator loop from g through
+edges already recorded, and the completed loop is itself the proof of
+equality.  Small cancellation C'(1/6) makes this complete (see
+``enumerate_ball``).  The finished ball keeps only the Cayley graph; its
+queries walk that graph, and only ``element_of`` falls back to the oracle
+for words that leave the ball.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 
-from .presentation import ORACLE_FREE, Presentation
-from .words import EMPTY_WORD, Word, exponent_vector, inverse_word
+from .presentation import Presentation, PresentationError, _rotations, verify_small_cancellation
+from .words import EMPTY_WORD, Word, inverse_word
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 
@@ -47,69 +45,14 @@ class GeodesicCapExceeded(RuntimeError):
         self.count = count
 
 
-class IntegerLattice:
-    """Canonical coset representatives modulo an integer row lattice.
-
-    Rows are brought to Hermite normal form by a left-to-right column
-    sweep (all rows entering column c already vanish on earlier columns);
-    ``reduce`` maps a vector to the unique representative of its coset
-    with every pivot coordinate in [0, pivot).
-    """
-
-    def __init__(self, rows):
-        self.dim = len(rows[0]) if rows else 0
-        pending = [list(r) for r in rows if any(r)]
-        hnf: list[list[int]] = []
-        pivots: list[int] = []
-        for col in range(self.dim):
-            active = [r for r in pending if r[col] != 0]
-            pending = [r for r in pending if r[col] == 0]
-            if not active:
-                continue
-            pivot = active[0]
-            for r in active[1:]:
-                while r[col]:
-                    q = pivot[col] // r[col]
-                    for k in range(col, self.dim):
-                        pivot[k] -= q * r[k]
-                    pivot, r = r, pivot
-                if any(r):
-                    pending.append(r)
-            if pivot[col] < 0:
-                pivot = [-v for v in pivot]
-            hnf.append(pivot)
-            pivots.append(col)
-        # reduce entries above each pivot into [0, pivot)
-        for idx in range(len(hnf) - 1, -1, -1):
-            c = pivots[idx]
-            p = hnf[idx][c]
-            for above in range(idx):
-                q = hnf[above][c] // p
-                if q:
-                    for k in range(self.dim):
-                        hnf[above][k] -= q * hnf[idx][k]
-        self._rows = hnf
-        self._pivots = pivots
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self._rows
-
-    def reduce(self, vec) -> tuple[int, ...]:
-        if not self._rows:
-            return tuple(vec)
-        v = list(vec)
-        for idx, c in enumerate(self._pivots):
-            q = v[c] // self._rows[idx][c]
-            if q:
-                row = self._rows[idx]
-                for k in range(self.dim):
-                    v[k] -= q * row[k]
-        return tuple(v)
-
-
 # Everything the cache stores besides the presentation text.
 _GRAPH_FIELDS = ("radius", "normal_forms", "sphere_of", "parent", "last_letter", "neighbors", "spheres")
+
+# Cache file layout: magic, format version (2 bytes, big-endian), sha256
+# of the pickle payload, then the payload.
+CACHE_MAGIC = b"subforge-ball\n"
+CACHE_VERSION = 1
+CACHE_HEADER_LEN = len(CACHE_MAGIC) + 2 + 32
 
 
 @dataclass
@@ -249,11 +192,23 @@ class CayleyBall:
     def to_bytes(self) -> bytes:
         payload = {"text": self.presentation.text()}
         payload.update((name, getattr(self, name)) for name in _GRAPH_FIELDS)
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return CACHE_MAGIC + CACHE_VERSION.to_bytes(2, "big") + hashlib.sha256(data).digest() + data
 
     @classmethod
     def from_bytes(cls, data: bytes, presentation: Presentation) -> "CayleyBall":
-        payload = pickle.loads(data)
+        """Load a ball written by ``to_bytes``; raises ValueError unless
+        the header, the payload checksum and the presentation all match."""
+        magic_end = len(CACHE_MAGIC)
+        if data[:magic_end] != CACHE_MAGIC:
+            raise ValueError("not a subforge ball cache file")
+        version = int.from_bytes(data[magic_end : magic_end + 2], "big")
+        if version != CACHE_VERSION:
+            raise ValueError(f"cache format version {version}, expected {CACHE_VERSION}")
+        body = data[CACHE_HEADER_LEN:]
+        if hashlib.sha256(body).digest() != data[magic_end + 2 : CACHE_HEADER_LEN]:
+            raise ValueError("cache payload checksum mismatch")
+        payload = pickle.loads(body)
         if payload["text"] != presentation.text():
             raise ValueError("cached ball belongs to a different presentation")
         return cls(presentation, **{name: payload[name] for name in _GRAPH_FIELDS})
@@ -266,120 +221,110 @@ def cache_key(pres: Presentation, radius: int) -> str:
     return h.hexdigest()[:24]
 
 
+def _relator_loops(pres: Presentation) -> list[list[Word]]:
+    """loops[x] lists, in sorted order, inverse(t[1:]) for every distinct
+    cyclic conjugate t of a relator or its inverse with t[0] = x.  Since
+    x * t[1:] = 1, walking such a loop from g ends at g*x."""
+    alphabet = pres.alphabet
+    conjugates = set()
+    for r in pres.relators:
+        conjugates.update(_rotations(r))
+        conjugates.update(_rotations(inverse_word(r, alphabet)))
+    loops: list[set[Word]] = [set() for _ in range(alphabet.size)]
+    for t in conjugates:
+        loops[t[0]].add(inverse_word(t[1:], alphabet))
+    return [sorted(ls) for ls in loops]
+
+
 def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_CAP) -> CayleyBall:
     """Shortlex-BFS enumeration of the ball of the given radius.
 
     Candidates of sphere n+1 are generated from sphere n in shortlex order,
     so the first word reaching a new element is its shortlex normal form
     and every prefix of a stored normal form is itself stored.  A candidate
-    from sphere n lies in sphere n-1, n or n+1; every edge into sphere n-1
-    was recorded while that sphere was processed, so only spheres n and
-    n+1 are searched, which keeps the oracle work near-linear after
-    fingerprint bucketing.
+    g*x from sphere n lies in sphere n-1, n or n+1, and every edge into
+    sphere n-1 was recorded while that sphere was processed.  For the
+    others, each relator loop through x (``_relator_loops``) is walked from
+    g along recorded edges; the first walk that completes ends at g*x,
+    with the relator as the proof.  If none completes, g*x is new.  The
+    boundary sphere gets the same walk for its same-sphere edges.
+
+    The walk is complete for C'(1/6) presentations, which are required.
+    Take g in sphere n with g*x = u, where u was created earlier from g'
+    with letter x'.  Then nf_g*x and nf_g'*x' are the sides of a geodesic
+    bigon, and in a reduced van Kampen diagram for it (Greendlinger's
+    lemma, Strebel's bigon classification) the cell C at u contains both
+    end edges.  Read from g, the boundary of C is x, x'^-1, tree edges
+    down to p', an interior arc to p and tree edges back up to g; the arc
+    is a piece, shorter than |C|/6.  With a = |p|, b = |p'| and l the arc
+    length, geodesicity puts every arc vertex at sphere at most
+    (a + b + l) / 2 < n, so every edge of the walk other than (g, x)
+    touches a processed sphere and is already recorded.  A same-sphere
+    coincidence (possible only with odd relators) is the same argument
+    with the side of length 1 in place of x'.
+
+    With no relators the loop table is empty and every candidate is new.
+    Raises PresentationError when the relators are not C'(1/6).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if pres.relators and not verify_small_cancellation(pres).satisfies_c16:
+        raise PresentationError("ball enumeration requires a C'(1/6) presentation")
     alphabet = pres.alphabet
     inv = alphabet.inverse
-    oracle = pres.oracle()
-    units = []
-    pairs = alphabet.pairs
-    slot = {}
-    for k, i in enumerate(pairs):
-        slot[i] = (k, 1)
-        slot[alphabet.inverse[i]] = (k, -1)
-    for x in range(alphabet.size):
-        k, sign = slot[x]
-        u = [0] * len(pairs)
-        u[k] = sign
-        units.append(tuple(u))
-
-    lattice = IntegerLattice([exponent_vector(r, alphabet) for r in pres.relators])
-    parity_key = bool(pres.relators) and all(len(r) % 2 == 0 for r in pres.relators)
-    # A free shortcut is sound whenever there are no relators, but it is
-    # only taken for the free-reduction oracle so that degenerate-Dehn runs
-    # exercise the general resolution path (useful for cross-validation).
-    free_shortcut = not pres.relators and pres.oracle_kind == ORACLE_FREE
+    loops = _relator_loops(pres)
 
     normal_forms: list[Word] = [EMPTY_WORD]
-    inv_forms: list[Word] = [EMPTY_WORD]
     sphere_of: list[int] = [0]
     parent: list[int] = [-1]
     last_letter: list[int] = [-1]
     neighbors: list[dict[int, int]] = [{}]
-    vecs: list[tuple[int, ...]] = [tuple([0] * len(pairs))]
     spheres: list[list[int]] = [[0]]
-    # key -> sphere -> ids, so a candidate only scans the spheres it can hit
-    buckets: dict[tuple, dict[int, list[int]]] = {}
 
-    def key_of(vec: tuple[int, ...]) -> tuple:
-        return lattice.reduce(vec) if not lattice.is_trivial else vec
-
-    buckets[key_of(vecs[0])] = {0: [0]}
-    is_identity = oracle.is_identity
-
-    def resolve(cand_word: Word, cand_vec: tuple[int, ...], allowed) -> int | None:
-        by_sphere = buckets.get(key_of(cand_vec))
-        if not by_sphere:
-            return None
-        for s in allowed:
-            for u in by_sphere.get(s, ()):
-                if is_identity(cand_word + inv_forms[u]):
-                    return u
+    def close(g: int, x: int) -> int | None:
+        """g*x when some relator loop through x closes on recorded edges."""
+        for loop in loops[x]:
+            e = g
+            for y in loop:
+                e = neighbors[e].get(y)
+                if e is None:
+                    break
+            else:
+                return e
         return None
-
-    def add_element(cand: Word, vec, g: int, x: int, n: int, new_ids: list[int]) -> None:
-        e = len(normal_forms)
-        if e >= cap:
-            raise BallCapExceeded(cap, [len(s) for s in spheres] + [len(new_ids)])
-        normal_forms.append(cand)
-        inv_forms.append(inverse_word(cand, alphabet))
-        sphere_of.append(n + 1)
-        parent.append(g)
-        last_letter.append(x)
-        neighbors.append({inv[x]: g})
-        vecs.append(vec)
-        neighbors[g][x] = e
-        buckets.setdefault(key_of(vec), {}).setdefault(n + 1, []).append(e)
-        new_ids.append(e)
 
     for n in range(radius):
         new_ids: list[int] = []
         for g in spheres[n]:
-            nf_g = normal_forms[g]
-            vec_g = vecs[g]
+            nbrs = neighbors[g]
             for x in range(alphabet.size):
-                if x in neighbors[g]:
+                if x in nbrs:
                     continue  # edge already known from the other endpoint
-                cand = nf_g + (x,)
-                vec = tuple(a + b for a, b in zip(vec_g, units[x]))
-                if free_shortcut:
-                    found = None
-                else:
-                    # edges into sphere n-1 are already in neighbors[g];
-                    # with even relators parity rules out sphere n
-                    allowed = (n + 1,) if parity_key else (n + 1, n)
-                    found = resolve(cand, vec, allowed)
+                found = close(g, x)
                 if found is not None:
-                    neighbors[g][x] = found
+                    nbrs[x] = found
                     neighbors[found].setdefault(inv[x], g)
                     continue
-                add_element(cand, vec, g, x, n, new_ids)
+                e = len(normal_forms)
+                if e >= cap:
+                    raise BallCapExceeded(cap, [len(s) for s in spheres] + [len(new_ids)])
+                normal_forms.append(normal_forms[g] + (x,))
+                sphere_of.append(n + 1)
+                parent.append(g)
+                last_letter.append(x)
+                neighbors.append({inv[x]: g})
+                nbrs[x] = e
+                new_ids.append(e)
         spheres.append(new_ids)
 
-    # Boundary sweep: edges from the outer sphere downward were already
-    # recorded while the lower spheres were processed, so only same-sphere
-    # edges on the boundary remain -- and with even relators those cannot
-    # exist (a length homomorphism to Z/2 separates adjacent elements).
-    if radius > 0 and not free_shortcut and not parity_key:
+    # Boundary sweep: edges from the outer sphere downward were recorded
+    # while the lower spheres were processed; only same-sphere edges remain.
+    if pres.relators:
         for g in spheres[radius]:
-            nf_g = normal_forms[g]
-            vec_g = vecs[g]
             for x in range(alphabet.size):
                 if x in neighbors[g]:
                     continue
-                vec = tuple(a + b for a, b in zip(vec_g, units[x]))
-                found = resolve(nf_g + (x,), vec, (radius,))
+                found = close(g, x)
                 if found is not None:
                     neighbors[g][x] = found
                     neighbors[found].setdefault(inv[x], g)

@@ -132,16 +132,3 @@ def cyclically_reduce(word: Word, alphabet: GeneratorAlphabet) -> Word:
         hi -= 1
     return w[lo:hi]
 
-
-def exponent_vector(word: Word, alphabet: GeneratorAlphabet) -> tuple[int, ...]:
-    """Exponent sum per generator pair (image in the free abelianization)."""
-    pairs = alphabet.pairs
-    slot = {}
-    for k, i in enumerate(pairs):
-        slot[i] = (k, 1)
-        slot[alphabet.inverse[i]] = (k, -1)
-    vec = [0] * len(pairs)
-    for x in word:
-        k, sign = slot[x]
-        vec[k] += sign
-    return tuple(vec)

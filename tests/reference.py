@@ -2,15 +2,16 @@
 
 Unlike ``bruteforce``, these are built on the production ball, delta and
 closeness machinery: they re-derive, by a second and slower route, values
-the pipeline computes (all geodesics to an element, the acceptor's
-language, a witness triangle's thinness, a vertex's cone neighborhood).
+the pipeline computes (the Cayley ball itself, all geodesics to an
+element, the acceptor's language, a witness triangle's thinness, a
+vertex's cone neighborhood).
 """
 
 from __future__ import annotations
 
 import random
 
-from subforge.ball import CayleyBall, GeodesicCapExceeded
+from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP, GeodesicCapExceeded
 from subforge.hyperbolicity import (
     DEFAULT_GEODESIC_CAP,
     TriangleWitness,
@@ -20,8 +21,217 @@ from subforge.hyperbolicity import (
     triangle_thinness,
 )
 from subforge.language import ConeTypeTable, InternalConsistencyError, WordAcceptor
+from subforge.presentation import ORACLE_FREE, Presentation, parse_presentation
 from subforge.subdivision import VertexLabel, geodesically_close
-from subforge.words import Word
+from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
+
+# one-relator C'(1/6) group with an odd relator (randomized search, seed 1;
+# the properties that matter are asserted in the tests, not assumed)
+ODD_RELATOR = "bbaabbbaaabaaaabbabaababa"
+
+
+def odd_relator_presentation() -> Presentation:
+    return parse_presentation(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
+
+
+# -- the ball by bucketed word-oracle search -----------------------------------
+
+
+def exponent_vector(word: Word, alphabet: GeneratorAlphabet) -> tuple[int, ...]:
+    """Exponent sum per generator pair (image in the free abelianization)."""
+    pairs = alphabet.pairs
+    slot = {}
+    for k, i in enumerate(pairs):
+        slot[i] = (k, 1)
+        slot[alphabet.inverse[i]] = (k, -1)
+    vec = [0] * len(pairs)
+    for x in word:
+        k, sign = slot[x]
+        vec[k] += sign
+    return tuple(vec)
+
+
+class IntegerLattice:
+    """Canonical coset representatives modulo an integer row lattice.
+
+    Rows are brought to Hermite normal form by a left-to-right column
+    sweep (all rows entering column c already vanish on earlier columns);
+    ``reduce`` maps a vector to the unique representative of its coset
+    with every pivot coordinate in [0, pivot).
+    """
+
+    def __init__(self, rows):
+        self.dim = len(rows[0]) if rows else 0
+        pending = [list(r) for r in rows if any(r)]
+        hnf: list[list[int]] = []
+        pivots: list[int] = []
+        for col in range(self.dim):
+            active = [r for r in pending if r[col] != 0]
+            pending = [r for r in pending if r[col] == 0]
+            if not active:
+                continue
+            pivot = active[0]
+            for r in active[1:]:
+                while r[col]:
+                    q = pivot[col] // r[col]
+                    for k in range(col, self.dim):
+                        pivot[k] -= q * r[k]
+                    pivot, r = r, pivot
+                if any(r):
+                    pending.append(r)
+            if pivot[col] < 0:
+                pivot = [-v for v in pivot]
+            hnf.append(pivot)
+            pivots.append(col)
+        # reduce entries above each pivot into [0, pivot)
+        for idx in range(len(hnf) - 1, -1, -1):
+            c = pivots[idx]
+            p = hnf[idx][c]
+            for above in range(idx):
+                q = hnf[above][c] // p
+                if q:
+                    for k in range(self.dim):
+                        hnf[above][k] -= q * hnf[idx][k]
+        self._rows = hnf
+        self._pivots = pivots
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self._rows
+
+    def reduce(self, vec) -> tuple[int, ...]:
+        if not self._rows:
+            return tuple(vec)
+        v = list(vec)
+        for idx, c in enumerate(self._pivots):
+            q = v[c] // self._rows[idx][c]
+            if q:
+                row = self._rows[idx]
+                for k in range(self.dim):
+                    v[k] -= q * row[k]
+        return tuple(v)
+
+
+def reference_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_CAP) -> CayleyBall:
+    """The ball by shortlex BFS in which the word-problem oracle decides
+    every coincidence.
+
+    Candidates are bucketed by an abelianization fingerprint (exponent
+    vector reduced modulo the lattice spanned by the relator exponent
+    vectors, plus word-length parity when every relator has even length),
+    and only same-bucket pairs are compared through the oracle.  The
+    fingerprint is a homomorphism invariant, so it is sound as a negative
+    filter and never used as an equality proof.  Ids, normal forms and
+    neighbour insertion order follow the same shortlex BFS as
+    ``enumerate_ball``.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    alphabet = pres.alphabet
+    inv = alphabet.inverse
+    oracle = pres.oracle()
+    units = [exponent_vector((x,), alphabet) for x in range(alphabet.size)]
+
+    lattice = IntegerLattice([exponent_vector(r, alphabet) for r in pres.relators])
+    parity_key = bool(pres.relators) and all(len(r) % 2 == 0 for r in pres.relators)
+    # A free shortcut is sound whenever there are no relators, but it is
+    # only taken for the free-reduction oracle so that degenerate-Dehn runs
+    # exercise the general resolution path.
+    free_shortcut = not pres.relators and pres.oracle_kind == ORACLE_FREE
+
+    normal_forms: list[Word] = [EMPTY_WORD]
+    inv_forms: list[Word] = [EMPTY_WORD]
+    sphere_of: list[int] = [0]
+    parent: list[int] = [-1]
+    last_letter: list[int] = [-1]
+    neighbors: list[dict[int, int]] = [{}]
+    vecs: list[tuple[int, ...]] = [tuple([0] * len(alphabet.pairs))]
+    spheres: list[list[int]] = [[0]]
+    # key -> sphere -> ids, so a candidate only scans the spheres it can hit
+    buckets: dict[tuple, dict[int, list[int]]] = {}
+
+    def key_of(vec: tuple[int, ...]) -> tuple:
+        return lattice.reduce(vec) if not lattice.is_trivial else vec
+
+    buckets[key_of(vecs[0])] = {0: [0]}
+    is_identity = oracle.is_identity
+
+    def resolve(cand_word: Word, cand_vec: tuple[int, ...], allowed) -> int | None:
+        by_sphere = buckets.get(key_of(cand_vec))
+        if not by_sphere:
+            return None
+        for s in allowed:
+            for u in by_sphere.get(s, ()):
+                if is_identity(cand_word + inv_forms[u]):
+                    return u
+        return None
+
+    def add_element(cand: Word, vec, g: int, x: int, n: int, new_ids: list[int]) -> None:
+        e = len(normal_forms)
+        if e >= cap:
+            raise BallCapExceeded(cap, [len(s) for s in spheres] + [len(new_ids)])
+        normal_forms.append(cand)
+        inv_forms.append(inverse_word(cand, alphabet))
+        sphere_of.append(n + 1)
+        parent.append(g)
+        last_letter.append(x)
+        neighbors.append({inv[x]: g})
+        vecs.append(vec)
+        neighbors[g][x] = e
+        buckets.setdefault(key_of(vec), {}).setdefault(n + 1, []).append(e)
+        new_ids.append(e)
+
+    for n in range(radius):
+        new_ids: list[int] = []
+        for g in spheres[n]:
+            nf_g = normal_forms[g]
+            vec_g = vecs[g]
+            for x in range(alphabet.size):
+                if x in neighbors[g]:
+                    continue  # edge already known from the other endpoint
+                cand = nf_g + (x,)
+                vec = tuple(a + b for a, b in zip(vec_g, units[x]))
+                if free_shortcut:
+                    found = None
+                else:
+                    # edges into sphere n-1 are already in neighbors[g];
+                    # with even relators parity rules out sphere n
+                    allowed = (n + 1,) if parity_key else (n + 1, n)
+                    found = resolve(cand, vec, allowed)
+                if found is not None:
+                    neighbors[g][x] = found
+                    neighbors[found].setdefault(inv[x], g)
+                    continue
+                add_element(cand, vec, g, x, n, new_ids)
+        spheres.append(new_ids)
+
+    # Boundary sweep: only same-sphere edges on the boundary remain, and
+    # with even relators those cannot exist (a length homomorphism to Z/2
+    # separates adjacent elements).
+    if radius > 0 and not free_shortcut and not parity_key:
+        for g in spheres[radius]:
+            nf_g = normal_forms[g]
+            vec_g = vecs[g]
+            for x in range(alphabet.size):
+                if x in neighbors[g]:
+                    continue
+                vec = tuple(a + b for a, b in zip(vec_g, units[x]))
+                found = resolve(nf_g + (x,), vec, (radius,))
+                if found is not None:
+                    neighbors[g][x] = found
+                    neighbors[found].setdefault(inv[x], g)
+
+    return CayleyBall(
+        presentation=pres,
+        radius=radius,
+        normal_forms=normal_forms,
+        sphere_of=sphere_of,
+        parent=parent,
+        last_letter=last_letter,
+        neighbors=neighbors,
+        spheres=spheres,
+    )
+
 
 # -- geodesics from the identity ---------------------------------------------
 

@@ -314,6 +314,22 @@ def test_criterion_6_oracle_cross_validation():
         f"{failures} failures",
     )
 
+    from reference import odd_relator_presentation, reference_ball
+
+    for name, pres, radius in (
+        ("surface2", preset("surface2"), 5),
+        ("odd relator", odd_relator_presentation(), 4),
+    ):
+        walked = enumerate_ball(pres, radius)
+        searched = reference_ball(pres, radius)
+        _verdict(
+            f"6c: relator-loop walk and Dehn-oracle search build identical {name} balls at R={radius}",
+            walked.normal_forms == searched.normal_forms
+            and [list(n.items()) for n in walked.neighbors] == [list(n.items()) for n in searched.neighbors]
+            and walked.spheres == searched.spheres,
+            f"{walked.size} elements",
+        )
+
 
 # -- criterion 7: determinism -----------------------------------------------------
 

