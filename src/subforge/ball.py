@@ -45,6 +45,36 @@ class GeodesicCapExceeded(RuntimeError):
         self.count = count
 
 
+def bidirectional_distance(adjacent, u: int, v: int, limit: int) -> int | None:
+    """Distance from u to v in the graph whose neighbours of w are
+    ``adjacent(w)``; None when it exceeds ``limit`` or v is unreachable.
+
+    Grows the smaller of the BFS frontiers around u and v one full layer at
+    a time.  While the balls of radii a around u and b around v are
+    disjoint, d(u, v) > a + b; so when a layer grown to radius a + 1 first
+    meets the other ball, d(u, v) = a + 1 + b exactly.
+    """
+    if u == v:
+        return 0
+    near, far = {u}, {v}
+    near_front, far_front = [u], [v]
+    reached = 0  # sum of the two radii
+    while reached < limit and near_front and far_front:
+        if len(near_front) > len(far_front):
+            near, far, near_front, far_front = far, near, far_front, near_front
+        reached += 1
+        nxt = []
+        for w in near_front:
+            for t in adjacent(w):
+                if t in far:
+                    return reached
+                if t not in near:
+                    near.add(t)
+                    nxt.append(t)
+        near_front = nxt
+    return None
+
+
 # Everything the cache stores besides the presentation text.
 _GRAPH_FIELDS = ("radius", "normal_forms", "sphere_of", "parent", "last_letter", "neighbors", "spheres")
 
@@ -168,24 +198,8 @@ class CayleyBall:
         exceeds ``limit``.  Exact whenever some true geodesic between them
         stays inside the ball (guaranteed e.g. when
         (|u| + |v| + limit) / 2 <= radius)."""
-        if u == v:
-            return 0
-        seen = {u}
-        frontier = [u]
-        for depth in range(1, limit + 1):
-            nxt = []
-            for w in frontier:
-                for t in self.neighbors[w].values():
-                    if t in seen:
-                        continue
-                    if t == v:
-                        return depth
-                    seen.add(t)
-                    nxt.append(t)
-            if not nxt:
-                return None
-            frontier = nxt
-        return None
+        neighbors = self.neighbors
+        return bidirectional_distance(lambda w: neighbors[w].values(), u, v, limit)
 
     # -- cache -------------------------------------------------------------
 

@@ -19,6 +19,12 @@ certified exact when (|p| + |v| + d) / 2 <= R, which forces some true
 geodesic to stay inside; measurements failing the certificate only ever
 overestimate and are flagged so the estimate never silently stops being a
 lower bound.
+
+All distances come from one BFS per source vertex, kept for the whole run
+and grown only as far as a query needs: the geodesics of a side from x to
+y stop at the first layer that holds y, and the thinness search from a
+point stops at the first depth where every geodesic of one other side has
+been met.
 """
 
 from __future__ import annotations
@@ -35,7 +41,13 @@ DEFAULT_GEODESIC_CAP = 10_000
 
 
 class _LazyDistances:
-    """Per-source BFS layers over the in-ball graph, expanded on demand."""
+    """Per-source BFS over the in-ball graph, grown on demand and kept.
+
+    Each source keeps its distance map and its layers, and a query expands
+    them only as far as its answer needs: ``expand`` out to a depth (the
+    thinness search from a point), ``reach`` until the layer that holds a
+    target (the geodesics of one pair).
+    """
 
     def __init__(self, ball: CayleyBall):
         self.ball = ball
@@ -66,9 +78,19 @@ class _LazyDistances:
             frontier = nxt
         return layers
 
-    def field(self, source: int, depth: int) -> dict[int, int]:
-        self.expand(source, depth)
-        return self._state[source][0]
+    def reach(self, source: int, target: int, limit: int) -> dict[int, int] | None:
+        """Distance map from ``source``, grown one layer at a time until the
+        layer that holds ``target``; None when ``target`` lies farther than
+        ``limit`` or outside the component.
+
+        Every distance below d(source, target) in the map is final, and a
+        vertex missing from it is at least that far, which is all a walk
+        down from ``target`` along decreasing distances reads.
+        """
+        dist, _, layers = self._entry(source)
+        while target not in dist and layers[-1] and len(layers) <= limit:
+            self.expand(source, len(layers))
+        return dist if target in dist else None
 
 
 def enumerate_pair_geodesics(
@@ -85,9 +107,8 @@ def enumerate_pair_geodesics(
     the anchored-triangle sides used here.  Past ``cap`` paths this raises,
     or with ``truncate`` stops and returns the first ``cap`` paths.
     """
-    field = dists.field(x, 2 * ball.radius)
-    d = field.get(y)
-    if d is None:
+    field = dists.reach(x, y, 2 * ball.radius)
+    if field is None:
         raise ValueError("pair not connected inside the ball")
     paths: list[tuple[int, ...]] = []
     stack = [y]
@@ -156,10 +177,11 @@ def _side_geodesics(ball, dists, x, y, cap, warnings):
 def _point_thinness(ball, dists, p, other_sides):
     """min over the two other sides of (max over geodesics of d(p, geo)).
 
-    Expands the BFS from p one layer at a time and stops as soon as one
-    side has every geodesic hit.  Returns (value, exact_flag).
+    ``other_sides`` holds, per side, the vertex set of each of its
+    geodesics.  Expands the BFS from p one layer at a time and stops as
+    soon as one side has every geodesic hit.  Returns (value, exact_flag).
     """
-    targets = [[set(geo) for geo in side] for side in other_sides]
+    targets = list(other_sides)
     maxima = [0, 0]
     exact = True
     depth = 0
@@ -171,10 +193,11 @@ def _point_thinness(ball, dists, p, other_sides):
         for si in (0, 1):
             remaining = []
             for geo in targets[si]:
-                if geo & layer:
+                common = geo & layer
+                if common:
                     if depth > maxima[si]:
                         maxima[si] = depth
-                    hit = next(iter(geo & layer))
+                    hit = next(iter(common))
                     if ball.sphere_of[p] + ball.sphere_of[hit] + depth > 2 * ball.radius:
                         exact = False
                 else:
@@ -189,9 +212,10 @@ def triangle_thinness(ball, dists, x, y, geo_cap, warnings):
     """Worst thinness value over all points of all sides of the anchored
     triangle (identity, x, y)."""
     sides, capped = _side_geodesics(ball, dists, x, y, geo_cap, warnings)
+    vertex_sets = [[set(geo) for geo in side] for side in sides]
     best = (-1, None, True)
     for si in range(3):
-        others = [sides[(si + 1) % 3], sides[(si + 2) % 3]]
+        others = [vertex_sets[(si + 1) % 3], vertex_sets[(si + 2) % 3]]
         seen_points = set()
         for geo in sides[si]:
             for p in geo:

@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .ball import bidirectional_distance
 from .subdivision import SubdivisionGraph
 
 
@@ -70,24 +71,10 @@ def _xi_adjacency(graph: SubdivisionGraph) -> dict[int, list[int]]:
 
 
 def _bfs_distance(adj: dict[int, list[int]], source: int, target: int) -> int:
-    if source == target:
-        return 0
-    seen = {source}
-    frontier = [source]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w in seen:
-                    continue
-                if w == target:
-                    return depth
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    raise ValueError("target not reachable in the trusted subdivision graph")
+    d = bidirectional_distance(adj.__getitem__, source, target, len(adj))
+    if d is None:
+        raise ValueError("target not reachable in the trusted subdivision graph")
+    return d
 
 
 def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:

@@ -539,7 +539,9 @@ def check_lemma_bound(graph: SubdivisionGraph) -> LemmaBoundReport:
         if label is not None:
             d = len(label.relative)
         else:
-            d = graph.ball.distance_between(u, v, bound + 2) or bound + 2
+            d = graph.ball.distance_between(u, v, bound + 2)
+            if d is None:
+                d = bound + 3
         if d > worst:
             worst = d
             witness = (u, v)

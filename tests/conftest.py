@@ -21,6 +21,11 @@ def surface_ball():
 
 
 @pytest.fixture(scope="session")
+def surface4_ball():
+    return enumerate_ball(preset("surface2"), 4)
+
+
+@pytest.fixture(scope="session")
 def surface_small_ball():
     return enumerate_ball(preset("surface2"), 3)
 

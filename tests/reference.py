@@ -233,6 +233,32 @@ def reference_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     )
 
 
+# -- distances -----------------------------------------------------------------
+
+
+def one_sided_distance(adjacent, u: int, v: int, limit: int | None = None) -> int | None:
+    """BFS from u alone, layer by layer, until it meets v; None past
+    ``limit`` or when v is unreachable (the distance kernel before the
+    bidirectional search)."""
+    if u == v:
+        return 0
+    seen = {u}
+    frontier = [u]
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        nxt = []
+        for w in frontier:
+            for t in adjacent(w):
+                if t == v:
+                    return depth
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return None
+
+
 # -- geodesics from the identity ---------------------------------------------
 
 
@@ -318,12 +344,22 @@ def language(acceptor: WordAcceptor, max_len: int):
 # -- thin triangles ------------------------------------------------------------
 
 
+class WholeBallDistances(_LazyDistances):
+    """The geodesic query before the early stop: every source is expanded
+    over the whole ball (to depth 2R) before a pair is read."""
+
+    def reach(self, source: int, target: int, limit: int) -> dict[int, int] | None:
+        self.expand(source, limit)
+        dist = self._state[source][0]
+        return dist if target in dist else None
+
+
 def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness, geo_cap=DEFAULT_GEODESIC_CAP) -> int:
     """Recompute the thinness value of a stored witness triangle."""
     dists = _LazyDistances(ball)
     warnings: list[str] = []
     sides, _ = _side_geodesics(ball, dists, witness.x, witness.y, geo_cap, warnings)
-    others = [sides[(witness.side + 1) % 3], sides[(witness.side + 2) % 3]]
+    others = [[set(geo) for geo in sides[(witness.side + k) % 3]] for k in (1, 2)]
     value, _ = _point_thinness(ball, dists, witness.point, others)
     return value
 

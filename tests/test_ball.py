@@ -1,4 +1,5 @@
 import pickle
+import random
 from dataclasses import replace
 
 import pytest
@@ -22,13 +23,14 @@ from subforge.presentation import (
 )
 from subforge.words import GeneratorAlphabet, inverse_word
 
-from bruteforce import naive_ball, naive_sphere_sizes, reduced_words
+from bruteforce import free_distance, naive_ball, naive_sphere_sizes, reduced_words
 from reference import (
     IntegerLattice,
     count_geodesics,
     exponent_vector,
     geodesics_between,
     odd_relator_presentation,
+    one_sided_distance,
     reference_ball,
 )
 
@@ -153,6 +155,27 @@ def test_relative_element_long_paths(f2_ball):
     # the oracle decides, None iff u^-1 v lies outside the ball
     assert f2_ball.relative_element(f2_ball.element_of("aaa"), f2_ball.element_of("bbb")) == f2_ball.element_of("AAAbbb")
     assert f2_ball.relative_element(f2_ball.element_of("aaaaaa"), f2_ball.element_of("bbbbbb")) is None
+
+
+def test_distance_between_matches_free_distance():
+    ball = enumerate_ball(preset("f2"), 4)
+    alphabet = ball.presentation.alphabet
+    for u in range(ball.size):
+        for v in range(ball.size):
+            d = free_distance(alphabet, ball.normal_forms[u], ball.normal_forms[v])
+            assert ball.distance_between(u, v, 2 * ball.radius) == d, (u, v)
+
+
+def test_distance_between_limits_match_one_sided_bfs(surface4_ball):
+    ball = surface4_ball
+    rng = random.Random(17)
+    pairs = [(rng.randrange(ball.size), rng.randrange(ball.size)) for _ in range(300)]
+    pairs += [(0, 0), (5, 5)]
+    for u, v in pairs:
+        d = one_sided_distance(lambda w: ball.neighbors[w].values(), u, v)
+        for limit in range(d + 2):
+            expected = None if d > limit else d
+            assert ball.distance_between(u, v, limit) == expected, (u, v, limit)
 
 
 def test_sphere_query(z_ball):

@@ -1,5 +1,7 @@
 import pytest
 
+from subforge import hyperbolicity
+from subforge.ball import enumerate_ball
 from subforge.hyperbolicity import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
@@ -8,7 +10,7 @@ from subforge.hyperbolicity import (
     enumerate_pair_geodesics,
 )
 
-from reference import reevaluate_witness, validate_delta
+from reference import WholeBallDistances, odd_relator_presentation, reevaluate_witness, validate_delta
 
 
 def test_f2_tree_delta_zero(f2_ball):
@@ -91,3 +93,52 @@ def test_delta_downgrades_on_cap(surface_ball):
     assert est.mode == MODE_SAMPLED
     assert any("cap" in w for w in est.warnings)
 
+
+
+@pytest.fixture(scope="module")
+def odd_relator_ball():
+    return enumerate_ball(odd_relator_presentation(), 4)
+
+
+@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3)])
+def test_early_stop_geodesics_match_whole_ball_bfs(ball_name, r, request):
+    # one shared state per side, as in compute_delta, so later queries also
+    # start from sources that earlier ones left partly expanded
+    ball = request.getfixturevalue(ball_name)
+    fast, whole = _LazyDistances(ball), WholeBallDistances(ball)
+    ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
+    for x in ids:
+        for y in ids:
+            expected = enumerate_pair_geodesics(ball, whole, x, y)
+            assert enumerate_pair_geodesics(ball, fast, x, y) == expected, (x, y)
+
+
+@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}, {"geo_cap": 1}],
+    ids=["exhaustive", "sampled", "geo_cap_1"],
+)
+def test_delta_matches_whole_ball_bfs(ball_name, r, kwargs, request, monkeypatch):
+    ball = request.getfixturevalue(ball_name)
+    fast = compute_delta(ball, r, **kwargs)
+    monkeypatch.setattr(hyperbolicity, "_LazyDistances", WholeBallDistances)
+    # dataclass equality: value, witness, mode, exact_distances, warnings
+    assert compute_delta(ball, r, **kwargs) == fast
+
+
+def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
+    # vertices visited, summed over every BFS state of one delta run: a
+    # work bound machine noise cannot move (26,883 with the early stop;
+    # expanding each geodesic source over the whole ball visited 204,633)
+    states = []
+
+    class Recording(_LazyDistances):
+        def __init__(self, ball):
+            super().__init__(ball)
+            states.append(self._state)
+
+    monkeypatch.setattr(hyperbolicity, "_LazyDistances", Recording)
+    assert compute_delta(surface4_ball, 2).delta == 2.0
+    visited = sum(len(dist) for state in states for dist, _, _ in state.values())
+    assert 0 < visited <= 30_000

@@ -1,8 +1,16 @@
 import copy
+import random
 
-from subforge.qi import _pair_constant, estimate_qi_constants, verify_qi_bounds
+import pytest
+
+from subforge.ball import enumerate_ball
+from subforge.language import build_gamma
+from subforge.presentation import preset
+from subforge.qi import _bfs_distance, _pair_constant, _xi_adjacency, estimate_qi_constants, verify_qi_bounds
+from subforge.subdivision import build_subdivision_graph
 
 from bruteforce import free_distance
+from reference import one_sided_distance
 
 
 def _check(report, name):
@@ -78,3 +86,18 @@ def test_density_is_exact(f2_run):
     qi = f2_run.artifacts.qi_report
     d = _check(qi, "density")
     assert d.passed and d.max_observed == 0 and d.bound == 0
+
+
+@pytest.mark.parametrize("which", ["f2-r8", "surface2-labeled"])
+def test_xi_distance_matches_one_sided_bfs(which, surface_labeled_run):
+    if which == "f2-r8":
+        ball = enumerate_ball(preset("f2"), 8)
+        graph = build_subdivision_graph(ball, build_gamma(ball), 0.0)
+    else:
+        graph = surface_labeled_run.artifacts.graph
+    adj = _xi_adjacency(graph)
+    trusted = sorted(adj)
+    rng = random.Random(8)
+    for _ in range(300):
+        u, v = rng.choice(trusted), rng.choice(trusted)
+        assert _bfs_distance(adj, u, v) == one_sided_distance(adj.__getitem__, u, v), (u, v)

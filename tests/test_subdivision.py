@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from subforge.language import build_gamma, cone_type_classes
 from subforge.subdivision import (
     assign_labels,
     build_subdivision_graph,
+    check_lemma_bound,
     geodesically_close,
     involuted_label,
     outward_vertices,
@@ -264,6 +266,21 @@ def test_lemma_bound(surface_labeled_run):
     assert lb.passed
     assert lb.max_observed == 2  # octagon partners sit at distance 2
     assert lb.edge_count == 8
+
+
+def test_lemma_bound_records_pair_past_its_limit(surface_labeled_run):
+    # an unlabelled same-level pair farther than K+2 is recorded as K+3,
+    # the value that says "beyond the limit", not K+2
+    graph = surface_labeled_run.artifacts.graph
+    ball = graph.ball
+    u, v = sorted((ball.element_of("aaaa"), ball.element_of("AAAA")))
+    assert ball.distance_between(u, v, 2 * ball.radius) == 8 > graph.k + 2
+    edges = dict(graph.level_edges)
+    edges[4] = edges.get(4, ()) + ((u, v),)
+    report = check_lemma_bound(replace(graph, level_edges=edges))
+    assert report.max_observed == graph.k + 3
+    assert report.passed is False
+    assert report.witness == (u, v)
 
 
 def test_witness_inheritance_in_condition4(surface_k2):
