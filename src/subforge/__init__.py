@@ -15,11 +15,8 @@ from .language import (
 )
 from .pipeline import PipelineResult, RunConfig, run_pipeline
 from .presentation import (
-    ORACLE_DEHN,
-    ORACLE_FREE,
     Presentation,
     PresentationError,
-    dehn_reduce,
     parse_presentation,
     preset,
     verify_small_cancellation,

@@ -8,9 +8,8 @@ Enumeration decides group equality without a word-problem oracle: a
 coincidence g*x = u is found by walking one relator loop from g through
 edges already recorded, and the completed loop is itself the proof of
 equality.  Small cancellation C'(1/6) makes this complete (see
-``enumerate_ball``).  The finished ball keeps only the Cayley graph; its
-queries walk that graph, and only ``element_of`` falls back to the oracle
-for words that leave the ball.
+``enumerate_ball``).  The finished ball keeps only the Cayley graph, and
+every query walks that graph.
 """
 
 from __future__ import annotations
@@ -130,45 +129,27 @@ class CayleyBall:
         return e
 
     def element_of(self, word: Word | str) -> int | None:
-        """Resolve a word to its element id, or None when the element lies
-        outside the ball.  Raises on letters not in the alphabet."""
+        """Id of the element the word spells, found by walking it from the
+        identity; None when the walk leaves the ball.  Exact for every word
+        of length <= R, whose prefixes all lie in the ball.  Raises on
+        letters not in the alphabet."""
         if isinstance(word, str):
             word = self.presentation.alphabet.parse_word(word)
         for x in word:
             if not 0 <= x < self.presentation.alphabet.size:
                 raise ValueError(f"letter {x} not in alphabet")
-        e = self.walk(0, word)
-        if e is not None:
-            return e
-        oracle = self.presentation.oracle()
-        reduced = oracle.reduce(word)
-        e = self.walk(0, reduced)
-        if e is not None:
-            return e
-        # The reduced word still strayed outside.  Any element it equals is
-        # no longer than it, so an oracle scan in id (shortlex) order up to
-        # that length decides membership.
-        limit = min(len(reduced), self.radius)
-        alphabet = self.presentation.alphabet
-        for u in range(self.size):
-            if self.sphere_of[u] > limit:
-                break
-            if oracle.is_identity(reduced + inverse_word(self.normal_forms[u], alphabet)):
-                return u
-        return None
+        return self.walk(0, word)
 
     def relative_element(self, u: int, v: int) -> int | None:
-        """Id of u^-1 v when it lies in the ball.
+        """Id of u^-1 v, or None when no in-ball path from u to v has at
+        most R letters.
 
-        The letters of an in-ball path from u to v spell u^-1 v, and when
-        the path has at most R letters every prefix stays inside the ball,
-        so walking it from the identity is exact.  Only pairs with no such
-        path go through ``element_of``."""
+        The letters of such a path spell u^-1 v, and every prefix of it
+        stays inside the ball, so walking it from the identity is exact.
+        As with ``distance_between``, the answer is exact whenever some
+        geodesic from u to v stays inside the ball."""
         path = self._path_word(u, v)
-        if path is not None:
-            return self.walk(0, path)
-        word = inverse_word(self.normal_forms[u], self.presentation.alphabet) + self.normal_forms[v]
-        return self.element_of(word)
+        return None if path is None else self.walk(0, path)
 
     def _path_word(self, u: int, v: int) -> Word | None:
         """Letters of a shortest in-ball path from u to v, or None when it

@@ -35,10 +35,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--probe", type=int, default=2, help="cone-lemma probe depth")
     p.add_argument("--qi-samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--oracle", choices=["auto", "free", "dehn"], default="auto")
     p.add_argument("--cache-dir", default=None, help="binary ball cache directory")
-    p.add_argument("--no-prefilter", action="store_true",
-                   help="search all same-level pairs instead of the lemma-justified candidates")
     # fault-injection hooks used by the negative-control tests
     p.add_argument("--force-k", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--corrupt-vertex-label", action="store_true", help=argparse.SUPPRESS)
@@ -60,11 +57,9 @@ def _config_from(args: argparse.Namespace, out_dir, export_list) -> RunConfig:
         probe=args.probe,
         qi_samples=args.qi_samples,
         seed=args.seed,
-        oracle=args.oracle,
         out_dir=out_dir,
         exports=tuple(export_list),
         cache_dir=args.cache_dir,
-        prefilter=not args.no_prefilter,
         force_k=args.force_k,
         corrupt_vertex_label=args.corrupt_vertex_label,
     )

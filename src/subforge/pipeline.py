@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import ball as ball_mod
 from . import hyperbolicity as hyp
@@ -26,14 +26,7 @@ from .language import (
     cone_type_classes,
     verify_cone_lemma,
 )
-from .presentation import (
-    ORACLE_DEHN,
-    ORACLE_FREE,
-    Presentation,
-    parse_presentation,
-    preset,
-    verify_small_cancellation,
-)
+from .presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from .qi import estimate_qi_constants, verify_qi_bounds
 from .subdivision import (
     assign_labels,
@@ -69,11 +62,9 @@ class RunConfig:
     probe: int = 2
     qi_samples: int = 2000
     seed: int = 2024
-    oracle: str = "auto"
     out_dir: str | None = None
     exports: tuple[str, ...] = ()
     cache_dir: str | None = None
-    prefilter: bool = True
     force_k: int | None = None
     corrupt_vertex_label: bool = False
 
@@ -92,8 +83,13 @@ class RunConfig:
             raise ConfigError("delta override must be >= 0")
         if self.force_k is not None and not 0 <= self.force_k <= self.radius:
             raise ConfigError("force-k must lie in [0, radius]")
-        if self.oracle not in ("auto", ORACLE_FREE, ORACLE_DEHN):
-            raise ConfigError(f"unknown oracle {self.oracle!r}")
+        # a check handed nothing to test would still read as a pass
+        if self.delta_samples < 1:
+            raise ConfigError("delta samples must be >= 1")
+        if self.qi_samples < 1:
+            raise ConfigError("qi samples must be >= 1")
+        if self.probe < 0:
+            raise ConfigError("probe depth must be >= 0")
 
 
 @dataclass
@@ -120,17 +116,9 @@ class PipelineResult:
 
 def load_presentation(config: RunConfig) -> Presentation:
     if config.preset is not None:
-        pres = preset(config.preset)
-    else:
-        with open(config.file, encoding="utf-8") as fh:
-            pres = parse_presentation(fh.read(), name=os.path.basename(config.file))
-    if config.oracle == "auto" or config.oracle == pres.oracle_kind:
-        return pres
-    if config.oracle == ORACLE_FREE:
-        if pres.relators:
-            raise ConfigError("oracle 'free' is unsound for a presentation with relators")
-        return replace(pres, oracle_kind=ORACLE_FREE)
-    return replace(pres, oracle_kind=ORACLE_DEHN)
+        return preset(config.preset)
+    with open(config.file, encoding="utf-8") as fh:
+        return parse_presentation(fh.read(), name=os.path.basename(config.file))
 
 
 def _ball_with_cache(pres: Presentation, config: RunConfig) -> CayleyBall:
@@ -194,8 +182,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "probe": config.probe,
             "qi_samples": config.qi_samples,
             "seed": config.seed,
-            "oracle": config.oracle,
-            "prefilter": config.prefilter,
             "force_k": config.force_k,
             "corrupt_vertex_label": config.corrupt_vertex_label,
         },
@@ -216,7 +202,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "name": pres.name,
         "generators": list(pres.alphabet.symbols),
         "relators": [pres.alphabet.format_word(r) for r in pres.relators],
-        "oracle": pres.oracle_kind,
     }
     pieces = verify_small_cancellation(pres)
     report["small_cancellation"] = {
@@ -337,10 +322,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     # subdivision graph
     horizon = config.horizon if config.horizon is not None else ball.radius
-    graph = build_subdivision_graph(
-        ball, tree, delta, horizon=horizon,
-        k_override=k, prefilter=config.prefilter,
-    )
+    graph = build_subdivision_graph(ball, tree, delta, horizon=horizon, k_override=k)
     assign_labels(graph, table)
     if config.corrupt_vertex_label:
         _corrupt_one_label(graph)

@@ -1,9 +1,10 @@
-"""Group presentations, the word-problem oracles and small cancellation.
+"""Group presentations, small cancellation and the word-problem oracles.
 
-Two oracles are supported: plain free reduction (sound for presentations
-with no relators) and Dehn's algorithm, which is a complete word-problem
-solver once the presentation is certified C'(1/6).  The certificate is
-computed by ``verify_small_cancellation`` and checked at parse time.
+The pipeline decides every group fact on the Cayley ball, whose
+enumeration needs the C'(1/6) certificate; ``verify_small_cancellation``
+computes it and the parser checks it.  The oracles (free reduction for a
+presentation without relators, Dehn's algorithm otherwise) are an
+independent second route for the tests; no pipeline stage calls them.
 """
 
 from __future__ import annotations
@@ -23,22 +24,16 @@ from .words import (
 
 log = logging.getLogger(__name__)
 
-ORACLE_FREE = "free"
-ORACLE_DEHN = "dehn"
-
 
 @dataclass(frozen=True)
 class Presentation:
-    """Alphabet plus cyclically reduced relators and the oracle choice."""
+    """Alphabet plus cyclically reduced relators."""
 
     alphabet: GeneratorAlphabet
     relators: tuple[Word, ...]
-    oracle_kind: str
     name: str | None = None
 
     def __post_init__(self):
-        if self.oracle_kind not in (ORACLE_FREE, ORACLE_DEHN):
-            raise PresentationError(f"unknown oracle kind {self.oracle_kind!r}")
         for r in self.relators:
             if not r:
                 raise PresentationError("empty relator")
@@ -46,6 +41,8 @@ class Presentation:
                 raise PresentationError("relator not cyclically reduced")
 
     def oracle(self) -> "WordOracle":
+        """Dehn's algorithm when there are relators, free reduction when
+        there are none."""
         return _make_oracle(self)
 
     def text(self) -> str:
@@ -55,7 +52,6 @@ class Presentation:
             lines.append(
                 "relators: " + " ".join(self.alphabet.format_word(r) for r in self.relators)
             )
-        lines.append(f"oracle: {self.oracle_kind}")
         return "\n".join(lines) + "\n"
 
 
@@ -129,8 +125,6 @@ class WordOracle:
     """Reduces words to a deterministic representative; the representative
     is empty iff the word represents the identity."""
 
-    kind = ORACLE_FREE
-
     def __init__(self, alphabet: GeneratorAlphabet):
         self.alphabet = alphabet
 
@@ -150,8 +144,6 @@ class DehnOracle(WordOracle):
     deterministic.  Complete for the word problem on certified C'(1/6)
     presentations.
     """
-
-    kind = ORACLE_DEHN
 
     _REPL = -1  # trie key marking a terminal node's replacement
 
@@ -206,17 +198,9 @@ class DehnOracle(WordOracle):
 
 @lru_cache(maxsize=64)
 def _make_oracle(pres: Presentation) -> WordOracle:
-    if pres.oracle_kind == ORACLE_DEHN:
+    if pres.relators:
         return DehnOracle(pres)
     return WordOracle(pres.alphabet)
-
-
-def dehn_reduce(word: Word, pres: Presentation) -> Word:
-    """Dehn-reduce ``word``; requires the presentation's oracle to be the
-    (certified) Dehn one."""
-    if pres.oracle_kind != ORACLE_DEHN:
-        raise PresentationError("dehn_reduce requires a Dehn-certified presentation")
-    return pres.oracle().reduce(word)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +210,7 @@ def dehn_reduce(word: Word, pres: Presentation) -> Word:
 PRESET_TEXTS = {
     "f2": "gens: a A b B\n",
     "z": "gens: a A\n",
-    "surface2": "gens: a A b B c C d D\nrelators: abABcdCD\noracle: dehn\n",
+    "surface2": "gens: a A b B c C d D\nrelators: abABcdCD\n",
 }
 
 
@@ -235,15 +219,13 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
 
     Line 1: ``gens:`` and an even-length symbol list in declaration order,
     inverse pairs given by letter case.  Line 2 (optional): ``relators:``
-    and space-separated words.  Line 3 (optional): ``oracle: free|dehn``.
-    Relators are freely and cyclically reduced on ingest (with a warning if
-    that changed them).  When relators are present the oracle defaults to
-    Dehn and the C'(1/6) certificate is checked here; a failed certificate
-    is an error since no sound oracle would remain.
+    and space-separated words.  Any other line is an error.  Relators are
+    freely and cyclically reduced on ingest (with a warning if that changed
+    them).  When relators are present the C'(1/6) certificate is checked
+    here, since ball enumeration requires it.
     """
     gens: list[str] | None = None
     relator_words: list[str] = []
-    oracle_decl: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -256,8 +238,6 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
             gens = rest.split()
         elif key == "relators":
             relator_words.extend(rest.split())
-        elif key == "oracle":
-            oracle_decl = rest.strip().lower()
         else:
             raise PresentationError(f"line {lineno}: unrecognized line {raw!r}")
     if gens is None:
@@ -273,25 +253,14 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
         if reduced:
             relators.append(reduced)
 
-    if oracle_decl is None:
-        oracle_kind = ORACLE_DEHN if relators else ORACLE_FREE
-    elif oracle_decl in (ORACLE_FREE, ORACLE_DEHN):
-        oracle_kind = oracle_decl
-    else:
-        raise PresentationError(f"unknown oracle {oracle_decl!r}")
-
-    if oracle_kind == ORACLE_FREE and relators:
-        raise PresentationError(
-            "oracle 'free' is only sound without relators; use oracle 'dehn'"
-        )
-    pres = Presentation(alphabet, tuple(relators), oracle_kind, name=name)
-    if oracle_kind == ORACLE_DEHN and relators:
+    pres = Presentation(alphabet, tuple(relators), name=name)
+    if relators:
         report = verify_small_cancellation(pres)
         if not report.satisfies_c16:
             raise PresentationError(
                 "presentation is not C'(1/6) "
                 f"(max piece {report.max_piece_len}, min relator {report.min_relator_len}); "
-                "the Dehn oracle would be unsound"
+                "ball enumeration requires it"
             )
     return pres
 

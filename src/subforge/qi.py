@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .ball import bidirectional_distance
-from .subdivision import SubdivisionGraph
+from .subdivision import SubdivisionGraph, horizontal_edge_length
 
 
 @dataclass
@@ -101,13 +101,7 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
     domain = 0
     for _, (u, v) in graph.all_level_edges():
         domain += 1
-        label = graph.edge_labels.get((u, v))
-        if label is not None:
-            d = len(label.relative)
-        else:
-            d = ball.distance_between(u, v, graph.k + 2)
-            if d is None:
-                d = graph.k + 3
+        d = horizontal_edge_length(graph, u, v)
         worst = max(worst, d)
         if d >= bound_b and bad is None:
             bad = (u, v)

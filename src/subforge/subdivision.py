@@ -281,6 +281,16 @@ def involuted_label(label: EdgeLabel, ball: CayleyBall) -> EdgeLabel:
     return EdgeLabel(label.type_b, label.type_a, ball.normal_forms[back])
 
 
+def horizontal_edge_length(graph: SubdivisionGraph, u: int, v: int) -> int:
+    """Cayley length of the horizontal edge (u, v): its label's relative
+    length, else the in-ball distance, read as K+3 past the limit K+2."""
+    label = graph.edge_labels.get((u, v))
+    if label is not None:
+        return len(label.relative)
+    d = graph.ball.distance_between(u, v, graph.k + 2)
+    return graph.k + 3 if d is None else d
+
+
 def _label_sort_key(label: EdgeLabel):
     return (label.type_a, label.type_b, len(label.relative), label.relative)
 
@@ -535,13 +545,7 @@ def check_lemma_bound(graph: SubdivisionGraph) -> LemmaBoundReport:
     count = 0
     for _, (u, v) in graph.all_level_edges():
         count += 1
-        label = graph.edge_labels.get((u, v))
-        if label is not None:
-            d = len(label.relative)
-        else:
-            d = graph.ball.distance_between(u, v, bound + 2)
-            if d is None:
-                d = bound + 3
+        d = horizontal_edge_length(graph, u, v)
         if d > worst:
             worst = d
             witness = (u, v)

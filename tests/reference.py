@@ -21,7 +21,7 @@ from subforge.hyperbolicity import (
     triangle_thinness,
 )
 from subforge.language import ConeTypeTable, InternalConsistencyError, WordAcceptor
-from subforge.presentation import ORACLE_FREE, Presentation, parse_presentation
+from subforge.presentation import Presentation, parse_presentation
 from subforge.subdivision import VertexLabel, geodesically_close
 from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
 
@@ -134,10 +134,8 @@ def reference_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
 
     lattice = IntegerLattice([exponent_vector(r, alphabet) for r in pres.relators])
     parity_key = bool(pres.relators) and all(len(r) % 2 == 0 for r in pres.relators)
-    # A free shortcut is sound whenever there are no relators, but it is
-    # only taken for the free-reduction oracle so that degenerate-Dehn runs
-    # exercise the general resolution path.
-    free_shortcut = not pres.relators and pres.oracle_kind == ORACLE_FREE
+    # with no relators every candidate is new
+    free_shortcut = not pres.relators
 
     normal_forms: list[Word] = [EMPTY_WORD]
     inv_forms: list[Word] = [EMPTY_WORD]

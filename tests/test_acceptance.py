@@ -279,20 +279,9 @@ def test_criterion_5_negative_controls(tmp_path):
 
 
 def test_criterion_6_oracle_cross_validation():
-    from dataclasses import replace
+    import random
 
     from subforge.ball import enumerate_ball
-    from subforge.presentation import ORACLE_DEHN
-
-    free = enumerate_ball(preset("f2"), 5)
-    dehn = enumerate_ball(replace(preset("f2"), oracle_kind=ORACLE_DEHN), 5)
-    _verdict(
-        "6a: free and degenerate-Dehn oracles build identical F2 balls at R=5",
-        free.normal_forms == dehn.normal_forms and free.neighbors == dehn.neighbors,
-        f"{free.size} elements",
-    )
-
-    import random
 
     p = preset("surface2")
     oracle = p.oracle()

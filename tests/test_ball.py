@@ -1,6 +1,5 @@
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -12,8 +11,8 @@ from subforge.ball import (
     GeodesicCapExceeded,
     enumerate_ball,
 )
+from subforge.pipeline import RunConfig, run_pipeline
 from subforge.presentation import (
-    ORACLE_DEHN,
     DehnOracle,
     Presentation,
     PresentationError,
@@ -25,6 +24,7 @@ from subforge.words import GeneratorAlphabet, inverse_word
 
 from bruteforce import free_distance, naive_ball, naive_sphere_sizes, reduced_words
 from reference import (
+    ODD_RELATOR,
     IntegerLattice,
     count_geodesics,
     exponent_vector,
@@ -119,9 +119,11 @@ def test_element_of(f2_ball, surface_ball):
 
 
 def test_element_of_detour_word(f2_ball):
-    # words that walk outside the ball but end inside still resolve
+    # a word of length > R resolves while its walk stays in the ball, and
+    # is None once the walk leaves it, even if it ends inside
     w = f2_ball.presentation.alphabet.parse_word("a" * 6 + "A" * 5)
     assert f2_ball.element_of(w) == f2_ball.element_of("a")
+    assert f2_ball.element_of("a" * 7 + "A") is None
 
 
 @pytest.mark.parametrize("which", ["surface", "odd_relator"])
@@ -151,8 +153,8 @@ def test_relative_element_matches_oracle(which, surface_ball):
 
 
 def test_relative_element_long_paths(f2_ball):
-    # a path of exactly R letters is walked; with no path of length <= R
-    # the oracle decides, None iff u^-1 v lies outside the ball
+    # a path of exactly R letters is walked; with no in-ball path of
+    # length <= R the answer is None
     assert f2_ball.relative_element(f2_ball.element_of("aaa"), f2_ball.element_of("bbb")) == f2_ball.element_of("AAAbbb")
     assert f2_ball.relative_element(f2_ball.element_of("aaaaaa"), f2_ball.element_of("bbbbbb")) is None
 
@@ -227,14 +229,6 @@ def test_cap_abort():
     assert sum(exc.value.sphere_sizes) >= 30
 
 
-def test_cross_oracle_balls_identical():
-    # the oracle choice does not enter enumeration: the balls match
-    free = enumerate_ball(preset("f2"), 4)
-    dehn = enumerate_ball(replace(preset("f2"), oracle_kind=ORACLE_DEHN), 4)
-    assert free.normal_forms == dehn.normal_forms
-    assert free.neighbors == dehn.neighbors
-
-
 def test_odd_relator_group_matches_free_ball_at_small_radius():
     p = odd_relator_presentation()
     rep = verify_small_cancellation(p)
@@ -254,22 +248,39 @@ def test_enumeration_requires_small_cancellation():
     # the parser rejects this presentation; built directly it reaches the
     # enumerator, whose relator-loop walk is only complete under C'(1/6)
     alphabet = GeneratorAlphabet.from_case_pairs(["a", "A"])
-    p = Presentation(alphabet, (alphabet.parse_word("aaa"),), ORACLE_DEHN)
+    p = Presentation(alphabet, (alphabet.parse_word("aaa"),))
     with pytest.raises(PresentationError):
         enumerate_ball(p, 2)
 
 
-def test_enumeration_makes_no_oracle_calls(monkeypatch):
-    # a deterministic work gate: relator loops decide every coincidence
+def test_enumeration_makes_no_oracle_calls(monkeypatch, tmp_path):
+    # a deterministic work gate: relator loops decide every coincidence,
+    # and every later stage reads group facts off the Cayley ball
     def forbidden(self, word):
-        raise AssertionError("word oracle called during enumeration")
+        raise AssertionError("word oracle called")
 
     monkeypatch.setattr(DehnOracle, "reduce", forbidden)
+    monkeypatch.setattr(WordOracle, "reduce", forbidden)
     monkeypatch.setattr(WordOracle, "is_identity", forbidden)
     surface = enumerate_ball(preset("surface2"), 4)
     assert surface.sphere_sizes == [1, 8, 56, 392, 2736]
     odd = enumerate_ball(odd_relator_presentation(), 4)
     assert odd.sphere_sizes == [1, 4, 12, 36, 108]
+
+    odd_file = tmp_path / "odd.txt"
+    odd_file.write_text(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
+    runs = [
+        run_pipeline(config)
+        for config in (
+            RunConfig(preset="f2", radius=6),
+            RunConfig(preset="surface2", radius=5, delta_override=1.0),
+            RunConfig(file=str(odd_file), radius=4),
+        )
+    ]
+    assert [r.exit_code for r in runs] == [0, 0, 0]
+    # the surface run labels real edges through relative_element and
+    # reads them reversed through involuted_label
+    assert runs[1].report["xi"]["total_horizontal"] == 8
 
 
 def _neighbor_items(ball):
@@ -306,7 +317,7 @@ TWO_RELATORS = tuple(FOUR_GENERATORS.parse_word(w) for w in ("aBADCdc", "dAbCacD
 @example(list(TWO_RELATORS))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_relator_walk_matches_oracle_ball(relators):
-    p = Presentation(FOUR_GENERATORS, tuple(relators), ORACLE_DEHN)
+    p = Presentation(FOUR_GENERATORS, tuple(relators))
     assume(verify_small_cancellation(p).satisfies_c16)
     ball = enumerate_ball(p, 4)
     ref = reference_ball(p, 4)

@@ -1,12 +1,15 @@
+import argparse
 import json
 import logging
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from subforge.ball import CACHE_HEADER_LEN, CayleyBall
-from subforge.cli import main
+from subforge.cli import build_parser, main
 from subforge.presentation import preset
 
 
@@ -86,20 +89,6 @@ def test_exit_code_on_cap(tmp_path):
     assert sum(report["ball"]["partial_sphere_sizes"]) >= 50
 
 
-def test_oracle_override_free_with_relators_errors(tmp_path):
-    code = main(
-        ["run", "--preset", "surface2", "--radius", "2", "--oracle", "free", "--out", str(tmp_path / "x")]
-    )
-    assert code == 1
-
-
-def test_oracle_override_dehn_on_free_group(tmp_path):
-    out = tmp_path / "dehn"
-    code = main(["run", "--preset", "f2", "--radius", "4", "--oracle", "dehn", "--out", str(out)])
-    assert code == 0
-    assert _report(out)["presentation"]["oracle"] == "dehn"
-
-
 def test_export_missing_artifact_errors(tmp_path):
     # label corruption breaks conditions 5/6, so no subdivision tables exist
     code = main(
@@ -129,7 +118,6 @@ def test_odd_relator_file_pipeline(tmp_path):
     code = main(["run", "--file", str(path), "--radius", "3", "--out", str(out)])
     assert code == 0
     report = _report(out)
-    assert report["presentation"]["oracle"] == "dehn"
     assert report["small_cancellation"]["satisfies_c16"]
     assert all(report["checks"].values())
 
@@ -208,3 +196,25 @@ def test_report_records_config(tmp_path):
     main(["run", "--preset", "z", "--radius", "5", "--seed", "7", "--out", str(out)])
     cfg = _report(out)["config"]
     assert cfg["seed"] == 7 and cfg["radius"] == 5 and cfg["preset"] == "z"
+
+
+def _cli_flags() -> set[str]:
+    """Every long option of every subcommand, hidden ones included."""
+    flags = set()
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                for opt in sub._actions:
+                    flags.update(o for o in opt.option_strings if o.startswith("--"))
+    flags.discard("--help")
+    return flags
+
+
+def test_readme_lists_the_cli_flags():
+    # the README's CLI section names exactly the flags the parser accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    flags = _cli_flags()
+    assert sorted(flags - documented) == []
+    assert sorted(documented - flags) == []

@@ -18,6 +18,17 @@ def test_config_validation():
         RunConfig(preset="f2", radius=4, delta_override=-0.5).validate()
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, force_k=5).validate()
+    # a check handed nothing to test must not read as a pass
+    for bad in (
+        dict(delta_mode="sampled-triangles", delta_samples=0),
+        dict(delta_mode="sampled-triangles", delta_samples=-3),
+        dict(qi_samples=0),
+        dict(qi_samples=-1),
+        dict(probe=-1),
+    ):
+        with pytest.raises(ConfigError):
+            RunConfig(preset="f2", radius=4, **bad).validate()
+    RunConfig(preset="f2", radius=4, probe=0, delta_samples=1, qi_samples=1).validate()
     RunConfig(preset="f2", radius=4).validate()
 
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subforge.presentation import (
-    ORACLE_DEHN,
-    ORACLE_FREE,
+    DehnOracle,
     Presentation,
     PresentationError,
-    dehn_reduce,
+    WordOracle,
     parse_presentation,
     preset,
     verify_small_cancellation,
@@ -23,18 +22,18 @@ def test_parse_f2():
     p = parse_presentation("gens: a A b B\n")
     assert p.alphabet.symbols == ("a", "A", "b", "B")
     assert p.relators == ()
-    assert p.oracle_kind == ORACLE_FREE
+    assert type(p.oracle()) is WordOracle
 
 
 def test_parse_z():
     p = parse_presentation("gens: a A\n")
     assert p.alphabet.size == 2
-    assert p.oracle_kind == ORACLE_FREE
+    assert type(p.oracle()) is WordOracle
 
 
 def test_parse_surface_defaults_to_dehn():
     p = parse_presentation("gens: a A b B c C d D\nrelators: abABcdCD\n")
-    assert p.oracle_kind == ORACLE_DEHN
+    assert isinstance(p.oracle(), DehnOracle)
     assert [p.alphabet.format_word(r) for r in p.relators] == ["abABcdCD"]
 
 
@@ -49,6 +48,9 @@ def test_parse_errors():
         parse_presentation("gens: a A\noracle: magic\n")
     with pytest.raises(PresentationError):
         parse_presentation("gens: a A\nrelators: aaa\n")  # not C'(1/6)
+    # there is no oracle choice any more, so its old key is an unknown line
+    with pytest.raises(PresentationError, match="unrecognized line"):
+        parse_presentation("gens: a A b B c C d D\nrelators: abABcdCD\noracle: dehn\n")
 
 
 def test_relators_cyclically_reduced_on_ingest():
@@ -59,7 +61,7 @@ def test_relators_cyclically_reduced_on_ingest():
 def test_presets():
     assert preset("f2").alphabet.size == 4
     assert preset("z").alphabet.size == 2
-    assert preset("surface2").oracle_kind == ORACLE_DEHN
+    assert isinstance(preset("surface2").oracle(), DehnOracle)
     with pytest.raises(PresentationError):
         preset("nope")
 
@@ -79,14 +81,14 @@ def test_pieces_vacuous():
 
 
 def test_pieces_proper_power():
-    alpha_text = "gens: a A\nrelators: aaa\noracle: dehn\n"
+    alpha_text = "gens: a A\nrelators: aaa\n"
     with pytest.raises(PresentationError):
         parse_presentation(alpha_text)
     # build the presentation object directly to inspect the report
     from subforge.words import GeneratorAlphabet
 
     alphabet = GeneratorAlphabet.from_case_pairs(["a", "A"])
-    p = Presentation(alphabet, (alphabet.parse_word("aaa"),), ORACLE_DEHN)
+    p = Presentation(alphabet, (alphabet.parse_word("aaa"),))
     rep = verify_small_cancellation(p)
     assert (rep.max_piece_len, rep.min_relator_len, rep.satisfies_c16) == (2, 3, False)
     assert rep.max_piece_len == naive_pieces(p)
@@ -96,7 +98,7 @@ def test_pieces_torus_fails():
     from subforge.words import GeneratorAlphabet
 
     alphabet = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B"])
-    p = Presentation(alphabet, (alphabet.parse_word("abAB"),), "dehn")
+    p = Presentation(alphabet, (alphabet.parse_word("abAB"),))
     rep = verify_small_cancellation(p)
     assert not rep.satisfies_c16
     assert rep.max_piece_len == naive_pieces(p) == 1
@@ -110,8 +112,8 @@ def test_genus3_surface_is_c16():
     rep = verify_small_cancellation(p)
     assert (rep.max_piece_len, rep.min_relator_len, rep.satisfies_c16) == (1, 12, True)
     assert rep.max_piece_len == naive_pieces(p)
-    assert p.oracle_kind == ORACLE_DEHN
-    assert dehn_reduce(p.alphabet.parse_word("abABcdCDefEF"), p) == ()
+    assert isinstance(p.oracle(), DehnOracle)
+    assert p.oracle().reduce(p.alphabet.parse_word("abABcdCDefEF")) == ()
 
 
 def test_duplicate_relators_are_degenerate():
@@ -119,7 +121,7 @@ def test_duplicate_relators_are_degenerate():
 
     alphabet = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B", "c", "C", "d", "D"])
     r = alphabet.parse_word("abABcdCD")
-    p = Presentation(alphabet, (r, r), "dehn")
+    p = Presentation(alphabet, (r, r))
     rep = verify_small_cancellation(p)
     # every proper subword occurs in both copies
     assert rep.max_piece_len == len(r) - 1
@@ -132,21 +134,17 @@ def test_duplicate_relators_are_degenerate():
 def test_dehn_examples():
     p = preset("surface2")
     fmt = p.alphabet.format_word
-    assert dehn_reduce(p.alphabet.parse_word("abABcdCD"), p) == ()
-    assert fmt(dehn_reduce(p.alphabet.parse_word("abABc"), p)) == "dcD"
-    assert fmt(dehn_reduce(p.alphabet.parse_word("ab"), p)) == "ab"
-
-
-def test_dehn_requires_certificate():
-    with pytest.raises(PresentationError):
-        dehn_reduce((), preset("f2"))
+    dehn = p.oracle().reduce
+    assert dehn(p.alphabet.parse_word("abABcdCD")) == ()
+    assert fmt(dehn(p.alphabet.parse_word("abABc"))) == "dcD"
+    assert fmt(dehn(p.alphabet.parse_word("ab"))) == "ab"
 
 
 def test_dehn_quotient_example_is_equality():
     # abABc -> dcD is a genuine group equality: the quotient word is trivial
     p = preset("surface2")
     w = p.alphabet.parse_word("abABc")
-    out = dehn_reduce(w, p)
+    out = p.oracle().reduce(w)
     assert p.oracle().is_identity(w + inverse_word(out, p.alphabet))
 
 
@@ -156,9 +154,9 @@ surface_words = st.lists(st.integers(0, 7), max_size=14).map(tuple)
 @given(surface_words)
 @settings(max_examples=200)
 def test_dehn_idempotent(w):
-    p = preset("surface2")
-    once = dehn_reduce(w, p)
-    assert dehn_reduce(once, p) == once
+    dehn = preset("surface2").oracle().reduce
+    once = dehn(w)
+    assert dehn(once) == once
 
 
 def _conjugated_relator_product(p, rng, factors):
@@ -178,24 +176,20 @@ def test_dehn_kills_relator_consequences():
     rng = random.Random(7)
     for _ in range(300):
         w = _conjugated_relator_product(p, rng, rng.randrange(1, 5))
-        assert dehn_reduce(w, p) == ()
+        assert p.oracle().reduce(w) == ()
 
 
 def test_degenerate_dehn_agrees_with_free_reduction():
     # no relators: the Dehn oracle degenerates to free reduction
-    from dataclasses import replace
-
-    p = replace(preset("f2"), oracle_kind=ORACLE_DEHN)
-    alphabet = p.alphabet
+    dehn = DehnOracle(preset("f2"))
+    alphabet = dehn.alphabet
     for L in range(0, 7):
         for w in itertools.product(range(4), repeat=L):
-            assert p.oracle().reduce(w) == free_reduce(w, alphabet)
+            assert dehn.reduce(w) == free_reduce(w, alphabet)
 
 
 @given(st.lists(st.integers(0, 3), min_size=7, max_size=10).map(tuple))
 @settings(max_examples=150)
 def test_degenerate_dehn_agrees_longer(w):
-    from dataclasses import replace
-
-    p = replace(preset("f2"), oracle_kind=ORACLE_DEHN)
-    assert p.oracle().reduce(w) == free_reduce(w, p.alphabet)
+    dehn = DehnOracle(preset("f2"))
+    assert dehn.reduce(w) == free_reduce(w, dehn.alphabet)
