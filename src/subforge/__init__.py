@@ -5,7 +5,6 @@ from .ball import BallCapExceeded, CayleyBall, GeodesicCapExceeded, TrustRadiusE
 from .hyperbolicity import DeltaEstimate, compute_delta
 from .language import (
     ConeTypeTable,
-    GeodesicTree,
     WordAcceptor,
     build_acceptor,
     build_gamma,

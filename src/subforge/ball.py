@@ -3,6 +3,9 @@
 Elements are dense integer ids in shortlex-BFS discovery order (0 is the
 identity), so id order is exactly shortlex order of the normal forms and
 ids agree across balls of different radii over the same presentation.
+The ball stores one parent link and one last letter per element; the
+normal form of an element is its parent's normal form plus that letter,
+and a sphere is the run of ids with one level.
 
 Enumeration decides group equality without a word-problem oracle: a
 coincidence g*x = u is found by walking one relator loop from g through
@@ -16,10 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .presentation import Presentation, PresentationError, _rotations, verify_small_cancellation
-from .words import EMPTY_WORD, Word, inverse_word
+from .words import Word, inverse_word
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 
@@ -75,47 +79,67 @@ def bidirectional_distance(adjacent, u: int, v: int, limit: int) -> int | None:
 
 
 # Everything the cache stores besides the presentation text.
-_GRAPH_FIELDS = ("radius", "normal_forms", "sphere_of", "parent", "last_letter", "neighbors", "spheres")
+_GRAPH_FIELDS = ("radius", "sphere_of", "parent", "last_letter", "neighbors")
 
 # Cache file layout: magic, format version (2 bytes, big-endian), sha256
 # of the pickle payload, then the payload.
 CACHE_MAGIC = b"subforge-ball\n"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_HEADER_LEN = len(CACHE_MAGIC) + 2 + 32
 
 
 @dataclass
 class CayleyBall:
-    """Enumerated ball with normal forms, parents and in-ball adjacency.
+    """Enumerated ball: levels, parent links and in-ball adjacency.
 
     Immutable after construction; safe for concurrent shared reads.
+    ``sphere_of`` is non-decreasing in the id.  ``parent[e]`` and
+    ``last_letter[e]`` give the last edge of the normal form of e (-1 at
+    the identity); the parent links form the geodesic tree.
     ``neighbors[e]`` maps letters to target ids for every generator move
     that lands inside the ball (boundary sphere included).
     """
 
     presentation: Presentation
     radius: int
-    normal_forms: list[Word]
     sphere_of: list[int]
     parent: list[int]
     last_letter: list[int]
     neighbors: list[dict[int, int]]
-    spheres: list[list[int]]
 
     # -- queries ----------------------------------------------------------
 
     @property
     def size(self) -> int:
-        return len(self.normal_forms)
+        return len(self.parent)
 
     @property
     def sphere_sizes(self) -> list[int]:
-        return [len(s) for s in self.spheres]
+        return [len(self.sphere(n)) for n in range(self.radius + 1)]
 
-    def sphere(self, n: int) -> list[int]:
+    def sphere(self, n: int) -> range:
+        """Ids of the elements of length n: a contiguous run, since ids are
+        in BFS order."""
         if not 0 <= n <= self.radius:
             raise TrustRadiusError(f"sphere {n} outside ball of radius {self.radius}")
-        return list(self.spheres[n])
+        return range(bisect_left(self.sphere_of, n), bisect_left(self.sphere_of, n + 1))
+
+    def normal_form(self, e: int) -> Word:
+        """Shortlex normal form of e, read up the parent chain."""
+        letters = []
+        while e:
+            letters.append(self.last_letter[e])
+            e = self.parent[e]
+        return tuple(reversed(letters))
+
+    def children(self, v: int) -> list[int]:
+        """Children of v in the geodesic tree, in id order: the neighbours
+        w with parent v, reached by the letter ``last_letter[w]``."""
+        return [
+            w
+            for x, w in sorted(self.neighbors[v].items())
+            if self.parent[w] == v and self.last_letter[w] == x
+        ]
 
     def walk(self, start: int, word: Word) -> int | None:
         """Follow ``word`` through in-ball edges; None means the walk left
@@ -269,12 +293,10 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     inv = alphabet.inverse
     loops = _relator_loops(pres)
 
-    normal_forms: list[Word] = [EMPTY_WORD]
     sphere_of: list[int] = [0]
     parent: list[int] = [-1]
     last_letter: list[int] = [-1]
     neighbors: list[dict[int, int]] = [{}]
-    spheres: list[list[int]] = [[0]]
 
     def close(g: int, x: int) -> int | None:
         """g*x when some relator loop through x closes on recorded edges."""
@@ -288,9 +310,10 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
                 return e
         return None
 
+    first = 0  # id of the first element of sphere n
     for n in range(radius):
-        new_ids: list[int] = []
-        for g in spheres[n]:
+        last = len(parent)
+        for g in range(first, last):
             nbrs = neighbors[g]
             for x in range(alphabet.size):
                 if x in nbrs:
@@ -300,22 +323,20 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
                     nbrs[x] = found
                     neighbors[found].setdefault(inv[x], g)
                     continue
-                e = len(normal_forms)
+                e = len(parent)
                 if e >= cap:
-                    raise BallCapExceeded(cap, [len(s) for s in spheres] + [len(new_ids)])
-                normal_forms.append(normal_forms[g] + (x,))
+                    raise BallCapExceeded(cap, [sphere_of.count(k) for k in range(n + 2)])
                 sphere_of.append(n + 1)
                 parent.append(g)
                 last_letter.append(x)
                 neighbors.append({inv[x]: g})
                 nbrs[x] = e
-                new_ids.append(e)
-        spheres.append(new_ids)
+        first = last
 
     # Boundary sweep: edges from the outer sphere downward were recorded
     # while the lower spheres were processed; only same-sphere edges remain.
     if pres.relators:
-        for g in spheres[radius]:
+        for g in range(first, len(parent)):
             for x in range(alphabet.size):
                 if x in neighbors[g]:
                     continue
@@ -327,10 +348,8 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     return CayleyBall(
         presentation=pres,
         radius=radius,
-        normal_forms=normal_forms,
         sphere_of=sphere_of,
         parent=parent,
         last_letter=last_letter,
         neighbors=neighbors,
-        spheres=spheres,
     )

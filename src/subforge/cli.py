@@ -104,6 +104,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     config = _config_from(args, args.out, [args.format])
     result = run_pipeline(config)
+    if result.report["status"] != "completed":
+        print(f"error: {result.report['error']}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         content = exports.export_graph(result.artifacts, args.what, args.format)
     except exports.MissingArtifact as exc:
@@ -112,7 +115,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     path = os.path.join(args.out, f"{args.what}.{args.format}")
     _write(path, content)
     print(path)
-    return 0
+    return result.exit_code
 
 
 def cmd_presets(_: argparse.Namespace) -> int:

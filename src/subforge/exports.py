@@ -29,37 +29,46 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _word(ball: CayleyBall, e: int) -> str:
-    return ball.presentation.alphabet.format_word(ball.normal_forms[e])
+def _words(ball: CayleyBall) -> list[str]:
+    """Formatted normal form of every element, in one pass in id order:
+    each is its parent's plus the last letter."""
+    alphabet = ball.presentation.alphabet
+    words = [""]
+    for e in range(1, ball.size):
+        words.append(words[ball.parent[e]] + alphabet.symbols[ball.last_letter[e]])
+    words[0] = alphabet.format_word(())
+    return words
 
 
 # -- gamma -------------------------------------------------------------------
 
 
 def gamma_json(arts: Artifacts) -> str:
-    ball, tree = arts.ball, arts.tree
-    if ball is None or tree is None:
+    ball = arts.ball
+    if ball is None:
         raise MissingArtifact("geodesic tree not built")
+    words = _words(ball)
     return _dumps(
         {
             "vertices": [
-                {"id": e, "word": _word(ball, e), "level": ball.sphere_of[e]}
+                {"id": e, "word": words[e], "level": ball.sphere_of[e]}
                 for e in range(ball.size)
             ],
-            "edges": [[e, tree.parent[e]] for e in range(1, ball.size)],
+            "edges": [[e, ball.parent[e]] for e in range(1, ball.size)],
         }
     )
 
 
 def gamma_dot(arts: Artifacts) -> str:
-    ball, tree = arts.ball, arts.tree
-    if ball is None or tree is None:
+    ball = arts.ball
+    if ball is None:
         raise MissingArtifact("geodesic tree not built")
+    words = _words(ball)
     lines = ["graph gamma {"]
     for e in range(ball.size):
-        lines.append(f'  v{e} [label="{_word(ball, e)}"];')
+        lines.append(f'  v{e} [label="{words[e]}"];')
     for e in range(1, ball.size):
-        lines.append(f"  v{e} -- v{tree.parent[e]};")
+        lines.append(f"  v{e} -- v{ball.parent[e]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -85,6 +94,7 @@ def xi_json(arts: Artifacts) -> str:
     if graph is None:
         raise MissingArtifact("subdivision graph not built")
     ball = graph.ball
+    words = _words(ball)
     horizontal = []
     for n, (u, v) in graph.all_level_edges():
         entry = {"level": n, "u": u, "v": v}
@@ -103,7 +113,7 @@ def xi_json(arts: Artifacts) -> str:
             "vertices": [
                 {
                     "id": e,
-                    "word": _word(ball, e),
+                    "word": words[e],
                     "level": ball.sphere_of[e],
                     "label": None
                     if e not in graph.vertex_labels
@@ -122,12 +132,13 @@ def xi_dot(arts: Artifacts) -> str:
     if graph is None:
         raise MissingArtifact("subdivision graph not built")
     ball = graph.ball
+    words = _words(ball)
     lines = ["graph xi {"]
-    for level, sphere in enumerate(ball.spheres):
+    for level in range(ball.radius + 1):
         lines.append(f"  subgraph cluster_level_{level} {{")
         lines.append(f'    label="level {level}"; rank=same;')
-        for e in sphere:
-            lines.append(f'    v{e} [label="{_word(ball, e)}"];')
+        for e in ball.sphere(level):
+            lines.append(f'    v{e} [label="{words[e]}"];')
         lines.append("  }")
     for e in range(1, ball.size):
         lines.append(f"  v{e} -- v{ball.parent[e]} [kind=vertical];")

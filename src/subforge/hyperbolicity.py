@@ -36,6 +36,7 @@ from .ball import CayleyBall, GeodesicCapExceeded
 
 MODE_EXHAUSTIVE = "exhaustive-triangles"
 MODE_SAMPLED = "sampled-triangles"
+DELTA_MODES = (MODE_EXHAUSTIVE, MODE_SAMPLED)
 
 DEFAULT_GEODESIC_CAP = 10_000
 
@@ -153,6 +154,7 @@ class DeltaEstimate:
     radius_checked: int
     mode: str
     witness: TriangleWitness | None
+    triangles: int  # anchored triangles checked
     is_lower_bound: bool = True
     exact_distances: bool = True
     warnings: tuple[str, ...] = ()
@@ -230,8 +232,7 @@ def triangle_thinness(ball, dists, x, y, geo_cap, warnings):
     return best[0], best[1], best[2], capped
 
 
-def _pairs_exhaustive(ball, r):
-    ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
+def _pairs_exhaustive(ids):
     for i, x in enumerate(ids):
         for y in ids[i:]:
             yield x, y
@@ -253,16 +254,20 @@ def compute_delta(
     if 2 * r > ball.radius:
         raise ValueError(f"delta radius {r} needs ball radius >= {2 * r}")
     warnings: list[str] = []
+    ids = range(ball.sphere(r).stop)  # B_r
     if mode == MODE_EXHAUSTIVE:
-        pairs = _pairs_exhaustive(ball, r)
-    else:
+        pairs = _pairs_exhaustive(ids)
+    elif mode == MODE_SAMPLED:
         rng = random.Random(seed)
-        ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
         pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(samples)]
+    else:
+        raise ValueError(f"unknown delta mode {mode!r}")
 
     dists = _LazyDistances(ball)
     value, witness, exact, capped = -1, None, True, False
+    triangles = 0
     for x, y in pairs:
+        triangles += 1
         v, w, ex, cp = triangle_thinness(ball, dists, x, y, geo_cap, warnings)
         if v > value:
             value, witness = v, w
@@ -276,6 +281,7 @@ def compute_delta(
         radius_checked=r,
         mode=final_mode,
         witness=witness,
+        triangles=triangles,
         exact_distances=exact,
         warnings=tuple(warnings),
     )

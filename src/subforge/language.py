@@ -3,12 +3,15 @@
 The lexicographically-first geodesic to an element is its shortlex normal
 form (all geodesics to an element share a length, so the lexicographic
 order among them is shortlex), which makes the geodesic tree exactly the
-parent-link tree of the ball.
+parent-link tree of the ball: no copy of it is built, and the children
+of v are read off the ball (``CayleyBall.children``).
 
 Cone types are classed by level fingerprints: the n-level of g is the set
-of h in the ball of radius n with |gh| < |g|.  Two elements share a class
-id iff their K-level fingerprints coincide; interning follows shortlex
-order so ids are reproducible.
+of h in the ball of radius n with |gh| < |g|, held as the sorted tuple of
+the ids of those h.  Ids are shortlex-ordered and agree across radii, so
+this tuple names the same set as the normal forms would.  Two elements
+share a class id iff their K-level fingerprints coincide; interning
+follows shortlex order so ids are reproducible.
 """
 
 from __future__ import annotations
@@ -23,54 +26,32 @@ class InternalConsistencyError(RuntimeError):
     """A structural invariant that construction should guarantee failed."""
 
 
-@dataclass
-class GeodesicTree:
-    """Parent-link tree over the whole ball; edge count is verified."""
-
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.parent)
-
-    @property
-    def edge_count(self) -> int:
-        return self.size - 1
-
-
-def build_gamma(ball: CayleyBall) -> GeodesicTree:
-    """Assemble the geodesic tree from parent links and verify the tree
-    property (edge count and reachability of the root)."""
-    n = ball.size
-    children: list[list[int]] = [[] for _ in range(n)]
-    edges = 0
-    for e in range(1, n):
+def build_gamma(ball: CayleyBall) -> int:
+    """Verify that the parent links form the geodesic tree and return its
+    edge count.  Each parent lies one level down, so every parent chain
+    descends to the identity: the links are a spanning tree."""
+    for e in range(1, ball.size):
         p = ball.parent[e]
-        if not 0 <= p < n or ball.sphere_of[p] != ball.sphere_of[e] - 1:
+        if not 0 <= p < ball.size or ball.sphere_of[p] != ball.sphere_of[e] - 1:
             raise InternalConsistencyError(f"bad parent link at element {e}")
-        children[p].append(e)
-        edges += 1
-    if edges != n - 1:
-        raise InternalConsistencyError("tree edge count mismatch")
-    # reachability: walk parent chains with a visited set
-    reached = [False] * n
-    reached[0] = True
-    for e in range(n):
-        chain = []
-        v = e
-        while not reached[v]:
-            chain.append(v)
-            v = ball.parent[v]
-        for c in chain:
-            reached[c] = True
-    if not all(reached):
-        raise InternalConsistencyError("tree not connected")
-    return GeodesicTree(tuple(ball.parent), tuple(tuple(c) for c in children))
+    return ball.size - 1
 
 
-def level_fingerprint(ball: CayleyBall, g: int, n: int) -> tuple[Word, ...]:
-    """Sorted normal forms of the h in B_n with |g h| < |g|.
+def _translate(ball: CayleyBall, g: int, n: int) -> list[int]:
+    """image[h] = g h for every h in B_n, in id order: each h is its
+    parent times its last letter, and the parent's image comes first."""
+    parent, last_letter, neighbors = ball.parent, ball.last_letter, ball.neighbors
+    image = [g]
+    for h in range(1, ball.sphere(n).stop):
+        gh = neighbors[image[parent[h]]].get(last_letter[h])
+        if gh is None:
+            raise InternalConsistencyError("in-trust walk left the ball")
+        image.append(gh)
+    return image
+
+
+def level_fingerprint(ball: CayleyBall, g: int, n: int) -> tuple[int, ...]:
+    """Sorted ids of the h in B_n with |g h| < |g|.
 
     Requires |g| + n <= ball radius so every product resolves in-ball.
     """
@@ -79,17 +60,8 @@ def level_fingerprint(ball: CayleyBall, g: int, n: int) -> tuple[Word, ...]:
         raise TrustRadiusError(
             f"level fingerprint of |g|={depth} at n={n} needs radius {depth + n}"
         )
-    members: list[Word] = []
-    for h in range(ball.size):
-        if ball.sphere_of[h] > n:
-            break
-        nf = ball.normal_forms[h]
-        gh = ball.walk(g, nf)
-        if gh is None:
-            raise InternalConsistencyError("in-trust walk left the ball")
-        if ball.sphere_of[gh] < depth:
-            members.append(nf)
-    return tuple(members)
+    sphere_of = ball.sphere_of
+    return tuple(h for h, gh in enumerate(_translate(ball, g, n)) if sphere_of[gh] < depth)
 
 
 @dataclass
@@ -99,7 +71,7 @@ class ConeTypeTable:
     k: int
     trusted_depth: int  # classes known for |g| <= trusted_depth
     class_of: dict[int, int]
-    fingerprints: tuple[tuple[Word, ...], ...]
+    fingerprints: tuple[tuple[int, ...], ...]
 
     @property
     def class_count(self) -> int:
@@ -114,8 +86,8 @@ def cone_type_classes(ball: CayleyBall, k: int) -> ConeTypeTable:
     trusted = ball.radius - k
     if trusted < 0:
         raise TrustRadiusError(f"K={k} exceeds ball radius {ball.radius}")
-    intern: dict[tuple[Word, ...], int] = {}
-    fingerprints: list[tuple[Word, ...]] = []
+    intern: dict[tuple[int, ...], int] = {}
+    fingerprints: list[tuple[int, ...]] = []
     class_of: dict[int, int] = {}
     for e in range(ball.size):
         if ball.sphere_of[e] > trusted:
@@ -145,17 +117,10 @@ def _probe_cone(ball: CayleyBall, g: int, probe: int) -> frozenset[int]:
     """Elements h of B_probe with |g h| = |g| + |h| (the metric restatement
     of 'some geodesic to g h passes through g')."""
     depth = ball.sphere_of[g]
-    cone = []
-    for h in range(ball.size):
-        hl = ball.sphere_of[h]
-        if hl > probe:
-            break
-        gh = ball.walk(g, ball.normal_forms[h])
-        if gh is None:
-            raise InternalConsistencyError("in-trust walk left the ball")
-        if ball.sphere_of[gh] == depth + hl:
-            cone.append(h)
-    return frozenset(cone)
+    sphere_of = ball.sphere_of
+    return frozenset(
+        h for h, gh in enumerate(_translate(ball, g, probe)) if sphere_of[gh] == depth + sphere_of[h]
+    )
 
 
 def verify_cone_lemma(
@@ -271,13 +236,12 @@ def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor
 
 
 def check_prefix_closure(ball: CayleyBall) -> bool:
-    """Exhaustive check that the stored normal forms are prefix-closed and
-    spelled by the parent chain."""
-    forms = set(ball.normal_forms)
-    for e in range(ball.size):
-        nf = ball.normal_forms[e]
-        if nf and nf[:-1] not in forms:
-            return False
-        if e and ball.normal_forms[ball.parent[e]] != nf[:-1]:
-            return False
-    return True
+    """Exhaustive check that every element is its parent times its last
+    letter, with the parent earlier in id order.  This makes the normal
+    forms read up the parent chain prefix-closed, and makes each one spell
+    its element."""
+    parent, last_letter, neighbors = ball.parent, ball.last_letter, ball.neighbors
+    return all(
+        0 <= parent[e] < e and neighbors[parent[e]].get(last_letter[e]) == e
+        for e in range(1, ball.size)
+    )

@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigError("delta override must be >= 0")
         if self.force_k is not None and not 0 <= self.force_k <= self.radius:
             raise ConfigError("force-k must lie in [0, radius]")
+        if self.delta_mode not in hyp.DELTA_MODES:
+            raise ConfigError(f"delta mode must be one of {', '.join(hyp.DELTA_MODES)}")
         # a check handed nothing to test would still read as a pass
         if self.delta_samples < 1:
             raise ConfigError("delta samples must be >= 1")
@@ -96,7 +98,6 @@ class RunConfig:
 class Artifacts:
     presentation: Presentation | None = None
     ball: CayleyBall | None = None
-    tree: object | None = None
     delta: hyp.DeltaEstimate | None = None
     table: ConeTypeTable | None = None
     acceptor: WordAcceptor | None = None
@@ -152,7 +153,7 @@ def _ball_with_cache(pres: Presentation, config: RunConfig) -> CayleyBall:
 
 
 def _describe(ball: CayleyBall, e: int) -> dict:
-    return {"id": e, "word": ball.presentation.alphabet.format_word(ball.normal_forms[e])}
+    return {"id": e, "word": ball.presentation.alphabet.format_word(ball.normal_form(e))}
 
 
 def _maybe_describe(ball, item):
@@ -176,6 +177,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "delta_override": config.delta_override,
             "delta_radius": config.delta_radius,
             "delta_mode": config.delta_mode,
+            "delta_samples": config.delta_samples,
             "horizon": config.horizon,
             "element_cap": config.element_cap,
             "geodesic_cap": config.geodesic_cap,
@@ -250,6 +252,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "source": "computed",
             "radius_checked": estimate.radius_checked,
             "mode": estimate.mode,
+            "triangles": estimate.triangles,
             "is_lower_bound": True,
             "exact_distances": estimate.exact_distances,
             "warnings": list(estimate.warnings),
@@ -266,10 +269,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     stage("delta")
 
     # geodesic tree
-    tree = build_gamma(ball)
-    artifacts.tree = tree
+    edges = build_gamma(ball)
     checks["gamma_tree"] = True  # build_gamma raises on violation
-    report["gamma"] = {"vertices": tree.size, "edges": tree.edge_count}
+    report["gamma"] = {"vertices": ball.size, "edges": edges}
     stage("gamma")
 
     # cone types with the adaptive-K escape hatch
@@ -322,7 +324,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     # subdivision graph
     horizon = config.horizon if config.horizon is not None else ball.radius
-    graph = build_subdivision_graph(ball, tree, delta, horizon=horizon, k_override=k)
+    graph = build_subdivision_graph(ball, delta, horizon=horizon, k_override=k)
     assign_labels(graph, table)
     if config.corrupt_vertex_label:
         _corrupt_one_label(graph)

@@ -47,12 +47,8 @@ class QiReport:
         return all(c.passed for c in self.checks)
 
 
-def _trusted_vertices(graph: SubdivisionGraph) -> list[int]:
-    ball = graph.ball
-    out = []
-    for n in range(0, max(graph.n_max, -1) + 1):
-        out.extend(ball.spheres[n])
-    return out
+def _trusted_vertices(graph: SubdivisionGraph) -> range:
+    return range(graph.ball.sphere(graph.n_max).stop if graph.n_max >= 0 else 0)
 
 
 def _xi_adjacency(graph: SubdivisionGraph) -> dict[int, list[int]]:
@@ -114,7 +110,7 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
     bad = None
     edge_sets = {n: set(es) for n, es in graph.level_edges.items()}
     for n in range(1, max(graph.n_max, 0) + 1):
-        for u in ball.spheres[n]:
+        for u in ball.sphere(n):
             for w in ball.neighbors[u].values():
                 if w > u and ball.sphere_of[w] == n:
                     domain += 1
@@ -131,7 +127,7 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
     for n in range(1, max(graph.n_max, -1) + 2):
         if n > ball.radius:
             break
-        for u in ball.spheres[n]:
+        for u in ball.sphere(n):
             p = ball.parent[u]
             for w in ball.neighbors[u].values():
                 if ball.sphere_of[w] != n - 1:

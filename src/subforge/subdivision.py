@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph, find_isomorphism
-from .language import ConeTypeTable, GeodesicTree, InternalConsistencyError
+from .language import ConeTypeTable, InternalConsistencyError
 from .words import Word
 
 
@@ -51,7 +51,6 @@ class EdgeLabel:
 @dataclass
 class SubdivisionGraph:
     ball: CayleyBall
-    tree: GeodesicTree
     k: int
     n_max: int
     horizon: int
@@ -167,7 +166,6 @@ def working_constant(delta: float) -> int:
 
 def build_subdivision_graph(
     ball: CayleyBall,
-    tree: GeodesicTree,
     delta: float,
     horizon: int | None = None,
     k_override: int | None = None,
@@ -194,11 +192,12 @@ def build_subdivision_graph(
     cache: dict[int, set[int]] = {}
     for n in range(1, n_max + 1):
         edges = []
-        for u in ball.spheres[n]:
+        sphere = ball.sphere(n)
+        for u in sphere:
             if prefilter:
                 candidates = same_level_within(ball, u, k)
             else:
-                candidates = [v for v in ball.spheres[n] if v > u]
+                candidates = range(u + 1, sphere.stop)
             for v in candidates:
                 w = geodesically_close(ball, u, v, horizon, cache)
                 if w is None:
@@ -211,7 +210,6 @@ def build_subdivision_graph(
         cache.clear()
     return SubdivisionGraph(
         ball=ball,
-        tree=tree,
         k=k,
         n_max=n_max,
         horizon=horizon,
@@ -243,12 +241,12 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
             h = ball.relative_element(u, v)
             if h is None:
                 raise InternalConsistencyError("relative element left the ball")
-            got = ball.normal_forms[h]
+            got = ball.normal_form(h)
             rel_cache[(u, v)] = got
         return got
 
     for n in range(0, graph.n_max + 1):
-        for v in ball.spheres[n]:
+        for v in ball.sphere(n):
             members = []
             for p in graph.partners(v):
                 h = relative_form(v, p)
@@ -278,7 +276,7 @@ def involuted_label(label: EdgeLabel, ball: CayleyBall) -> EdgeLabel:
     )
     if back is None:
         raise InternalConsistencyError("involuted relative element left the ball")
-    return EdgeLabel(label.type_b, label.type_a, ball.normal_forms[back])
+    return EdgeLabel(label.type_b, label.type_a, ball.normal_form(back))
 
 
 def horizontal_edge_length(graph: SubdivisionGraph, u: int, v: int) -> int:
@@ -340,7 +338,7 @@ class AxiomReport:
 
 def _star_summary(graph: SubdivisionGraph, v: int):
     up = 1 if v != 0 else 0
-    down = len(graph.tree.children[v])
+    down = len(graph.ball.children(v))
     horizontal = sorted(
         (_label_sort_key(oriented_edge_label(graph, v, p)) for p in graph.partners(v)),
     )
@@ -350,7 +348,7 @@ def _star_summary(graph: SubdivisionGraph, v: int):
 def _vertex_subdivision(graph: SubdivisionGraph, v: int) -> LabeledGraph:
     """Children of v with their labels plus the horizontal edges among
     them (the predecessor-map preimage of v's open star)."""
-    kids = sorted(graph.tree.children[v])
+    kids = graph.ball.children(v)
     pos = {c: i for i, c in enumerate(kids)}
     labels = tuple(graph.vertex_labels[c] for c in kids)
     edges = []
@@ -366,8 +364,8 @@ def _edge_subdivision(graph: SubdivisionGraph, u: int, v: int, swap: bool = Fals
     """Bipartite preimage of the edge (u, v): children of both endpoints,
     side-tagged, with the horizontal edges crossing between the sides."""
     side_a, side_b = (v, u) if swap else (u, v)
-    kids_a = sorted(graph.tree.children[side_a])
-    kids_b = sorted(graph.tree.children[side_b])
+    kids_a = graph.ball.children(side_a)
+    kids_b = graph.ball.children(side_b)
     labels = tuple(
         [(0, graph.vertex_labels[c]) for c in kids_a]
         + [(1, graph.vertex_labels[c]) for c in kids_b]
@@ -402,13 +400,14 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     conditions: list[ConditionResult] = []
 
     # 1: the bottom level is a single vertex
-    ok1 = ball.spheres[0] == [0]
+    ok1 = list(ball.sphere(0)) == [0]
     conditions.append(ConditionResult(1, "level 0 is a single vertex", ok1, 1))
 
     # 2: levels partition the vertices
-    total = sum(len(s) for s in ball.spheres)
+    spheres = [ball.sphere(n) for n in range(ball.radius + 1)]
+    total = sum(len(s) for s in spheres)
     ok2 = total == ball.size and all(
-        ball.sphere_of[e] == n for n, s in enumerate(ball.spheres) for e in s
+        ball.sphere_of[e] == n for n, s in enumerate(spheres) for e in s
     )
     conditions.append(ConditionResult(2, "every vertex lies in exactly one level", ok2, ball.size))
 
@@ -458,7 +457,7 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     star_groups: dict[VertexLabel, tuple[int, tuple]] = {}
     if labels_ready:
         for n in range(0, graph.n_max + 1):
-            for v in ball.spheres[n]:
+            for v in ball.sphere(n):
                 domain5 += 1
                 label = graph.vertex_labels[v]
                 summary = _star_summary(graph, v)
@@ -480,7 +479,7 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     if labels_ready:
         vs_groups: dict[VertexLabel, tuple[int, LabeledGraph]] = {}
         for n in range(0, graph.n_max):
-            for v in ball.spheres[n]:
+            for v in ball.sphere(n):
                 domain6 += 1
                 label = graph.vertex_labels[v]
                 sub = _vertex_subdivision(graph, v)

@@ -112,9 +112,17 @@ class IntegerLattice:
         return tuple(v)
 
 
-def reference_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_CAP) -> CayleyBall:
+def normal_forms(ball: CayleyBall) -> list[Word]:
+    """Normal form of every element of the ball, in id order."""
+    return [ball.normal_form(e) for e in range(ball.size)]
+
+
+def reference_ball(
+    pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_CAP
+) -> tuple[CayleyBall, list[Word]]:
     """The ball by shortlex BFS in which the word-problem oracle decides
-    every coincidence.
+    every coincidence, with the normal forms the search kept (one word per
+    element, independent of the ball's parent links).
 
     Candidates are bucketed by an abelianization fingerprint (exponent
     vector reduced modulo the lattice spanned by the relator exponent
@@ -219,16 +227,15 @@ def reference_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
                     neighbors[g][x] = found
                     neighbors[found].setdefault(inv[x], g)
 
-    return CayleyBall(
+    ball = CayleyBall(
         presentation=pres,
         radius=radius,
-        normal_forms=normal_forms,
         sphere_of=sphere_of,
         parent=parent,
         last_letter=last_letter,
         neighbors=neighbors,
-        spheres=spheres,
     )
+    return ball, normal_forms
 
 
 # -- distances -----------------------------------------------------------------
@@ -405,12 +412,12 @@ def cone_neighborhood(
     for h in range(1, ball.size):
         if ball.sphere_of[h] >= k:
             break
-        gh = ball.walk(g, ball.normal_forms[h])
+        gh = ball.walk(g, ball.normal_form(h))
         if gh is None:
             raise InternalConsistencyError("in-trust walk left the ball")
         if gh == g or ball.sphere_of[gh] != level:
             continue
         if geodesically_close(ball, g, gh, horizon) is not None:
-            members.append((ball.normal_forms[h], table.class_of[gh]))
+            members.append((ball.normal_form(h), table.class_of[gh]))
     members.sort(key=lambda m: ((len(m[0]), m[0]), m[1]))
     return VertexLabel(own_type=table.class_of[g], neighborhood=tuple(members))

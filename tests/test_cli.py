@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import logging
+import pickle
 import re
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from subforge.ball import CACHE_HEADER_LEN, CayleyBall
+from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall, enumerate_ball
 from subforge.cli import build_parser, main
 from subforge.presentation import preset
 
@@ -89,6 +91,26 @@ def test_exit_code_on_cap(tmp_path):
     assert sum(report["ball"]["partial_sphere_sizes"]) >= 50
 
 
+F2_R4_ACCEPTOR = ["export", "--preset", "f2", "--radius", "4", "--what", "acceptor", "--format", "json"]
+
+
+def test_export_exit_code_on_failed_checks(tmp_path):
+    # K=0 breaks the cone lemma and the acceptor: the export is still
+    # written, and the exit code is the pipeline's, as for `run`
+    out = tmp_path / "k0"
+    assert main(["run", "--preset", "f2", "--radius", "4", "--force-k", "0", "--out", str(tmp_path / "r")]) == 2
+    assert main(F2_R4_ACCEPTOR + ["--force-k", "0", "--out", str(out)]) == 2
+    assert (out / "acceptor.json").exists()
+
+
+def test_export_exit_code_on_cap(tmp_path, capsys):
+    assert main(F2_R4_ACCEPTOR + ["--cap", "50", "--out", str(tmp_path / "cap")]) == 1
+    err = capsys.readouterr().err
+    assert "element cap 50 exceeded" in err
+    assert "acceptor not built" not in err
+    assert not (tmp_path / "cap" / "acceptor.json").exists()
+
+
 def test_export_missing_artifact_errors(tmp_path):
     # label corruption breaks conditions 5/6, so no subdivision tables exist
     code = main(
@@ -149,7 +171,21 @@ def _exports(out_dir):
     return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "report.json"}
 
 
-@pytest.mark.parametrize("spoil", ["truncated", "flipped_byte", "other_presentation", "other_radius"])
+def _version_1_file(radius: int) -> bytes:
+    """A cache file in format version 1, whose payload also held the
+    normal forms and the sphere lists."""
+    ball = enumerate_ball(preset("f2"), radius)
+    payload = {name: getattr(ball, name) for name in ("radius", "sphere_of", "parent", "last_letter", "neighbors")}
+    payload["text"] = ball.presentation.text()
+    payload["normal_forms"] = [ball.normal_form(e) for e in range(ball.size)]
+    payload["spheres"] = [list(ball.sphere(n)) for n in range(radius + 1)]
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return CACHE_MAGIC + (1).to_bytes(2, "big") + hashlib.sha256(data).digest() + data
+
+
+@pytest.mark.parametrize(
+    "spoil", ["truncated", "flipped_byte", "other_presentation", "other_radius", "old_version"]
+)
 def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     cache = tmp_path / "cache"
     assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "fill")]) == 0
@@ -161,6 +197,8 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
         spoiled = bytearray(good)
         spoiled[(CACHE_HEADER_LEN + len(good)) // 2] ^= 0x01  # inside the pickle payload
         path.write_bytes(bytes(spoiled))
+    elif spoil == "old_version":
+        path.write_bytes(_version_1_file(4))
     else:
         other = ["--preset", "z", "--radius", "4"] if spoil == "other_presentation" else ["--preset", "f2", "--radius", "3"]
         elsewhere = tmp_path / "elsewhere"
@@ -172,6 +210,8 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     assert "re-enumerating" in caplog.text
     if spoil == "flipped_byte":
         assert "checksum mismatch" in caplog.text
+    if spoil == "old_version":
+        assert "cache format version 1, expected 2" in caplog.text
     assert main(F2_R4 + ["--out", str(tmp_path / "cold")]) == 0
     assert _exports(tmp_path / "cached") == _exports(tmp_path / "cold")
     # the spoiled file was replaced by a loadable ball, with no temp file left

@@ -2,6 +2,7 @@ import pytest
 
 from subforge import hyperbolicity
 from subforge.ball import enumerate_ball
+from subforge.presentation import preset
 from subforge.hyperbolicity import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
@@ -67,6 +68,19 @@ def test_sampled_mode_deterministic(surface_ball):
     b = compute_delta(surface_ball, 2, mode=MODE_SAMPLED, samples=150, seed=5)
     assert a.delta == b.delta
     assert a.delta <= compute_delta(surface_ball, 2).delta
+    assert a.triangles == 150
+
+
+def test_unknown_mode_is_an_error(surface_ball):
+    with pytest.raises(ValueError):
+        compute_delta(surface_ball, 2, mode="bogus", samples=5)
+
+
+def test_triangle_counts(surface_ball):
+    # exhaustive: the pairs x <= y of B_r, |B_r| (|B_r| + 1) / 2 of them
+    # (|B_4| = 161 in F2, |B_2| = 65 in the surface group)
+    assert compute_delta(enumerate_ball(preset("f2"), 8), 4).triangles == 13_041
+    assert compute_delta(surface_ball, 2).triangles == 2_145
 
 
 def test_pair_geodesics(surface_ball):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from subforge.ball import TrustRadiusError, enumerate_ball
 from subforge.language import (
+    InternalConsistencyError,
     build_acceptor,
     build_gamma,
     check_prefix_closure,
@@ -12,31 +15,39 @@ from subforge.language import (
 from subforge.presentation import preset
 
 from bruteforce import naive_free_cone_classes, naive_free_transition_count
-from reference import language
+from reference import language, normal_forms
 
 
 def test_gamma_is_whole_ball_for_f2(f2_ball):
-    tree = build_gamma(f2_ball)
-    assert tree.edge_count == f2_ball.size - 1
+    edges = build_gamma(f2_ball)
+    assert edges == f2_ball.size - 1
     # in a tree every Cayley edge is a tree edge
     cayley_edges = sum(len(f2_ball.neighbors[e]) for e in range(f2_ball.size)) // 2
-    assert cayley_edges == tree.edge_count
+    assert cayley_edges == edges
+    assert sum(len(f2_ball.children(v)) for v in range(f2_ball.size)) == edges
 
 
 def test_gamma_z_is_path(z_ball):
-    tree = build_gamma(z_ball)
-    assert tree.edge_count == z_ball.size - 1 == 16
-    assert all(len(c) <= 2 for c in tree.children)
+    assert build_gamma(z_ball) == z_ball.size - 1 == 16
+    assert all(len(z_ball.children(v)) <= 2 for v in range(z_ball.size))
+
+
+def test_children_are_the_parent_links(surface_ball):
+    # the tree read off the ball: w is a child of v iff parent[w] == v
+    kids = [[] for _ in range(surface_ball.size)]
+    for w in range(1, surface_ball.size):
+        kids[surface_ball.parent[w]].append(w)
+    assert [surface_ball.children(v) for v in range(surface_ball.size)] == kids
 
 
 def test_level_fingerprint_examples(f2_ball, z_ball):
     fmt = f2_ball.presentation.alphabet.format_word
     a = f2_ball.element_of("a")
-    assert [fmt(w) for w in level_fingerprint(f2_ball, a, 1)] == ["A"]
+    assert [fmt(f2_ball.normal_form(h)) for h in level_fingerprint(f2_ball, a, 1)] == ["A"]
     assert level_fingerprint(f2_ball, 0, 3) == ()
     zfmt = z_ball.presentation.alphabet.format_word
     aa = z_ball.element_of("aa")
-    assert [zfmt(w) for w in level_fingerprint(z_ball, aa, 2)] == ["A", "AA"]
+    assert [zfmt(z_ball.normal_form(h)) for h in level_fingerprint(z_ball, aa, 2)] == ["A", "AA"]
 
 
 def test_level_fingerprint_trust_radius(f2_ball):
@@ -54,7 +65,7 @@ def test_cone_classes_f2(f2_ball):
     for e in range(f2_ball.size):
         if f2_ball.sphere_of[e] > table.trusted_depth:
             break
-        assert table.class_of[e] == naive[f2_ball.normal_forms[e]]
+        assert table.class_of[e] == naive[f2_ball.normal_form(e)]
 
 
 def test_cone_classes_z(z_ball):
@@ -123,7 +134,7 @@ def test_acceptor_language_is_normal_forms(f2_ball):
     acc, _ = build_acceptor(f2_ball, table)
     depth = f2_ball.radius - 1 - 1  # votes exist up to trusted - 1
     accepted = set(language(acc, depth))
-    forms = {w for w in f2_ball.normal_forms if len(w) <= depth}
+    forms = {w for w in normal_forms(f2_ball) if len(w) <= depth}
     assert accepted == forms
 
 
@@ -139,3 +150,27 @@ def test_prefix_closure_checks(f2_ball, z_ball, surface_ball):
     assert check_prefix_closure(f2_ball)
     assert check_prefix_closure(z_ball)
     assert check_prefix_closure(surface_ball)
+
+
+def _spoiled(ball, field, e, value):
+    """A copy of ``ball`` with entry e of one parent-link table replaced."""
+    table = list(getattr(ball, field))
+    table[e] = value
+    return replace(ball, **{field: table})
+
+
+def test_corrupt_parent_links_are_caught():
+    ball = enumerate_ball(preset("f2"), 4)
+    e = ball.element_of("ab")
+    # a parent two levels down: the element is not its parent times its
+    # last letter, and the parent is not one level down
+    bad_parent = _spoiled(ball, "parent", e, 0)
+    assert not check_prefix_closure(bad_parent)
+    with pytest.raises(InternalConsistencyError):
+        build_gamma(bad_parent)
+    # a wrong last letter leaves the levels intact, but the derived normal
+    # form would spell another element
+    a = ball.presentation.alphabet.parse_word("a")[0]
+    bad_letter = _spoiled(ball, "last_letter", e, a)
+    assert not check_prefix_closure(bad_letter)
+    assert check_prefix_closure(ball) and build_gamma(ball) == ball.size - 1

@@ -18,6 +18,8 @@ def test_config_validation():
         RunConfig(preset="f2", radius=4, delta_override=-0.5).validate()
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, force_k=5).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(preset="f2", radius=4, delta_mode="bogus", delta_samples=5).validate()
     # a check handed nothing to test must not read as a pass
     for bad in (
         dict(delta_mode="sampled-triangles", delta_samples=0),
@@ -84,6 +86,19 @@ def test_delta_override_recorded(surface_labeled_run):
         "source": "override",
         "is_lower_bound": True,
     }
+
+
+def test_delta_sample_count_recorded(surface_run):
+    # an exhaustive run counts every anchored triangle of B_2
+    assert surface_run.report["delta"]["triangles"] == 2_145
+    reports = [
+        run_pipeline(
+            RunConfig(preset="f2", radius=4, delta_mode="sampled-triangles", delta_samples=n, seed=7)
+        ).report
+        for n in (5, 9)
+    ]
+    assert [r["config"]["delta_samples"] for r in reports] == [5, 9]
+    assert [r["delta"]["triangles"] for r in reports] == [5, 9]
 
 
 def test_k_clamp_recorded():

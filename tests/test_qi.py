@@ -4,7 +4,6 @@ import random
 import pytest
 
 from subforge.ball import enumerate_ball
-from subforge.language import build_gamma
 from subforge.presentation import preset
 from subforge.qi import _bfs_distance, _pair_constant, _xi_adjacency, estimate_qi_constants, verify_qi_bounds
 from subforge.subdivision import build_subdivision_graph
@@ -50,7 +49,7 @@ def test_f2_empirical_k_matches_tree_distances(f2_run):
     ball = f2_run.artifacts.ball
     alphabet = ball.presentation.alphabet
     for u, v in [(1, 2), (5, 40), (9, 100), (0, 60)]:
-        d = free_distance(alphabet, ball.normal_forms[u], ball.normal_forms[v])
+        d = free_distance(alphabet, ball.normal_form(u), ball.normal_form(v))
         assert _pair_constant(d, d) == 1.0
 
 
@@ -92,7 +91,7 @@ def test_density_is_exact(f2_run):
 def test_xi_distance_matches_one_sided_bfs(which, surface_labeled_run):
     if which == "f2-r8":
         ball = enumerate_ball(preset("f2"), 8)
-        graph = build_subdivision_graph(ball, build_gamma(ball), 0.0)
+        graph = build_subdivision_graph(ball, 0.0)
     else:
         graph = surface_labeled_run.artifacts.graph
     adj = _xi_adjacency(graph)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from subforge.language import build_gamma, cone_type_classes
+from subforge.language import cone_type_classes
 from subforge.subdivision import (
     assign_labels,
     build_subdivision_graph,
@@ -34,9 +34,8 @@ def _assert_witness_valid(ball, u1, u2, w):
 def surface_k2(surface_ball):
     # forced K=2 widens the trusted region enough to exercise edge
     # subdivisions (cone typing at K=2 is knowingly undersized)
-    tree = build_gamma(surface_ball)
     table = cone_type_classes(surface_ball, 2)
-    graph = build_subdivision_graph(surface_ball, tree, 0.5, k_override=2)
+    graph = build_subdivision_graph(surface_ball, 0.5, k_override=2)
     assign_labels(graph, table)
     return graph, table
 
@@ -56,7 +55,7 @@ def test_outward_vertices_tree(f2_ball):
     expected = {
         v
         for v in range(f2_ball.size)
-        if f2_ball.sphere_of[v] <= 3 and f2_ball.normal_forms[v][:1] == (f2_ball.normal_forms[a][0],)
+        if f2_ball.sphere_of[v] <= 3 and f2_ball.normal_form(v)[:1] == (f2_ball.normal_form(a)[0],)
     }
     assert cone == expected
 
@@ -113,7 +112,7 @@ def test_build_z_two_rays(z_run):
     graph = z_run.artifacts.graph
     assert graph.edge_count() == 0
     ball = graph.ball
-    assert all(len(s) == 2 for s in ball.spheres[1:])
+    assert all(len(ball.sphere(n)) == 2 for n in range(1, ball.radius + 1))
 
 
 def test_surface_level_one_is_octagon_cycle(surface_labeled_run):
@@ -132,9 +131,8 @@ def test_surface_level_one_is_octagon_cycle(surface_labeled_run):
 
 
 def test_prefilter_loses_nothing(surface_ball):
-    tree = build_gamma(surface_ball)
-    with_f = build_subdivision_graph(surface_ball, tree, 1.0, prefilter=True)
-    without = build_subdivision_graph(surface_ball, tree, 1.0, prefilter=False)
+    with_f = build_subdivision_graph(surface_ball, 1.0, prefilter=True)
+    without = build_subdivision_graph(surface_ball, 1.0, prefilter=False)
     assert with_f.level_edges == without.level_edges
 
 
@@ -145,11 +143,8 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
     # bound check flags the graph
     from subforge.subdivision import check_lemma_bound
 
-    tree = build_gamma(surface_ball)
-    filtered = build_subdivision_graph(surface_ball, tree, 0.5, k_override=2)
-    unfiltered = build_subdivision_graph(
-        surface_ball, tree, 0.5, k_override=2, prefilter=False
-    )
+    filtered = build_subdivision_graph(surface_ball, 0.5, k_override=2)
+    unfiltered = build_subdivision_graph(surface_ball, 0.5, k_override=2, prefilter=False)
     extra = set(unfiltered.level_edges[2]) - set(filtered.level_edges[2])
     assert len(extra) == 8
     ab, dc = surface_ball.element_of("ab"), surface_ball.element_of("dc")
@@ -159,10 +154,7 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
 
 
 def test_horizon_monotone(surface_ball):
-    tree = build_gamma(surface_ball)
-    graphs = {
-        h: build_subdivision_graph(surface_ball, tree, 1.0, horizon=h) for h in (3, 4, 5)
-    }
+    graphs = {h: build_subdivision_graph(surface_ball, 1.0, horizon=h) for h in (3, 4, 5)}
     e3 = set(graphs[3].level_edges[1])
     e4 = set(graphs[4].level_edges[1])
     e5 = set(graphs[5].level_edges[1])
@@ -187,7 +179,7 @@ def test_labels_surface(surface_labeled_run):
         # the closeness lemma's sharper bound: relative element under K
         assert len(label.relative) < graph.k
         assert ball.element_of(label.relative) == ball.relative_element(u, v)
-    for v in ball.spheres[1]:
+    for v in ball.sphere(1):
         assert len(graph.vertex_labels[v].neighborhood) == 2
 
 
@@ -196,7 +188,7 @@ def test_cone_neighborhood_matches_labels(surface_labeled_run):
     table = surface_labeled_run.artifacts.table
     ball = graph.ball
     for level in range(0, graph.n_max + 1):
-        for g in ball.spheres[level]:
+        for g in ball.sphere(level):
             assert cone_neighborhood(ball, table, g) == graph.vertex_labels[g]
 
 
