@@ -1,7 +1,7 @@
 """subforge: build and machine-check the combinatorial subdivision graph
 of a desk-scale hyperbolic group presentation."""
 
-from .ball import BallCapExceeded, CayleyBall, GeodesicCapExceeded, TrustRadiusError, enumerate_ball
+from .ball import BallCapExceeded, CayleyBall, TrustRadiusError, enumerate_ball
 from .hyperbolicity import DeltaEstimate, compute_delta
 from .language import (
     ConeTypeTable,

@@ -41,13 +41,6 @@ class TrustRadiusError(ValueError):
     """A query needed data beyond the enumerated radius."""
 
 
-class GeodesicCapExceeded(RuntimeError):
-    def __init__(self, cap: int, count: int):
-        super().__init__(f"geodesic cap {cap} exceeded ({count} found so far)")
-        self.cap = cap
-        self.count = count
-
-
 def bidirectional_distance(adjacent, u: int, v: int, limit: int) -> int | None:
     """Distance from u to v in the graph whose neighbours of w are
     ``adjacent(w)``; None when it exceeds ``limit`` or v is unreachable.

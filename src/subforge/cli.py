@@ -31,7 +31,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-samples", type=int, default=2000)
     p.add_argument("--horizon", type=int, default=None, help="witness search horizon (default R)")
     p.add_argument("--cap", type=int, default=5_000_000, help="element cap for enumeration")
-    p.add_argument("--geodesic-cap", type=int, default=10_000)
     p.add_argument("--probe", type=int, default=2, help="cone-lemma probe depth")
     p.add_argument("--qi-samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=2024)
@@ -41,7 +40,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corrupt-vertex-label", action="store_true", help=argparse.SUPPRESS)
 
 
-def _config_from(args: argparse.Namespace, out_dir, export_list) -> RunConfig:
+def _config_from(args: argparse.Namespace) -> RunConfig:
     mode = "exhaustive-triangles" if args.delta_mode == "exhaustive" else "sampled-triangles"
     return RunConfig(
         preset=args.preset,
@@ -53,12 +52,9 @@ def _config_from(args: argparse.Namespace, out_dir, export_list) -> RunConfig:
         delta_samples=args.delta_samples,
         horizon=args.horizon,
         element_cap=args.cap,
-        geodesic_cap=args.geodesic_cap,
         probe=args.probe,
         qi_samples=args.qi_samples,
         seed=args.seed,
-        out_dir=out_dir,
-        exports=tuple(export_list),
         cache_dir=args.cache_dir,
         force_k=args.force_k,
         corrupt_vertex_label=args.corrupt_vertex_label,
@@ -77,8 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if f not in exports.EXPORT_FORMATS:
             print(f"error: unknown export format {f!r}", file=sys.stderr)
             return EXIT_ERROR
-    config = _config_from(args, args.out, formats)
-    result = run_pipeline(config)
+    result = run_pipeline(_config_from(args))
     out = args.out
     _write(os.path.join(out, "report.json"), exports.export_report(result.report))
     for fmt in formats:
@@ -102,8 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    config = _config_from(args, args.out, [args.format])
-    result = run_pipeline(config)
+    result = run_pipeline(_config_from(args))
     if result.report["status"] != "completed":
         print(f"error: {result.report['error']}", file=sys.stderr)
         return EXIT_ERROR

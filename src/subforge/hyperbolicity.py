@@ -20,6 +20,13 @@ geodesic to stay inside; measurements failing the certificate only ever
 overestimate and are flagged so the estimate never silently stops being a
 lower bound.
 
+Every side's geodesics are enumerated in full, with no cap.  In a free
+group the geodesic between two points is unique; in a C'(1/6) group two
+geodesics with the same endpoints bound a ladder of relator cells
+(Strebel's classification of geodesic bigons), and on the surface preset
+no anchored side up to R=6 has more than two.  The mode reported is
+always the mode requested.
+
 All distances come from one BFS per source vertex, kept for the whole run
 and grown only as far as a query needs: the geodesics of a side from x to
 y stop at the first layer that holds y, and the thinness search from a
@@ -32,13 +39,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .ball import CayleyBall, GeodesicCapExceeded
+from .ball import CayleyBall
 
 MODE_EXHAUSTIVE = "exhaustive-triangles"
 MODE_SAMPLED = "sampled-triangles"
 DELTA_MODES = (MODE_EXHAUSTIVE, MODE_SAMPLED)
-
-DEFAULT_GEODESIC_CAP = 10_000
 
 
 class _LazyDistances:
@@ -52,31 +57,29 @@ class _LazyDistances:
 
     def __init__(self, ball: CayleyBall):
         self.ball = ball
-        self._state: dict[int, tuple[dict[int, int], list[int], list[list[int]]]] = {}
+        self._state: dict[int, tuple[dict[int, int], list[list[int]]]] = {}
 
     def _entry(self, source: int):
         st = self._state.get(source)
         if st is None:
-            st = ({source: 0}, [source], [[source]])
+            st = ({source: 0}, [[source]])
             self._state[source] = st
         return st
 
     def expand(self, source: int, depth: int) -> list[list[int]]:
         """Layers of the BFS from ``source`` out to ``depth`` (or until the
         ball is exhausted)."""
-        dist, frontier, layers = self._entry(source)
+        dist, layers = self._entry(source)
         neighbors = self.ball.neighbors
-        while len(layers) - 1 < depth and frontier:
+        while len(layers) - 1 < depth and layers[-1]:
             nxt = []
             d = len(layers)
-            for v in frontier:
+            for v in layers[-1]:
                 for w in neighbors[v].values():
                     if w not in dist:
                         dist[w] = d
                         nxt.append(w)
             layers.append(nxt)
-            self._state[source] = (dist, nxt, layers)
-            frontier = nxt
         return layers
 
     def reach(self, source: int, target: int, limit: int) -> dict[int, int] | None:
@@ -88,25 +91,20 @@ class _LazyDistances:
         vertex missing from it is at least that far, which is all a walk
         down from ``target`` along decreasing distances reads.
         """
-        dist, _, layers = self._entry(source)
+        dist, layers = self._entry(source)
         while target not in dist and layers[-1] and len(layers) <= limit:
             self.expand(source, len(layers))
         return dist if target in dist else None
 
 
 def enumerate_pair_geodesics(
-    ball: CayleyBall,
-    dists: _LazyDistances,
-    x: int,
-    y: int,
-    cap: int | None = None,
-    truncate: bool = False,
+    ball: CayleyBall, dists: _LazyDistances, x: int, y: int
 ) -> list[tuple[int, ...]]:
-    """All geodesic vertex paths from x to y (deterministic order).
+    """Every geodesic vertex path from x to y, in deterministic order (the
+    paths walked back from y, taking neighbours in increasing id order).
 
     Valid whenever the true geodesics stay in the ball, which holds for
-    the anchored-triangle sides used here.  Past ``cap`` paths this raises,
-    or with ``truncate`` stops and returns the first ``cap`` paths.
+    the anchored-triangle sides used here.
     """
     field = dists.reach(x, y, 2 * ball.radius)
     if field is None:
@@ -114,26 +112,19 @@ def enumerate_pair_geodesics(
     paths: list[tuple[int, ...]] = []
     stack = [y]
 
-    def rec(v: int) -> bool:
-        if cap is not None and len(paths) >= cap + (0 if truncate else 1):
-            return False
+    def rec(v: int) -> None:
         if v == x:
             paths.append(tuple(reversed(stack)))
-            return cap is None or len(paths) <= cap or truncate
+            return
         dv = field[v]
         for w in sorted(ball.neighbors[v].values()):
             if field.get(w) == dv - 1:
                 stack.append(w)
-                more = rec(w)
+                rec(w)
                 stack.pop()
-                if not more:
-                    return False
-        return True
 
     rec(y)
-    if cap is not None and len(paths) > cap:
-        raise GeodesicCapExceeded(cap, cap)
-    return paths[:cap] if cap is not None else paths
+    return paths
 
 
 @dataclass(frozen=True)
@@ -157,23 +148,13 @@ class DeltaEstimate:
     triangles: int  # anchored triangles checked
     is_lower_bound: bool = True
     exact_distances: bool = True
-    warnings: tuple[str, ...] = ()
 
 
-def _side_geodesics(ball, dists, x, y, cap, warnings):
-    sides = []
-    capped = False
-    for a, b in ((0, x), (0, y), (x, y)):
-        if a == b:
-            sides.append([(a,)])
-            continue
-        try:
-            sides.append(enumerate_pair_geodesics(ball, dists, a, b, cap))
-        except GeodesicCapExceeded:
-            sides.append(enumerate_pair_geodesics(ball, dists, a, b, cap, truncate=True))
-            capped = True
-            warnings.append(f"geodesic cap {cap} exceeded for pair ({a}, {b})")
-    return sides, capped
+def _side_geodesics(ball, dists, x, y):
+    return [
+        [(a,)] if a == b else enumerate_pair_geodesics(ball, dists, a, b)
+        for a, b in ((0, x), (0, y), (x, y))
+    ]
 
 
 def _point_thinness(ball, dists, p, other_sides):
@@ -210,10 +191,10 @@ def _point_thinness(ball, dists, p, other_sides):
         depth += 1
 
 
-def triangle_thinness(ball, dists, x, y, geo_cap, warnings):
+def triangle_thinness(ball, dists, x, y):
     """Worst thinness value over all points of all sides of the anchored
-    triangle (identity, x, y)."""
-    sides, capped = _side_geodesics(ball, dists, x, y, geo_cap, warnings)
+    triangle (identity, x, y); returns (value, witness, exact_flag)."""
+    sides = _side_geodesics(ball, dists, x, y)
     vertex_sets = [[set(geo) for geo in side] for side in sides]
     best = (-1, None, True)
     for si in range(3):
@@ -229,7 +210,7 @@ def triangle_thinness(ball, dists, x, y, geo_cap, warnings):
                     best = (value, TriangleWitness(x, y, si, p, value), exact)
                 elif value == best[0] and not exact:
                     best = (best[0], best[1], best[2] and exact)
-    return best[0], best[1], best[2], capped
+    return best
 
 
 def _pairs_exhaustive(ids):
@@ -242,7 +223,6 @@ def compute_delta(
     ball: CayleyBall,
     r: int,
     mode: str = MODE_EXHAUSTIVE,
-    geo_cap: int = DEFAULT_GEODESIC_CAP,
     samples: int = 2000,
     seed: int = 0,
 ) -> DeltaEstimate:
@@ -253,7 +233,6 @@ def compute_delta(
         raise ValueError("delta radius must be >= 0")
     if 2 * r > ball.radius:
         raise ValueError(f"delta radius {r} needs ball radius >= {2 * r}")
-    warnings: list[str] = []
     ids = range(ball.sphere(r).stop)  # B_r
     if mode == MODE_EXHAUSTIVE:
         pairs = _pairs_exhaustive(ids)
@@ -264,25 +243,19 @@ def compute_delta(
         raise ValueError(f"unknown delta mode {mode!r}")
 
     dists = _LazyDistances(ball)
-    value, witness, exact, capped = -1, None, True, False
+    value, witness, exact = -1, None, True
     triangles = 0
     for x, y in pairs:
         triangles += 1
-        v, w, ex, cp = triangle_thinness(ball, dists, x, y, geo_cap, warnings)
+        v, w, ex = triangle_thinness(ball, dists, x, y)
         if v > value:
             value, witness = v, w
         exact = exact and ex
-        capped = capped or cp
-    final_mode = mode if not capped else MODE_SAMPLED
-    if capped:
-        warnings.append("downgraded to sampled mode: some side exceeded the geodesic cap")
     return DeltaEstimate(
         delta=float(max(value, 0)),
         radius_checked=r,
-        mode=final_mode,
+        mode=mode,
         witness=witness,
         triangles=triangles,
         exact_distances=exact,
-        warnings=tuple(warnings),
     )
-

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import ball as ball_mod
 from . import hyperbolicity as hyp
@@ -58,12 +58,9 @@ class RunConfig:
     delta_samples: int = 2000
     horizon: int | None = None
     element_cap: int = ball_mod.DEFAULT_ELEMENT_CAP
-    geodesic_cap: int = hyp.DEFAULT_GEODESIC_CAP
     probe: int = 2
     qi_samples: int = 2000
     seed: int = 2024
-    out_dir: str | None = None
-    exports: tuple[str, ...] = ()
     cache_dir: str | None = None
     force_k: int | None = None
     corrupt_vertex_label: bool = False
@@ -73,10 +70,10 @@ class RunConfig:
             raise ConfigError("exactly one of preset/file must be given")
         if self.radius < 1:
             raise ConfigError("radius must be >= 1")
-        if self.element_cap <= 0 or self.geodesic_cap <= 0:
-            raise ConfigError("caps must be positive")
-        if self.delta_radius is not None and 2 * self.delta_radius > self.radius:
-            raise ConfigError("delta radius must satisfy 2*r <= radius")
+        if self.element_cap <= 0:
+            raise ConfigError("element cap must be positive")
+        if self.delta_radius is not None and not 0 <= 2 * self.delta_radius <= self.radius:
+            raise ConfigError("delta radius must satisfy 0 <= 2*r <= radius")
         if self.horizon is not None and not 1 <= self.horizon <= self.radius:
             raise ConfigError("horizon must lie in [1, radius]")
         if self.delta_override is not None and self.delta_override < 0:
@@ -170,23 +167,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     report: dict = {
         "tool": "subforge",
         "status": "completed",
-        "config": {
-            "preset": config.preset,
-            "file": config.file,
-            "radius": config.radius,
-            "delta_override": config.delta_override,
-            "delta_radius": config.delta_radius,
-            "delta_mode": config.delta_mode,
-            "delta_samples": config.delta_samples,
-            "horizon": config.horizon,
-            "element_cap": config.element_cap,
-            "geodesic_cap": config.geodesic_cap,
-            "probe": config.probe,
-            "qi_samples": config.qi_samples,
-            "seed": config.seed,
-            "force_k": config.force_k,
-            "corrupt_vertex_label": config.corrupt_vertex_label,
-        },
+        # every setting but the cache directory, so cold and cached runs
+        # write the same report
+        "config": {k: v for k, v in asdict(config).items() if k != "cache_dir"},
     }
     artifacts = Artifacts()
 
@@ -241,7 +224,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             ball,
             delta_radius,
             mode=config.delta_mode,
-            geo_cap=config.geodesic_cap,
             samples=config.delta_samples,
             seed=config.seed,
         )
@@ -255,7 +237,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "triangles": estimate.triangles,
             "is_lower_bound": True,
             "exact_distances": estimate.exact_distances,
-            "warnings": list(estimate.warnings),
             "witness": None
             if estimate.witness is None
             else {

@@ -108,13 +108,12 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
     # (c) same-level Cayley edges force horizontal edges
     domain = 0
     bad = None
-    edge_sets = {n: set(es) for n, es in graph.level_edges.items()}
     for n in range(1, max(graph.n_max, 0) + 1):
         for u in ball.sphere(n):
             for w in ball.neighbors[u].values():
                 if w > u and ball.sphere_of[w] == n:
                     domain += 1
-                    if (u, w) not in edge_sets.get(n, set()):
+                    if bad is None and w not in graph.partners(u):
                         bad = (u, w)
     checks.append(
         QiCheck("c", "same-level Cayley edge implies horizontal edge", domain, None, None, bad is None, bad)
@@ -139,7 +138,8 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
                 if (min(p, w), max(p, w)) in graph.witnesses:
                     worst = max(worst, 2)
                 else:
-                    bad = (u, w)
+                    if bad is None:
+                        bad = (u, w)
                     worst = max(worst, 3)
     checks.append(
         QiCheck("d", "level-changing Cayley edge maps to distance <= 2", domain, worst if domain else None, 2, bad is None, bad)

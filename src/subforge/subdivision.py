@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph, find_isomorphism
@@ -70,14 +71,18 @@ class SubdivisionGraph:
     def edge_count(self) -> int:
         return sum(len(v) for v in self.level_edges.values())
 
-    def partners(self, v: int) -> list[int]:
-        out = []
-        for u, w in self.level_edges.get(self.ball.sphere_of[v], ()):
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return out
+    @cached_property
+    def partner_index(self) -> dict[int, tuple[int, ...]]:
+        """Horizontal partners of every vertex, in edge order, read once
+        off ``level_edges`` (which are not changed after construction)."""
+        index: dict[int, list[int]] = {}
+        for _, (u, v) in self.all_level_edges():
+            index.setdefault(u, []).append(v)
+            index.setdefault(v, []).append(u)
+        return {v: tuple(ps) for v, ps in index.items()}
+
+    def partners(self, v: int) -> tuple[int, ...]:
+        return self.partner_index.get(v, ())
 
 
 def outward_vertices(ball: CayleyBall, u: int, horizon: int) -> set[int]:
@@ -352,11 +357,11 @@ def _vertex_subdivision(graph: SubdivisionGraph, v: int) -> LabeledGraph:
     pos = {c: i for i, c in enumerate(kids)}
     labels = tuple(graph.vertex_labels[c] for c in kids)
     edges = []
-    level = graph.ball.sphere_of[v] + 1
-    for a, b in graph.level_edges.get(level, ()):
-        if a in pos and b in pos:
-            i, j = sorted((pos[a], pos[b]))
-            edges.append((i, j, _label_sort_key(orientation_free_label(graph, a, b))))
+    for a in kids:
+        for b in graph.partners(a):
+            if b > a and b in pos:
+                i, j = sorted((pos[a], pos[b]))
+                edges.append((i, j, _label_sort_key(orientation_free_label(graph, a, b))))
     return LabeledGraph(labels, tuple(sorted(edges)))
 
 
@@ -372,19 +377,11 @@ def _edge_subdivision(graph: SubdivisionGraph, u: int, v: int, swap: bool = Fals
     )
     pos = {c: i for i, c in enumerate(kids_a)}
     pos.update({c: len(kids_a) + i for i, c in enumerate(kids_b)})
-    level = graph.ball.sphere_of[u] + 1
     edges = []
-    for a, b in graph.level_edges.get(level, ()):
-        in_a = a in pos and b in pos
-        if not in_a:
-            continue
-        pa = graph.ball.parent[a]
-        pb = graph.ball.parent[b]
-        if {pa, pb} != {side_a, side_b}:
-            continue
-        first, second = (a, b) if pa == side_a else (b, a)
-        i, j = sorted((pos[first], pos[second]))
-        edges.append((i, j, _label_sort_key(oriented_edge_label(graph, first, second))))
+    for a in kids_a:
+        for b in graph.partners(a):
+            if b in pos and graph.ball.parent[b] == side_b:
+                edges.append((pos[a], pos[b], _label_sort_key(oriented_edge_label(graph, a, b))))
     return LabeledGraph(labels, tuple(sorted(edges)))
 
 

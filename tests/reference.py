@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 
-from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP, GeodesicCapExceeded
+from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP
 from subforge.hyperbolicity import (
-    DEFAULT_GEODESIC_CAP,
     TriangleWitness,
     _LazyDistances,
     _point_thinness,
@@ -283,23 +282,17 @@ def _geodesic_layers(ball: CayleyBall, g: int) -> list[dict[int, None]]:
     return layers
 
 
-def geodesics_between(ball: CayleyBall, g: int, cap: int | None = None):
+def geodesics_between(ball: CayleyBall, g: int):
     """Yield every geodesic word from the identity to g, in shortlex
-    order; the first word is the normal form.  Raises
-    GeodesicCapExceeded past ``cap``."""
+    order; the first word is the normal form."""
     layers = _geodesic_layers(ball, g)
     n = ball.sphere_of[g]
     on_geodesic = [set(layer) for layer in layers]
-    count = 0
     stack: list[int] = []
 
     def rec(v: int, depth: int):
-        nonlocal count
         if depth == n:
             if v == g:
-                count += 1
-                if cap is not None and count > cap:
-                    raise GeodesicCapExceeded(cap, count - 1)
                 yield tuple(stack)
             return
         allowed = on_geodesic[n - depth - 1]
@@ -359,11 +352,10 @@ class WholeBallDistances(_LazyDistances):
         return dist if target in dist else None
 
 
-def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness, geo_cap=DEFAULT_GEODESIC_CAP) -> int:
+def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness) -> int:
     """Recompute the thinness value of a stored witness triangle."""
     dists = _LazyDistances(ball)
-    warnings: list[str] = []
-    sides, _ = _side_geodesics(ball, dists, witness.x, witness.y, geo_cap, warnings)
+    sides = _side_geodesics(ball, dists, witness.x, witness.y)
     others = [[set(geo) for geo in sides[(witness.side + k) % 3]] for k in (1, 2)]
     value, _ = _point_thinness(ball, dists, witness.point, others)
     return value
@@ -375,7 +367,6 @@ def validate_delta(
     samples: int,
     seed: int = 0,
     r: int | None = None,
-    geo_cap: int = DEFAULT_GEODESIC_CAP,
 ):
     """Sample anchored triangles and check delta-thinness; returns
     (passed, counterexample witness or None)."""
@@ -386,10 +377,9 @@ def validate_delta(
     rng = random.Random(seed)
     ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
     dists = _LazyDistances(ball)
-    warnings: list[str] = []
     for _ in range(samples):
         x, y = rng.choice(ids), rng.choice(ids)
-        value, witness, _, _ = triangle_thinness(ball, dists, x, y, geo_cap, warnings)
+        value, witness, _ = triangle_thinness(ball, dists, x, y)
         if value > delta:
             return False, witness
     return True, None

@@ -8,7 +8,6 @@ from subforge.ball import (
     CACHE_HEADER_LEN,
     BallCapExceeded,
     CayleyBall,
-    GeodesicCapExceeded,
     enumerate_ball,
 )
 from subforge.pipeline import RunConfig, run_pipeline
@@ -216,12 +215,6 @@ def test_geodesics_surface_multiple(surface_ball):
     fmt = surface_ball.presentation.alphabet.format_word
     assert [fmt(w) for w in geos] == ["abAB", "dcDC"]
     assert geos[0] == surface_ball.normal_form(g)
-
-
-def test_geodesic_cap(surface_ball):
-    g = surface_ball.element_of("abAB")
-    with pytest.raises(GeodesicCapExceeded):
-        list(geodesics_between(surface_ball, g, cap=1))
 
 
 def test_cap_abort():

@@ -94,21 +94,6 @@ def test_pair_geodesics(surface_ball):
         assert p[0] == x and p[-1] == y and len(p) == 5
 
 
-def test_geodesic_cap_truncates(surface_ball):
-    dists = _LazyDistances(surface_ball)
-    x = surface_ball.element_of("ab")
-    y = surface_ball.element_of("dc")
-    got = enumerate_pair_geodesics(surface_ball, dists, x, y, cap=1, truncate=True)
-    assert len(got) == 1
-
-
-def test_delta_downgrades_on_cap(surface_ball):
-    est = compute_delta(surface_ball, 2, geo_cap=1)
-    assert est.mode == MODE_SAMPLED
-    assert any("cap" in w for w in est.warnings)
-
-
-
 @pytest.fixture(scope="module")
 def odd_relator_ball():
     return enumerate_ball(odd_relator_presentation(), 4)
@@ -130,14 +115,14 @@ def test_early_stop_geodesics_match_whole_ball_bfs(ball_name, r, request):
 @pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}, {"geo_cap": 1}],
-    ids=["exhaustive", "sampled", "geo_cap_1"],
+    [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}],
+    ids=["exhaustive", "sampled"],
 )
 def test_delta_matches_whole_ball_bfs(ball_name, r, kwargs, request, monkeypatch):
     ball = request.getfixturevalue(ball_name)
     fast = compute_delta(ball, r, **kwargs)
     monkeypatch.setattr(hyperbolicity, "_LazyDistances", WholeBallDistances)
-    # dataclass equality: value, witness, mode, exact_distances, warnings
+    # dataclass equality: value, witness, mode, triangles, exact_distances
     assert compute_delta(ball, r, **kwargs) == fast
 
 
@@ -154,5 +139,5 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
 
     monkeypatch.setattr(hyperbolicity, "_LazyDistances", Recording)
     assert compute_delta(surface4_ball, 2).delta == 2.0
-    visited = sum(len(dist) for state in states for dist, _, _ in state.values())
+    visited = sum(len(dist) for state in states for dist, _ in state.values())
     assert 0 < visited <= 30_000

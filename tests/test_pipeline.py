@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from subforge.pipeline import ConfigError, RunConfig, run_pipeline
@@ -12,6 +14,8 @@ def test_config_validation():
         RunConfig(preset="f2", radius=0).validate()
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, delta_radius=3).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(preset="f2", radius=4, delta_radius=-1).validate()
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, horizon=5).validate()
     with pytest.raises(ConfigError):
@@ -32,6 +36,13 @@ def test_config_validation():
             RunConfig(preset="f2", radius=4, **bad).validate()
     RunConfig(preset="f2", radius=4, probe=0, delta_samples=1, qi_samples=1).validate()
     RunConfig(preset="f2", radius=4).validate()
+
+
+def test_report_echoes_every_setting():
+    # all run settings but the cache directory, which is left out so that
+    # cold and cached runs write the same report
+    report = run_pipeline(RunConfig(preset="z", radius=4)).report
+    assert set(report["config"]) == {f.name for f in fields(RunConfig)} - {"cache_dir"}
 
 
 def test_adaptive_k_escape_hatch():

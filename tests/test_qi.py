@@ -72,13 +72,31 @@ def test_pair_constant_formula():
 def test_injected_same_level_edge_fails_check_c(surface_labeled_run):
     graph = copy.deepcopy(surface_labeled_run.artifacts.graph)
     ball = graph.ball
-    a, b = ball.element_of("a"), ball.element_of("b")
-    letter = next(x for x, t in ball.neighbors[a].items() if ball.sphere_of[t] == 2)
-    ball.neighbors[a][letter] = b
+    a, b, c, d = (ball.element_of(x) for x in "abcd")
+    for u, w in ((a, b), (c, d)):
+        letter = next(x for x, t in ball.neighbors[u].items() if ball.sphere_of[t] == 2)
+        ball.neighbors[u][letter] = w
     qi = verify_qi_bounds(graph, graph.delta)
-    c = _check(qi, "c")
-    assert not c.passed
-    assert c.witness == (a, b)
+    check = _check(qi, "c")
+    assert not check.passed
+    # the first counterexample, not the last
+    assert check.witness == (a, b) == (1, 3)
+
+
+def test_injected_level_changing_edges_fail_check_d(surface_labeled_run):
+    graph = copy.deepcopy(surface_labeled_run.artifacts.graph)
+    ball = graph.ball
+    a, b, c, aa, ab = (ball.element_of(x) for x in ("a", "b", "c", "aa", "ab"))
+    # aa and ab hang off a, and neither b nor c is a horizontal partner of a
+    assert ball.parent[aa] == ball.parent[ab] == a
+    assert b not in graph.partners(a) and c not in graph.partners(a)
+    for u, w in ((aa, b), (ab, c)):
+        letter = next(x for x, t in ball.neighbors[u].items() if ball.sphere_of[t] == 3)
+        ball.neighbors[u][letter] = w
+    d = _check(verify_qi_bounds(graph, graph.delta), "d")
+    assert not d.passed and d.max_observed == 3
+    # the first counterexample, not the last
+    assert d.witness == (aa, b)
 
 
 def test_density_is_exact(f2_run):

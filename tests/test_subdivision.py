@@ -269,7 +269,10 @@ def test_lemma_bound_records_pair_past_its_limit(surface_labeled_run):
     assert ball.distance_between(u, v, 2 * ball.radius) == 8 > graph.k + 2
     edges = dict(graph.level_edges)
     edges[4] = edges.get(4, ()) + ((u, v),)
-    report = check_lemma_bound(replace(graph, level_edges=edges))
+    grown = replace(graph, level_edges=edges)
+    # the partner index is derived per graph, so the copy sees the new edge
+    assert v in grown.partners(u) and v not in graph.partners(u)
+    report = check_lemma_bound(grown)
     assert report.max_observed == graph.k + 3
     assert report.passed is False
     assert report.witness == (u, v)
