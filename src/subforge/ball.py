@@ -157,39 +157,23 @@ class CayleyBall:
                 raise ValueError(f"letter {x} not in alphabet")
         return self.walk(0, word)
 
-    def relative_element(self, u: int, v: int) -> int | None:
-        """Id of u^-1 v, or None when no in-ball path from u to v has at
-        most R letters.
+    def translate(self, g: int, n: int) -> list[int]:
+        """image[h] = g h for every h in B_n, in id order: each h is its
+        parent times its last letter, and the parent's image comes first.
 
-        The letters of such a path spell u^-1 v, and every prefix of it
-        stays inside the ball, so walking it from the identity is exact.
-        As with ``distance_between``, the answer is exact whenever some
-        geodesic from u to v stays inside the ball."""
-        path = self._path_word(u, v)
-        return None if path is None else self.walk(0, path)
-
-    def _path_word(self, u: int, v: int) -> Word | None:
-        """Letters of a shortest in-ball path from u to v, or None when it
-        is longer than the radius."""
-        back: dict[int, tuple[int, int] | None] = {u: None}
-        frontier = [u]
-        for _ in range(self.radius):
-            if v in back:
-                break
-            nxt = []
-            for w in frontier:
-                for x, t in self.neighbors[w].items():
-                    if t not in back:
-                        back[t] = (w, x)
-                        nxt.append(t)
-            frontier = nxt
-        if v not in back:
-            return None
-        letters = []
-        while v != u:
-            v, x = back[v]
-            letters.append(x)
-        return tuple(reversed(letters))
+        This reads the ball around g off the ball around the identity:
+        d(g, image[h]) = |h|.  Requires |g| + n <= radius, so that every
+        product lies inside the ball."""
+        if self.sphere_of[g] + n > self.radius:
+            raise TrustRadiusError(
+                f"translating B_{n} by an element of length {self.sphere_of[g]} "
+                f"needs radius {self.sphere_of[g] + n}"
+            )
+        parent, last_letter, neighbors = self.parent, self.last_letter, self.neighbors
+        image = [g]
+        for h in range(1, self.sphere(n).stop):
+            image.append(neighbors[image[parent[h]]][last_letter[h]])
+        return image
 
     def distance_between(self, u: int, v: int, limit: int) -> int | None:
         """Graph distance of u, v measured inside the ball, or None if it

@@ -27,11 +27,12 @@ geodesics with the same endpoints bound a ladder of relator cells
 no anchored side up to R=6 has more than two.  The mode reported is
 always the mode requested.
 
-All distances come from one BFS per source vertex, kept for the whole run
-and grown only as far as a query needs: the geodesics of a side from x to
-y stop at the first layer that holds y, and the thinness search from a
-point stops at the first depth where every geodesic of one other side has
-been met.
+The Cayley graph is vertex-transitive, so a side from x to y is x times a
+side from the identity to x^-1 y, whose geodesics walk down the levels
+the ball already stores: no distance map from x is built.  The only BFS
+left is the thinness search from a point, grown one layer at a time to
+the first depth where every geodesic of one other side has been met; its
+layers are shallow and kept for the run.
 """
 
 from __future__ import annotations
@@ -39,91 +40,80 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .ball import CayleyBall
+from .ball import CayleyBall, TrustRadiusError
+from .words import inverse_word
 
 MODE_EXHAUSTIVE = "exhaustive-triangles"
 MODE_SAMPLED = "sampled-triangles"
 DELTA_MODES = (MODE_EXHAUSTIVE, MODE_SAMPLED)
 
 
-class _LazyDistances:
-    """Per-source BFS over the in-ball graph, grown on demand and kept.
-
-    Each source keeps its distance map and its layers, and a query expands
-    them only as far as its answer needs: ``expand`` out to a depth (the
-    thinness search from a point), ``reach`` until the layer that holds a
-    target (the geodesics of one pair).
-    """
+class _PointLayers:
+    """BFS layers over the in-ball graph around each thinness point, grown
+    on demand and kept for the run; a search from a point rarely goes
+    past a few layers."""
 
     def __init__(self, ball: CayleyBall):
         self.ball = ball
-        self._state: dict[int, tuple[dict[int, int], list[list[int]]]] = {}
-
-    def _entry(self, source: int):
-        st = self._state.get(source)
-        if st is None:
-            st = ({source: 0}, [[source]])
-            self._state[source] = st
-        return st
+        self._state: dict[int, tuple[set[int], list[list[int]]]] = {}
 
     def expand(self, source: int, depth: int) -> list[list[int]]:
         """Layers of the BFS from ``source`` out to ``depth`` (or until the
         ball is exhausted)."""
-        dist, layers = self._entry(source)
+        st = self._state.get(source)
+        if st is None:
+            st = self._state[source] = ({source}, [[source]])
+        seen, layers = st
         neighbors = self.ball.neighbors
         while len(layers) - 1 < depth and layers[-1]:
             nxt = []
-            d = len(layers)
             for v in layers[-1]:
                 for w in neighbors[v].values():
-                    if w not in dist:
-                        dist[w] = d
+                    if w not in seen:
+                        seen.add(w)
                         nxt.append(w)
             layers.append(nxt)
         return layers
 
-    def reach(self, source: int, target: int, limit: int) -> dict[int, int] | None:
-        """Distance map from ``source``, grown one layer at a time until the
-        layer that holds ``target``; None when ``target`` lies farther than
-        ``limit`` or outside the component.
 
-        Every distance below d(source, target) in the map is final, and a
-        vertex missing from it is at least that far, which is all a walk
-        down from ``target`` along decreasing distances reads.
-        """
-        dist, layers = self._entry(source)
-        while target not in dist and layers[-1] and len(layers) <= limit:
-            self.expand(source, len(layers))
-        return dist if target in dist else None
-
-
-def enumerate_pair_geodesics(
-    ball: CayleyBall, dists: _LazyDistances, x: int, y: int
-) -> list[tuple[int, ...]]:
+def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int) -> list[tuple[int, ...]]:
     """Every geodesic vertex path from x to y, in deterministic order (the
     paths walked back from y, taking neighbours in increasing id order).
 
-    Valid whenever the true geodesics stay in the ball, which holds for
-    the anchored-triangle sides used here.
+    The geodesics from x to y are x times the geodesics from the identity
+    to z = x^-1 y, so no distance map from x is needed: the walk goes back
+    from y and from z in step, and a letter a steps toward x exactly where
+    it steps z's side one level down.  Requires |x| + |y| <= radius, so
+    that z and every geodesic between x and y lie inside the ball.
     """
-    field = dists.reach(x, y, 2 * ball.radius)
-    if field is None:
-        raise ValueError("pair not connected inside the ball")
+    sphere_of, neighbors = ball.sphere_of, ball.neighbors
+    if sphere_of[x] + sphere_of[y] > ball.radius:
+        raise TrustRadiusError(
+            f"geodesics between lengths {sphere_of[x]} and {sphere_of[y]} need radius "
+            f"{sphere_of[x] + sphere_of[y]}"
+        )
+    if x == 0:
+        z = y
+    else:
+        x_inv = inverse_word(ball.normal_form(x), ball.presentation.alphabet)
+        z = ball.walk(0, x_inv + ball.normal_form(y))
     paths: list[tuple[int, ...]] = []
     stack = [y]
 
-    def rec(v: int) -> None:
-        if v == x:
+    def rec(v: int, l: int) -> None:
+        if l == 0:
             paths.append(tuple(reversed(stack)))
             return
-        dv = field[v]
-        for w in sorted(ball.neighbors[v].values()):
-            if field.get(w) == dv - 1:
-                stack.append(w)
-                rec(w)
-                stack.pop()
+        level = sphere_of[l]
+        steps = [(neighbors[v][a], t) for a, t in neighbors[l].items() if sphere_of[t] < level]
+        if len(steps) > 1:
+            steps.sort()
+        for w, t in steps:
+            stack.append(w)
+            rec(w, t)
+            stack.pop()
 
-    rec(y)
+    rec(y, z)
     return paths
 
 
@@ -150,14 +140,14 @@ class DeltaEstimate:
     exact_distances: bool = True
 
 
-def _side_geodesics(ball, dists, x, y):
+def _side_geodesics(ball, x, y):
     return [
-        [(a,)] if a == b else enumerate_pair_geodesics(ball, dists, a, b)
+        [(a,)] if a == b else enumerate_pair_geodesics(ball, a, b)
         for a, b in ((0, x), (0, y), (x, y))
     ]
 
 
-def _point_thinness(ball, dists, p, other_sides):
+def _point_thinness(ball, points, p, other_sides):
     """min over the two other sides of (max over geodesics of d(p, geo)).
 
     ``other_sides`` holds, per side, the vertex set of each of its
@@ -169,7 +159,7 @@ def _point_thinness(ball, dists, p, other_sides):
     exact = True
     depth = 0
     while True:
-        layers = dists.expand(p, depth)
+        layers = points.expand(p, depth)
         if depth >= len(layers):
             raise AssertionError("thinness BFS exhausted the ball")
         layer = set(layers[depth])
@@ -191,10 +181,10 @@ def _point_thinness(ball, dists, p, other_sides):
         depth += 1
 
 
-def triangle_thinness(ball, dists, x, y):
+def triangle_thinness(ball, points, x, y):
     """Worst thinness value over all points of all sides of the anchored
     triangle (identity, x, y); returns (value, witness, exact_flag)."""
-    sides = _side_geodesics(ball, dists, x, y)
+    sides = _side_geodesics(ball, x, y)
     vertex_sets = [[set(geo) for geo in side] for side in sides]
     best = (-1, None, True)
     for si in range(3):
@@ -205,7 +195,7 @@ def triangle_thinness(ball, dists, x, y):
                 if p in seen_points:
                     continue
                 seen_points.add(p)
-                value, exact = _point_thinness(ball, dists, p, others)
+                value, exact = _point_thinness(ball, points, p, others)
                 if value > best[0]:
                     best = (value, TriangleWitness(x, y, si, p, value), exact)
                 elif value == best[0] and not exact:
@@ -242,12 +232,12 @@ def compute_delta(
     else:
         raise ValueError(f"unknown delta mode {mode!r}")
 
-    dists = _LazyDistances(ball)
+    points = _PointLayers(ball)
     value, witness, exact = -1, None, True
     triangles = 0
     for x, y in pairs:
         triangles += 1
-        v, w, ex = triangle_thinness(ball, dists, x, y)
+        v, w, ex = triangle_thinness(ball, points, x, y)
         if v > value:
             value, witness = v, w
         exact = exact and ex

@@ -8,10 +8,12 @@ of v are read off the ball (``CayleyBall.children``).
 
 Cone types are classed by level fingerprints: the n-level of g is the set
 of h in the ball of radius n with |gh| < |g|, held as the sorted tuple of
-the ids of those h.  Ids are shortlex-ordered and agree across radii, so
-this tuple names the same set as the normal forms would.  Two elements
-share a class id iff their K-level fingerprints coincide; interning
-follows shortlex order so ids are reproducible.
+the ids of those h.  The products g h come from translating B_n by g
+(``CayleyBall.translate``), as do the probe cones of the cone lemma.  Ids
+are shortlex-ordered and agree across radii, so this tuple names the same
+set as the normal forms would.  Two elements share a class id iff their
+K-level fingerprints coincide; interning follows shortlex order so ids
+are reproducible.
 """
 
 from __future__ import annotations
@@ -37,31 +39,14 @@ def build_gamma(ball: CayleyBall) -> int:
     return ball.size - 1
 
 
-def _translate(ball: CayleyBall, g: int, n: int) -> list[int]:
-    """image[h] = g h for every h in B_n, in id order: each h is its
-    parent times its last letter, and the parent's image comes first."""
-    parent, last_letter, neighbors = ball.parent, ball.last_letter, ball.neighbors
-    image = [g]
-    for h in range(1, ball.sphere(n).stop):
-        gh = neighbors[image[parent[h]]].get(last_letter[h])
-        if gh is None:
-            raise InternalConsistencyError("in-trust walk left the ball")
-        image.append(gh)
-    return image
-
-
 def level_fingerprint(ball: CayleyBall, g: int, n: int) -> tuple[int, ...]:
     """Sorted ids of the h in B_n with |g h| < |g|.
 
     Requires |g| + n <= ball radius so every product resolves in-ball.
     """
     depth = ball.sphere_of[g]
-    if depth + n > ball.radius:
-        raise TrustRadiusError(
-            f"level fingerprint of |g|={depth} at n={n} needs radius {depth + n}"
-        )
     sphere_of = ball.sphere_of
-    return tuple(h for h, gh in enumerate(_translate(ball, g, n)) if sphere_of[gh] < depth)
+    return tuple(h for h, gh in enumerate(ball.translate(g, n)) if sphere_of[gh] < depth)
 
 
 @dataclass
@@ -119,7 +104,7 @@ def _probe_cone(ball: CayleyBall, g: int, probe: int) -> frozenset[int]:
     depth = ball.sphere_of[g]
     sphere_of = ball.sphere_of
     return frozenset(
-        h for h, gh in enumerate(_translate(ball, g, probe)) if sphere_of[gh] == depth + sphere_of[h]
+        h for h, gh in enumerate(ball.translate(g, probe)) if sphere_of[gh] == depth + sphere_of[h]
     )
 
 

@@ -10,6 +10,7 @@ failed, 1 operational error.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -76,8 +77,9 @@ class RunConfig:
             raise ConfigError("delta radius must satisfy 0 <= 2*r <= radius")
         if self.horizon is not None and not 1 <= self.horizon <= self.radius:
             raise ConfigError("horizon must lie in [1, radius]")
-        if self.delta_override is not None and self.delta_override < 0:
-            raise ConfigError("delta override must be >= 0")
+        # the working constant is ceil(2*delta) + 1, so 2*delta must be finite
+        if self.delta_override is not None and not 0 <= 2 * self.delta_override < math.inf:
+            raise ConfigError("delta override must be >= 0 with 2*delta finite")
         if self.force_k is not None and not 0 <= self.force_k <= self.radius:
             raise ConfigError("force-k must lie in [0, radius]")
         if self.delta_mode not in hyp.DELTA_MODES:
@@ -87,8 +89,8 @@ class RunConfig:
             raise ConfigError("delta samples must be >= 1")
         if self.qi_samples < 1:
             raise ConfigError("qi samples must be >= 1")
-        if self.probe < 0:
-            raise ConfigError("probe depth must be >= 0")
+        if not 0 <= self.probe <= self.radius:
+            raise ConfigError("probe depth must lie in [0, radius]")
 
 
 @dataclass

@@ -6,7 +6,9 @@ close: each admits an outward geodesic (|v| = |u| + d(u, v) all along) and
 the two geodesics pass within distance 1 of each other at vertices no
 closer to the origin.  The witness search is exhaustive out to the horizon
 and returns the witness minimizing (depth of first vertex, shortlex, shortlex),
-so results are reproducible.
+so results are reproducible.  Candidate partners are read by translation:
+the vertices within distance K of u are u h for h in B_K, so each edge
+(u, v) comes with h = u^-1 v and no path search between u and v is needed.
 
 Levels up to n_max = R - K - 1 (K = ceil(2*delta) + 1) carry complete label
 data: vertex labels are cone K-neighborhoods (each geodesically close
@@ -24,7 +26,7 @@ from functools import cached_property
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph, find_isomorphism
 from .language import ConeTypeTable, InternalConsistencyError
-from .words import Word
+from .words import Word, inverse_word
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,7 @@ class SubdivisionGraph:
     level_edges: dict[int, tuple[tuple[int, int], ...]]
     witnesses: dict[tuple[int, int], Witness]
     unstable_levels: tuple[int, ...]
+    relative: dict[tuple[int, int], int] = field(default_factory=dict)  # (u, v) -> id of u^-1 v
     vertex_labels: dict[int, VertexLabel] = field(default_factory=dict)
     edge_labels: dict[tuple[int, int], EdgeLabel] = field(default_factory=dict)
     label_warnings: tuple[str, ...] = ()
@@ -143,29 +146,18 @@ def geodesically_close(
     return None
 
 
-def same_level_within(ball: CayleyBall, u: int, k: int) -> list[int]:
-    """Same-level vertices at Cayley distance <= k from u (ids above u).
-    Exact at trusted levels, where |u| + k < ball radius."""
+def close_candidates(ball: CayleyBall, u: int, k: int) -> list[tuple[int, int]]:
+    """Same-level vertices v > u at Cayley distance <= k from u, each with
+    the id h of u^-1 v, in id order of v: the same-level images of B_k
+    translated by u.  Requires |u| + k <= ball radius."""
     level = ball.sphere_of[u]
-    seen = {u}
-    frontier = [u]
-    found = []
-    for _ in range(k):
-        nxt = []
-        for v in frontier:
-            for w in ball.neighbors[v].values():
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if w > u and ball.sphere_of[w] == level:
-                        found.append(w)
-        frontier = nxt
-    return sorted(found)
+    sphere_of = ball.sphere_of
+    return sorted((v, h) for h, v in enumerate(ball.translate(u, k)) if v > u and sphere_of[v] == level)
 
 
 def working_constant(delta: float) -> int:
     """Integer working radius ceil(2*delta) + 1 used for cone typing and
-    the horizontal-edge prefilter."""
+    the horizontal-edge candidates."""
     return math.ceil(2 * delta) + 1
 
 
@@ -174,16 +166,15 @@ def build_subdivision_graph(
     delta: float,
     horizon: int | None = None,
     k_override: int | None = None,
-    prefilter: bool = True,
 ) -> SubdivisionGraph:
     """Detect all geodesically close pairs on levels <= n_max and attach
     them as horizontal edges.
 
-    With ``prefilter`` the candidate pairs are restricted to Cayley
-    distance <= K, which loses nothing by the closeness lemma (checked
-    separately); passing ``prefilter=False`` re-runs the search over all
-    same-level pairs for cross-validation.  A level is flagged unstable
-    when some edge's minimal witness needs the full horizon, i.e. the edge
+    The candidate partners of u are the same-level vertices within Cayley
+    distance K (``close_candidates``), which loses nothing by the closeness
+    lemma (checked separately).  Each edge (u, v) keeps the id of u^-1 v
+    that its candidate search found.  A level is flagged unstable when
+    some edge's minimal witness needs the full horizon, i.e. the edge
     would be absent at horizon - 1.
     """
     k = working_constant(delta) if k_override is None else k_override
@@ -193,22 +184,19 @@ def build_subdivision_graph(
     n_max = ball.radius - k - 1
     level_edges: dict[int, tuple[tuple[int, int], ...]] = {}
     witnesses: dict[tuple[int, int], Witness] = {}
+    relative: dict[tuple[int, int], int] = {}
     unstable = set()
     cache: dict[int, set[int]] = {}
     for n in range(1, n_max + 1):
         edges = []
-        sphere = ball.sphere(n)
-        for u in sphere:
-            if prefilter:
-                candidates = same_level_within(ball, u, k)
-            else:
-                candidates = range(u + 1, sphere.stop)
-            for v in candidates:
+        for u in ball.sphere(n):
+            for v, h in close_candidates(ball, u, k):
                 w = geodesically_close(ball, u, v, horizon, cache)
                 if w is None:
                     continue
                 edges.append((u, v))
                 witnesses[(u, v)] = w
+                relative[(u, v)] = h
                 if max(ball.sphere_of[w.first], ball.sphere_of[w.second]) >= horizon:
                     unstable.add(n)
         level_edges[n] = tuple(sorted(edges))
@@ -222,6 +210,7 @@ def build_subdivision_graph(
         level_edges=level_edges,
         witnesses=witnesses,
         unstable_levels=tuple(sorted(unstable)),
+        relative=relative,
     )
 
 
@@ -230,7 +219,9 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
 
     Vertex neighborhoods are derived from the already-computed horizontal
     edges (the closeness lemma makes the two definitions agree; a partner
-    at distance >= K would contradict it and is flagged).
+    at distance >= K would contradict it and is flagged).  Relative forms
+    are the normal forms of the u^-1 v each edge kept, and of their
+    inverses for the opposite orientation.
     """
     if table.k != graph.k:
         raise ValueError("cone-type table K does not match the graph")
@@ -238,23 +229,17 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
     warnings: list[str] = []
     vertex_labels: dict[int, VertexLabel] = {}
     edge_labels: dict[tuple[int, int], EdgeLabel] = {}
-    rel_cache: dict[tuple[int, int], Word] = {}
-
-    def relative_form(u: int, v: int) -> Word:
-        got = rel_cache.get((u, v))
-        if got is None:
-            h = ball.relative_element(u, v)
-            if h is None:
-                raise InternalConsistencyError("relative element left the ball")
-            got = ball.normal_form(h)
-            rel_cache[(u, v)] = got
-        return got
+    relative_form: dict[tuple[int, int], Word] = {}
+    for (u, v), h in graph.relative.items():
+        form = ball.normal_form(h)
+        relative_form[(u, v)] = form
+        relative_form[(v, u)] = _inverse_form(ball, form)
 
     for n in range(0, graph.n_max + 1):
         for v in ball.sphere(n):
             members = []
             for p in graph.partners(v):
-                h = relative_form(v, p)
+                h = relative_form[(v, p)]
                 if len(h) >= graph.k:
                     warnings.append(
                         f"partner of element {v} at distance {len(h)} >= K={graph.k}"
@@ -266,7 +251,7 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
         edge_labels[(u, v)] = EdgeLabel(
             type_a=table.class_of[u],
             type_b=table.class_of[v],
-            relative=relative_form(u, v),
+            relative=relative_form[(u, v)],
         )
     graph.vertex_labels = vertex_labels
     graph.edge_labels = edge_labels
@@ -274,14 +259,17 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
     return graph
 
 
+def _inverse_form(ball: CayleyBall, word: Word) -> Word:
+    """Normal form of the inverse of the element ``word`` spells."""
+    back = ball.element_of(inverse_word(word, ball.presentation.alphabet))
+    if back is None:
+        raise InternalConsistencyError("inverse relative element left the ball")
+    return ball.normal_form(back)
+
+
 def involuted_label(label: EdgeLabel, ball: CayleyBall) -> EdgeLabel:
     """The same edge read in the opposite orientation."""
-    back = ball.element_of(
-        tuple(ball.presentation.alphabet.inverse[x] for x in reversed(label.relative))
-    )
-    if back is None:
-        raise InternalConsistencyError("involuted relative element left the ball")
-    return EdgeLabel(label.type_b, label.type_a, ball.normal_form(back))
+    return EdgeLabel(label.type_b, label.type_a, _inverse_form(ball, label.relative))
 
 
 def horizontal_edge_length(graph: SubdivisionGraph, u: int, v: int) -> int:

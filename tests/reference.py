@@ -4,7 +4,12 @@ Unlike ``bruteforce``, these are built on the production ball, delta and
 closeness machinery: they re-derive, by a second and slower route, values
 the pipeline computes (the Cayley ball itself, all geodesics to an
 element, the acceptor's language, a witness triangle's thinness, a
-vertex's cone neighborhood).
+vertex's cone neighborhood).  The pipeline reads distances from a vertex
+other than the identity by translating the ball around the identity;
+the BFS routes it replaced live here as the cross-check: the geodesics of
+a side from a distance map of its source, the same-level vertices near a
+vertex, u^-1 v from a path between them, and the horizontal edges found
+over all same-level pairs.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ import random
 from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP
 from subforge.hyperbolicity import (
     TriangleWitness,
-    _LazyDistances,
+    _PointLayers,
     _point_thinness,
     _side_geodesics,
     triangle_thinness,
 )
 from subforge.language import ConeTypeTable, InternalConsistencyError, WordAcceptor
 from subforge.presentation import Presentation, parse_presentation
-from subforge.subdivision import VertexLabel, geodesically_close
+from subforge.subdivision import VertexLabel, Witness, geodesically_close
 from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
 
 # one-relator C'(1/6) group with an odd relator (randomized search, seed 1;
@@ -263,6 +268,32 @@ def one_sided_distance(adjacent, u: int, v: int, limit: int | None = None) -> in
     return None
 
 
+def relative_element(ball: CayleyBall, u: int, v: int) -> int | None:
+    """Id of u^-1 v, spelled by the letters of a shortest in-ball path
+    from u to v that a BFS from u finds; None when that path is longer
+    than the radius.  Every prefix of the path walked from the identity
+    stays inside the ball."""
+    back: dict[int, tuple[int, int] | None] = {u: None}
+    frontier = [u]
+    for _ in range(ball.radius):
+        if v in back:
+            break
+        nxt = []
+        for w in frontier:
+            for x, t in ball.neighbors[w].items():
+                if t not in back:
+                    back[t] = (w, x)
+                    nxt.append(t)
+        frontier = nxt
+    if v not in back:
+        return None
+    letters = []
+    while v != u:
+        v, x = back[v]
+        letters.append(x)
+    return ball.walk(0, tuple(reversed(letters)))
+
+
 # -- geodesics from the identity ---------------------------------------------
 
 
@@ -342,22 +373,55 @@ def language(acceptor: WordAcceptor, max_len: int):
 # -- thin triangles ------------------------------------------------------------
 
 
-class WholeBallDistances(_LazyDistances):
-    """The geodesic query before the early stop: every source is expanded
-    over the whole ball (to depth 2R) before a pair is read."""
+class BfsPairGeodesics:
+    """The per-source geodesic route: one BFS over the whole ball from each
+    source, kept, and walked back from the target along decreasing
+    distances.  Called as ``enumerate_pair_geodesics`` is; one instance
+    serves one ball."""
 
-    def reach(self, source: int, target: int, limit: int) -> dict[int, int] | None:
-        self.expand(source, limit)
-        dist = self._state[source][0]
-        return dist if target in dist else None
+    def __init__(self):
+        self._fields: dict[int, dict[int, int]] = {}
+
+    def field(self, ball: CayleyBall, source: int) -> dict[int, int]:
+        dist = self._fields.get(source)
+        if dist is None:
+            dist = {source: 0}
+            frontier = [source]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for w in ball.neighbors[v].values():
+                        if w not in dist:
+                            dist[w] = dist[v] + 1
+                            nxt.append(w)
+                frontier = nxt
+            self._fields[source] = dist
+        return dist
+
+    def __call__(self, ball: CayleyBall, x: int, y: int) -> list[tuple[int, ...]]:
+        field = self.field(ball, x)
+        paths: list[tuple[int, ...]] = []
+        stack = [y]
+
+        def rec(v: int) -> None:
+            if v == x:
+                paths.append(tuple(reversed(stack)))
+                return
+            for w in sorted(ball.neighbors[v].values()):
+                if field.get(w) == field[v] - 1:
+                    stack.append(w)
+                    rec(w)
+                    stack.pop()
+
+        rec(y)
+        return paths
 
 
 def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness) -> int:
     """Recompute the thinness value of a stored witness triangle."""
-    dists = _LazyDistances(ball)
-    sides = _side_geodesics(ball, dists, witness.x, witness.y)
+    sides = _side_geodesics(ball, witness.x, witness.y)
     others = [[set(geo) for geo in sides[(witness.side + k) % 3]] for k in (1, 2)]
-    value, _ = _point_thinness(ball, dists, witness.point, others)
+    value, _ = _point_thinness(ball, _PointLayers(ball), witness.point, others)
     return value
 
 
@@ -376,10 +440,10 @@ def validate_delta(
         r = ball.radius // 2
     rng = random.Random(seed)
     ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
-    dists = _LazyDistances(ball)
+    points = _PointLayers(ball)
     for _ in range(samples):
         x, y = rng.choice(ids), rng.choice(ids)
-        value, witness, _ = triangle_thinness(ball, dists, x, y)
+        value, witness, _ = triangle_thinness(ball, points, x, y)
         if value > delta:
             return False, witness
     return True, None
@@ -411,3 +475,46 @@ def cone_neighborhood(
             members.append((ball.normal_form(h), table.class_of[gh]))
     members.sort(key=lambda m: ((len(m[0]), m[0]), m[1]))
     return VertexLabel(own_type=table.class_of[g], neighborhood=tuple(members))
+
+
+def same_level_within(ball: CayleyBall, u: int, k: int) -> list[int]:
+    """Same-level vertices at Cayley distance <= k from u (ids above u),
+    found by a depth-k BFS from u.  Exact where |u| + k < ball radius."""
+    level = ball.sphere_of[u]
+    seen = {u}
+    frontier = [u]
+    found = []
+    for _ in range(k):
+        nxt = []
+        for v in frontier:
+            for w in ball.neighbors[v].values():
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    if w > u and ball.sphere_of[w] == level:
+                        found.append(w)
+        frontier = nxt
+    return sorted(found)
+
+
+def all_pairs_close_edges(
+    ball: CayleyBall, n_max: int, horizon: int
+) -> tuple[dict[int, tuple[tuple[int, int], ...]], dict[tuple[int, int], Witness]]:
+    """Level edges and witnesses of every geodesically close same-level
+    pair on levels 1..n_max, searched over all pairs rather than only
+    those within Cayley distance K."""
+    level_edges: dict[int, tuple[tuple[int, int], ...]] = {}
+    witnesses: dict[tuple[int, int], Witness] = {}
+    cache: dict[int, set[int]] = {}
+    for n in range(1, n_max + 1):
+        sphere = ball.sphere(n)
+        edges = []
+        for u in sphere:
+            for v in range(u + 1, sphere.stop):
+                w = geodesically_close(ball, u, v, horizon, cache)
+                if w is not None:
+                    edges.append((u, v))
+                    witnesses[(u, v)] = w
+        level_edges[n] = tuple(edges)
+        cache.clear()
+    return level_edges, witnesses

@@ -8,6 +8,7 @@ from subforge.ball import (
     CACHE_HEADER_LEN,
     BallCapExceeded,
     CayleyBall,
+    TrustRadiusError,
     enumerate_ball,
 )
 from subforge.pipeline import RunConfig, run_pipeline
@@ -128,35 +129,28 @@ def test_element_of_detour_word(f2_ball):
 
 @pytest.mark.parametrize("which", ["surface", "odd_relator"])
 def test_relative_element_matches_oracle(which, surface_ball):
-    # u^-1 v read off an in-ball path agrees with the word oracle
-    ball = surface_ball if which == "surface" else enumerate_ball(odd_relator_presentation(), 3)
+    # translating B_3 by u gives image[h] = u h, so u^-1 image[h] = h: the
+    # relative element of every vertex near u agrees with the word oracle
+    ball = surface_ball if which == "surface" else enumerate_ball(odd_relator_presentation(), 5)
     oracle = ball.presentation.oracle()
     alphabet = ball.presentation.alphabet
-    for u in range(ball.size):
-        if ball.sphere_of[u] > 2:
-            break
-        near = {u}
-        frontier = [u]
-        for _ in range(3):
-            nxt = []
-            for w in frontier:
-                for t in ball.neighbors[w].values():
-                    if t not in near:
-                        near.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        for v in near:
-            rel = ball.relative_element(u, v)
-            assert rel is not None
+    for u in ball.sphere(2):
+        image = ball.translate(u, 3)
+        assert len(set(image)) == len(image)
+        for h, v in enumerate(image):
             word = inverse_word(ball.normal_form(u), alphabet) + ball.normal_form(v)
-            assert oracle.is_identity(word + inverse_word(ball.normal_form(rel), alphabet)), (u, v, rel)
+            assert oracle.is_identity(word + inverse_word(ball.normal_form(h), alphabet)), (u, v, h)
 
 
-def test_relative_element_long_paths(f2_ball):
-    # a path of exactly R letters is walked; with no in-ball path of
-    # length <= R the answer is None
-    assert f2_ball.relative_element(f2_ball.element_of("aaa"), f2_ball.element_of("bbb")) == f2_ball.element_of("AAAbbb")
-    assert f2_ball.relative_element(f2_ball.element_of("aaaaaa"), f2_ball.element_of("bbbbbb")) is None
+def test_translate_trust_radius(f2_ball):
+    # every product is resolved while |g| + n <= R; one step past, the
+    # translate refuses rather than read a partial ball
+    aaa = f2_ball.element_of("aaa")
+    image = f2_ball.translate(aaa, 3)
+    assert image[f2_ball.element_of("AAb")] == f2_ball.element_of("ab")
+    assert f2_ball.translate(0, 6) == list(range(f2_ball.size))
+    with pytest.raises(TrustRadiusError):
+        f2_ball.translate(aaa, 4)
 
 
 def test_distance_between_matches_free_distance():
@@ -272,8 +266,8 @@ def test_enumeration_makes_no_oracle_calls(monkeypatch, tmp_path):
         )
     ]
     assert [r.exit_code for r in runs] == [0, 0, 0]
-    # the surface run labels real edges through relative_element and
-    # reads them reversed through involuted_label
+    # the surface run labels real edges through the relative elements its
+    # candidate search kept, and reads them reversed through involuted_label
     assert runs[1].report["xi"]["total_horizontal"] == 8
 
 

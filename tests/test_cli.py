@@ -82,6 +82,13 @@ def test_exit_code_on_config_error(tmp_path):
     assert main(["run", "--preset", "f2", "--radius", "4", "--horizon", "9", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("delta", ["inf", "1e308", "nan"])
+def test_non_finite_delta_is_a_config_error(delta, tmp_path, capsys):
+    code = main(["run", "--preset", "f2", "--radius", "4", "--delta", delta, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: delta override")
+
+
 def test_exit_code_on_cap(tmp_path):
     out = tmp_path / "cap"
     code = main(["run", "--preset", "f2", "--radius", "6", "--cap", "50", "--out", str(out)])

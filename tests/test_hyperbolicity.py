@@ -6,12 +6,13 @@ from subforge.presentation import preset
 from subforge.hyperbolicity import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
-    _LazyDistances,
+    _PointLayers,
     compute_delta,
     enumerate_pair_geodesics,
 )
+from subforge.ball import TrustRadiusError
 
-from reference import WholeBallDistances, odd_relator_presentation, reevaluate_witness, validate_delta
+from reference import BfsPairGeodesics, odd_relator_presentation, reevaluate_witness, validate_delta
 
 
 def test_f2_tree_delta_zero(f2_ball):
@@ -84,14 +85,21 @@ def test_triangle_counts(surface_ball):
 
 
 def test_pair_geodesics(surface_ball):
-    dists = _LazyDistances(surface_ball)
     x = surface_ball.element_of("ab")
     y = surface_ball.element_of("dc")
-    paths = enumerate_pair_geodesics(surface_ball, dists, x, y)
+    paths = enumerate_pair_geodesics(surface_ball, x, y)
     # octagon: two geodesic realizations of the far side
     assert len(paths) == 2
     for p in paths:
         assert p[0] == x and p[-1] == y and len(p) == 5
+
+
+def test_pair_geodesics_need_both_lengths_inside(surface4_ball):
+    # x^-1 y is only known to lie in the ball when |x| + |y| <= R
+    x = surface4_ball.element_of("ab")
+    y = surface4_ball.element_of("dcb")
+    with pytest.raises(TrustRadiusError):
+        enumerate_pair_geodesics(surface4_ball, x, y)
 
 
 @pytest.fixture(scope="module")
@@ -99,17 +107,15 @@ def odd_relator_ball():
     return enumerate_ball(odd_relator_presentation(), 4)
 
 
-@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3)])
+@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
 def test_early_stop_geodesics_match_whole_ball_bfs(ball_name, r, request):
-    # one shared state per side, as in compute_delta, so later queries also
-    # start from sources that earlier ones left partly expanded
+    # same paths in the same order as walking back along a BFS from x
     ball = request.getfixturevalue(ball_name)
-    fast, whole = _LazyDistances(ball), WholeBallDistances(ball)
+    bfs = BfsPairGeodesics()
     ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
     for x in ids:
         for y in ids:
-            expected = enumerate_pair_geodesics(ball, whole, x, y)
-            assert enumerate_pair_geodesics(ball, fast, x, y) == expected, (x, y)
+            assert enumerate_pair_geodesics(ball, x, y) == bfs(ball, x, y), (x, y)
 
 
 @pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
@@ -121,23 +127,25 @@ def test_early_stop_geodesics_match_whole_ball_bfs(ball_name, r, request):
 def test_delta_matches_whole_ball_bfs(ball_name, r, kwargs, request, monkeypatch):
     ball = request.getfixturevalue(ball_name)
     fast = compute_delta(ball, r, **kwargs)
-    monkeypatch.setattr(hyperbolicity, "_LazyDistances", WholeBallDistances)
+    monkeypatch.setattr(hyperbolicity, "enumerate_pair_geodesics", BfsPairGeodesics())
     # dataclass equality: value, witness, mode, triangles, exact_distances
     assert compute_delta(ball, r, **kwargs) == fast
 
 
 def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     # vertices visited, summed over every BFS state of one delta run: a
-    # work bound machine noise cannot move (26,883 with the early stop;
-    # expanding each geodesic source over the whole ball visited 204,633)
+    # work bound machine noise cannot move.  Only the thinness points keep
+    # BFS layers, 409 vertices over 89 points; with a BFS map per geodesic
+    # source as well it was 26,883, and 204,633 with each source expanded
+    # over the whole ball.
     states = []
 
-    class Recording(_LazyDistances):
+    class Recording(_PointLayers):
         def __init__(self, ball):
             super().__init__(ball)
             states.append(self._state)
 
-    monkeypatch.setattr(hyperbolicity, "_LazyDistances", Recording)
+    monkeypatch.setattr(hyperbolicity, "_PointLayers", Recording)
     assert compute_delta(surface4_ball, 2).delta == 2.0
-    visited = sum(len(dist) for state in states for dist, _ in state.values())
-    assert 0 < visited <= 30_000
+    visited = sum(len(seen) for state in states for seen, _ in state.values())
+    assert 0 < visited <= 409

@@ -20,6 +20,10 @@ def test_config_validation():
         RunConfig(preset="f2", radius=4, horizon=5).validate()
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, delta_override=-0.5).validate()
+    # the working constant ceil(2*delta) + 1 needs 2*delta finite
+    for bad in (float("inf"), float("nan"), 1e308):
+        with pytest.raises(ConfigError):
+            RunConfig(preset="f2", radius=4, delta_override=bad).validate()
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, force_k=5).validate()
     with pytest.raises(ConfigError):
@@ -31,10 +35,14 @@ def test_config_validation():
         dict(qi_samples=0),
         dict(qi_samples=-1),
         dict(probe=-1),
+        # a probe past the radius tests no element at a negative depth
+        dict(probe=5),
+        dict(probe=50),
     ):
         with pytest.raises(ConfigError):
             RunConfig(preset="f2", radius=4, **bad).validate()
     RunConfig(preset="f2", radius=4, probe=0, delta_samples=1, qi_samples=1).validate()
+    RunConfig(preset="f2", radius=4, probe=4, delta_override=1e307).validate()
     RunConfig(preset="f2", radius=4).validate()
 
 

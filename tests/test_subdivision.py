@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import pytest
 
+from subforge.ball import enumerate_ball
 from subforge.language import cone_type_classes
 from subforge.subdivision import (
     assign_labels,
     build_subdivision_graph,
     check_lemma_bound,
+    close_candidates,
     geodesically_close,
     involuted_label,
     outward_vertices,
@@ -15,7 +17,13 @@ from subforge.subdivision import (
     working_constant,
 )
 
-from reference import cone_neighborhood
+from reference import (
+    all_pairs_close_edges,
+    cone_neighborhood,
+    odd_relator_presentation,
+    relative_element,
+    same_level_within,
+)
 
 
 def _assert_witness_valid(ball, u1, u2, w):
@@ -131,26 +139,48 @@ def test_surface_level_one_is_octagon_cycle(surface_labeled_run):
 
 
 def test_prefilter_loses_nothing(surface_ball):
-    with_f = build_subdivision_graph(surface_ball, 1.0, prefilter=True)
-    without = build_subdivision_graph(surface_ball, 1.0, prefilter=False)
-    assert with_f.level_edges == without.level_edges
+    # candidates within distance K find every edge the all-pairs search does
+    graph = build_subdivision_graph(surface_ball, 1.0)
+    level_edges, witnesses = all_pairs_close_edges(surface_ball, graph.n_max, graph.horizon)
+    assert graph.level_edges == level_edges
+    assert graph.witnesses == witnesses
 
 
 def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
-    # with K below the true working constant the distance prefilter drops
-    # the distance-4 close pairs (octagon halves meeting at a common
-    # outward vertex); the no-prefilter diff finds them and the closeness
+    # with K below the true working constant the distance-K candidates
+    # drop the distance-4 close pairs (octagon halves meeting at a common
+    # outward vertex); the all-pairs search finds them and the closeness
     # bound check flags the graph
-    from subforge.subdivision import check_lemma_bound
-
     filtered = build_subdivision_graph(surface_ball, 0.5, k_override=2)
-    unfiltered = build_subdivision_graph(surface_ball, 0.5, k_override=2, prefilter=False)
-    extra = set(unfiltered.level_edges[2]) - set(filtered.level_edges[2])
+    level_edges, _ = all_pairs_close_edges(surface_ball, filtered.n_max, filtered.horizon)
+    extra = set(level_edges[2]) - set(filtered.level_edges[2])
     assert len(extra) == 8
     ab, dc = surface_ball.element_of("ab"), surface_ball.element_of("dc")
     assert (min(ab, dc), max(ab, dc)) in extra
-    report = check_lemma_bound(unfiltered)
+    report = check_lemma_bound(replace(filtered, level_edges=level_edges))
     assert not report.passed and report.max_observed == 4
+
+
+@pytest.mark.parametrize(
+    "which, k",
+    [("surface", 2), ("surface", 3), ("odd_relator", 2), ("odd_relator", 3)],
+)
+def test_translated_candidates_match_bfs(which, k, surface_ball):
+    # the translated candidates of u are the same-level vertices a depth-K
+    # BFS from u finds, and the h kept with each is u^-1 v as an in-ball
+    # path from u spells it, both for the candidates and the edges
+    ball = surface_ball if which == "surface" else enumerate_ball(odd_relator_presentation(), 5)
+    n_max = ball.radius - k - 1
+    for n in range(1, n_max + 1):
+        for u in ball.sphere(n):
+            candidates = close_candidates(ball, u, k)
+            assert [v for v, _ in candidates] == same_level_within(ball, u, k), u
+            for v, h in candidates:
+                assert h == relative_element(ball, u, v), (u, v)
+    graph = build_subdivision_graph(ball, 0.0, k_override=k)
+    assert set(graph.relative) == set(graph.witnesses)
+    for (u, v), h in graph.relative.items():
+        assert h == relative_element(ball, u, v), (u, v)
 
 
 def test_horizon_monotone(surface_ball):
@@ -178,7 +208,7 @@ def test_labels_surface(surface_labeled_run):
     for (u, v), label in graph.edge_labels.items():
         # the closeness lemma's sharper bound: relative element under K
         assert len(label.relative) < graph.k
-        assert ball.element_of(label.relative) == ball.relative_element(u, v)
+        assert ball.element_of(label.relative) == relative_element(ball, u, v)
     for v in ball.sphere(1):
         assert len(graph.vertex_labels[v].neighborhood) == 2
 
