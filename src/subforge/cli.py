@@ -79,10 +79,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     for fmt in formats:
         for what in exports.EXPORT_KINDS:
             try:
-                content = exports.export_graph(result.artifacts, what, fmt)
+                exports.export_graph(result.artifacts, what, fmt, os.path.join(out, f"{what}.{fmt}"))
             except exports.MissingArtifact:
                 continue
-            _write(os.path.join(out, f"{what}.{fmt}"), content)
     checks = result.report.get("checks", {})
     failed = sorted(name for name, ok in checks.items() if not ok)
     status = result.report.get("status", "completed")
@@ -101,13 +100,12 @@ def cmd_export(args: argparse.Namespace) -> int:
     if result.report["status"] != "completed":
         print(f"error: {result.report['error']}", file=sys.stderr)
         return EXIT_ERROR
+    path = os.path.join(args.out, f"{args.what}.{args.format}")
     try:
-        content = exports.export_graph(result.artifacts, args.what, args.format)
+        exports.export_graph(result.artifacts, args.what, args.format, path)
     except exports.MissingArtifact as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    path = os.path.join(args.out, f"{args.what}.{args.format}")
-    _write(path, content)
     print(path)
     return result.exit_code
 

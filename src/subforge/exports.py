@@ -5,11 +5,20 @@ sorted, JSON uses sorted keys and a fixed indent, and no timestamps or
 timing data appear in graph exports (timings live only in report.json
 under the "timings" key, which consumers are expected to strip before
 diffing).
+
+``export_graph`` streams each file a line or a record at a time, so no
+file is ever held whole in memory. The geodesic tree and the subdivision
+graph go through fixed templates. Every JSON file equals, byte for byte,
+``json.dumps(obj, sort_keys=True, indent=2)`` of the object it describes,
+plus a final newline. When the pipeline did not produce an artifact,
+``export_graph`` raises ``MissingArtifact`` and writes no file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from json.encoder import encode_basestring_ascii
 
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph
@@ -29,48 +38,77 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _words(ball: CayleyBall) -> list[str]:
-    """Formatted normal form of every element, in one pass in id order:
-    each is its parent's plus the last letter."""
+def _nested(obj, depth: int) -> str:
+    """``obj`` laid out as ``json.dumps(indent=2)`` lays it out ``depth``
+    levels deep: the encoder writes no raw newline inside a string, so
+    shifting every line break is exact."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _array(write, records, pad: str) -> None:
+    """Write a JSON array of the rendered ``records`` (each already
+    indented one level inside it) whose brackets sit at indent ``pad``."""
+    sep = "[\n"
+    for record in records:
+        write(sep)
+        write(record)
+        sep = ",\n"
+    write("[]" if sep == "[\n" else "\n" + pad + "]")
+
+
+def _words(ball: CayleyBall):
+    """Formatted normal form of every element, in id order: each is its
+    parent's plus the last letter.  Only the words inside the outer sphere
+    are kept, since no element's parent lies on it; at R=7 on surface2 that
+    is a fifth of the ball."""
     alphabet = ball.presentation.alphabet
-    words = [""]
-    for e in range(1, ball.size):
-        words.append(words[ball.parent[e]] + alphabet.symbols[ball.last_letter[e]])
-    words[0] = alphabet.format_word(())
-    return words
+    symbols, parent, last_letter = alphabet.symbols, ball.parent, ball.last_letter
+    yield alphabet.format_word(())
+    inner = [""]
+    outer = max(1, ball.sphere(ball.radius).start)  # the identity is yielded above
+    for e in range(1, outer):
+        word = inner[parent[e]] + symbols[last_letter[e]]
+        inner.append(word)
+        yield word
+    for e in range(outer, ball.size):
+        yield inner[parent[e]] + symbols[last_letter[e]]
+
+
+def _tree_edges(ball: CayleyBall):
+    parent = ball.parent
+    return (f"    [\n      {e},\n      {parent[e]}\n    ]" for e in range(1, ball.size))
 
 
 # -- gamma -------------------------------------------------------------------
 
 
-def gamma_json(arts: Artifacts) -> str:
+def gamma_json(arts: Artifacts, write) -> None:
     ball = arts.ball
-    if ball is None:
-        raise MissingArtifact("geodesic tree not built")
-    words = _words(ball)
-    return _dumps(
-        {
-            "vertices": [
-                {"id": e, "word": words[e], "level": ball.sphere_of[e]}
-                for e in range(ball.size)
-            ],
-            "edges": [[e, ball.parent[e]] for e in range(1, ball.size)],
-        }
+    level = ball.sphere_of
+    write('{\n  "edges": ')
+    _array(write, _tree_edges(ball), "  ")
+    write(',\n  "vertices": ')
+    _array(
+        write,
+        (
+            f'    {{\n      "id": {e},\n      "level": {level[e]},\n'
+            f'      "word": {encode_basestring_ascii(word)}\n    }}'
+            for e, word in enumerate(_words(ball))
+        ),
+        "  ",
     )
+    write("\n}\n")
 
 
-def gamma_dot(arts: Artifacts) -> str:
+def gamma_dot(arts: Artifacts, write) -> None:
     ball = arts.ball
-    if ball is None:
-        raise MissingArtifact("geodesic tree not built")
-    words = _words(ball)
-    lines = ["graph gamma {"]
-    for e in range(ball.size):
-        lines.append(f'  v{e} [label="{words[e]}"];')
+    write("graph gamma {\n")
+    for e, word in enumerate(_words(ball)):
+        write(f'  v{e} [label="{word}"];\n')
+    parent = ball.parent
     for e in range(1, ball.size):
-        lines.append(f"  v{e} -- v{ball.parent[e]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        write(f"  v{e} -- v{parent[e]};\n")
+    write("}\n")
 
 
 # -- xi ----------------------------------------------------------------------
@@ -89,99 +127,94 @@ def _edge_label_json(ball: CayleyBall, label: EdgeLabel) -> dict:
     return {"type_a": label.type_a, "type_b": label.type_b, "relative": fmt(label.relative)}
 
 
-def xi_json(arts: Artifacts) -> str:
-    graph: SubdivisionGraph = arts.graph
-    if graph is None:
-        raise MissingArtifact("subdivision graph not built")
-    ball = graph.ball
-    words = _words(ball)
-    horizontal = []
+def _horizontal_edges(graph: SubdivisionGraph):
     for n, (u, v) in graph.all_level_edges():
         entry = {"level": n, "u": u, "v": v}
         label = graph.edge_labels.get((u, v))
         if label is not None:
-            entry["label"] = _edge_label_json(ball, label)
+            entry["label"] = _edge_label_json(graph.ball, label)
         w = graph.witnesses[(u, v)]
         entry["witness"] = {"first": w.first, "second": w.second, "separation": w.separation}
-        horizontal.append(entry)
-    return _dumps(
-        {
-            "k": graph.k,
-            "n_max": graph.n_max,
-            "horizon": graph.horizon,
-            "unstable_levels": list(graph.unstable_levels),
-            "vertices": [
-                {
-                    "id": e,
-                    "word": words[e],
-                    "level": ball.sphere_of[e],
-                    "label": None
-                    if e not in graph.vertex_labels
-                    else _vertex_label_json(ball, graph.vertex_labels[e]),
-                }
-                for e in range(ball.size)
-            ],
-            "vertical_edges": [[e, ball.parent[e]] for e in range(1, ball.size)],
-            "horizontal_edges": horizontal,
-        }
-    )
+        yield "    " + _nested(entry, 2)
 
 
-def xi_dot(arts: Artifacts) -> str:
-    graph: SubdivisionGraph = arts.graph
-    if graph is None:
-        raise MissingArtifact("subdivision graph not built")
+def _xi_vertices(graph: SubdivisionGraph):
     ball = graph.ball
-    words = _words(ball)
-    lines = ["graph xi {"]
+    level = ball.sphere_of
+    labels = graph.vertex_labels
+    for e, word in enumerate(_words(ball)):
+        label = labels.get(e)
+        rendered = "null" if label is None else _nested(_vertex_label_json(ball, label), 3)
+        yield (
+            f'    {{\n      "id": {e},\n      "label": {rendered},\n      "level": {level[e]},\n'
+            f'      "word": {encode_basestring_ascii(word)}\n    }}'
+        )
+
+
+def xi_json(arts: Artifacts, write) -> None:
+    graph: SubdivisionGraph = arts.graph
+    write(f'{{\n  "horizon": {graph.horizon},\n  "horizontal_edges": ')
+    _array(write, _horizontal_edges(graph), "  ")
+    write(
+        f',\n  "k": {graph.k},\n  "n_max": {graph.n_max},'
+        f'\n  "unstable_levels": {_nested(list(graph.unstable_levels), 1)},'
+        '\n  "vertical_edges": '
+    )
+    _array(write, _tree_edges(graph.ball), "  ")
+    write(',\n  "vertices": ')
+    _array(write, _xi_vertices(graph), "  ")
+    write("\n}\n")
+
+
+def xi_dot(arts: Artifacts, write) -> None:
+    graph: SubdivisionGraph = arts.graph
+    ball = graph.ball
+    words = _words(ball)  # the spheres are consecutive runs of ids
+    write("graph xi {\n")
     for level in range(ball.radius + 1):
-        lines.append(f"  subgraph cluster_level_{level} {{")
-        lines.append(f'    label="level {level}"; rank=same;')
+        write(f'  subgraph cluster_level_{level} {{\n    label="level {level}"; rank=same;\n')
         for e in ball.sphere(level):
-            lines.append(f'    v{e} [label="{words[e]}"];')
-        lines.append("  }")
+            write(f'    v{e} [label="{next(words)}"];\n')
+        write("  }\n")
+    parent = ball.parent
     for e in range(1, ball.size):
-        lines.append(f"  v{e} -- v{ball.parent[e]} [kind=vertical];")
+        write(f"  v{e} -- v{parent[e]} [kind=vertical];\n")
     for _, (u, v) in graph.all_level_edges():
-        lines.append(f"  v{u} -- v{v} [kind=horizontal];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        write(f"  v{u} -- v{v} [kind=horizontal];\n")
+    write("}\n")
 
 
 # -- acceptor ------------------------------------------------------------------
 
 
-def acceptor_json(arts: Artifacts) -> str:
+def acceptor_json(arts: Artifacts, write) -> None:
     acc: WordAcceptor = arts.acceptor
-    if acc is None:
-        raise MissingArtifact("acceptor not built")
     alphabet = arts.ball.presentation.alphabet
-    return _dumps(
-        {
-            "states": list(acc.states),
-            "initial": acc.initial,
-            "all_accepting": True,
-            "transitions": [
-                {"from": s, "letter": alphabet.symbols[x], "to": t}
-                for (s, x), t in sorted(acc.transitions.items())
-            ],
-        }
+    write(
+        _dumps(
+            {
+                "states": list(acc.states),
+                "initial": acc.initial,
+                "all_accepting": True,
+                "transitions": [
+                    {"from": s, "letter": alphabet.symbols[x], "to": t}
+                    for (s, x), t in sorted(acc.transitions.items())
+                ],
+            }
+        )
     )
 
 
-def acceptor_dot(arts: Artifacts) -> str:
+def acceptor_dot(arts: Artifacts, write) -> None:
     acc: WordAcceptor = arts.acceptor
-    if acc is None:
-        raise MissingArtifact("acceptor not built")
     alphabet = arts.ball.presentation.alphabet
-    lines = ["digraph acceptor {"]
+    write("digraph acceptor {\n")
     for s in acc.states:
         shape = "doublecircle" if s == acc.initial else "circle"
-        lines.append(f"  s{s} [shape={shape}];")
+        write(f"  s{s} [shape={shape}];\n")
     for (s, x), t in sorted(acc.transitions.items()):
-        lines.append(f'  s{s} -> s{t} [label="{alphabet.symbols[x]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        write(f'  s{s} -> s{t} [label="{alphabet.symbols[x]}"];\n')
+    write("}\n")
 
 
 # -- subdivisions ---------------------------------------------------------------
@@ -206,57 +239,64 @@ def _labeled_graph_json(ball: CayleyBall, g: LabeledGraph, kind: str) -> dict:
     }
 
 
-def subdivisions_json(arts: Artifacts) -> str:
-    rep = arts.axiom_report
-    if rep is None or rep.vertex_subdivisions is None or rep.edge_subdivisions is None:
-        raise MissingArtifact("subdivision tables unavailable (axioms not verified)")
+def _by_repr(table: dict) -> list:
+    """(label, subdivision) pairs of one table, in the labels' repr order."""
+    return sorted(table.items(), key=lambda kv: repr(kv[0]))
+
+
+def subdivisions_json(arts: Artifacts, write) -> None:
     ball = arts.ball
     vertex_entries = [
         {
             "label": _vertex_label_json(ball, label),
             "subdivision": _labeled_graph_json(ball, sub, "vertex"),
         }
-        for label, sub in sorted(
-            rep.vertex_subdivisions.items(), key=lambda kv: repr(kv[0])
-        )
+        for label, sub in _by_repr(arts.axiom_report.vertex_subdivisions)
     ]
     edge_entries = [
         {
             "label": _edge_label_json(ball, label),
             "subdivision": _labeled_graph_json(ball, sub, "edge"),
         }
-        for label, sub in sorted(rep.edge_subdivisions.items(), key=lambda kv: repr(kv[0]))
+        for label, sub in _by_repr(arts.axiom_report.edge_subdivisions)
     ]
-    return _dumps(
-        {"vertex_subdivisions": vertex_entries, "edge_subdivisions": edge_entries}
-    )
+    write(_dumps({"vertex_subdivisions": vertex_entries, "edge_subdivisions": edge_entries}))
 
 
-def subdivisions_dot(arts: Artifacts) -> str:
-    rep = arts.axiom_report
-    if rep is None or rep.vertex_subdivisions is None or rep.edge_subdivisions is None:
-        raise MissingArtifact("subdivision tables unavailable (axioms not verified)")
-    lines = []
-    for idx, (_, sub) in enumerate(
-        sorted(rep.vertex_subdivisions.items(), key=lambda kv: repr(kv[0]))
-    ):
-        lines.append(f"graph vertex_subdivision_{idx} {{")
+def subdivisions_dot(arts: Artifacts, write) -> None:
+    vertex_tables = _by_repr(arts.axiom_report.vertex_subdivisions)
+    edge_tables = _by_repr(arts.axiom_report.edge_subdivisions)
+    if not vertex_tables and not edge_tables:
+        write("\n")  # no graph at all: the document is one empty line
+    for idx, (_, sub) in enumerate(vertex_tables):
+        write(f"graph vertex_subdivision_{idx} {{\n")
         for v in range(sub.size):
-            lines.append(f"  v{v};")
+            write(f"  v{v};\n")
         for i, j, _ in sub.edges:
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-    for idx, (_, sub) in enumerate(
-        sorted(rep.edge_subdivisions.items(), key=lambda kv: repr(kv[0]))
-    ):
-        lines.append(f"graph edge_subdivision_{idx} {{")
+            write(f"  v{i} -- v{j};\n")
+        write("}\n")
+    for idx, (_, sub) in enumerate(edge_tables):
+        write(f"graph edge_subdivision_{idx} {{\n")
         for v in range(sub.size):
-            side = sub.vertex_labels[v][0]
-            lines.append(f"  v{v} [side={side}];")
+            write(f"  v{v} [side={sub.vertex_labels[v][0]}];\n")
         for i, j, _ in sub.edges:
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
+            write(f"  v{i} -- v{j};\n")
+        write("}\n")
+
+
+def _missing(arts: Artifacts, what: str) -> str | None:
+    """Why the pipeline left no ``what`` to export, or None."""
+    if what == "gamma" and arts.ball is None:
+        return "geodesic tree not built"
+    if what == "xi" and arts.graph is None:
+        return "subdivision graph not built"
+    if what == "acceptor" and arts.acceptor is None:
+        return "acceptor not built"
+    if what == "subdivisions":
+        rep = arts.axiom_report
+        if rep is None or rep.vertex_subdivisions is None or rep.edge_subdivisions is None:
+            return "subdivision tables unavailable (axioms not verified)"
+    return None
 
 
 _WRITERS = {
@@ -271,14 +311,20 @@ _WRITERS = {
 }
 
 
-def export_graph(arts: Artifacts, what: str, fmt: str) -> str:
-    """Render one artifact; raises MissingArtifact when the pipeline did
-    not produce it."""
+def export_graph(arts: Artifacts, what: str, fmt: str, path: str) -> None:
+    """Write one artifact to ``path`` as it is rendered; raises
+    MissingArtifact, before ``path`` is created, when the pipeline did not
+    produce it."""
     try:
         writer = _WRITERS[(what, fmt)]
     except KeyError:
         raise ValueError(f"unknown export {what}/{fmt}") from None
-    return writer(arts)
+    reason = _missing(arts, what)
+    if reason is not None:
+        raise MissingArtifact(reason)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        writer(arts, fh.write)
 
 
 def export_report(report: dict) -> str:

@@ -21,6 +21,13 @@ class PresentationError(ValueError):
     """Malformed alphabet, word or presentation input."""
 
 
+def _check_symbols(symbols) -> None:
+    # exports write words unescaped into DOT labels and JSON templates
+    for t in symbols:
+        if len(t) != 1 or not t.isalpha() or not t.isascii():
+            raise PresentationError(f"generator symbol must be a single ASCII letter: {t!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorAlphabet:
     """Symmetric generating set with a declared total order.
@@ -28,13 +35,14 @@ class GeneratorAlphabet:
     ``symbols[i]`` is the display symbol of letter ``i`` and ``inverse[i]``
     is the letter index of its formal inverse.  The order on letters is
     index order.  The involution must be fixed-point free: a letter is
-    never its own inverse.
+    never its own inverse.  Every symbol is a single ASCII letter.
     """
 
     symbols: tuple[str, ...]
     inverse: tuple[int, ...]
 
     def __post_init__(self):
+        _check_symbols(self.symbols)
         if len(self.symbols) != len(set(self.symbols)):
             raise PresentationError("duplicate letter symbol in alphabet")
         n = len(self.symbols)
@@ -59,9 +67,7 @@ class GeneratorAlphabet:
         tokens = list(tokens)
         if len(tokens) % 2 != 0:
             raise PresentationError("generator list must pair every letter with its inverse")
-        for t in tokens:
-            if len(t) != 1 or not t.isalpha() or not t.isascii():
-                raise PresentationError(f"generator symbol must be a single ASCII letter: {t!r}")
+        _check_symbols(tokens)
         index = {}
         for i, t in enumerate(tokens):
             if t in index:

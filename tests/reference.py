@@ -9,14 +9,18 @@ other than the identity by translating the ball around the identity;
 the BFS routes it replaced live here as the cross-check: the geodesics of
 a side from a distance map of its source, the same-level vertices near a
 vertex, u^-1 v from a path between them, and the horizontal edges found
-over all same-level pairs.
+over all same-level pairs.  The export writers that built each file as
+one string (``json.dumps`` of the whole object tree, DOT lines joined at
+the end) are kept as the reference for the streamed exports.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP
+from subforge.exports import _edge_label_json, _labeled_graph_json, _vertex_label_json
 from subforge.hyperbolicity import (
     TriangleWitness,
     _PointLayers,
@@ -518,3 +522,192 @@ def all_pairs_close_edges(
         level_edges[n] = tuple(edges)
         cache.clear()
     return level_edges, witnesses
+
+
+# -- exports as whole strings ---------------------------------------------------
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _words(ball: CayleyBall) -> list[str]:
+    fmt = ball.presentation.alphabet.format_word
+    return [fmt(w) for w in normal_forms(ball)]
+
+
+def _gamma_json(arts) -> str:
+    ball = arts.ball
+    words = _words(ball)
+    return _dumps(
+        {
+            "vertices": [
+                {"id": e, "word": words[e], "level": ball.sphere_of[e]}
+                for e in range(ball.size)
+            ],
+            "edges": [[e, ball.parent[e]] for e in range(1, ball.size)],
+        }
+    )
+
+
+def _gamma_dot(arts) -> str:
+    ball = arts.ball
+    words = _words(ball)
+    lines = ["graph gamma {"]
+    for e in range(ball.size):
+        lines.append(f'  v{e} [label="{words[e]}"];')
+    for e in range(1, ball.size):
+        lines.append(f"  v{e} -- v{ball.parent[e]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _xi_json(arts) -> str:
+    graph = arts.graph
+    ball = graph.ball
+    words = _words(ball)
+    horizontal = []
+    for n, (u, v) in graph.all_level_edges():
+        entry = {"level": n, "u": u, "v": v}
+        label = graph.edge_labels.get((u, v))
+        if label is not None:
+            entry["label"] = _edge_label_json(ball, label)
+        w = graph.witnesses[(u, v)]
+        entry["witness"] = {"first": w.first, "second": w.second, "separation": w.separation}
+        horizontal.append(entry)
+    return _dumps(
+        {
+            "k": graph.k,
+            "n_max": graph.n_max,
+            "horizon": graph.horizon,
+            "unstable_levels": list(graph.unstable_levels),
+            "vertices": [
+                {
+                    "id": e,
+                    "word": words[e],
+                    "level": ball.sphere_of[e],
+                    "label": None
+                    if e not in graph.vertex_labels
+                    else _vertex_label_json(ball, graph.vertex_labels[e]),
+                }
+                for e in range(ball.size)
+            ],
+            "vertical_edges": [[e, ball.parent[e]] for e in range(1, ball.size)],
+            "horizontal_edges": horizontal,
+        }
+    )
+
+
+def _xi_dot(arts) -> str:
+    graph = arts.graph
+    ball = graph.ball
+    words = _words(ball)
+    lines = ["graph xi {"]
+    for level in range(ball.radius + 1):
+        lines.append(f"  subgraph cluster_level_{level} {{")
+        lines.append(f'    label="level {level}"; rank=same;')
+        for e in ball.sphere(level):
+            lines.append(f'    v{e} [label="{words[e]}"];')
+        lines.append("  }")
+    for e in range(1, ball.size):
+        lines.append(f"  v{e} -- v{ball.parent[e]} [kind=vertical];")
+    for _, (u, v) in graph.all_level_edges():
+        lines.append(f"  v{u} -- v{v} [kind=horizontal];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _acceptor_json(arts) -> str:
+    acc = arts.acceptor
+    alphabet = arts.ball.presentation.alphabet
+    return _dumps(
+        {
+            "states": list(acc.states),
+            "initial": acc.initial,
+            "all_accepting": True,
+            "transitions": [
+                {"from": s, "letter": alphabet.symbols[x], "to": t}
+                for (s, x), t in sorted(acc.transitions.items())
+            ],
+        }
+    )
+
+
+def _acceptor_dot(arts) -> str:
+    acc = arts.acceptor
+    alphabet = arts.ball.presentation.alphabet
+    lines = ["digraph acceptor {"]
+    for s in acc.states:
+        shape = "doublecircle" if s == acc.initial else "circle"
+        lines.append(f"  s{s} [shape={shape}];")
+    for (s, x), t in sorted(acc.transitions.items()):
+        lines.append(f'  s{s} -> s{t} [label="{alphabet.symbols[x]}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _subdivisions_json(arts) -> str:
+    rep = arts.axiom_report
+    ball = arts.ball
+    vertex_entries = [
+        {
+            "label": _vertex_label_json(ball, label),
+            "subdivision": _labeled_graph_json(ball, sub, "vertex"),
+        }
+        for label, sub in sorted(
+            rep.vertex_subdivisions.items(), key=lambda kv: repr(kv[0])
+        )
+    ]
+    edge_entries = [
+        {
+            "label": _edge_label_json(ball, label),
+            "subdivision": _labeled_graph_json(ball, sub, "edge"),
+        }
+        for label, sub in sorted(rep.edge_subdivisions.items(), key=lambda kv: repr(kv[0]))
+    ]
+    return _dumps(
+        {"vertex_subdivisions": vertex_entries, "edge_subdivisions": edge_entries}
+    )
+
+
+def _subdivisions_dot(arts) -> str:
+    rep = arts.axiom_report
+    lines = []
+    for idx, (_, sub) in enumerate(
+        sorted(rep.vertex_subdivisions.items(), key=lambda kv: repr(kv[0]))
+    ):
+        lines.append(f"graph vertex_subdivision_{idx} {{")
+        for v in range(sub.size):
+            lines.append(f"  v{v};")
+        for i, j, _ in sub.edges:
+            lines.append(f"  v{i} -- v{j};")
+        lines.append("}")
+    for idx, (_, sub) in enumerate(
+        sorted(rep.edge_subdivisions.items(), key=lambda kv: repr(kv[0]))
+    ):
+        lines.append(f"graph edge_subdivision_{idx} {{")
+        for v in range(sub.size):
+            side = sub.vertex_labels[v][0]
+            lines.append(f"  v{v} [side={side}];")
+        for i, j, _ in sub.edges:
+            lines.append(f"  v{i} -- v{j};")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+_EXPORTS = {
+    ("gamma", "json"): _gamma_json,
+    ("gamma", "dot"): _gamma_dot,
+    ("xi", "json"): _xi_json,
+    ("xi", "dot"): _xi_dot,
+    ("acceptor", "json"): _acceptor_json,
+    ("acceptor", "dot"): _acceptor_dot,
+    ("subdivisions", "json"): _subdivisions_json,
+    ("subdivisions", "dot"): _subdivisions_dot,
+}
+
+
+def reference_export(arts, what: str, fmt: str) -> str:
+    """One export file built whole in memory, as ``export_graph`` wrote
+    it before it streamed: the artifact must exist."""
+    return _EXPORTS[(what, fmt)](arts)

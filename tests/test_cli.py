@@ -127,6 +127,14 @@ def test_export_missing_artifact_errors(tmp_path):
         ]
     )
     assert code == 1
+    assert not (tmp_path / "m" / "subdivisions.json").exists()
+
+
+def test_run_on_cap_writes_only_the_report(tmp_path):
+    out = tmp_path / "cap"
+    code = main(["run", "--preset", "f2", "--radius", "6", "--cap", "50", "--out", str(out), "--export", "dot,json"])
+    assert code == 1
+    assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
 def test_presentation_file_input(tmp_path):

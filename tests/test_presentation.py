@@ -48,6 +48,11 @@ def test_parse_errors():
         parse_presentation("gens: a A\noracle: magic\n")
     with pytest.raises(PresentationError):
         parse_presentation("gens: a A\nrelators: aaa\n")  # not C'(1/6)
+    # exports write words unescaped into DOT labels and JSON templates, so
+    # a generator symbol must be a single ASCII letter
+    for symbol in ('"', "\\", "é", "1", "ab"):
+        with pytest.raises(PresentationError, match="single ASCII letter"):
+            parse_presentation(f"gens: a A {symbol} {symbol.swapcase()}\n")
     # there is no oracle choice any more, so its old key is an unknown line
     with pytest.raises(PresentationError, match="unrecognized line"):
         parse_presentation("gens: a A b B c C d D\nrelators: abABcdCD\noracle: dehn\n")

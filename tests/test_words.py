@@ -31,6 +31,8 @@ def test_alphabet_validation():
         GeneratorAlphabet.from_case_pairs(["a", "b"])  # no inverses
     with pytest.raises(PresentationError):
         GeneratorAlphabet(("a", "A"), (0, 1))  # fixed point
+    with pytest.raises(PresentationError, match="single ASCII letter"):
+        GeneratorAlphabet(('"', "x"), (1, 0))  # exports would not escape it
 
 
 def test_parse_format_roundtrip():
