@@ -22,7 +22,7 @@ import pickle
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .presentation import Presentation, PresentationError, _rotations, verify_small_cancellation
+from .presentation import Presentation, PresentationError, relator_conjugates, verify_small_cancellation
 from .words import Word, inverse_word
 
 DEFAULT_ELEMENT_CAP = 5_000_000
@@ -175,6 +175,18 @@ class CayleyBall:
             image.append(neighbors[image[parent[h]]][last_letter[h]])
         return image
 
+    def apply_symmetry(self, sigma: tuple[int, ...], n: int) -> list[int]:
+        """image[h] = sigma(h) for every h in B_n, in id order, for a letter
+        symmetry sigma (``presentation.letter_symmetries``): sigma(h) is
+        sigma(parent) times sigma of the last letter, and the parent's
+        image comes first.  The automorphism keeps word length, so B_n maps
+        onto itself."""
+        parent, last_letter, neighbors = self.parent, self.last_letter, self.neighbors
+        image = [0]
+        for h in range(1, self.sphere(n).stop):
+            image.append(neighbors[image[parent[h]]][sigma[last_letter[h]]])
+        return image
+
     def distance_between(self, u: int, v: int, limit: int) -> int | None:
         """Graph distance of u, v measured inside the ball, or None if it
         exceeds ``limit``.  Exact whenever some true geodesic between them
@@ -222,12 +234,8 @@ def _relator_loops(pres: Presentation) -> list[list[Word]]:
     cyclic conjugate t of a relator or its inverse with t[0] = x.  Since
     x * t[1:] = 1, walking such a loop from g ends at g*x."""
     alphabet = pres.alphabet
-    conjugates = set()
-    for r in pres.relators:
-        conjugates.update(_rotations(r))
-        conjugates.update(_rotations(inverse_word(r, alphabet)))
     loops: list[set[Word]] = [set() for _ in range(alphabet.size)]
-    for t in conjugates:
+    for t in relator_conjugates(pres):
         loops[t[0]].add(inverse_word(t[1:], alphabet))
     return [sorted(ls) for ls in loops]
 

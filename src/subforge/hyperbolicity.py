@@ -33,6 +33,18 @@ the ball already stores: no distance map from x is built.  The only BFS
 left is the thinness search from a point, grown one layer at a time to
 the first depth where every geodesic of one other side has been met; its
 layers are shallow and kept for the run.
+
+Exhaustive mode computes one triangle per symmetry orbit.  A letter
+symmetry sigma of the presentation (``letter_symmetries``) is a Cayley
+graph automorphism that fixes the identity and keeps word length, so it
+maps B_R onto itself with in-ball distances intact: the triangle
+(1, sigma x, sigma y) has the same thinness as (1, x, y).  (The
+exactness flag cannot differ either: with 2r <= R every measured hit
+meets the certificate.)  Only the pairs
+(x, y) that are lexicographically least in their orbit
+{sorted(sigma x, sigma y)} are computed.  The first maximal pair in
+enumeration order is least in its own orbit, so the witness is the one
+the unreduced loop finds.
 """
 
 from __future__ import annotations
@@ -41,11 +53,18 @@ import random
 from dataclasses import dataclass
 
 from .ball import CayleyBall, TrustRadiusError
+from .presentation import letter_symmetries
 from .words import inverse_word
 
 MODE_EXHAUSTIVE = "exhaustive-triangles"
 MODE_SAMPLED = "sampled-triangles"
 DELTA_MODES = (MODE_EXHAUSTIVE, MODE_SAMPLED)
+
+# The symmetry search tries 2^k k! letter permutations for k generator
+# pairs, and a free group keeps every one, each mapped over B_r: past four
+# pairs (384) that can cost more than the triangles it saves, so every
+# triangle is computed.
+_MAX_SYMMETRY_PAIRS = 4
 
 
 class _PointLayers:
@@ -136,15 +155,28 @@ class DeltaEstimate:
     mode: str
     witness: TriangleWitness | None
     triangles: int  # anchored triangles checked
+    triangles_computed: int  # of which computed: one per symmetry orbit
     is_lower_bound: bool = True
     exact_distances: bool = True
 
 
-def _side_geodesics(ball, x, y):
-    return [
-        [(a,)] if a == b else enumerate_pair_geodesics(ball, a, b)
-        for a, b in ((0, x), (0, y), (x, y))
-    ]
+def _side_geodesics(ball, x, y, anchored=None):
+    """Geodesics of the sides id-x, id-y and x-y.  ``anchored`` caches the
+    sides from the identity, which most triangles share, by endpoint."""
+    if anchored is None:
+        anchored = {}
+
+    def side(a, b):
+        if a == b:
+            return [(a,)]
+        if a:
+            return enumerate_pair_geodesics(ball, a, b)
+        geos = anchored.get(b)
+        if geos is None:
+            geos = anchored[b] = enumerate_pair_geodesics(ball, 0, b)
+        return geos
+
+    return [side(0, x), side(0, y), side(x, y)]
 
 
 def _point_thinness(ball, points, p, other_sides):
@@ -181,10 +213,11 @@ def _point_thinness(ball, points, p, other_sides):
         depth += 1
 
 
-def triangle_thinness(ball, points, x, y):
+def triangle_thinness(ball, points, x, y, anchored=None):
     """Worst thinness value over all points of all sides of the anchored
-    triangle (identity, x, y); returns (value, witness, exact_flag)."""
-    sides = _side_geodesics(ball, x, y)
+    triangle (identity, x, y); returns (value, witness, exact_flag).
+    ``anchored`` is ``_side_geodesics``'s cache."""
+    sides = _side_geodesics(ball, x, y, anchored)
     vertex_sets = [[set(geo) for geo in side] for side in sides]
     best = (-1, None, True)
     for si in range(3):
@@ -203,10 +236,21 @@ def triangle_thinness(ball, points, x, y):
     return best
 
 
-def _pairs_exhaustive(ids):
-    for i, x in enumerate(ids):
-        for y in ids[i:]:
-            yield x, y
+def _orbit_representatives(n, images):
+    """The pairs x <= y of range(n), in lexicographic order, that are least
+    in their orbit {sorted(image[x], image[y]) for image in images}."""
+    for x in range(n):
+        if any(image[x] < x for image in images):
+            continue  # every pair (x, y) has an image below it
+        for y in range(x, n):
+            for image in images:
+                a, b = image[x], image[y]
+                if a > b:
+                    a, b = b, a
+                if a < x or (a == x and b < y):
+                    break
+            else:
+                yield x, y
 
 
 def compute_delta(
@@ -218,26 +262,38 @@ def compute_delta(
 ) -> DeltaEstimate:
     """Max thinness over anchored triangles with the two free vertices in
     the ball of radius r.  Requires 2r <= ball.radius so that every side
-    geodesic stays inside the ball."""
+    geodesic stays inside the ball.
+
+    Exhaustive mode covers every pair x <= y of B_r but computes only one
+    per orbit of the presentation's letter symmetries (module docstring);
+    sampled mode computes every sample."""
     if r < 0:
         raise ValueError("delta radius must be >= 0")
     if 2 * r > ball.radius:
         raise ValueError(f"delta radius {r} needs ball radius >= {2 * r}")
-    ids = range(ball.sphere(r).stop)  # B_r
+    n = ball.sphere(r).stop  # B_r is range(n)
     if mode == MODE_EXHAUSTIVE:
-        pairs = _pairs_exhaustive(ids)
+        images = []
+        if len(ball.presentation.alphabet.pairs) <= _MAX_SYMMETRY_PAIRS:
+            # the identity comes first and is left out
+            images = [ball.apply_symmetry(s, r) for s in letter_symmetries(ball.presentation)[1:]]
+        triangles = n * (n + 1) // 2
+        pairs = _orbit_representatives(n, images)
     elif mode == MODE_SAMPLED:
         rng = random.Random(seed)
+        ids = range(n)
+        triangles = samples
         pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(samples)]
     else:
         raise ValueError(f"unknown delta mode {mode!r}")
 
     points = _PointLayers(ball)
+    anchored: dict[int, list[tuple[int, ...]]] = {}
     value, witness, exact = -1, None, True
-    triangles = 0
+    computed = 0
     for x, y in pairs:
-        triangles += 1
-        v, w, ex = triangle_thinness(ball, points, x, y)
+        computed += 1
+        v, w, ex = triangle_thinness(ball, points, x, y, anchored)
         if v > value:
             value, witness = v, w
         exact = exact and ex
@@ -247,5 +303,6 @@ def compute_delta(
         mode=mode,
         witness=witness,
         triangles=triangles,
+        triangles_computed=computed,
         exact_distances=exact,
     )

@@ -90,7 +90,7 @@ class RunConfig:
         if self.qi_samples < 1:
             raise ConfigError("qi samples must be >= 1")
         if not 0 <= self.probe <= self.radius:
-            raise ConfigError("probe depth must lie in [0, radius]")
+            raise ConfigError(f"probe depth {self.probe} must lie in [0, {self.radius}]")
 
 
 @dataclass
@@ -237,6 +237,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "radius_checked": estimate.radius_checked,
             "mode": estimate.mode,
             "triangles": estimate.triangles,
+            "triangles_computed": estimate.triangles_computed,
             "is_lower_bound": True,
             "exact_distances": estimate.exact_distances,
             "witness": None

@@ -2,13 +2,16 @@
 
 The pipeline decides every group fact on the Cayley ball, whose
 enumeration needs the C'(1/6) certificate; ``verify_small_cancellation``
-computes it and the parser checks it.  The oracles (free reduction for a
+computes it and the parser checks it.  ``letter_symmetries`` finds the
+generator permutations that preserve the relators, which the delta stage
+uses to compute one triangle per orbit.  The oracles (free reduction for a
 presentation without relators, Dehn's algorithm otherwise) are an
 independent second route for the tests; no pipeline stage calls them.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,6 +88,45 @@ def _rotations(word: Word) -> list[Word]:
     return [word[i:] + word[:i] for i in range(len(word))]
 
 
+def relator_conjugates(pres: Presentation) -> set[Word]:
+    """The distinct cyclic conjugates of the relators and their inverses."""
+    conjugates: set[Word] = set()
+    for r in pres.relators:
+        conjugates.update(_rotations(r))
+        conjugates.update(_rotations(inverse_word(r, pres.alphabet)))
+    return conjugates
+
+
+def letter_symmetries(pres: Presentation) -> list[tuple[int, ...]]:
+    """Every letter permutation sigma (a table, sigma[x] the image of letter
+    x) that commutes with inversion and maps ``relator_conjugates`` onto
+    itself; the identity comes first.
+
+    Such a sigma sends every relator to a conjugate of a relator or of its
+    inverse, and so does its inverse: it extends to an automorphism of the
+    group, which is an automorphism of the Cayley graph that fixes the
+    identity, keeps word length and relabels every edge x as sigma[x].  The
+    search runs over the 2^k k! signed permutations of the k generator
+    pairs.
+    """
+    alphabet = pres.alphabet
+    inv = alphabet.inverse
+    pairs = alphabet.pairs
+    conjugates = relator_conjugates(pres)
+    found = []
+    for targets in itertools.permutations(pairs):
+        for flips in itertools.product((False, True), repeat=len(pairs)):
+            sigma = [0] * alphabet.size
+            for x, t, flip in zip(pairs, targets, flips):
+                if flip:
+                    t = inv[t]
+                sigma[x], sigma[inv[x]] = t, inv[t]
+            # sigma is injective on words of one length, so into is onto
+            if all(tuple(sigma[x] for x in c) in conjugates for c in conjugates):
+                found.append(tuple(sigma))
+    return found
+
+
 def verify_small_cancellation(pres: Presentation) -> PieceReport:
     """Enumerate pieces over all cyclic conjugates of relators and their
     inverses and compare the longest one against min relator length / 6.
@@ -150,11 +192,7 @@ class DehnOracle(WordOracle):
     def __init__(self, pres: Presentation):
         super().__init__(pres.alphabet)
         table: dict[Word, Word] = {}
-        forms = set()
-        for r in pres.relators:
-            forms.update(_rotations(r))
-            forms.update(_rotations(inverse_word(r, pres.alphabet)))
-        for t in sorted(forms):
+        for t in sorted(relator_conjugates(pres)):
             half = len(t) // 2
             for cut in range(half + 1, len(t) + 1):
                 prefix = t[:cut]

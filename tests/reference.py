@@ -9,9 +9,10 @@ other than the identity by translating the ball around the identity;
 the BFS routes it replaced live here as the cross-check: the geodesics of
 a side from a distance map of its source, the same-level vertices near a
 vertex, u^-1 v from a path between them, and the horizontal edges found
-over all same-level pairs.  The export writers that built each file as
-one string (``json.dumps`` of the whole object tree, DOT lines joined at
-the end) are kept as the reference for the streamed exports.
+over all same-level pairs.  ``reference_delta`` computes every anchored
+triangle, with no symmetry quotient.  The export writers that built each
+file as one string (``json.dumps`` of the whole object tree, DOT lines
+joined at the end) are kept as the reference for the streamed exports.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ from __future__ import annotations
 import json
 import random
 
+from hypothesis import assume, strategies as st
+
 from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP
 from subforge.exports import _edge_label_json, _labeled_graph_json, _vertex_label_json
 from subforge.hyperbolicity import (
+    MODE_EXHAUSTIVE,
+    DeltaEstimate,
     TriangleWitness,
     _PointLayers,
     _point_thinness,
@@ -40,6 +45,34 @@ ODD_RELATOR = "bbaabbbaaabaaaabbabaababa"
 
 def odd_relator_presentation() -> Presentation:
     return parse_presentation(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
+
+
+# the hypothesis family of C'(1/6) presentations: one or two relators of
+# 7 or 8 distinct letters over four generators
+FOUR_GENERATORS = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B", "c", "C", "d", "D"])
+
+
+@st.composite
+def distinct_letter_relators(draw):
+    """A cyclically reduced word of length 7 or 8 with no repeated letter."""
+    inv = FOUR_GENERATORS.inverse
+    length = draw(st.sampled_from([7, 8]))
+    word: list[int] = []
+    for i in range(length):
+        choices = [
+            x
+            for x in range(FOUR_GENERATORS.size)
+            if x not in word
+            and not (word and x == inv[word[-1]])
+            and not (i == length - 1 and x == inv[word[0]])
+        ]
+        assume(choices)
+        word.append(draw(st.sampled_from(choices)))
+    return tuple(word)
+
+
+# two relators pass C'(1/6) rarely, so one such case is always run
+TWO_RELATORS = tuple(FOUR_GENERATORS.parse_word(w) for w in ("aBADCdc", "dAbCacDB"))
 
 
 # -- the ball by bucketed word-oracle search -----------------------------------
@@ -419,6 +452,31 @@ class BfsPairGeodesics:
 
         rec(y)
         return paths
+
+
+def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
+    """Exhaustive delta with no symmetry quotient and no side cache: every
+    anchored triangle (1, x, y) with x <= y in B_r is computed."""
+    n = ball.sphere(r).stop
+    points = _PointLayers(ball)
+    value, witness, exact = -1, None, True
+    triangles = 0
+    for x in range(n):
+        for y in range(x, n):
+            triangles += 1
+            v, w, ex = triangle_thinness(ball, points, x, y)
+            if v > value:
+                value, witness = v, w
+            exact = exact and ex
+    return DeltaEstimate(
+        delta=float(max(value, 0)),
+        radius_checked=r,
+        mode=MODE_EXHAUSTIVE,
+        witness=witness,
+        triangles=triangles,
+        triangles_computed=triangles,
+        exact_distances=exact,
+    )
 
 
 def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness) -> int:

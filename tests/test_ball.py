@@ -17,6 +17,7 @@ from subforge.presentation import (
     Presentation,
     PresentationError,
     WordOracle,
+    letter_symmetries,
     preset,
     verify_small_cancellation,
 )
@@ -24,9 +25,12 @@ from subforge.words import GeneratorAlphabet, inverse_word
 
 from bruteforce import free_distance, naive_ball, naive_sphere_sizes, reduced_words
 from reference import (
+    FOUR_GENERATORS,
     ODD_RELATOR,
+    TWO_RELATORS,
     IntegerLattice,
     count_geodesics,
+    distinct_letter_relators,
     exponent_vector,
     geodesics_between,
     odd_relator_presentation,
@@ -275,32 +279,6 @@ def _neighbor_items(ball):
     return [list(nbrs.items()) for nbrs in ball.neighbors]
 
 
-FOUR_GENERATORS = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B", "c", "C", "d", "D"])
-
-
-@st.composite
-def distinct_letter_relators(draw):
-    """A cyclically reduced word of length 7 or 8 with no repeated letter."""
-    inv = FOUR_GENERATORS.inverse
-    length = draw(st.sampled_from([7, 8]))
-    word: list[int] = []
-    for i in range(length):
-        choices = [
-            x
-            for x in range(FOUR_GENERATORS.size)
-            if x not in word
-            and not (word and x == inv[word[-1]])
-            and not (i == length - 1 and x == inv[word[0]])
-        ]
-        assume(choices)
-        word.append(draw(st.sampled_from(choices)))
-    return tuple(word)
-
-
-# two relators pass C'(1/6) rarely, so one such case is always run
-TWO_RELATORS = tuple(FOUR_GENERATORS.parse_word(w) for w in ("aBADCdc", "dAbCacDB"))
-
-
 @given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
 @example(list(TWO_RELATORS))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -312,6 +290,19 @@ def test_relator_walk_matches_oracle_ball(relators):
     assert normal_forms(ball) == ref_forms
     assert _neighbor_items(ball) == _neighbor_items(ref)
     assert [ball.sphere(n) for n in range(5)] == [ref.sphere(n) for n in range(5)]
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "surface2", "odd_relator"])
+def test_letter_symmetries_are_ball_automorphisms(name):
+    p = odd_relator_presentation() if name == "odd_relator" else preset(name)
+    ball = enumerate_ball(p, 4)
+    for sigma in letter_symmetries(p):
+        image = ball.apply_symmetry(sigma, 4)
+        assert sorted(image) == list(range(ball.size))
+        assert all(ball.sphere_of[image[e]] == ball.sphere_of[e] for e in range(ball.size))
+        for e, nbrs in enumerate(ball.neighbors):
+            for x, w in nbrs.items():
+                assert image[w] == ball.neighbors[image[e]][sigma[x]], (sigma, e, x)
 
 
 def test_radius_zero_and_one():

@@ -89,6 +89,13 @@ def test_non_finite_delta_is_a_config_error(delta, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: delta override")
 
 
+def test_probe_error_names_its_values(tmp_path, capsys):
+    # the default probe depth 2 does not fit a radius-1 ball
+    assert main(["run", "--preset", "f2", "--radius", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: probe depth 2 must lie in [0, 1]\n"
+    assert main(["run", "--preset", "f2", "--radius", "1", "--probe", "1", "--out", str(tmp_path)]) == 0
+
+
 def test_exit_code_on_cap(tmp_path):
     out = tmp_path / "cap"
     code = main(["run", "--preset", "f2", "--radius", "6", "--cap", "50", "--out", str(out)])

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from subforge import hyperbolicity
 from subforge.ball import enumerate_ball
-from subforge.presentation import preset
+from subforge.presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from subforge.hyperbolicity import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
@@ -12,7 +15,16 @@ from subforge.hyperbolicity import (
 )
 from subforge.ball import TrustRadiusError
 
-from reference import BfsPairGeodesics, odd_relator_presentation, reevaluate_witness, validate_delta
+from reference import (
+    FOUR_GENERATORS,
+    TWO_RELATORS,
+    BfsPairGeodesics,
+    distinct_letter_relators,
+    odd_relator_presentation,
+    reevaluate_witness,
+    reference_delta,
+    validate_delta,
+)
 
 
 def test_f2_tree_delta_zero(f2_ball):
@@ -69,7 +81,7 @@ def test_sampled_mode_deterministic(surface_ball):
     b = compute_delta(surface_ball, 2, mode=MODE_SAMPLED, samples=150, seed=5)
     assert a.delta == b.delta
     assert a.delta <= compute_delta(surface_ball, 2).delta
-    assert a.triangles == 150
+    assert a.triangles == a.triangles_computed == 150
 
 
 def test_unknown_mode_is_an_error(surface_ball):
@@ -79,9 +91,58 @@ def test_unknown_mode_is_an_error(surface_ball):
 
 def test_triangle_counts(surface_ball):
     # exhaustive: the pairs x <= y of B_r, |B_r| (|B_r| + 1) / 2 of them
-    # (|B_4| = 161 in F2, |B_2| = 65 in the surface group)
-    assert compute_delta(enumerate_ball(preset("f2"), 8), 4).triangles == 13_041
-    assert compute_delta(surface_ball, 2).triangles == 2_145
+    # (|B_4| = 161 in F2, |B_2| = 65 in the surface group), of which one
+    # per orbit of the 8 (F2) or 4 (surface) letter symmetries is computed
+    f2 = compute_delta(enumerate_ball(preset("f2"), 8), 4)
+    assert (f2.triangles, f2.triangles_computed) == (13_041, 1_691)
+    surface = compute_delta(surface_ball, 2)
+    assert (surface.triangles, surface.triangles_computed) == (2_145, 561)
+
+
+def _same_delta(ball, r):
+    # every field but triangles_computed, which only the quotient lowers
+    est = compute_delta(ball, r)
+    ref = reference_delta(ball, r)
+    assert dataclasses.replace(est, triangles_computed=ref.triangles_computed) == ref
+    return est
+
+
+F5 = "gens: a A b B c C d D e E\n"
+
+
+@pytest.mark.parametrize(
+    "name, radius, r, triangles, computed",
+    [
+        ("f2", 6, 3, 1_431, 202),
+        ("f2", 8, 4, 13_041, 1_691),
+        ("z", 8, 4, 45, 25),
+        ("surface2", 4, 1, 45, 15),
+        ("surface2", 4, 2, 2_145, 561),
+        # only the identity symmetry: every triangle is computed
+        ("odd_relator", 4, 2, 153, 153),
+        # 2^5 5! = 3840 letter symmetries: none are searched
+        ("f5", 2, 1, 66, 66),
+    ],
+)
+def test_orbit_quotient_matches_every_triangle(name, radius, r, triangles, computed):
+    if name == "odd_relator":
+        pres = odd_relator_presentation()
+    elif name == "f5":
+        pres = parse_presentation(F5)
+    else:
+        pres = preset(name)
+    est = _same_delta(enumerate_ball(pres, radius), r)
+    assert (est.triangles, est.triangles_computed) == (triangles, computed)
+
+
+@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
+@example([FOUR_GENERATORS.parse_word("abABcdCD")])
+@example(list(TWO_RELATORS))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_orbit_quotient_matches_every_triangle_c16_family(relators):
+    p = Presentation(FOUR_GENERATORS, tuple(relators))
+    assume(verify_small_cancellation(p).satisfies_c16)
+    _same_delta(enumerate_ball(p, 4), 2)
 
 
 def test_pair_geodesics(surface_ball):
@@ -135,9 +196,10 @@ def test_delta_matches_whole_ball_bfs(ball_name, r, kwargs, request, monkeypatch
 def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     # vertices visited, summed over every BFS state of one delta run: a
     # work bound machine noise cannot move.  Only the thinness points keep
-    # BFS layers, 409 vertices over 89 points; with a BFS map per geodesic
-    # source as well it was 26,883, and 204,633 with each source expanded
-    # over the whole ball.
+    # BFS layers, 202 vertices over 74 points with one triangle per
+    # symmetry orbit; 409 over 89 points when every triangle was computed,
+    # 26,883 with a BFS map per geodesic source as well, and 204,633 with
+    # each source expanded over the whole ball.
     states = []
 
     class Recording(_PointLayers):
@@ -148,4 +210,4 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_PointLayers", Recording)
     assert compute_delta(surface4_ball, 2).delta == 2.0
     visited = sum(len(seen) for state in states for seen, _ in state.values())
-    assert 0 < visited <= 409
+    assert 0 < visited <= 202

@@ -108,8 +108,10 @@ def test_delta_override_recorded(surface_labeled_run):
 
 
 def test_delta_sample_count_recorded(surface_run):
-    # an exhaustive run counts every anchored triangle of B_2
+    # an exhaustive run counts every anchored triangle of B_2 and computes
+    # one per orbit of the 4 letter symmetries
     assert surface_run.report["delta"]["triangles"] == 2_145
+    assert surface_run.report["delta"]["triangles_computed"] == 561
     reports = [
         run_pipeline(
             RunConfig(preset="f2", radius=4, delta_mode="sampled-triangles", delta_samples=n, seed=7)
@@ -118,6 +120,7 @@ def test_delta_sample_count_recorded(surface_run):
     ]
     assert [r["config"]["delta_samples"] for r in reports] == [5, 9]
     assert [r["delta"]["triangles"] for r in reports] == [5, 9]
+    assert [r["delta"]["triangles_computed"] for r in reports] == [5, 9]
 
 
 def test_k_clamp_recorded():

@@ -9,6 +9,7 @@ from subforge.presentation import (
     Presentation,
     PresentationError,
     WordOracle,
+    letter_symmetries,
     parse_presentation,
     preset,
     verify_small_cancellation,
@@ -16,6 +17,7 @@ from subforge.presentation import (
 from subforge.words import free_reduce, inverse_word
 
 from bruteforce import naive_pieces
+from reference import odd_relator_presentation
 
 
 def test_parse_f2():
@@ -198,3 +200,26 @@ def test_degenerate_dehn_agrees_with_free_reduction():
 def test_degenerate_dehn_agrees_longer(w):
     dehn = DehnOracle(preset("f2"))
     assert dehn.reduce(w) == free_reduce(w, dehn.alphabet)
+
+
+@pytest.mark.parametrize("name, count", [("f2", 8), ("z", 2), ("surface2", 4), ("odd_relator", 1)])
+def test_letter_symmetries(name, count):
+    p = odd_relator_presentation() if name == "odd_relator" else preset(name)
+    syms = letter_symmetries(p)
+    assert len(syms) == len(set(syms)) == count
+    assert syms[0] == tuple(range(p.alphabet.size))
+    inv = p.alphabet.inverse
+    for sigma in syms:
+        assert sorted(sigma) == list(range(p.alphabet.size))
+        assert all(sigma[inv[x]] == inv[sigma[x]] for x in sigma)
+
+
+def test_letter_symmetries_surface2():
+    p = preset("surface2")
+    fmt = p.alphabet.format_word
+    # a<->c, b<->d rotates abABcdCD; a<->b, c<->d turns it into a
+    # conjugate of its inverse
+    assert [fmt(s) for s in letter_symmetries(p)] == ["aAbBcCdD", "bBaAdDcC", "cCdDaAbB", "dDcCbBaA"]
+    # a<->b alone sends abABcdCD to baBAcdCD, no conjugate of r or r^-1
+    swap_ab = tuple(p.alphabet.parse_word("bBaAcCdD"))
+    assert swap_ab not in letter_symmetries(p)
