@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .presentation import Presentation, PresentationError, relator_conjugates, verify_small_cancellation
@@ -157,34 +158,31 @@ class CayleyBall:
                 raise ValueError(f"letter {x} not in alphabet")
         return self.walk(0, word)
 
-    def translate(self, g: int, n: int) -> list[int]:
+    def translate(self, g: int, n: int, sigma: Sequence[int] | None = None) -> list[int]:
         """image[h] = g h for every h in B_n, in id order: each h is its
         parent times its last letter, and the parent's image comes first.
 
         This reads the ball around g off the ball around the identity:
         d(g, image[h]) = |h|.  Requires |g| + n <= radius, so that every
-        product lies inside the ball."""
+        product lies inside the ball.
+
+        With a letter symmetry sigma (``presentation.letter_symmetries``,
+        a table of letter images) the image is g sigma(h) instead: sigma
+        extends to an automorphism that relabels every edge x as
+        sigma[x] and keeps word length, so translate(0, n, sigma) maps B_n
+        onto itself."""
         if self.sphere_of[g] + n > self.radius:
             raise TrustRadiusError(
                 f"translating B_{n} by an element of length {self.sphere_of[g]} "
                 f"needs radius {self.sphere_of[g] + n}"
             )
-        parent, last_letter, neighbors = self.parent, self.last_letter, self.neighbors
+        stop = self.sphere(n).stop
+        parent, letter, neighbors = self.parent, self.last_letter, self.neighbors
+        if sigma is not None:
+            letter = [sigma[x] for x in letter[:stop]]  # letter[0] = -1 is never read
         image = [g]
-        for h in range(1, self.sphere(n).stop):
-            image.append(neighbors[image[parent[h]]][last_letter[h]])
-        return image
-
-    def apply_symmetry(self, sigma: tuple[int, ...], n: int) -> list[int]:
-        """image[h] = sigma(h) for every h in B_n, in id order, for a letter
-        symmetry sigma (``presentation.letter_symmetries``): sigma(h) is
-        sigma(parent) times sigma of the last letter, and the parent's
-        image comes first.  The automorphism keeps word length, so B_n maps
-        onto itself."""
-        parent, last_letter, neighbors = self.parent, self.last_letter, self.neighbors
-        image = [0]
-        for h in range(1, self.sphere(n).stop):
-            image.append(neighbors[image[parent[h]]][sigma[last_letter[h]]])
+        for h in range(1, stop):
+            image.append(neighbors[image[parent[h]]][letter[h]])
         return image
 
     def distance_between(self, u: int, v: int, limit: int) -> int | None:

@@ -44,11 +44,15 @@ meets the certificate.)  Only the pairs
 (x, y) that are lexicographically least in their orbit
 {sorted(sigma x, sigma y)} are computed.  The first maximal pair in
 enumeration order is least in its own orbit, so the witness is the one
-the unreduced loop finds.
+the unreduced loop finds.  The search for the symmetries grows as
+2^k k! in the number k of generator pairs, so it is run only when that
+count is at most the number of triangles; otherwise every triangle is
+computed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -60,21 +64,17 @@ MODE_EXHAUSTIVE = "exhaustive-triangles"
 MODE_SAMPLED = "sampled-triangles"
 DELTA_MODES = (MODE_EXHAUSTIVE, MODE_SAMPLED)
 
-# The symmetry search tries 2^k k! letter permutations for k generator
-# pairs, and a free group keeps every one, each mapped over B_r: past four
-# pairs (384) that can cost more than the triangles it saves, so every
-# triangle is computed.
-_MAX_SYMMETRY_PAIRS = 4
 
-
-class _PointLayers:
-    """BFS layers over the in-ball graph around each thinness point, grown
-    on demand and kept for the run; a search from a point rarely goes
-    past a few layers."""
+class _DeltaRun:
+    """What one delta computation keeps for the run: the BFS layers over
+    the in-ball graph around each thinness point, grown on demand (a
+    search from a point rarely goes past a few layers), and the geodesics
+    of each side from the identity, which most triangles share."""
 
     def __init__(self, ball: CayleyBall):
         self.ball = ball
         self._state: dict[int, tuple[set[int], list[list[int]]]] = {}
+        self._anchored: dict[int, list[tuple[int, ...]]] = {}
 
     def expand(self, source: int, depth: int) -> list[list[int]]:
         """Layers of the BFS from ``source`` out to ``depth`` (or until the
@@ -93,6 +93,18 @@ class _PointLayers:
                         nxt.append(w)
             layers.append(nxt)
         return layers
+
+    def side(self, a: int, b: int) -> list[tuple[int, ...]]:
+        """Every geodesic from a to b (``enumerate_pair_geodesics``); a
+        side from the identity is enumerated once per run."""
+        if a == b:
+            return [(a,)]
+        if a:
+            return enumerate_pair_geodesics(self.ball, a, b)
+        geos = self._anchored.get(b)
+        if geos is None:
+            geos = self._anchored[b] = enumerate_pair_geodesics(self.ball, 0, b)
+        return geos
 
 
 def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int) -> list[tuple[int, ...]]:
@@ -160,26 +172,11 @@ class DeltaEstimate:
     exact_distances: bool = True
 
 
-def _side_geodesics(ball, x, y, anchored=None):
-    """Geodesics of the sides id-x, id-y and x-y.  ``anchored`` caches the
-    sides from the identity, which most triangles share, by endpoint."""
-    if anchored is None:
-        anchored = {}
-
-    def side(a, b):
-        if a == b:
-            return [(a,)]
-        if a:
-            return enumerate_pair_geodesics(ball, a, b)
-        geos = anchored.get(b)
-        if geos is None:
-            geos = anchored[b] = enumerate_pair_geodesics(ball, 0, b)
-        return geos
-
-    return [side(0, x), side(0, y), side(x, y)]
+def _side_geodesics(run, x, y):
+    return [run.side(a, b) for a, b in ((0, x), (0, y), (x, y))]
 
 
-def _point_thinness(ball, points, p, other_sides):
+def _point_thinness(ball, run, p, other_sides):
     """min over the two other sides of (max over geodesics of d(p, geo)).
 
     ``other_sides`` holds, per side, the vertex set of each of its
@@ -191,7 +188,7 @@ def _point_thinness(ball, points, p, other_sides):
     exact = True
     depth = 0
     while True:
-        layers = points.expand(p, depth)
+        layers = run.expand(p, depth)
         if depth >= len(layers):
             raise AssertionError("thinness BFS exhausted the ball")
         layer = set(layers[depth])
@@ -213,11 +210,10 @@ def _point_thinness(ball, points, p, other_sides):
         depth += 1
 
 
-def triangle_thinness(ball, points, x, y, anchored=None):
+def triangle_thinness(ball, run, x, y):
     """Worst thinness value over all points of all sides of the anchored
-    triangle (identity, x, y); returns (value, witness, exact_flag).
-    ``anchored`` is ``_side_geodesics``'s cache."""
-    sides = _side_geodesics(ball, x, y, anchored)
+    triangle (identity, x, y); returns (value, witness, exact_flag)."""
+    sides = _side_geodesics(run, x, y)
     vertex_sets = [[set(geo) for geo in side] for side in sides]
     best = (-1, None, True)
     for si in range(3):
@@ -228,7 +224,7 @@ def triangle_thinness(ball, points, x, y, anchored=None):
                 if p in seen_points:
                     continue
                 seen_points.add(p)
-                value, exact = _point_thinness(ball, points, p, others)
+                value, exact = _point_thinness(ball, run, p, others)
                 if value > best[0]:
                     best = (value, TriangleWitness(x, y, si, p, value), exact)
                 elif value == best[0] and not exact:
@@ -273,11 +269,19 @@ def compute_delta(
         raise ValueError(f"delta radius {r} needs ball radius >= {2 * r}")
     n = ball.sphere(r).stop  # B_r is range(n)
     if mode == MODE_EXHAUSTIVE:
-        images = []
-        if len(ball.presentation.alphabet.pairs) <= _MAX_SYMMETRY_PAIRS:
-            # the identity comes first and is left out
-            images = [ball.apply_symmetry(s, r) for s in letter_symmetries(ball.presentation)[1:]]
         triangles = n * (n + 1) // 2
+        images = []
+        # The search tries the 2^k k! signed permutations of the k generator
+        # pairs; each symmetry it keeps (every candidate, in a free group)
+        # is mapped over B_r and tested against the pairs.  Per candidate
+        # that is a fraction of one triangle's cost, so the quotient is
+        # taken only when there are no more candidates than triangles: F5
+        # (3,840 candidates) is 6x slower with it at r=1 (66 triangles) and
+        # 2x faster at r=2 (5,151).
+        k = len(ball.presentation.alphabet.pairs)
+        if 2**k * math.factorial(k) <= triangles:
+            # the identity comes first and is left out
+            images = [ball.translate(0, r, s) for s in letter_symmetries(ball.presentation)[1:]]
         pairs = _orbit_representatives(n, images)
     elif mode == MODE_SAMPLED:
         rng = random.Random(seed)
@@ -287,13 +291,12 @@ def compute_delta(
     else:
         raise ValueError(f"unknown delta mode {mode!r}")
 
-    points = _PointLayers(ball)
-    anchored: dict[int, list[tuple[int, ...]]] = {}
+    run = _DeltaRun(ball)
     value, witness, exact = -1, None, True
     computed = 0
     for x, y in pairs:
         computed += 1
-        v, w, ex = triangle_thinness(ball, points, x, y, anchored)
+        v, w, ex = triangle_thinness(ball, run, x, y)
         if v > value:
             value, witness = v, w
         exact = exact and ex

@@ -28,7 +28,7 @@ from subforge.hyperbolicity import (
     MODE_EXHAUSTIVE,
     DeltaEstimate,
     TriangleWitness,
-    _PointLayers,
+    _DeltaRun,
     _point_thinness,
     _side_geodesics,
     triangle_thinness,
@@ -455,16 +455,16 @@ class BfsPairGeodesics:
 
 
 def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
-    """Exhaustive delta with no symmetry quotient and no side cache: every
-    anchored triangle (1, x, y) with x <= y in B_r is computed."""
+    """Exhaustive delta with no symmetry quotient: every anchored triangle
+    (1, x, y) with x <= y in B_r is computed."""
     n = ball.sphere(r).stop
-    points = _PointLayers(ball)
+    run = _DeltaRun(ball)
     value, witness, exact = -1, None, True
     triangles = 0
     for x in range(n):
         for y in range(x, n):
             triangles += 1
-            v, w, ex = triangle_thinness(ball, points, x, y)
+            v, w, ex = triangle_thinness(ball, run, x, y)
             if v > value:
                 value, witness = v, w
             exact = exact and ex
@@ -481,9 +481,10 @@ def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
 
 def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness) -> int:
     """Recompute the thinness value of a stored witness triangle."""
-    sides = _side_geodesics(ball, witness.x, witness.y)
+    run = _DeltaRun(ball)
+    sides = _side_geodesics(run, witness.x, witness.y)
     others = [[set(geo) for geo in sides[(witness.side + k) % 3]] for k in (1, 2)]
-    value, _ = _point_thinness(ball, _PointLayers(ball), witness.point, others)
+    value, _ = _point_thinness(ball, run, witness.point, others)
     return value
 
 
@@ -502,10 +503,10 @@ def validate_delta(
         r = ball.radius // 2
     rng = random.Random(seed)
     ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
-    points = _PointLayers(ball)
+    run = _DeltaRun(ball)
     for _ in range(samples):
         x, y = rng.choice(ids), rng.choice(ids)
-        value, witness, _ = triangle_thinness(ball, points, x, y)
+        value, witness, _ = triangle_thinness(ball, run, x, y)
         if value > delta:
             return False, witness
     return True, None

@@ -297,7 +297,7 @@ def test_letter_symmetries_are_ball_automorphisms(name):
     p = odd_relator_presentation() if name == "odd_relator" else preset(name)
     ball = enumerate_ball(p, 4)
     for sigma in letter_symmetries(p):
-        image = ball.apply_symmetry(sigma, 4)
+        image = ball.translate(0, 4, sigma)
         assert sorted(image) == list(range(ball.size))
         assert all(ball.sphere_of[image[e]] == ball.sphere_of[e] for e in range(ball.size))
         for e, nbrs in enumerate(ball.neighbors):

@@ -9,7 +9,7 @@ from subforge.presentation import Presentation, parse_presentation, preset, veri
 from subforge.hyperbolicity import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
-    _PointLayers,
+    _DeltaRun,
     compute_delta,
     enumerate_pair_geodesics,
 )
@@ -108,6 +108,8 @@ def _same_delta(ball, r):
 
 
 F5 = "gens: a A b B c C d D e E\n"
+# five pairs and one C'(1/6) relator with 20 letter symmetries
+F5_RELATOR = F5 + "relators: abcdeABCDE\n"
 
 
 @pytest.mark.parametrize(
@@ -116,12 +118,16 @@ F5 = "gens: a A b B c C d D e E\n"
         ("f2", 6, 3, 1_431, 202),
         ("f2", 8, 4, 13_041, 1_691),
         ("z", 8, 4, 45, 25),
-        ("surface2", 4, 1, 45, 15),
+        # 2^4 4! = 384 candidates for 45 triangles: no search
+        ("surface2", 4, 1, 45, 45),
         ("surface2", 4, 2, 2_145, 561),
         # only the identity symmetry: every triangle is computed
         ("odd_relator", 4, 2, 153, 153),
-        # 2^5 5! = 3840 letter symmetries: none are searched
+        # 2^5 5! = 3,840 candidates: no search for 66 triangles; for
+        # 5,151 all 3,840 are symmetries of F5 and 20 of the relator
         ("f5", 2, 1, 66, 66),
+        ("f5", 4, 2, 5_151, 37),
+        ("f5_relator", 4, 2, 5_151, 289),
     ],
 )
 def test_orbit_quotient_matches_every_triangle(name, radius, r, triangles, computed):
@@ -129,6 +135,8 @@ def test_orbit_quotient_matches_every_triangle(name, radius, r, triangles, compu
         pres = odd_relator_presentation()
     elif name == "f5":
         pres = parse_presentation(F5)
+    elif name == "f5_relator":
+        pres = parse_presentation(F5_RELATOR)
     else:
         pres = preset(name)
     est = _same_delta(enumerate_ball(pres, radius), r)
@@ -202,12 +210,12 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     # each source expanded over the whole ball.
     states = []
 
-    class Recording(_PointLayers):
+    class Recording(_DeltaRun):
         def __init__(self, ball):
             super().__init__(ball)
             states.append(self._state)
 
-    monkeypatch.setattr(hyperbolicity, "_PointLayers", Recording)
+    monkeypatch.setattr(hyperbolicity, "_DeltaRun", Recording)
     assert compute_delta(surface4_ball, 2).delta == 2.0
     visited = sum(len(seen) for state in states for seen, _ in state.values())
     assert 0 < visited <= 202
