@@ -3,9 +3,13 @@
 Elements are dense integer ids in shortlex-BFS discovery order (0 is the
 identity), so id order is exactly shortlex order of the normal forms and
 ids agree across balls of different radii over the same presentation.
-The ball stores one parent link and one last letter per element; the
-normal form of an element is its parent's normal form plus that letter,
-and a sphere is the run of ids with one level.
+
+The ball is four flat lists.  ``sphere_of``, ``parent`` and
+``last_letter`` hold one entry per element: its level and the last edge
+of its normal form, which is its parent's normal form plus that letter.
+``table`` holds the Cayley graph, one row of |A| ids per element:
+``table[e * |A| + x]`` is the id of e*x, or -1 when e*x lies outside the
+ball.  A sphere is the run of ids with one level.
 
 Enumeration decides group equality without a word-problem oracle: a
 coincidence g*x = u is found by walking one relator loop from g through
@@ -18,7 +22,8 @@ every query walks that graph.
 from __future__ import annotations
 
 import hashlib
-import pickle
+import sys
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -42,19 +47,27 @@ class TrustRadiusError(ValueError):
     """A query needed data beyond the enumerated radius."""
 
 
-def bidirectional_distance(adjacent, u: int, v: int, limit: int) -> int | None:
-    """Distance from u to v in the graph whose neighbours of w are
-    ``adjacent(w)``; None when it exceeds ``limit`` or v is unreachable.
+def bidirectional_distance(table: list[int], degree: int, u: int, v: int, limit: int) -> int | None:
+    """Distance from u to v in the graph of a flat neighbour table, whose
+    row ``table[w * degree : (w + 1) * degree]`` lists the neighbours of w
+    padded with -1; None when it exceeds ``limit`` or v is unreachable.
 
     Grows the smaller of the BFS frontiers around u and v one full layer at
     a time.  While the balls of radii a around u and b around v are
     disjoint, d(u, v) > a + b; so when a layer grown to radius a + 1 first
-    meets the other ball, d(u, v) = a + 1 + b exactly.
+    meets the other ball, d(u, v) = a + 1 + b exactly.  Each vertex reached
+    is marked with its side in one byte (1 from u, 2 from v), so a
+    neighbour costs one index and no hashing; the last byte, which -1
+    reads, is marked as neither side's.  The marks take one byte per
+    vertex per call (tens of microseconds per million vertices).
     """
     if u == v:
         return 0
-    near, far = {u}, {v}
+    mark = bytearray(len(table) // degree + 1)
+    mark[-1] = 3
+    mark[u], mark[v] = 1, 2
     near_front, far_front = [u], [v]
+    near, far = 1, 2
     reached = 0  # sum of the two radii
     while reached < limit and near_front and far_front:
         if len(near_front) > len(far_front):
@@ -62,36 +75,50 @@ def bidirectional_distance(adjacent, u: int, v: int, limit: int) -> int | None:
         reached += 1
         nxt = []
         for w in near_front:
-            for t in adjacent(w):
-                if t in far:
-                    return reached
-                if t not in near:
-                    near.add(t)
+            i = w * degree
+            for t in table[i : i + degree]:
+                m = mark[t]
+                if not m:
+                    mark[t] = near
                     nxt.append(t)
+                elif m == far:
+                    return reached
         near_front = nxt
     return None
 
 
-# Everything the cache stores besides the presentation text.
-_GRAPH_FIELDS = ("radius", "sphere_of", "parent", "last_letter", "neighbors")
-
-# Cache file layout: magic, format version (2 bytes, big-endian), sha256
-# of the pickle payload, then the payload.
+# Cache file layout: magic, format version (2 bytes, big-endian) and the
+# sha256 of the payload.  The payload is the length of the presentation
+# text and the text (UTF-8), the radius, the alphabet size, the R + 1
+# sphere sizes, then the tables ``parent`` (N ids), ``last_letter``
+# (N letters) and ``table`` (N |A| ids); every number is a little-endian
+# int32.
 CACHE_MAGIC = b"subforge-ball\n"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 CACHE_HEADER_LEN = len(CACHE_MAGIC) + 2 + 32
+
+
+def _int32(values: Sequence[int]) -> array:
+    """The values as little-endian int32."""
+    a = array("i", values)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
 
 
 @dataclass
 class CayleyBall:
-    """Enumerated ball: levels, parent links and in-ball adjacency.
+    """Enumerated ball: levels, parent links and the in-ball Cayley graph
+    as one flat letter table.
 
     Immutable after construction; safe for concurrent shared reads.
     ``sphere_of`` is non-decreasing in the id.  ``parent[e]`` and
     ``last_letter[e]`` give the last edge of the normal form of e (-1 at
     the identity); the parent links form the geodesic tree.
-    ``neighbors[e]`` maps letters to target ids for every generator move
-    that lands inside the ball (boundary sphere included).
+    ``table[e * degree + x]`` is the id of e*x for every generator move
+    that lands inside the ball (boundary sphere included), and -1 for
+    every move that leaves it.  All four are plain lists of ints, of
+    length N or N * degree.
     """
 
     presentation: Presentation
@@ -99,13 +126,18 @@ class CayleyBall:
     sphere_of: list[int]
     parent: list[int]
     last_letter: list[int]
-    neighbors: list[dict[int, int]]
+    table: list[int]
 
     # -- queries ----------------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self.parent)
+
+    @property
+    def degree(self) -> int:
+        """Alphabet size: the length of one table row."""
+        return self.presentation.alphabet.size
 
     @property
     def sphere_sizes(self) -> list[int]:
@@ -118,6 +150,11 @@ class CayleyBall:
             raise TrustRadiusError(f"sphere {n} outside ball of radius {self.radius}")
         return range(bisect_left(self.sphere_of, n), bisect_left(self.sphere_of, n + 1))
 
+    def row(self, e: int) -> list[int]:
+        """e*x for every letter x in order, -1 where it leaves the ball."""
+        a = self.degree
+        return self.table[e * a : e * a + a]
+
     def normal_form(self, e: int) -> Word:
         """Shortlex normal form of e, read up the parent chain."""
         letters = []
@@ -129,21 +166,18 @@ class CayleyBall:
     def children(self, v: int) -> list[int]:
         """Children of v in the geodesic tree, in id order: the neighbours
         w with parent v, reached by the letter ``last_letter[w]``."""
-        return [
-            w
-            for x, w in sorted(self.neighbors[v].items())
-            if self.parent[w] == v and self.last_letter[w] == x
-        ]
+        parent, letter = self.parent, self.last_letter
+        return [w for x, w in enumerate(self.row(v)) if w >= 0 and parent[w] == v and letter[w] == x]
 
     def walk(self, start: int, word: Word) -> int | None:
         """Follow ``word`` through in-ball edges; None means the walk left
         the ball at some prefix (the endpoint may or may not be inside)."""
+        table, a = self.table, self.degree
         e = start
         for x in word:
-            nxt = self.neighbors[e].get(x)
-            if nxt is None:
+            e = table[e * a + x]
+            if e < 0:
                 return None
-            e = nxt
         return e
 
     def element_of(self, word: Word | str) -> int | None:
@@ -177,12 +211,12 @@ class CayleyBall:
                 f"needs radius {self.sphere_of[g] + n}"
             )
         stop = self.sphere(n).stop
-        parent, letter, neighbors = self.parent, self.last_letter, self.neighbors
+        parent, letter, table, a = self.parent, self.last_letter, self.table, self.degree
         if sigma is not None:
             letter = [sigma[x] for x in letter[:stop]]  # letter[0] = -1 is never read
         image = [g]
         for h in range(1, stop):
-            image.append(neighbors[image[parent[h]]][letter[h]])
+            image.append(table[image[parent[h]] * a + letter[h]])
         return image
 
     def distance_between(self, u: int, v: int, limit: int) -> int | None:
@@ -190,34 +224,80 @@ class CayleyBall:
         exceeds ``limit``.  Exact whenever some true geodesic between them
         stays inside the ball (guaranteed e.g. when
         (|u| + |v| + limit) / 2 <= radius)."""
-        neighbors = self.neighbors
-        return bidirectional_distance(lambda w: neighbors[w].values(), u, v, limit)
+        return bidirectional_distance(self.table, self.degree, u, v, limit)
 
     # -- cache -------------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        payload = {"text": self.presentation.text()}
-        payload.update((name, getattr(self, name)) for name in _GRAPH_FIELDS)
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return CACHE_MAGIC + CACHE_VERSION.to_bytes(2, "big") + hashlib.sha256(data).digest() + data
+    def to_bytes(self) -> bytearray:
+        """The cache file: the header, then the payload.  Tables are
+        converted 8,192 values at a time, so that serialising holds the
+        file and one small chunk, never a second copy of a table."""
+        text = self.presentation.text().encode()
+        out = bytearray(CACHE_MAGIC + CACHE_VERSION.to_bytes(2, "big") + bytes(32))
+        out += _int32([len(text)])
+        out += text
+        out += _int32([self.radius, self.degree, *self.sphere_sizes])
+        for values in (self.parent, self.last_letter, self.table):
+            for i in range(0, len(values), 1 << 13):
+                out += _int32(values[i : i + (1 << 13)])
+        out[len(CACHE_MAGIC) + 2 : CACHE_HEADER_LEN] = hashlib.sha256(memoryview(out)[CACHE_HEADER_LEN:]).digest()
+        return out
 
     @classmethod
     def from_bytes(cls, data: bytes, presentation: Presentation) -> "CayleyBall":
         """Load a ball written by ``to_bytes``; raises ValueError unless
-        the header, the payload checksum and the presentation all match."""
+        the header, the payload checksum and the presentation all match
+        and the table lengths agree with the radius, the alphabet size
+        and the sphere sizes in the header."""
         magic_end = len(CACHE_MAGIC)
         if data[:magic_end] != CACHE_MAGIC:
             raise ValueError("not a subforge ball cache file")
         version = int.from_bytes(data[magic_end : magic_end + 2], "big")
         if version != CACHE_VERSION:
             raise ValueError(f"cache format version {version}, expected {CACHE_VERSION}")
-        body = data[CACHE_HEADER_LEN:]
+        body = memoryview(data)[CACHE_HEADER_LEN:]
         if hashlib.sha256(body).digest() != data[magic_end + 2 : CACHE_HEADER_LEN]:
             raise ValueError("cache payload checksum mismatch")
-        payload = pickle.loads(body)
-        if payload["text"] != presentation.text():
+        pos = 0
+
+        def ints(count: int) -> array:
+            nonlocal pos
+            end = pos + 4 * count
+            if end > len(body):
+                raise ValueError("cache payload shorter than its header says")
+            a = array("i")
+            a.frombytes(body[pos:end])
+            if sys.byteorder == "big":
+                a.byteswap()
+            pos = end
+            return a
+
+        (text_len,) = ints(1)
+        text = bytes(body[pos : pos + text_len]).decode()
+        pos += text_len
+        if text != presentation.text():
             raise ValueError("cached ball belongs to a different presentation")
-        return cls(presentation, **{name: payload[name] for name in _GRAPH_FIELDS})
+        radius, degree = ints(2)
+        if radius < 0 or degree != presentation.alphabet.size:
+            raise ValueError(f"cache header gives radius {radius} and {degree} letters")
+        sizes = ints(radius + 1).tolist()
+        n = sum(sizes)
+        if min(sizes) < 0 or len(body) - pos != 4 * n * (2 + degree):
+            raise ValueError("cache tables do not match the radius, alphabet size and sphere sizes")
+        # Every id is mapped through one shared int object per element,
+        # as enumeration makes them; ids[-1] is -1, for "outside the ball".
+        ids = list(range(n))
+        ids.append(-1)
+        try:
+            parent = list(map(ids.__getitem__, ints(n)))
+            last_letter = ints(n).tolist()
+            table = list(map(ids.__getitem__, ints(n * degree)))
+        except IndexError:
+            raise ValueError("cache tables name an id outside the ball") from None
+        sphere_of: list[int] = []
+        for level, size in enumerate(sizes):
+            sphere_of += [level] * size
+        return cls(presentation, radius, sphere_of, parent, last_letter, table)
 
 
 def cache_key(pres: Presentation, radius: int) -> str:
@@ -265,6 +345,11 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     coincidence (possible only with odd relators) is the same argument
     with the side of length 1 in place of x'.
 
+    The letter table is written in place: a new element appends a row of
+    -1 and the edge back to its parent.  Each sphere is walked as the list
+    of the id objects its elements were created with, so every entry that
+    names an element refers to one int object.
+
     With no relators the loop table is empty and every candidate is new.
     Raises PresentationError when the relators are not C'(1/6).
     """
@@ -272,61 +357,68 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
         raise ValueError("radius must be >= 0")
     if pres.relators and not verify_small_cancellation(pres).satisfies_c16:
         raise PresentationError("ball enumeration requires a C'(1/6) presentation")
-    alphabet = pres.alphabet
-    inv = alphabet.inverse
+    a = pres.alphabet.size
+    inv = pres.alphabet.inverse
     loops = _relator_loops(pres)
+    blank = [-1] * a
 
     sphere_of: list[int] = [0]
     parent: list[int] = [-1]
     last_letter: list[int] = [-1]
-    neighbors: list[dict[int, int]] = [{}]
+    table: list[int] = list(blank)
+    starts = [0]  # starts[n]: id of the first element of sphere n
 
     def close(g: int, x: int) -> int | None:
         """g*x when some relator loop through x closes on recorded edges."""
         for loop in loops[x]:
             e = g
             for y in loop:
-                e = neighbors[e].get(y)
-                if e is None:
+                e = table[e * a + y]
+                if e < 0:
                     break
             else:
                 return e
         return None
 
-    first = 0  # id of the first element of sphere n
+    sphere = [0]
     for n in range(radius):
-        last = len(parent)
-        for g in range(first, last):
-            nbrs = neighbors[g]
-            for x in range(alphabet.size):
-                if x in nbrs:
+        starts.append(len(parent))
+        nxt = []
+        for g in sphere:
+            row = g * a
+            for x in range(a):
+                if table[row + x] >= 0:
                     continue  # edge already known from the other endpoint
                 found = close(g, x)
                 if found is not None:
-                    nbrs[x] = found
-                    neighbors[found].setdefault(inv[x], g)
+                    table[row + x] = found
+                    table[found * a + inv[x]] = g
                     continue
                 e = len(parent)
                 if e >= cap:
-                    raise BallCapExceeded(cap, [sphere_of.count(k) for k in range(n + 2)])
+                    sizes = [b - s for s, b in zip(starts, starts[1:])]
+                    raise BallCapExceeded(cap, sizes + [e - starts[-1]])
                 sphere_of.append(n + 1)
                 parent.append(g)
                 last_letter.append(x)
-                neighbors.append({inv[x]: g})
-                nbrs[x] = e
-        first = last
+                table += blank
+                table[e * a + inv[x]] = g
+                table[row + x] = e
+                nxt.append(e)
+        sphere = nxt
 
     # Boundary sweep: edges from the outer sphere downward were recorded
     # while the lower spheres were processed; only same-sphere edges remain.
     if pres.relators:
-        for g in range(first, len(parent)):
-            for x in range(alphabet.size):
-                if x in neighbors[g]:
+        for g in sphere:
+            row = g * a
+            for x in range(a):
+                if table[row + x] >= 0:
                     continue
                 found = close(g, x)
                 if found is not None:
-                    neighbors[g][x] = found
-                    neighbors[found].setdefault(inv[x], g)
+                    table[row + x] = found
+                    table[found * a + inv[x]] = g
 
     return CayleyBall(
         presentation=pres,
@@ -334,5 +426,5 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
         sphere_of=sphere_of,
         parent=parent,
         last_letter=last_letter,
-        neighbors=neighbors,
+        table=table,
     )

@@ -14,11 +14,18 @@ exhibit at p.  The reported delta is the maximum over all points; it is a
 lower bound for the true constant, since bigger triangles may exist
 outside the checked radius.
 
-Distances are measured inside the ball.  A measured distance d(p, v) is
-certified exact when (|p| + |v| + d) / 2 <= R, which forces some true
-geodesic to stay inside; measurements failing the certificate only ever
-overestimate and are flagged so the estimate never silently stops being a
-lower bound.
+Distances are measured inside the ball, and every one the thinness
+search uses is exact.  Every vertex of a geodesic from p to v lies within
+(|p| + |v| + d(p, v)) / 2 of the identity, so the in-ball BFS measures
+d(p, v) exactly when |p| + |v| + d(p, v) <= 2R.  The search from p stops
+by its depth D to an endpoint shared with the other sides.  For p on a
+side from the identity to x, |p| <= r and D <= min(|p|, d(p, x)) <= r/2,
+so every hit v at depth d <= D has |p| + |v| + d <= 2|p| + 2D <= 3r.  For
+p on the side from x to y, say with d(p, x) <= d(p, y), the other sides
+lie in B_r, D <= d(p, x) <= d(x, y) / 2 <= r and |p| <= r + d(p, x), so
+|p| + |v| + d <= 2r + 2 d(p, x) <= 4r.  ``compute_delta`` requires
+2r <= R, so 4r <= 2R: the estimate is exact on the ball and a lower bound
+for the group.
 
 Every side's geodesics are enumerated in full, with no cap.  In a free
 group the geodesic between two points is unique; in a C'(1/6) group two
@@ -38,10 +45,8 @@ Exhaustive mode computes one triangle per symmetry orbit.  A letter
 symmetry sigma of the presentation (``letter_symmetries``) is a Cayley
 graph automorphism that fixes the identity and keeps word length, so it
 maps B_R onto itself with in-ball distances intact: the triangle
-(1, sigma x, sigma y) has the same thinness as (1, x, y).  (The
-exactness flag cannot differ either: with 2r <= R every measured hit
-meets the certificate.)  Only the pairs
-(x, y) that are lexicographically least in their orbit
+(1, sigma x, sigma y) has the same thinness as (1, x, y).  Only the
+pairs (x, y) that are lexicographically least in their orbit
 {sorted(sigma x, sigma y)} are computed.  The first maximal pair in
 enumeration order is least in its own orbit, so the witness is the one
 the unreduced loop finds.  The search for the symmetries grows as
@@ -83,12 +88,12 @@ class _DeltaRun:
         if st is None:
             st = self._state[source] = ({source}, [[source]])
         seen, layers = st
-        neighbors = self.ball.neighbors
+        table, a = self.ball.table, self.ball.degree
         while len(layers) - 1 < depth and layers[-1]:
             nxt = []
             for v in layers[-1]:
-                for w in neighbors[v].values():
-                    if w not in seen:
+                for w in table[v * a : v * a + a]:
+                    if w >= 0 and w not in seen:
                         seen.add(w)
                         nxt.append(w)
             layers.append(nxt)
@@ -117,7 +122,7 @@ def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int) -> list[tuple[int
     it steps z's side one level down.  Requires |x| + |y| <= radius, so
     that z and every geodesic between x and y lie inside the ball.
     """
-    sphere_of, neighbors = ball.sphere_of, ball.neighbors
+    sphere_of, table, a = ball.sphere_of, ball.table, ball.degree
     if sphere_of[x] + sphere_of[y] > ball.radius:
         raise TrustRadiusError(
             f"geodesics between lengths {sphere_of[x]} and {sphere_of[y]} need radius "
@@ -136,7 +141,8 @@ def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int) -> list[tuple[int
             paths.append(tuple(reversed(stack)))
             return
         level = sphere_of[l]
-        steps = [(neighbors[v][a], t) for a, t in neighbors[l].items() if sphere_of[t] < level]
+        i, j = v * a, l * a
+        steps = [(table[i + b], t) for b, t in enumerate(table[j : j + a]) if t >= 0 and sphere_of[t] < level]
         if len(steps) > 1:
             steps.sort()
         for w, t in steps:
@@ -169,23 +175,21 @@ class DeltaEstimate:
     triangles: int  # anchored triangles checked
     triangles_computed: int  # of which computed: one per symmetry orbit
     is_lower_bound: bool = True
-    exact_distances: bool = True
 
 
 def _side_geodesics(run, x, y):
     return [run.side(a, b) for a, b in ((0, x), (0, y), (x, y))]
 
 
-def _point_thinness(ball, run, p, other_sides):
+def _point_thinness(run, p, other_sides):
     """min over the two other sides of (max over geodesics of d(p, geo)).
 
     ``other_sides`` holds, per side, the vertex set of each of its
     geodesics.  Expands the BFS from p one layer at a time and stops as
-    soon as one side has every geodesic hit.  Returns (value, exact_flag).
+    soon as one side has every geodesic hit.
     """
     targets = list(other_sides)
     maxima = [0, 0]
-    exact = True
     depth = 0
     while True:
         layers = run.expand(p, depth)
@@ -195,27 +199,22 @@ def _point_thinness(ball, run, p, other_sides):
         for si in (0, 1):
             remaining = []
             for geo in targets[si]:
-                common = geo & layer
-                if common:
-                    if depth > maxima[si]:
-                        maxima[si] = depth
-                    hit = next(iter(common))
-                    if ball.sphere_of[p] + ball.sphere_of[hit] + depth > 2 * ball.radius:
-                        exact = False
-                else:
+                if geo.isdisjoint(layer):
                     remaining.append(geo)
+                elif depth > maxima[si]:
+                    maxima[si] = depth
             targets[si] = remaining
             if not remaining:
-                return maxima[si], exact
+                return maxima[si]
         depth += 1
 
 
-def triangle_thinness(ball, run, x, y):
+def triangle_thinness(run, x, y):
     """Worst thinness value over all points of all sides of the anchored
-    triangle (identity, x, y); returns (value, witness, exact_flag)."""
+    triangle (identity, x, y); returns (value, witness)."""
     sides = _side_geodesics(run, x, y)
     vertex_sets = [[set(geo) for geo in side] for side in sides]
-    best = (-1, None, True)
+    best = (-1, None)
     for si in range(3):
         others = [vertex_sets[(si + 1) % 3], vertex_sets[(si + 2) % 3]]
         seen_points = set()
@@ -224,11 +223,9 @@ def triangle_thinness(ball, run, x, y):
                 if p in seen_points:
                     continue
                 seen_points.add(p)
-                value, exact = _point_thinness(ball, run, p, others)
+                value = _point_thinness(run, p, others)
                 if value > best[0]:
-                    best = (value, TriangleWitness(x, y, si, p, value), exact)
-                elif value == best[0] and not exact:
-                    best = (best[0], best[1], best[2] and exact)
+                    best = (value, TriangleWitness(x, y, si, p, value))
     return best
 
 
@@ -292,14 +289,13 @@ def compute_delta(
         raise ValueError(f"unknown delta mode {mode!r}")
 
     run = _DeltaRun(ball)
-    value, witness, exact = -1, None, True
+    value, witness = -1, None
     computed = 0
     for x, y in pairs:
         computed += 1
-        v, w, ex = triangle_thinness(ball, run, x, y)
+        v, w = triangle_thinness(run, x, y)
         if v > value:
             value, witness = v, w
-        exact = exact and ex
     return DeltaEstimate(
         delta=float(max(value, 0)),
         radius_checked=r,
@@ -307,5 +303,4 @@ def compute_delta(
         witness=witness,
         triangles=triangles,
         triangles_computed=computed,
-        exact_distances=exact,
     )

@@ -184,10 +184,9 @@ def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor
         if depth > table.trusted_depth - 1:
             break
         cls = table.class_of[e]
-        for x in range(ball.presentation.alphabet.size):
-            child = ball.neighbors[e].get(x)
+        for x, child in enumerate(ball.row(e)):
             is_tree_child = (
-                child is not None
+                child >= 0
                 and ball.parent[child] == e
                 and ball.last_letter[child] == x
             )
@@ -225,8 +224,8 @@ def check_prefix_closure(ball: CayleyBall) -> bool:
     letter, with the parent earlier in id order.  This makes the normal
     forms read up the parent chain prefix-closed, and makes each one spell
     its element."""
-    parent, last_letter, neighbors = ball.parent, ball.last_letter, ball.neighbors
+    parent, last_letter, table, a = ball.parent, ball.last_letter, ball.table, ball.degree
     return all(
-        0 <= parent[e] < e and neighbors[parent[e]].get(last_letter[e]) == e
+        0 <= parent[e] < e and table[parent[e] * a + last_letter[e]] == e
         for e in range(1, ball.size)
     )

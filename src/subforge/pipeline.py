@@ -239,7 +239,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "triangles": estimate.triangles,
             "triangles_computed": estimate.triangles_computed,
             "is_lower_bound": True,
-            "exact_distances": estimate.exact_distances,
             "witness": None
             if estimate.witness is None
             else {

@@ -51,23 +51,31 @@ def _trusted_vertices(graph: SubdivisionGraph) -> range:
     return range(graph.ball.sphere(graph.n_max).stop if graph.n_max >= 0 else 0)
 
 
-def _xi_adjacency(graph: SubdivisionGraph) -> dict[int, list[int]]:
+def _xi_adjacency(graph: SubdivisionGraph) -> tuple[list[int], int]:
     """Unit-length adjacency of the subdivision graph restricted to the
-    trusted levels (vertical tree edges plus horizontal edges)."""
-    adj: dict[int, list[int]] = {v: [] for v in _trusted_vertices(graph)}
-    ball = graph.ball
-    for v in adj:
-        if v != 0 and ball.parent[v] in adj:
-            adj[v].append(ball.parent[v])
-            adj[ball.parent[v]].append(v)
+    trusted levels (vertical tree edges plus horizontal edges), as a flat
+    table of rows of ``degree`` neighbour ids padded with -1 (the layout
+    of the ball's letter table); returns (table, degree)."""
+    rows: list[list[int]] = [[] for _ in _trusted_vertices(graph)]
+    parent = graph.ball.parent
+    for v in range(1, len(rows)):
+        rows[v].append(parent[v])
+        rows[parent[v]].append(v)
     for _, (u, v) in graph.all_level_edges():
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+        rows[u].append(v)
+        rows[v].append(u)
+    degree = max(map(len, rows), default=0)
+    table: list[int] = []
+    for row in rows:
+        table += row
+        table += [-1] * (degree - len(row))
+    return table, degree
 
 
-def _bfs_distance(adj: dict[int, list[int]], source: int, target: int) -> int:
-    d = bidirectional_distance(adj.__getitem__, source, target, len(adj))
+def _bfs_distance(adj: tuple[list[int], int], source: int, target: int) -> int:
+    table, degree = adj
+    # no distance exceeds the vertex count len(table) / degree
+    d = bidirectional_distance(table, degree, source, target, len(table))
     if d is None:
         raise ValueError("target not reachable in the trusted subdivision graph")
     return d
@@ -80,10 +88,11 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
     # (a) vertical edges are Cayley edges
     domain = 0
     bad = None
+    table, a = ball.table, ball.degree
     for e in range(1, ball.size):
         domain += 1
         p = ball.parent[e]
-        if ball.neighbors[p].get(ball.last_letter[e]) != e:
+        if table[p * a + ball.last_letter[e]] != e:
             bad = (e, p)
             break
     checks.append(
@@ -110,7 +119,7 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
     bad = None
     for n in range(1, max(graph.n_max, 0) + 1):
         for u in ball.sphere(n):
-            for w in ball.neighbors[u].values():
+            for w in ball.row(u):
                 if w > u and ball.sphere_of[w] == n:
                     domain += 1
                     if bad is None and w not in graph.partners(u):
@@ -128,8 +137,8 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
             break
         for u in ball.sphere(n):
             p = ball.parent[u]
-            for w in ball.neighbors[u].values():
-                if ball.sphere_of[w] != n - 1:
+            for w in ball.row(u):
+                if w < 0 or ball.sphere_of[w] != n - 1:
                     continue
                 domain += 1
                 if w == p:

@@ -91,18 +91,38 @@ class SubdivisionGraph:
 def outward_vertices(ball: CayleyBall, u: int, horizon: int) -> set[int]:
     """Vertices v with |v| = |u| + d(u, v) <= horizon (vertices on
     geodesics from the origin through u, by the layered-closure argument)."""
+    sphere_of, table, a = ball.sphere_of, ball.table, ball.degree
     out = {u}
     frontier = [u]
-    for level in range(ball.sphere_of[u] + 1, horizon + 1):
+    for level in range(sphere_of[u] + 1, horizon + 1):
         nxt = []
         for v in frontier:
-            for w in ball.neighbors[v].values():
-                if ball.sphere_of[w] == level and w not in out:
+            for w in table[v * a : v * a + a]:
+                if w >= 0 and sphere_of[w] == level and w not in out:
                     out.add(w)
                     nxt.append(w)
         if not nxt:
             break
         frontier = nxt
+    return out
+
+
+def _outward(ball: CayleyBall, u: int, horizon: int, cache: dict[int, set[int]] | None) -> set[int]:
+    if cache is None:
+        return outward_vertices(ball, u, horizon)
+    got = cache.get(u)
+    if got is None:
+        got = cache[u] = outward_vertices(ball, u, horizon)
+    return got
+
+
+def _with_neighbours(ball: CayleyBall, vertices: set[int]) -> set[int]:
+    """The vertices and their in-ball neighbours."""
+    table, a = ball.table, ball.degree
+    out = set(vertices)
+    for v in vertices:
+        out.update(table[v * a : v * a + a])
+    out.discard(-1)
     return out
 
 
@@ -121,23 +141,14 @@ def geodesically_close(
         raise ValueError("geodesically close requires equal levels")
     if horizon > ball.radius:
         raise ValueError("horizon exceeds ball radius")
-
-    def outward(u: int) -> set[int]:
-        if _outward_cache is None:
-            return outward_vertices(ball, u, horizon)
-        got = _outward_cache.get(u)
-        if got is None:
-            got = outward_vertices(ball, u, horizon)
-            _outward_cache[u] = got
-        return got
-
-    o1 = outward(u1)
-    o2 = outward(u2)
+    o1 = _outward(ball, u1, horizon, _outward_cache)
+    o2 = _outward(ball, u2, horizon, _outward_cache)
+    table, a = ball.table, ball.degree
     for v1 in sorted(o1):
         candidates = []
         if v1 in o2:
             candidates.append((v1, 0))
-        for w in ball.neighbors[v1].values():
+        for w in table[v1 * a : v1 * a + a]:
             if w in o2:
                 candidates.append((w, 1))
         if candidates:
@@ -176,6 +187,11 @@ def build_subdivision_graph(
     that its candidate search found.  A level is flagged unstable when
     some edge's minimal witness needs the full horizon, i.e. the edge
     would be absent at horizon - 1.
+
+    A witness for (u, v) exists exactly when the outward vertices of v
+    meet those of u or their in-ball neighbours, so that one set test
+    rejects a pair; only the pairs it passes are searched for their
+    minimal witness.  The set is built for one u at a time.
     """
     k = working_constant(delta) if k_override is None else k_override
     horizon = ball.radius if horizon is None else horizon
@@ -190,10 +206,12 @@ def build_subdivision_graph(
     for n in range(1, n_max + 1):
         edges = []
         for u in ball.sphere(n):
-            for v, h in close_candidates(ball, u, k):
-                w = geodesically_close(ball, u, v, horizon, cache)
-                if w is None:
+            candidates = close_candidates(ball, u, k)
+            reach = _with_neighbours(ball, _outward(ball, u, horizon, cache)) if candidates else set()
+            for v, h in candidates:
+                if _outward(ball, v, horizon, cache).isdisjoint(reach):
                     continue
+                w = geodesically_close(ball, u, v, horizon, cache)
                 edges.append((u, v))
                 witnesses[(u, v)] = w
                 relative[(u, v)] = h

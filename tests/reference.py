@@ -153,6 +153,11 @@ class IntegerLattice:
         return tuple(v)
 
 
+def in_ball_neighbors(ball: CayleyBall, v: int) -> dict[int, int]:
+    """Letter -> id of v*letter, for every move that stays in the ball."""
+    return {x: w for x, w in enumerate(ball.row(v)) if w >= 0}
+
+
 def normal_forms(ball: CayleyBall) -> list[Word]:
     """Normal form of every element of the ball, in id order."""
     return [ball.normal_form(e) for e in range(ball.size)]
@@ -171,8 +176,7 @@ def reference_ball(
     and only same-bucket pairs are compared through the oracle.  The
     fingerprint is a homomorphism invariant, so it is sound as a negative
     filter and never used as an equality proof.  Ids, normal forms and
-    neighbour insertion order follow the same shortlex BFS as
-    ``enumerate_ball``.
+    the letter table follow the same shortlex BFS as ``enumerate_ball``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -274,7 +278,7 @@ def reference_ball(
         sphere_of=sphere_of,
         parent=parent,
         last_letter=last_letter,
-        neighbors=neighbors,
+        table=[nbrs.get(x, -1) for nbrs in neighbors for x in range(alphabet.size)],
     )
     return ball, normal_forms
 
@@ -317,7 +321,7 @@ def relative_element(ball: CayleyBall, u: int, v: int) -> int | None:
             break
         nxt = []
         for w in frontier:
-            for x, t in ball.neighbors[w].items():
+            for x, t in in_ball_neighbors(ball, w).items():
                 if t not in back:
                     back[t] = (w, x)
                     nxt.append(t)
@@ -343,7 +347,7 @@ def _geodesic_layers(ball: CayleyBall, g: int) -> list[dict[int, None]]:
         want = target_len - t
         layer: dict[int, None] = {}
         for v in layers[t - 1]:
-            for w in ball.neighbors[v].values():
+            for w in in_ball_neighbors(ball, v).values():
                 if ball.sphere_of[w] == want:
                     layer[w] = None
         layers.append(layer)
@@ -364,8 +368,7 @@ def geodesics_between(ball: CayleyBall, g: int):
                 yield tuple(stack)
             return
         allowed = on_geodesic[n - depth - 1]
-        for x in sorted(ball.neighbors[v]):
-            w = ball.neighbors[v][x]
+        for x, w in sorted(in_ball_neighbors(ball, v).items()):
             if w in allowed:
                 stack.append(x)
                 yield from rec(w, depth + 1)
@@ -382,7 +385,7 @@ def count_geodesics(ball: CayleyBall, g: int) -> int:
         allowed = layers[n - depth - 1]
         nxt: dict[int, int] = {}
         for v, c in ways.items():
-            for w in ball.neighbors[v].values():
+            for w in in_ball_neighbors(ball, v).values():
                 if w in allowed:
                     nxt[w] = nxt.get(w, 0) + c
         ways = nxt
@@ -427,7 +430,7 @@ class BfsPairGeodesics:
             while frontier:
                 nxt = []
                 for v in frontier:
-                    for w in ball.neighbors[v].values():
+                    for w in in_ball_neighbors(ball, v).values():
                         if w not in dist:
                             dist[w] = dist[v] + 1
                             nxt.append(w)
@@ -444,7 +447,7 @@ class BfsPairGeodesics:
             if v == x:
                 paths.append(tuple(reversed(stack)))
                 return
-            for w in sorted(ball.neighbors[v].values()):
+            for w in sorted(in_ball_neighbors(ball, v).values()):
                 if field.get(w) == field[v] - 1:
                     stack.append(w)
                     rec(w)
@@ -459,15 +462,14 @@ def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
     (1, x, y) with x <= y in B_r is computed."""
     n = ball.sphere(r).stop
     run = _DeltaRun(ball)
-    value, witness, exact = -1, None, True
+    value, witness = -1, None
     triangles = 0
     for x in range(n):
         for y in range(x, n):
             triangles += 1
-            v, w, ex = triangle_thinness(ball, run, x, y)
+            v, w = triangle_thinness(run, x, y)
             if v > value:
                 value, witness = v, w
-            exact = exact and ex
     return DeltaEstimate(
         delta=float(max(value, 0)),
         radius_checked=r,
@@ -475,7 +477,6 @@ def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
         witness=witness,
         triangles=triangles,
         triangles_computed=triangles,
-        exact_distances=exact,
     )
 
 
@@ -484,8 +485,7 @@ def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness) -> int:
     run = _DeltaRun(ball)
     sides = _side_geodesics(run, witness.x, witness.y)
     others = [[set(geo) for geo in sides[(witness.side + k) % 3]] for k in (1, 2)]
-    value, _ = _point_thinness(ball, run, witness.point, others)
-    return value
+    return _point_thinness(run, witness.point, others)
 
 
 def validate_delta(
@@ -506,7 +506,7 @@ def validate_delta(
     run = _DeltaRun(ball)
     for _ in range(samples):
         x, y = rng.choice(ids), rng.choice(ids)
-        value, witness, _ = triangle_thinness(ball, run, x, y)
+        value, witness = triangle_thinness(run, x, y)
         if value > delta:
             return False, witness
     return True, None
@@ -550,7 +550,7 @@ def same_level_within(ball: CayleyBall, u: int, k: int) -> list[int]:
     for _ in range(k):
         nxt = []
         for v in frontier:
-            for w in ball.neighbors[v].values():
+            for w in in_ball_neighbors(ball, v).values():
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

@@ -315,7 +315,7 @@ def test_criterion_6_oracle_cross_validation():
         _verdict(
             f"6c: relator-loop walk and Dehn-oracle search build identical {name} balls at R={radius}",
             normal_forms(walked) == searched_forms
-            and [list(n.items()) for n in walked.neighbors] == [list(n.items()) for n in searched.neighbors]
+            and walked.table == searched.table
             and [walked.sphere(n) for n in spheres] == [searched.sphere(n) for n in spheres],
             f"{walked.size} elements",
         )

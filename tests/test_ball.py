@@ -1,11 +1,15 @@
-import pickle
+import hashlib
 import random
+import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from subforge.ball import (
     CACHE_HEADER_LEN,
+    CACHE_MAGIC,
+    CACHE_VERSION,
     BallCapExceeded,
     CayleyBall,
     TrustRadiusError,
@@ -33,6 +37,7 @@ from reference import (
     distinct_letter_relators,
     exponent_vector,
     geodesics_between,
+    in_ball_neighbors,
     odd_relator_presentation,
     normal_forms,
     one_sided_distance,
@@ -111,8 +116,8 @@ def test_neighbors_complete_and_symmetric(surface_small_ball):
                 if oracle.is_identity(target_word + inverse_word(ball.normal_form(u), alphabet)):
                     expected = u
                     break
-            got = ball.neighbors[e].get(x)
-            assert got == expected, (e, x, got, expected)
+            got = ball.table[e * alphabet.size + x]
+            assert got == (-1 if expected is None else expected), (e, x, got, expected)
 
 
 def test_element_of(f2_ball, surface_ball):
@@ -172,7 +177,7 @@ def test_distance_between_limits_match_one_sided_bfs(surface4_ball):
     pairs = [(rng.randrange(ball.size), rng.randrange(ball.size)) for _ in range(300)]
     pairs += [(0, 0), (5, 5)]
     for u, v in pairs:
-        d = one_sided_distance(lambda w: ball.neighbors[w].values(), u, v)
+        d = one_sided_distance(lambda w: in_ball_neighbors(ball, w).values(), u, v)
         for limit in range(d + 2):
             expected = None if d > limit else d
             assert ball.distance_between(u, v, limit) == expected, (u, v, limit)
@@ -218,7 +223,9 @@ def test_geodesics_surface_multiple(surface_ball):
 def test_cap_abort():
     with pytest.raises(BallCapExceeded) as exc:
         enumerate_ball(preset("f2"), 6, cap=30)
-    assert sum(exc.value.sphere_sizes) >= 30
+    # spheres 0-2 complete, then the 13 elements of sphere 3 made before
+    # the 31st element would have been
+    assert exc.value.sphere_sizes == [1, 4, 12, 13]
 
 
 def test_odd_relator_group_matches_free_ball_at_small_radius():
@@ -233,7 +240,7 @@ def test_odd_relator_group_matches_free_ball_at_small_radius():
     assert any(len(r) % 2 for r in p.relators)
     free = enumerate_ball(preset("f2"), 3)
     assert normal_forms(ball) == normal_forms(free)
-    assert ball.neighbors == free.neighbors
+    assert ball.table == free.table
 
 
 def test_enumeration_requires_small_cancellation():
@@ -275,10 +282,6 @@ def test_enumeration_makes_no_oracle_calls(monkeypatch, tmp_path):
     assert runs[1].report["xi"]["total_horizontal"] == 8
 
 
-def _neighbor_items(ball):
-    return [list(nbrs.items()) for nbrs in ball.neighbors]
-
-
 @given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
 @example(list(TWO_RELATORS))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -288,8 +291,49 @@ def test_relator_walk_matches_oracle_ball(relators):
     ball = enumerate_ball(p, 4)
     ref, ref_forms = reference_ball(p, 4)
     assert normal_forms(ball) == ref_forms
-    assert _neighbor_items(ball) == _neighbor_items(ref)
+    assert ball.table == ref.table
     assert [ball.sphere(n) for n in range(5)] == [ref.sphere(n) for n in range(5)]
+
+
+@pytest.mark.parametrize("name, radius", [("f2", 5), ("z", 5), ("odd_relator", 5)])
+def test_ball_matches_reference_ball(name, radius):
+    # surface2 R=5 (and the odd relator at R=4) is acceptance criterion 6c
+    p = odd_relator_presentation() if name == "odd_relator" else preset(name)
+    ball = enumerate_ball(p, radius)
+    ref, ref_forms = reference_ball(p, radius)
+    assert normal_forms(ball) == ref_forms
+    assert ball.sphere_sizes == ref.sphere_sizes
+    assert ball.table == ref.table
+
+
+def test_surface_growth_series_to_radius_six():
+    # the genus-2 surface group grows by the series
+    # (1+2t+2t^2+2t^3+t^4)/(1-6t-6t^2-6t^3+t^4) (Cannon; Floyd-Plotnick),
+    # so the walk is checked two spheres past the R=4 pins
+    sizes = enumerate_ball(preset("surface2"), 6).sphere_sizes
+    assert sizes == [1, 8, 56, 392, 2_736, 19_096, 133_288]
+    for n in (5, 6):
+        assert sizes[n] == 6 * (sizes[n - 1] + sizes[n - 2] + sizes[n - 3]) - sizes[n - 4]
+
+
+def _assert_flat(ball):
+    n, a = ball.size, ball.degree
+    assert [f.name for f in fields(ball)] == ["presentation", "radius", "sphere_of", "parent", "last_letter", "table"]
+    for name, length in (("sphere_of", n), ("parent", n), ("last_letter", n), ("table", n * a)):
+        field = getattr(ball, name)
+        assert type(field) is list and len(field) == length, name
+        assert all(type(v) is int for v in field), name
+    # one int object per element id, shared by every entry that names it
+    assert len({id(v) for v in ball.parent + ball.table}) == len(set(ball.parent + ball.table))
+
+
+def test_ball_is_flat_lists(surface_ball):
+    # a deterministic memory gate: every field is a flat list of ints of
+    # length N or N |A|, with no per-element container, on the enumerated
+    # ball and on the one loaded from its cache file
+    assert surface_ball.size == 22_289
+    _assert_flat(surface_ball)
+    _assert_flat(CayleyBall.from_bytes(surface_ball.to_bytes(), preset("surface2")))
 
 
 @pytest.mark.parametrize("name", ["f2", "z", "surface2", "odd_relator"])
@@ -300,30 +344,64 @@ def test_letter_symmetries_are_ball_automorphisms(name):
         image = ball.translate(0, 4, sigma)
         assert sorted(image) == list(range(ball.size))
         assert all(ball.sphere_of[image[e]] == ball.sphere_of[e] for e in range(ball.size))
-        for e, nbrs in enumerate(ball.neighbors):
-            for x, w in nbrs.items():
-                assert image[w] == ball.neighbors[image[e]][sigma[x]], (sigma, e, x)
+        for e in range(ball.size):
+            for x, w in in_ball_neighbors(ball, e).items():
+                assert image[w] == ball.table[image[e] * ball.degree + sigma[x]], (sigma, e, x)
 
 
 def test_radius_zero_and_one():
     b0 = enumerate_ball(preset("surface2"), 0)
-    assert b0.sphere_sizes == [1] and b0.neighbors == [{}]
+    assert b0.sphere_sizes == [1] and b0.table == [-1] * 8
     b1 = enumerate_ball(preset("z"), 1)
     assert b1.sphere_sizes == [1, 2]
-    assert b1.neighbors[0] == {0: 1, 1: 2}
+    assert b1.table == [1, 2, -1, 0, 0, -1]
 
 
-def test_cache_roundtrip(tmp_path, surface_small_ball):
+def _int32(values) -> bytes:
+    return struct.pack(f"<{len(values)}i", *values)
+
+
+def _cache_file(ball, version=CACHE_VERSION, radius=None, degree=None, sizes=None) -> bytes:
+    """A cache file for ``ball`` built from the documented layout, with a
+    valid checksum; the header fields can be overridden."""
+    text = ball.presentation.text().encode()
+    head = [
+        ball.radius if radius is None else radius,
+        ball.degree if degree is None else degree,
+        *(ball.sphere_sizes if sizes is None else sizes),
+    ]
+    payload = b"".join(
+        (_int32([len(text)]), text, _int32(head), _int32(ball.parent), _int32(ball.last_letter), _int32(ball.table))
+    )
+    return CACHE_MAGIC + version.to_bytes(2, "big") + hashlib.sha256(payload).digest() + payload
+
+
+def test_cache_roundtrip(surface_small_ball):
     data = surface_small_ball.to_bytes()
-    back = CayleyBall.from_bytes(data, preset("surface2"))
-    assert normal_forms(back) == normal_forms(surface_small_ball)
-    assert back.sphere_sizes == surface_small_ball.sphere_sizes
-    assert back.element_of("abABcdC") == surface_small_ball.element_of("abABcdC")
-    assert set(pickle.loads(data[CACHE_HEADER_LEN:])) == {
-        "text", "radius", "sphere_of", "parent", "last_letter", "neighbors",
-    }
-    with pytest.raises(ValueError):
+    assert data == _cache_file(surface_small_ball)
+    assert CayleyBall.from_bytes(data, preset("surface2")) == surface_small_ball
+    with pytest.raises(ValueError, match="different presentation"):
         CayleyBall.from_bytes(data, preset("f2"))
+
+
+def test_cache_file_length_surface_r5(surface_ball):
+    # header, then int32 parent, last letter and an 8-letter row per element
+    data = surface_ball.to_bytes()
+    text = preset("surface2").text().encode()
+    n = 22_289
+    assert surface_ball.size == n
+    assert len(data) == CACHE_HEADER_LEN + 4 + len(text) + 4 * (2 + 6) + 4 * n * (2 + 8)
+    assert CayleyBall.from_bytes(data, preset("surface2")) == surface_ball
+
+
+@pytest.mark.parametrize(
+    "header",
+    [{"radius": 2}, {"radius": 4}, {"degree": 6}, {"sizes": [1, 8, 57, 392]}, {"sizes": [1, 8, 56]}],
+    ids=["radius-low", "radius-high", "alphabet-size", "sphere-sizes", "sphere-count"],
+)
+def test_cache_header_disagreeing_with_tables_is_rejected(surface_small_ball, header):
+    with pytest.raises(ValueError, match="do not match|letters"):
+        CayleyBall.from_bytes(_cache_file(surface_small_ball, **header), preset("surface2"))
 
 
 def test_ids_stable_across_radii(surface_small_ball, surface_ball):

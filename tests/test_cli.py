@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall, enumerate_ball
+from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall
 from subforge.cli import build_parser, main
 from subforge.presentation import preset
 
@@ -193,16 +193,27 @@ def _exports(out_dir):
     return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "report.json"}
 
 
-def _version_1_file(radius: int) -> bytes:
-    """A cache file in format version 1, whose payload also held the
-    normal forms and the sphere lists."""
-    ball = enumerate_ball(preset("f2"), radius)
-    payload = {name: getattr(ball, name) for name in ("radius", "sphere_of", "parent", "last_letter", "neighbors")}
-    payload["text"] = ball.presentation.text()
-    payload["normal_forms"] = [ball.normal_form(e) for e in range(ball.size)]
-    payload["spheres"] = [list(ball.sphere(n)) for n in range(radius + 1)]
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return CACHE_MAGIC + (1).to_bytes(2, "big") + hashlib.sha256(data).digest() + data
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+    return {}
+
+
+class _Tripwire:
+    """Unpickling this object records that a pickle was loaded."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def _version_2_file() -> bytes:
+    """A cache file in format version 2 (a pickled dict behind the same
+    magic, version and checksum), with a valid checksum over a payload that
+    must never be unpickled."""
+    data = pickle.dumps(_Tripwire(), protocol=pickle.HIGHEST_PROTOCOL)
+    return CACHE_MAGIC + (2).to_bytes(2, "big") + hashlib.sha256(data).digest() + data
 
 
 @pytest.mark.parametrize(
@@ -217,10 +228,10 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
         path.write_bytes(good[: len(good) // 2])
     elif spoil == "flipped_byte":
         spoiled = bytearray(good)
-        spoiled[(CACHE_HEADER_LEN + len(good)) // 2] ^= 0x01  # inside the pickle payload
+        spoiled[(CACHE_HEADER_LEN + len(good)) // 2] ^= 0x01  # inside the tables
         path.write_bytes(bytes(spoiled))
     elif spoil == "old_version":
-        path.write_bytes(_version_1_file(4))
+        path.write_bytes(_version_2_file())
     else:
         other = ["--preset", "z", "--radius", "4"] if spoil == "other_presentation" else ["--preset", "f2", "--radius", "3"]
         elsewhere = tmp_path / "elsewhere"
@@ -233,7 +244,12 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     if spoil == "flipped_byte":
         assert "checksum mismatch" in caplog.text
     if spoil == "old_version":
-        assert "cache format version 1, expected 2" in caplog.text
+        assert "cache format version 2, expected 3" in caplog.text
+        assert UNPICKLED == []
+        # the tripwire is live: loading the payload would have tripped it
+        pickle.loads(_version_2_file()[CACHE_HEADER_LEN:])
+        assert UNPICKLED == [True]
+        UNPICKLED.clear()
     assert main(F2_R4 + ["--out", str(tmp_path / "cold")]) == 0
     assert _exports(tmp_path / "cached") == _exports(tmp_path / "cold")
     # the spoiled file was replaced by a loadable ball, with no temp file left

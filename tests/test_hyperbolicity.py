@@ -31,7 +31,7 @@ def test_f2_tree_delta_zero(f2_ball):
     est = compute_delta(f2_ball, 3)
     assert est.delta == 0.0
     assert est.mode == MODE_EXHAUSTIVE
-    assert est.is_lower_bound and est.exact_distances
+    assert est.is_lower_bound
 
 
 def test_z_line_delta_zero(z_ball):
@@ -47,7 +47,6 @@ def test_surface_delta_positive_with_witness(surface_ball):
     est = compute_delta(surface_ball, 2)
     assert est.delta > 0
     assert est.witness is not None
-    assert est.exact_distances
     # the stored witness reproduces exactly the reported value
     assert reevaluate_witness(surface_ball, est.witness) == est.delta
 
@@ -197,7 +196,7 @@ def test_delta_matches_whole_ball_bfs(ball_name, r, kwargs, request, monkeypatch
     ball = request.getfixturevalue(ball_name)
     fast = compute_delta(ball, r, **kwargs)
     monkeypatch.setattr(hyperbolicity, "enumerate_pair_geodesics", BfsPairGeodesics())
-    # dataclass equality: value, witness, mode, triangles, exact_distances
+    # dataclass equality: value, witness, mode, triangles
     assert compute_delta(ball, r, **kwargs) == fast
 
 

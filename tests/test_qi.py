@@ -74,8 +74,8 @@ def test_injected_same_level_edge_fails_check_c(surface_labeled_run):
     ball = graph.ball
     a, b, c, d = (ball.element_of(x) for x in "abcd")
     for u, w in ((a, b), (c, d)):
-        letter = next(x for x, t in ball.neighbors[u].items() if ball.sphere_of[t] == 2)
-        ball.neighbors[u][letter] = w
+        letter = next(x for x, t in enumerate(ball.row(u)) if t >= 0 and ball.sphere_of[t] == 2)
+        ball.table[u * ball.degree + letter] = w
     qi = verify_qi_bounds(graph, graph.delta)
     check = _check(qi, "c")
     assert not check.passed
@@ -91,8 +91,8 @@ def test_injected_level_changing_edges_fail_check_d(surface_labeled_run):
     assert ball.parent[aa] == ball.parent[ab] == a
     assert b not in graph.partners(a) and c not in graph.partners(a)
     for u, w in ((aa, b), (ab, c)):
-        letter = next(x for x, t in ball.neighbors[u].items() if ball.sphere_of[t] == 3)
-        ball.neighbors[u][letter] = w
+        letter = next(x for x, t in enumerate(ball.row(u)) if t >= 0 and ball.sphere_of[t] == 3)
+        ball.table[u * ball.degree + letter] = w
     d = _check(verify_qi_bounds(graph, graph.delta), "d")
     assert not d.passed and d.max_observed == 3
     # the first counterexample, not the last
@@ -112,9 +112,14 @@ def test_xi_distance_matches_one_sided_bfs(which, surface_labeled_run):
         graph = build_subdivision_graph(ball, 0.0)
     else:
         graph = surface_labeled_run.artifacts.graph
-    adj = _xi_adjacency(graph)
-    trusted = sorted(adj)
+    adj = table, degree = _xi_adjacency(graph)
+    trusted = range(len(table) // degree)
+    assert trusted.stop == graph.ball.sphere(graph.n_max).stop
+
+    def neighbours(w):
+        return [t for t in table[w * degree : (w + 1) * degree] if t >= 0]
+
     rng = random.Random(8)
     for _ in range(300):
         u, v = rng.choice(trusted), rng.choice(trusted)
-        assert _bfs_distance(adj, u, v) == one_sided_distance(adj.__getitem__, u, v), (u, v)
+        assert _bfs_distance(adj, u, v) == one_sided_distance(neighbours, u, v), (u, v)
