@@ -12,11 +12,11 @@ of its normal form, which is its parent's normal form plus that letter.
 ball.  A sphere is the run of ids with one level.
 
 Enumeration decides group equality without a word-problem oracle: a
-coincidence g*x = u is found by walking one relator loop from g through
-edges already recorded, and the completed loop is itself the proof of
-equality.  Small cancellation C'(1/6) makes this complete (see
-``enumerate_ball``).  The finished ball keeps only the Cayley graph, and
-every query walks that graph.
+coincidence g*x = u is found by walking one relator loop from g, down
+g's parent edge, through edges already recorded, and the completed loop
+is itself the proof of equality.  Small cancellation C'(1/6) makes this
+complete (see ``enumerate_ball``).  The finished ball keeps only the
+Cayley graph, and every query walks that graph.
 """
 
 from __future__ import annotations
@@ -318,6 +318,18 @@ def _relator_loops(pres: Presentation) -> list[list[Word]]:
     return [sorted(ls) for ls in loops]
 
 
+def _closers(loops: list[list[Word]], inverse: Sequence[int]) -> list[list[tuple[int, Word]]]:
+    """closers[y] lists (x, loop[1:]) for every loop of ``_relator_loops``
+    through x of length at least 2 whose first letter is y^-1, in letter
+    order of x.  At an element g with last letter y the first step of such
+    a loop is g's parent edge, so walking loop[1:] from the parent of g
+    ends at g*x when the loop closes."""
+    return [
+        [(x, loop[1:]) for x, through in enumerate(loops) for loop in through if len(loop) > 1 and loop[0] == inverse[y]]
+        for y in range(len(loops))
+    ]
+
+
 def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_CAP) -> CayleyBall:
     """Shortlex-BFS enumeration of the ball of the given radius.
 
@@ -326,10 +338,12 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     and every prefix of a stored normal form is itself stored.  A candidate
     g*x from sphere n lies in sphere n-1, n or n+1, and every edge into
     sphere n-1 was recorded while that sphere was processed.  For the
-    others, each relator loop through x (``_relator_loops``) is walked from
-    g along recorded edges; the first walk that completes ends at g*x,
-    with the relator as the proof.  If none completes, g*x is new.  The
-    boundary sphere gets the same walk for its same-sphere edges.
+    others, the relator loops that leave g by its parent edge
+    (``_closers``) are walked along recorded edges before any child of g
+    is made; a walk that completes ends at g*x, with the relator as the
+    proof.  Every edge at g still unknown afterwards leads to a new
+    element, made in letter order.  The boundary sphere gets the same walk
+    for its same-sphere edges.
 
     The walk is complete for C'(1/6) presentations, which are required.
     Take g in sphere n with g*x = u, where u was created earlier from g'
@@ -339,18 +353,30 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     end edges.  Read from g, the boundary of C is x, x'^-1, tree edges
     down to p', an interior arc to p and tree edges back up to g; the arc
     is a piece, shorter than |C|/6.  With a = |p|, b = |p'| and l the arc
-    length, geodesicity puts every arc vertex at sphere at most
-    (a + b + l) / 2 < n, so every edge of the walk other than (g, x)
-    touches a processed sphere and is already recorded.  A same-sphere
-    coincidence (possible only with odd relators) is the same argument
-    with the side of length 1 in place of x'.
+    length, |C| = 2 + (n - a) + (n - b) + l, so
+    a + b + l = 2n + 2 + 2l - |C| < 2n whenever |C| >= 3.  Geodesicity
+    puts every arc vertex at sphere at most (a + b + l) / 2 < n, so every
+    edge of the walk other than (g, x) touches a processed sphere and is
+    already recorded.  And p is not g: g lies within b + l of the identity
+    along the boundary, and n <= b + l would contradict a + b + l < 2n.
+    So the walk from g leaves by g's parent edge, and no loop needs to be
+    walked at the identity.  A same-sphere coincidence (possible only with
+    odd relators) is the same argument with the side of length 1 in place
+    of x': a + b + l = 2n + 1 + 2l - |C| < 2n.  A completed walk proves
+    g*x = its endpoint whichever loop it takes, so walking fewer loops
+    never changes a result.
+
+    A relator of length 1 or 2 (|C| <= 2) makes x a loop at g or equal to
+    another letter x' at g.  Its loop, of length 0 or 1, starts at g
+    itself, and is tried just before g*x would be made, once g*x' for
+    every x' before x is known.
 
     The letter table is written in place: a new element appends a row of
     -1 and the edge back to its parent.  Each sphere is walked as the list
     of the id objects its elements were created with, so every entry that
     names an element refers to one int object.
 
-    With no relators the loop table is empty and every candidate is new.
+    With no relators the loop tables are empty and every candidate is new.
     Raises PresentationError when the relators are not C'(1/6).
     """
     if radius < 0:
@@ -360,6 +386,9 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     a = pres.alphabet.size
     inv = pres.alphabet.inverse
     loops = _relator_loops(pres)
+    closers = _closers(loops, inv)
+    short = [[loop for loop in through if len(loop) < 2] for through in loops]
+    short_letters = [x for x in range(a) if short[x]]
     blank = [-1] * a
 
     sphere_of: list[int] = [0]
@@ -368,31 +397,44 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     table: list[int] = list(blank)
     starts = [0]  # starts[n]: id of the first element of sphere n
 
-    def close(g: int, x: int) -> int | None:
-        """g*x when some relator loop through x closes on recorded edges."""
-        for loop in loops[x]:
-            e = g
-            for y in loop:
+    def close(g: int) -> None:
+        """Record g*x for every loop in closers[last letter of g] that
+        closes on recorded edges."""
+        row = g * a
+        for x, rest in closers[last_letter[g]]:
+            if table[row + x] >= 0:
+                continue
+            e = parent[g]
+            for y in rest:
                 e = table[e * a + y]
                 if e < 0:
                     break
             else:
-                return e
-        return None
+                table[row + x] = e
+                table[e * a + inv[x]] = g
+
+    def close_short(g: int, x: int) -> bool:
+        """Record g*x when a relator of length 1 or 2 gives it."""
+        for loop in short[x]:
+            e = table[g * a + loop[0]] if loop else g
+            if e >= 0:
+                table[g * a + x] = e
+                table[e * a + inv[x]] = g
+                return True
+        return False
 
     sphere = [0]
     for n in range(radius):
         starts.append(len(parent))
         nxt = []
         for g in sphere:
+            if g:
+                close(g)
             row = g * a
             for x in range(a):
                 if table[row + x] >= 0:
-                    continue  # edge already known from the other endpoint
-                found = close(g, x)
-                if found is not None:
-                    table[row + x] = found
-                    table[found * a + inv[x]] = g
+                    continue  # edge already known
+                if short[x] and close_short(g, x):
                     continue
                 e = len(parent)
                 if e >= cap:
@@ -411,14 +453,11 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     # while the lower spheres were processed; only same-sphere edges remain.
     if pres.relators:
         for g in sphere:
-            row = g * a
-            for x in range(a):
-                if table[row + x] >= 0:
-                    continue
-                found = close(g, x)
-                if found is not None:
-                    table[row + x] = found
-                    table[found * a + inv[x]] = g
+            if g:
+                close(g)
+            for x in short_letters:
+                if table[g * a + x] < 0:
+                    close_short(g, x)
 
     return CayleyBall(
         presentation=pres,

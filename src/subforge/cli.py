@@ -7,8 +7,10 @@ Exit codes: 0 every verification check passed, 2 some check failed,
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
+import time
 
 from . import exports
 from .pipeline import (
@@ -18,6 +20,8 @@ from .pipeline import (
     run_pipeline,
 )
 from .presentation import PRESET_TEXTS, PresentationError
+
+log = logging.getLogger("subforge.cli")
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -35,6 +39,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qi-samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--cache-dir", default=None, help="binary ball cache directory")
+    p.add_argument("-v", "--verbose", action="store_true", help="log each stage's time on stderr")
     # fault-injection hooks used by the negative-control tests
     p.add_argument("--force-k", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--corrupt-vertex-label", action="store_true", help=argparse.SUPPRESS)
@@ -75,6 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return EXIT_ERROR
     result = run_pipeline(_config_from(args))
     out = args.out
+    start = time.perf_counter()
     _write(os.path.join(out, "report.json"), exports.export_report(result.report))
     for fmt in formats:
         for what in exports.EXPORT_KINDS:
@@ -82,6 +88,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 exports.export_graph(result.artifacts, what, fmt, os.path.join(out, f"{what}.{fmt}"))
             except exports.MissingArtifact:
                 continue
+    log.info("exports: %.3f s", time.perf_counter() - start)
     checks = result.report.get("checks", {})
     failed = sorted(name for name, ok in checks.items() if not ok)
     status = result.report.get("status", "completed")
@@ -142,11 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # progress lines go to stderr only, so stdout and every file written
+    # are the same with and without -v
+    logger = logging.getLogger("subforge")
+    level = logger.level
+    handler = None
+    if getattr(args, "verbose", False):
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("subforge: %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (ConfigError, PresentationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -181,6 +181,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         now = time.perf_counter()
         timings[name] = now - last[0]
         last[0] = now
+        log.info("%s: %.3f s", name, timings[name])
 
     # parse + small cancellation certificate
     pres = load_presentation(config)
@@ -214,6 +215,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     checks["prefix_closure"] = check_prefix_closure(ball)
     report["prefix_closure"] = {"passed": checks["prefix_closure"], "domain": ball.size}
     stage("ball")
+    log.info("ball: %d elements, sphere sizes %s", ball.size, ball.sphere_sizes)
 
     # delta
     delta_radius = config.delta_radius if config.delta_radius is not None else ball.radius // 2

@@ -116,13 +116,13 @@ def _outward(ball: CayleyBall, u: int, horizon: int, cache: dict[int, set[int]] 
     return got
 
 
-def _with_neighbours(ball: CayleyBall, vertices: set[int]) -> set[int]:
-    """The vertices and their in-ball neighbours."""
-    table, a = ball.table, ball.degree
-    out = set(vertices)
+def same_level_neighbours(ball: CayleyBall, vertices: set[int]) -> set[int]:
+    """The in-ball neighbours of the vertices that lie on their own level."""
+    sphere_of, table, a = ball.sphere_of, ball.table, ball.degree
+    out = set()
     for v in vertices:
-        out.update(table[v * a : v * a + a])
-    out.discard(-1)
+        level = sphere_of[v]
+        out.update(w for w in table[v * a : v * a + a] if w >= 0 and sphere_of[w] == level)
     return out
 
 
@@ -188,10 +188,17 @@ def build_subdivision_graph(
     some edge's minimal witness needs the full horizon, i.e. the edge
     would be absent at horizon - 1.
 
-    A witness for (u, v) exists exactly when the outward vertices of v
-    meet those of u or their in-ball neighbours, so that one set test
-    rejects a pair; only the pairs it passes are searched for their
-    minimal witness.  The set is built for one u at a time.
+    A witness for (u, v) exists exactly when the outward vertices o(v)
+    meet o(u) or its in-ball neighbours, and set tests reject the other
+    pairs; only the pairs they pass are searched for their minimal
+    witness.  No neighbour on another level is needed: take x in o(u) and
+    y in o(v) adjacent on consecutive levels.  The lower of the two lies
+    below the horizon, so the outward search from it reaches the upper
+    one, which thus lies in both o(u) and o(v).  That leaves o(u) and the
+    same-level neighbours of o(u), built for one u at a time.  A Cayley
+    graph whose relators all have even length has no same-level edges
+    (word length mod 2 is a homomorphism), so there o(u) alone is tested
+    and no table row is read again.
     """
     k = working_constant(delta) if k_override is None else k_override
     horizon = ball.radius if horizon is None else horizon
@@ -203,13 +210,18 @@ def build_subdivision_graph(
     relative: dict[tuple[int, int], int] = {}
     unstable = set()
     cache: dict[int, set[int]] = {}
+    bipartite = all(len(r) % 2 == 0 for r in ball.presentation.relators)
     for n in range(1, n_max + 1):
         edges = []
         for u in ball.sphere(n):
             candidates = close_candidates(ball, u, k)
-            reach = _with_neighbours(ball, _outward(ball, u, horizon, cache)) if candidates else set()
+            if not candidates:
+                continue
+            out = _outward(ball, u, horizon, cache)
+            beside = set() if bipartite else same_level_neighbours(ball, out)
             for v, h in candidates:
-                if _outward(ball, v, horizon, cache).isdisjoint(reach):
+                other = _outward(ball, v, horizon, cache)
+                if other.isdisjoint(out) and other.isdisjoint(beside):
                     continue
                 w = geodesically_close(ball, u, v, horizon, cache)
                 edges.append((u, v))

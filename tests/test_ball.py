@@ -13,6 +13,8 @@ from subforge.ball import (
     BallCapExceeded,
     CayleyBall,
     TrustRadiusError,
+    _closers,
+    _relator_loops,
     enumerate_ball,
 )
 from subforge.pipeline import RunConfig, run_pipeline
@@ -22,6 +24,7 @@ from subforge.presentation import (
     PresentationError,
     WordOracle,
     letter_symmetries,
+    parse_presentation,
     preset,
     verify_small_cancellation,
 )
@@ -282,6 +285,48 @@ def test_enumeration_makes_no_oracle_calls(monkeypatch, tmp_path):
     assert runs[1].report["xi"]["total_horizontal"] == 8
 
 
+def _walk_in_time(ball: CayleyBall, g: int, rest, h: int) -> bool:
+    """Whether ``rest`` walked from the parent of g ends at h through edges
+    that enumeration has recorded by the time it reaches g: each touches a
+    sphere below |g|, except the tree edge into h from an element before
+    g."""
+    a, sphere_of = ball.degree, ball.sphere_of
+    n = sphere_of[g]
+    v = ball.parent[g]
+    for y in rest:
+        w = ball.table[v * a + y]
+        if w < 0:
+            return False
+        if min(sphere_of[v], sphere_of[w]) >= n and not (w == h and v == ball.parent[h] < g):
+            return False
+        v = w
+    return v == h
+
+
+def _coincidences_close_through_the_parent(ref: CayleyBall) -> tuple[int, int]:
+    """Check the lemma ``enumerate_ball`` rests on, over a ball built by
+    the word oracle: for every coincidence edge (g, x), that is g*x in
+    sphere |g|, or in sphere |g|+1 with another tree parent, some loop of
+    ``closers[last letter of g]`` walks from g, down its parent edge, to
+    g*x in time.  Returns the numbers of same-sphere and next-sphere
+    coincidence edges, each orientation counted."""
+    p = ref.presentation
+    closers = _closers(_relator_loops(p), p.alphabet.inverse)
+    assert all(ref.parent[h] == 0 and ref.last_letter[h] == x for x, h in enumerate(ref.row(0)))
+    same = nxt = 0
+    for g in range(1, ref.size):
+        n = ref.sphere_of[g]
+        for x, h in enumerate(ref.row(g)):
+            if h < 0 or ref.sphere_of[h] < n or (ref.parent[h], ref.last_letter[h]) == (g, x):
+                continue
+            assert any(_walk_in_time(ref, g, rest, h) for y, rest in closers[ref.last_letter[g]] if y == x), (g, x)
+            if ref.sphere_of[h] == n:
+                same += 1
+            else:
+                nxt += 1
+    return same, nxt
+
+
 @given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
 @example(list(TWO_RELATORS))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -293,6 +338,60 @@ def test_relator_walk_matches_oracle_ball(relators):
     assert normal_forms(ball) == ref_forms
     assert ball.table == ref.table
     assert [ball.sphere(n) for n in range(5)] == [ref.sphere(n) for n in range(5)]
+    _coincidences_close_through_the_parent(ref)
+
+
+@pytest.mark.parametrize("name, radius, same, nxt", [("surface2", 5, 0, 56), ("odd_relator", 5, 0, 0)])
+def test_coincidences_close_through_the_parent_edge(name, radius, same, nxt):
+    # the even surface relator makes the Cayley graph bipartite, so it has
+    # no same-sphere edges; the odd relator (length 25) closes no loop
+    # below radius 13, and the two-relator test below has both kinds
+    p = odd_relator_presentation() if name == "odd_relator" else preset(name)
+    ref, _ = reference_ball(p, radius)
+    assert _coincidences_close_through_the_parent(ref) == (same, nxt)
+
+
+def test_two_relator_coincidences_and_boundary_sweep():
+    p = Presentation(FOUR_GENERATORS, TWO_RELATORS)
+    ref, _ = reference_ball(p, 4)
+    assert _coincidences_close_through_the_parent(ref) == (98, 8)
+    # the boundary sweep is not vacuous: 84 table entries (42 edges) join
+    # two elements of the outer sphere, and the walk finds them all
+    ball = enumerate_ball(p, 4)
+    for b in (ball, ref):
+        outer = b.sphere(4)
+        assert sum(b.sphere_of[h] == 4 for g in outer for h in b.row(g) if h >= 0) == 84
+    assert ball.table == ref.table
+
+
+@pytest.mark.parametrize(
+    "gens, relators",
+    [
+        ("a A b B", "a"),
+        ("a A b B", "ab"),
+        ("a A b B", "aB"),
+        ("a A b B c C", "abc"),
+        ("a A b B c C d D", "a bcd"),
+        ("a A b B c C d D", "ab cd"),
+    ],
+)
+def test_short_relators_match_oracle_ball(gens, relators):
+    # a relator of length 1 or 2 makes a letter a loop or another letter's
+    # double at every element, so its cell can sit at g itself; length 3
+    # is the shortest for which every loop leaves g by its parent edge
+    p = parse_presentation(f"gens: {gens}\nrelators: {relators}\n")
+    for radius in (1, 4):
+        ball = enumerate_ball(p, radius)
+        ref, ref_forms = reference_ball(p, radius)
+        assert normal_forms(ball) == ref_forms
+        assert ball.table == ref.table
+
+
+def test_loop_relator_at_the_identity():
+    # a = 1 is a loop at the identity even in the ball of radius 0, which
+    # the oracle ball above does not sweep
+    loop = parse_presentation("gens: a A b B\nrelators: a\n")
+    assert enumerate_ball(loop, 0).table == [0, 0, -1, -1]
 
 
 @pytest.mark.parametrize("name, radius", [("f2", 5), ("z", 5), ("odd_relator", 5)])

@@ -296,3 +296,39 @@ def test_readme_lists_the_cli_flags():
     flags = _cli_flags()
     assert sorted(flags - documented) == []
     assert sorted(documented - flags) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--preset", "surface2", "--radius", "4", "--export", "dot,json"],
+        ["run", "--preset", "f2", "--radius", "4", "--force-k", "0"],
+        F2_R4_ACCEPTOR,
+    ],
+)
+def test_verbose_changes_only_stderr(tmp_path, monkeypatch, capsys, argv):
+    # -v adds progress lines on stderr; stdout, the exit code and every
+    # file written stay the same, report.json apart from its timings
+    runs = {}
+    for flag in ([], ["-v"]):
+        where = tmp_path / ("verbose" if flag else "quiet")
+        where.mkdir()
+        monkeypatch.chdir(where)
+        code = main(argv + ["--out", "out"] + flag)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in (where / "out").iterdir()}
+        if "report.json" in files:
+            report = json.loads(files.pop("report.json"))
+            assert set(report.pop("timings")) == {"parse", "ball", "delta", "gamma", "language", "xi", "axioms", "qi"}
+            files["report.json"] = report
+        runs[bool(flag)] = (code, captured.out, files, captured.err)
+    quiet, verbose = runs[False], runs[True]
+    assert verbose[:3] == quiet[:3]
+    assert quiet[3] == ""
+    lines = verbose[3].splitlines()
+    stages = [line.split(":")[1].strip() for line in lines if line.endswith(" s")]
+    assert stages == ["parse", "ball", "delta", "gamma", "language", "xi", "axioms", "qi"] + (
+        ["exports"] if argv[0] == "run" else []
+    )
+    assert any("sphere sizes [1, " in line for line in lines)
+    assert all(line.startswith("subforge: ") for line in lines)

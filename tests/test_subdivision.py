@@ -2,9 +2,11 @@ import copy
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from subforge.ball import enumerate_ball
 from subforge.language import cone_type_classes
+from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.subdivision import (
     assign_labels,
     build_subdivision_graph,
@@ -13,13 +15,17 @@ from subforge.subdivision import (
     geodesically_close,
     involuted_label,
     outward_vertices,
+    same_level_neighbours,
     verify_axioms,
     working_constant,
 )
 
 from reference import (
+    FOUR_GENERATORS,
+    TWO_RELATORS,
     all_pairs_close_edges,
     cone_neighborhood,
+    distinct_letter_relators,
     odd_relator_presentation,
     relative_element,
     same_level_within,
@@ -144,6 +150,67 @@ def test_prefilter_loses_nothing(surface_ball):
     level_edges, witnesses = all_pairs_close_edges(surface_ball, graph.n_max, graph.horizon)
     assert graph.level_edges == level_edges
     assert graph.witnesses == witnesses
+
+
+def _set_tests_agree(ball, n: int, k: int, horizon: int) -> tuple[int, int, int]:
+    """For every candidate pair (u, v) on level n, the set tests of
+    ``build_subdivision_graph`` reject v (o(v) misses o(u) and the
+    same-level neighbours of o(u)) exactly when ``geodesically_close``
+    finds no witness.  Returns the numbers of pairs passed, passed by
+    the same-level neighbours alone, and rejected."""
+    passed = beside_only = rejected = 0
+    for u in ball.sphere(n):
+        out = outward_vertices(ball, u, horizon)
+        beside = same_level_neighbours(ball, out)
+        for v, _ in close_candidates(ball, u, k):
+            other = outward_vertices(ball, v, horizon)
+            meets = not other.isdisjoint(out)
+            meets_beside = not other.isdisjoint(beside)
+            assert (meets or meets_beside) == (geodesically_close(ball, u, v, horizon) is not None), (u, v)
+            passed += meets or meets_beside
+            beside_only += meets_beside and not meets
+            rejected += not (meets or meets_beside)
+    return passed, beside_only, rejected
+
+
+def test_set_tests_match_witness_search_surface_r6():
+    # the surface relator has even length: no same-level neighbours
+    ball = enumerate_ball(preset("surface2"), 6)
+    assert _set_tests_agree(ball, 1, 5, 6) == (8, 0, 20)
+
+
+@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
+@example(list(TWO_RELATORS))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_set_tests_match_witness_search_c16_family(relators):
+    p = Presentation(FOUR_GENERATORS, tuple(relators))
+    assume(verify_small_cancellation(p).satisfies_c16)
+    ball = enumerate_ball(p, 4)
+    counts = [_set_tests_agree(ball, n, 4 - n, 4) for n in (1, 2, 3)]
+    # level 1 (K=3) both passes and rejects pairs for every member of the
+    # family; the even relators have no candidates on level 3 (K=1)
+    passed, _, rejected = counts[0]
+    assert passed > 0 and rejected > 0
+    # an odd relator (length 7) gives same-level edges, and some pairs are
+    # close only through them
+    beside_only = sum(c[1] for c in counts)
+    assert (beside_only > 0) == any(len(r) % 2 for r in relators)
+
+
+def test_set_tests_keep_every_edge_two_relators():
+    # with same-level edges, the graph equals the witness search run on
+    # every candidate pair
+    ball = enumerate_ball(Presentation(FOUR_GENERATORS, TWO_RELATORS), 5)
+    graph = build_subdivision_graph(ball, 0.5, k_override=2)
+    searched = {}
+    for n in range(1, graph.n_max + 1):
+        for u in ball.sphere(n):
+            for v, h in close_candidates(ball, u, 2):
+                w = geodesically_close(ball, u, v, graph.horizon)
+                if w is not None:
+                    searched[(u, v)] = (w, h)
+    assert {e: (graph.witnesses[e], graph.relative[e]) for _, e in graph.all_level_edges()} == searched
+    assert graph.edge_count() > 0
 
 
 def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
