@@ -32,12 +32,12 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None, help="override the thinness constant")
     p.add_argument("--delta-radius", type=int, default=None, help="triangle search radius (default R//2)")
     p.add_argument("--delta-mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--delta-samples", type=int, default=2000)
+    p.add_argument("--delta-samples", type=int, default=RunConfig.delta_samples)
     p.add_argument("--horizon", type=int, default=None, help="witness search horizon (default R)")
-    p.add_argument("--cap", type=int, default=5_000_000, help="element cap for enumeration")
-    p.add_argument("--probe", type=int, default=2, help="cone-lemma probe depth")
-    p.add_argument("--qi-samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--cap", type=int, default=RunConfig.element_cap, help="element cap for enumeration")
+    p.add_argument("--probe", type=int, default=RunConfig.probe, help="cone-lemma probe depth")
+    p.add_argument("--qi-samples", type=int, default=RunConfig.qi_samples)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--cache-dir", default=None, help="binary ball cache directory")
     p.add_argument("-v", "--verbose", action="store_true", help="log each stage's time on stderr")
     # fault-injection hooks used by the negative-control tests

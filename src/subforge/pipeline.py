@@ -365,7 +365,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     }
     stage("axioms")
 
-    qi = verify_qi_bounds(graph, delta)
+    qi = verify_qi_bounds(graph)
     empirical_k, extremal, used, exhaustive = estimate_qi_constants(
         graph, sample_pairs=config.qi_samples, seed=config.seed
     )

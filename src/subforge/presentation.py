@@ -131,8 +131,10 @@ def verify_small_cancellation(pres: Presentation) -> PieceReport:
     """Enumerate pieces over all cyclic conjugates of relators and their
     inverses and compare the longest one against min relator length / 6.
 
-    A piece must be a proper subword, so a relator that is a proper power
-    contributes pieces up to one letter short of its full length.
+    Two occurrences of one cyclic word (a relator that is a proper power,
+    or a repeated relator) share pieces up to one letter short of its full
+    length.  A shorter word that is a prefix of a longer one is a piece in
+    full: "a" is a piece of the relators a and ab.
     """
     if not pres.relators:
         return PieceReport(0, 0, True)
@@ -147,7 +149,7 @@ def verify_small_cancellation(pres: Presentation) -> PieceReport:
         wi, oi = occ[i]
         for j in range(i + 1, len(occ)):
             wj, oj = occ[j]
-            cap = min(len(wi), len(wj)) - 1
+            cap = len(wi) - 1 if wi == wj else min(len(wi), len(wj))
             lcp = 0
             while lcp < cap and wi[lcp] == wj[lcp]:
                 lcp += 1

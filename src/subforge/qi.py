@@ -81,7 +81,7 @@ def _bfs_distance(adj: tuple[list[int], int], source: int, target: int) -> int:
     return d
 
 
-def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
+def verify_qi_bounds(graph: SubdivisionGraph) -> QiReport:
     ball = graph.ball
     checks: list[QiCheck] = []
 
@@ -100,7 +100,7 @@ def verify_qi_bounds(graph: SubdivisionGraph, delta: float) -> QiReport:
     )
 
     # (b) horizontal edges stay within 2*delta + 2 in the Cayley graph
-    bound_b = 2 * delta + 2
+    bound_b = 2 * graph.delta + 2
     worst = 0
     bad = None
     domain = 0

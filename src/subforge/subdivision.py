@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph, find_isomorphism
-from .language import ConeTypeTable, InternalConsistencyError
+from .language import ConeTypeTable
 from .words import Word, inverse_word
 
 
@@ -48,7 +48,7 @@ class VertexLabel:
 class EdgeLabel:
     type_a: int
     type_b: int
-    relative: Word  # normal form of u^-1 v in canonical (smaller id first) orientation
+    relative: Word  # normal form of u^-1 v, the edge read from u toward v
 
 
 @dataclass
@@ -183,10 +183,10 @@ def build_subdivision_graph(
 
     The candidate partners of u are the same-level vertices within Cayley
     distance K (``close_candidates``), which loses nothing by the closeness
-    lemma (checked separately).  Each edge (u, v) keeps the id of u^-1 v
-    that its candidate search found.  A level is flagged unstable when
-    some edge's minimal witness needs the full horizon, i.e. the edge
-    would be absent at horizon - 1.
+    lemma (the tests compare the edges with an all-pairs search).  Each
+    edge (u, v) keeps the id of u^-1 v that its candidate search found.  A
+    level is flagged unstable when some edge's minimal witness needs the
+    full horizon, i.e. the edge would be absent at horizon - 1.
 
     A witness for (u, v) exists exactly when the outward vertices o(v)
     meet o(u) or its in-ball neighbours, and set tests reject the other
@@ -245,92 +245,61 @@ def build_subdivision_graph(
 
 
 def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionGraph:
-    """Attach vertex and edge labels on levels <= n_max.
+    """Attach vertex and edge labels on levels <= n_max, in place.
 
-    Vertex neighborhoods are derived from the already-computed horizontal
-    edges (the closeness lemma makes the two definitions agree; a partner
-    at distance >= K would contradict it and is flagged).  Relative forms
-    are the normal forms of the u^-1 v each edge kept, and of their
-    inverses for the opposite orientation.
+    Every horizontal edge is labelled once in each orientation: (u, v)
+    by the normal form of the u^-1 v its candidate search kept, (v, u) by
+    the normal form of the inverse, with the endpoint types swapped.
+    Vertex neighborhoods read the labels of the edges leaving the vertex
+    (the closeness lemma makes the two definitions agree; a partner at
+    distance >= K would contradict it and is flagged).
     """
     if table.k != graph.k:
         raise ValueError("cone-type table K does not match the graph")
     ball = graph.ball
-    warnings: list[str] = []
-    vertex_labels: dict[int, VertexLabel] = {}
+    class_of = table.class_of
+    alphabet = ball.presentation.alphabet
     edge_labels: dict[tuple[int, int], EdgeLabel] = {}
-    relative_form: dict[tuple[int, int], Word] = {}
     for (u, v), h in graph.relative.items():
         form = ball.normal_form(h)
-        relative_form[(u, v)] = form
-        relative_form[(v, u)] = _inverse_form(ball, form)
+        back = ball.normal_form(ball.element_of(inverse_word(form, alphabet)))
+        edge_labels[(u, v)] = EdgeLabel(class_of[u], class_of[v], form)
+        edge_labels[(v, u)] = EdgeLabel(class_of[v], class_of[u], back)
 
+    warnings: list[str] = []
+    vertex_labels: dict[int, VertexLabel] = {}
     for n in range(0, graph.n_max + 1):
         for v in ball.sphere(n):
             members = []
             for p in graph.partners(v):
-                h = relative_form[(v, p)]
+                h = edge_labels[(v, p)].relative
                 if len(h) >= graph.k:
                     warnings.append(
                         f"partner of element {v} at distance {len(h)} >= K={graph.k}"
                     )
-                members.append((h, table.class_of[p]))
+                members.append((h, class_of[p]))
             members.sort(key=lambda m: ((len(m[0]), m[0]), m[1]))
-            vertex_labels[v] = VertexLabel(own_type=table.class_of[v], neighborhood=tuple(members))
-    for n, (u, v) in graph.all_level_edges():
-        edge_labels[(u, v)] = EdgeLabel(
-            type_a=table.class_of[u],
-            type_b=table.class_of[v],
-            relative=relative_form[(u, v)],
-        )
+            vertex_labels[v] = VertexLabel(own_type=class_of[v], neighborhood=tuple(members))
     graph.vertex_labels = vertex_labels
     graph.edge_labels = edge_labels
     graph.label_warnings = tuple(warnings)
     return graph
 
 
-def _inverse_form(ball: CayleyBall, word: Word) -> Word:
-    """Normal form of the inverse of the element ``word`` spells."""
-    back = ball.element_of(inverse_word(word, ball.presentation.alphabet))
-    if back is None:
-        raise InternalConsistencyError("inverse relative element left the ball")
-    return ball.normal_form(back)
-
-
-def involuted_label(label: EdgeLabel, ball: CayleyBall) -> EdgeLabel:
-    """The same edge read in the opposite orientation."""
-    return EdgeLabel(label.type_b, label.type_a, _inverse_form(ball, label.relative))
-
-
 def horizontal_edge_length(graph: SubdivisionGraph, u: int, v: int) -> int:
-    """Cayley length of the horizontal edge (u, v): its label's relative
-    length, else the in-ball distance, read as K+3 past the limit K+2."""
-    label = graph.edge_labels.get((u, v))
-    if label is not None:
-        return len(label.relative)
-    d = graph.ball.distance_between(u, v, graph.k + 2)
-    return graph.k + 3 if d is None else d
+    """Cayley length of the horizontal edge (u, v): the length of the u^-1 v
+    its candidate search found, which is d(u, v) since v = u h."""
+    return graph.ball.sphere_of[graph.relative[(u, v)]]
 
 
 def _label_sort_key(label: EdgeLabel):
     return (label.type_a, label.type_b, len(label.relative), label.relative)
 
 
-def oriented_edge_label(graph: SubdivisionGraph, u: int, v: int) -> EdgeLabel:
-    """Edge label as read from u toward v."""
-    key = (u, v) if u < v else (v, u)
-    label = graph.edge_labels[key]
-    if u < v:
-        return label
-    return involuted_label(label, graph.ball)
-
-
 def orientation_free_label(graph: SubdivisionGraph, u: int, v: int) -> EdgeLabel:
     """Canonical value-min of the two orientations (used inside comparison
     graphs so vertex numbering cannot flip labels)."""
-    a = oriented_edge_label(graph, u, v)
-    b = oriented_edge_label(graph, v, u)
-    return min(a, b, key=_label_sort_key)
+    return min(graph.edge_labels[(u, v)], graph.edge_labels[(v, u)], key=_label_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +332,7 @@ def _star_summary(graph: SubdivisionGraph, v: int):
     up = 1 if v != 0 else 0
     down = len(graph.ball.children(v))
     horizontal = sorted(
-        (_label_sort_key(oriented_edge_label(graph, v, p)) for p in graph.partners(v)),
+        (_label_sort_key(graph.edge_labels[(v, p)]) for p in graph.partners(v)),
     )
     return (up, down, tuple(horizontal))
 
@@ -399,7 +368,7 @@ def _edge_subdivision(graph: SubdivisionGraph, u: int, v: int, swap: bool = Fals
     for a in kids_a:
         for b in graph.partners(a):
             if b in pos and graph.ball.parent[b] == side_b:
-                edges.append((pos[a], pos[b], _label_sort_key(oriented_edge_label(graph, a, b))))
+                edges.append((pos[a], pos[b], _label_sort_key(graph.edge_labels[(a, b)])))
     return LabeledGraph(labels, tuple(sorted(edges)))
 
 
@@ -505,15 +474,15 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
                     bad6 = ("vertex", rep[0], v)
                     note6 = "vertex-subdivision mismatch"
         # edges are grouped by the orientation-normalized label: min of the
-        # stored label and its involution, with the preimage sides ordered
-        # to match that normalization
+        # labels of its two orientations, with the preimage sides ordered to
+        # match that normalization
         es_groups: dict[tuple, tuple[tuple[int, int], LabeledGraph, EdgeLabel]] = {}
         for n, (u, v) in graph.all_level_edges():
             if n + 1 > graph.n_max:
                 continue
             domain6 += 1
             stored = graph.edge_labels[(u, v)]
-            inverted = involuted_label(stored, ball)
+            inverted = graph.edge_labels[(v, u)]
             canon = min(stored, inverted, key=_label_sort_key)
             symmetric = _label_sort_key(stored) == _label_sort_key(inverted)
             sub = _edge_subdivision(graph, u, v, swap=canon is inverted and not symmetric)
@@ -552,7 +521,11 @@ class LemmaBoundReport:
 
 def check_lemma_bound(graph: SubdivisionGraph) -> LemmaBoundReport:
     """Every geodesically close pair must lie within ceil(2*delta) + 1 in
-    the Cayley graph (the closeness lemma, with the integer ceiling)."""
+    the Cayley graph (the closeness lemma, with the integer ceiling).
+
+    ``build_subdivision_graph`` only pairs vertices within distance K, so
+    on a graph it built this check cannot fail; it does not show that the
+    distance-K candidates lose nothing."""
     bound = graph.k
     worst = 0
     witness = None

@@ -107,7 +107,8 @@ def naive_free_close(alphabet, u1: Word, u2: Word, horizon: int) -> bool:
 
 def naive_pieces(pres: Presentation) -> int:
     """Max piece length by direct occurrence counting: a piece is a proper
-    subword of the cyclic relator forms with two distinct occurrences."""
+    subword of the cyclic relator forms with two distinct occurrences, or
+    a whole form that occurs inside a longer one."""
     occurrences: dict[Word, set] = {}
     for ri, r in enumerate(pres.relators):
         for sign, base in ((1, r), (-1, inverse_word(r, pres.alphabet))):
@@ -120,4 +121,11 @@ def naive_pieces(pres: Presentation) -> int:
     for sub, occ in occurrences.items():
         if len(occ) >= 2:
             best = max(best, len(sub))
+    # a whole cyclic relator form is a piece when it is also a proper
+    # subword of a longer one (all keys above are proper subwords)
+    for r in pres.relators:
+        for base in (r, inverse_word(r, pres.alphabet)):
+            for off in range(len(base)):
+                if base[off:] + base[:off] in occurrences:
+                    best = max(best, len(base))
     return best

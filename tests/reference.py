@@ -259,7 +259,7 @@ def reference_ball(
     # Boundary sweep: only same-sphere edges on the boundary remain, and
     # with even relators those cannot exist (a length homomorphism to Z/2
     # separates adjacent elements).
-    if radius > 0 and not free_shortcut and not parity_key:
+    if not free_shortcut and not parity_key:
         for g in spheres[radius]:
             nf_g = normal_forms[g]
             vec_g = vecs[g]

@@ -280,8 +280,8 @@ def test_enumeration_makes_no_oracle_calls(monkeypatch, tmp_path):
         )
     ]
     assert [r.exit_code for r in runs] == [0, 0, 0]
-    # the surface run labels real edges through the relative elements its
-    # candidate search kept, and reads them reversed through involuted_label
+    # the surface run labels real edges, in both orientations, through the
+    # relative elements its candidate search kept
     assert runs[1].report["xi"]["total_horizontal"] == 8
 
 
@@ -388,10 +388,13 @@ def test_short_relators_match_oracle_ball(gens, relators):
 
 
 def test_loop_relator_at_the_identity():
-    # a = 1 is a loop at the identity even in the ball of radius 0, which
-    # the oracle ball above does not sweep
+    # a = 1 is a loop at the identity even in the ball of radius 0, where
+    # the identity is the whole outer sphere
     loop = parse_presentation("gens: a A b B\nrelators: a\n")
-    assert enumerate_ball(loop, 0).table == [0, 0, -1, -1]
+    ball = enumerate_ball(loop, 0)
+    ref, ref_forms = reference_ball(loop, 0)
+    assert ball.table == ref.table == [0, 0, -1, -1]
+    assert normal_forms(ball) == ref_forms == [()]
 
 
 @pytest.mark.parametrize("name, radius", [("f2", 5), ("z", 5), ("odd_relator", 5)])

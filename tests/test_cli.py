@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall
-from subforge.cli import build_parser, main
+from subforge.cli import _config_from, build_parser, main
+from subforge.pipeline import RunConfig
 from subforge.presentation import preset
 
 
@@ -286,6 +287,16 @@ def _cli_flags() -> set[str]:
                     flags.update(o for o in opt.option_strings if o.startswith("--"))
     flags.discard("--help")
     return flags
+
+
+def test_cli_defaults_are_the_run_config_defaults():
+    # a flag left out gives the run exactly what RunConfig() would
+    for command in ("run", "export"):
+        argv = [command, "--preset", "z", "--radius", "3"]
+        if command == "export":
+            argv += ["--what", "xi", "--format", "json"]
+        config = _config_from(build_parser().parse_args(argv))
+        assert config == RunConfig(preset="z", radius=3)
 
 
 def test_readme_lists_the_cli_flags():

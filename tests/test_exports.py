@@ -3,11 +3,14 @@
 byte."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 from reference import ODD_RELATOR, reference_export
 
 from subforge.ball import enumerate_ball
+from subforge.cli import main
 from subforge.exports import EXPORT_FORMATS, EXPORT_KINDS, MissingArtifact, export_graph
 from subforge.pipeline import Artifacts, RunConfig, run_pipeline
 from subforge.presentation import preset
@@ -97,3 +100,47 @@ def test_gamma_of_a_small_ball_streams_as_the_reference(radius, tmp_path):
         path = tmp_path / f"gamma.{fmt}"
         export_graph(arts, "gamma", fmt, str(path))
         assert path.read_bytes() == reference_export(arts, "gamma", fmt).encode()
+
+
+# sha256 of every export of surface2 R=5 at two delta overrides, the only
+# small configs with horizontal edges: 8 edges at delta 1.0, and at 0.5 56
+# edges in 8 edge-subdivision classes (the cone lemma fails there, exit 2).
+# "report" is report.json less its timings, re-dumped as the exports are.
+LABELED_DIGESTS = {
+    "1.0": (0, {
+        "acceptor.dot": "ec9f4821f6e7e840a2b7044446a39a8f1cbf943da28a5ab0566dcbac01afc207",
+        "acceptor.json": "32cb0698e747519bb151cba3a1a3e439c6884da5f328bd0970252d88826a8035",
+        "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
+        "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
+        "subdivisions.dot": "04b041a8b4960e23bfff2688931e12010f665fa4c4cb0333e0e59cfaebd412f7",
+        "subdivisions.json": "f2c3eee857623748cfea0163da98f5477d59c845e23e4d544e8f9a2619100c78",
+        "xi.dot": "10b6975d00e93726b0afce83b338fdaf81fa7f1ab904907f546f83c63024c2dc",
+        "xi.json": "6b5971df227394fc6b60113e156b3f78f1337c34223b7f61bb9416e9380e1a77",
+        "report": "38890b60e6b11d3146e255e57a97a4c84ceea5cec3d51f416fd14eda5ebd76a5",
+    }),
+    "0.5": (2, {
+        "acceptor.dot": "272a464d1778c451931827ad6543db9b90ae500032799abb44d6bee249d947a3",
+        "acceptor.json": "448e59179abae5df0991c233e05eaedae33b9365d6cfcd5f7483e1771e970086",
+        "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
+        "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
+        "subdivisions.dot": "3509a241d736666eb0257cf9918b41b10daba05aa56c4cc61f568a0eec126ac1",
+        "subdivisions.json": "5a680f6f9a69518c9dbd64270f2e5814741b928d781bdfb6de0ee8ef5a76bbd9",
+        "xi.dot": "56a3449d03da9ab0e35f5061a5ad5732de1689ca07ac0af45307d9fffd85dbb0",
+        "xi.json": "4be42cad8f4938958b1b01d0b0a9645109a040bf1479c5e3c10d0a503e34c4b7",
+        "report": "27dafedd1b52e1c1a7abf17e7dd99b0c86bbea3787386bbf038d3024d0007fec",
+    }),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(LABELED_DIGESTS))
+def test_labeled_surface_exports_are_pinned(delta, tmp_path):
+    code, digests = LABELED_DIGESTS[delta]
+    argv = ["run", "--preset", "surface2", "--radius", "5", "--delta", delta]
+    assert main(argv + ["--out", str(tmp_path), "--export", "dot,json"]) == code
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    report = json.loads((tmp_path / "report.json").read_text())
+    del report["timings"]
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    got["report"] = hashlib.sha256(text.encode()).hexdigest()
+    del got["report.json"]
+    assert got == digests

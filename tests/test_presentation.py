@@ -111,6 +111,21 @@ def test_pieces_torus_fails():
     assert rep.max_piece_len == naive_pieces(p) == 1
 
 
+def test_short_relator_inside_a_longer_one_is_a_piece():
+    # "a" is the whole relator a and a prefix of ab: a piece of length 1,
+    # not below 1/6 of the relator's length
+    text = "gens: a A b B\nrelators: a ab\n"
+    with pytest.raises(PresentationError):
+        parse_presentation(text)
+    from subforge.words import GeneratorAlphabet
+
+    alphabet = GeneratorAlphabet.from_case_pairs(["a", "A", "b", "B"])
+    p = Presentation(alphabet, tuple(alphabet.parse_word(w) for w in ("a", "ab")))
+    rep = verify_small_cancellation(p)
+    assert (rep.max_piece_len, rep.min_relator_len, rep.satisfies_c16) == (1, 1, False)
+    assert rep.max_piece_len == naive_pieces(p)
+
+
 GENUS3 = "gens: a A b B c C d D e E f F\nrelators: abABcdCDefEF\n"
 
 

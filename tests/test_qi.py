@@ -76,7 +76,7 @@ def test_injected_same_level_edge_fails_check_c(surface_labeled_run):
     for u, w in ((a, b), (c, d)):
         letter = next(x for x, t in enumerate(ball.row(u)) if t >= 0 and ball.sphere_of[t] == 2)
         ball.table[u * ball.degree + letter] = w
-    qi = verify_qi_bounds(graph, graph.delta)
+    qi = verify_qi_bounds(graph)
     check = _check(qi, "c")
     assert not check.passed
     # the first counterexample, not the last
@@ -93,7 +93,7 @@ def test_injected_level_changing_edges_fail_check_d(surface_labeled_run):
     for u, w in ((aa, b), (ab, c)):
         letter = next(x for x, t in enumerate(ball.row(u)) if t >= 0 and ball.sphere_of[t] == 3)
         ball.table[u * ball.degree + letter] = w
-    d = _check(verify_qi_bounds(graph, graph.delta), "d")
+    d = _check(verify_qi_bounds(graph), "d")
     assert not d.passed and d.max_observed == 3
     # the first counterexample, not the last
     assert d.witness == (aa, b)

@@ -13,7 +13,6 @@ from subforge.subdivision import (
     check_lemma_bound,
     close_candidates,
     geodesically_close,
-    involuted_label,
     outward_vertices,
     same_level_neighbours,
     verify_axioms,
@@ -224,8 +223,18 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
     assert len(extra) == 8
     ab, dc = surface_ball.element_of("ab"), surface_ball.element_of("dc")
     assert (min(ab, dc), max(ab, dc)) in extra
-    report = check_lemma_bound(replace(filtered, level_edges=level_edges))
+    # the injected edges carry their u^-1 v, as the candidate search would
+    relative = dict(filtered.relative)
+    for es in level_edges.values():
+        for u, v in es:
+            relative.setdefault((u, v), relative_element(surface_ball, u, v))
+    assert len(relative) == len(filtered.relative) + 8
+    grown = replace(filtered, level_edges=level_edges, relative=relative)
+    # the partner index is derived per graph, so the copy sees the new edges
+    assert dc in grown.partners(ab) and dc not in filtered.partners(ab)
+    report = check_lemma_bound(grown)
     assert not report.passed and report.max_observed == 4
+    assert report.witness in extra
 
 
 @pytest.mark.parametrize(
@@ -294,12 +303,17 @@ def test_cone_neighborhood_identity_empty(f2_run):
 
 
 def test_edge_label_involution(surface_labeled_run):
+    # every edge is labelled in both orientations, and the reverse label
+    # swaps the endpoint types and spells the inverse relative element
     graph = surface_labeled_run.artifacts.graph
     ball = graph.ball
-    for (u, v), label in graph.edge_labels.items():
-        back = involuted_label(label, ball)
+    assert len(graph.edge_labels) == 2 * graph.edge_count() == 16
+    for _, (u, v) in graph.all_level_edges():
+        label, back = graph.edge_labels[(u, v)], graph.edge_labels[(v, u)]
         assert (back.type_a, back.type_b) == (label.type_b, label.type_a)
-        assert involuted_label(back, ball) == label
+        assert ball.element_of(label.relative + back.relative) == 0
+        assert ball.element_of(back.relative + label.relative) == 0
+        assert back.relative == ball.normal_form(ball.element_of(back.relative))
 
 
 def test_axioms_f2(f2_run):
@@ -355,24 +369,6 @@ def test_lemma_bound(surface_labeled_run):
     assert lb.passed
     assert lb.max_observed == 2  # octagon partners sit at distance 2
     assert lb.edge_count == 8
-
-
-def test_lemma_bound_records_pair_past_its_limit(surface_labeled_run):
-    # an unlabelled same-level pair farther than K+2 is recorded as K+3,
-    # the value that says "beyond the limit", not K+2
-    graph = surface_labeled_run.artifacts.graph
-    ball = graph.ball
-    u, v = sorted((ball.element_of("aaaa"), ball.element_of("AAAA")))
-    assert ball.distance_between(u, v, 2 * ball.radius) == 8 > graph.k + 2
-    edges = dict(graph.level_edges)
-    edges[4] = edges.get(4, ()) + ((u, v),)
-    grown = replace(graph, level_edges=edges)
-    # the partner index is derived per graph, so the copy sees the new edge
-    assert v in grown.partners(u) and v not in graph.partners(u)
-    report = check_lemma_bound(grown)
-    assert report.max_observed == graph.k + 3
-    assert report.passed is False
-    assert report.witness == (u, v)
 
 
 def test_witness_inheritance_in_condition4(surface_k2):
