@@ -13,6 +13,7 @@ import sys
 import time
 
 from . import exports
+from .parallel import fork_map, split
 from .pipeline import (
     EXIT_ERROR,
     ConfigError,
@@ -22,6 +23,10 @@ from .pipeline import (
 from .presentation import PRESET_TEXTS, PresentationError
 
 log = logging.getLogger("subforge.cli")
+
+# the export kinds in groups written in parallel: gamma's files take about
+# as long to write as xi's, and the acceptor and subdivision tables are small
+EXPORT_GROUPS = (("gamma",), ("xi", "acceptor", "subdivisions"))
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -82,12 +87,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = args.out
     start = time.perf_counter()
     _write(os.path.join(out, "report.json"), exports.export_report(result.report))
-    for fmt in formats:
-        for what in exports.EXPORT_KINDS:
-            try:
-                exports.export_graph(result.artifacts, what, fmt, os.path.join(out, f"{what}.{fmt}"))
-            except exports.MissingArtifact:
-                continue
+
+    def write(groups):
+        for group in groups:
+            for what in group:
+                for fmt in formats:
+                    try:
+                        exports.export_graph(result.artifacts, what, fmt, os.path.join(out, f"{what}.{fmt}"))
+                    except exports.MissingArtifact:
+                        continue
+
+    if formats:
+        fork_map(write, split(EXPORT_GROUPS))
     log.info("exports: %.3f s", time.perf_counter() - start)
     checks = result.report.get("checks", {})
     failed = sorted(name for name, ok in checks.items() if not ok)

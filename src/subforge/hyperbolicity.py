@@ -53,15 +53,22 @@ the unreduced loop finds.  The search for the symmetries grows as
 2^k k! in the number k of generator pairs, so it is run only when that
 count is at most the number of triangles; otherwise every triangle is
 computed.
+
+The triangles are independent, so the computed ones are cut into one
+contiguous chunk per CPU (``parallel.fork_map``).  Each chunk keeps its own
+BFS layers and anchored sides and returns its first maximal triangle; the
+chunks are merged in order with the same strict comparison, so the value
+and witness are those of one loop over every triangle.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .ball import CayleyBall, TrustRadiusError
+from .parallel import fork_map, split
 from .presentation import letter_symmetries
 from .words import inverse_word
 
@@ -259,7 +266,8 @@ def compute_delta(
 
     Exhaustive mode covers every pair x <= y of B_r but computes only one
     per orbit of the presentation's letter symmetries (module docstring);
-    sampled mode computes every sample."""
+    sampled mode computes every sample.  The triangles are computed in
+    parallel chunks, one per CPU, with the result of a single loop."""
     if r < 0:
         raise ValueError("delta radius must be >= 0")
     if 2 * r > ball.radius:
@@ -279,7 +287,7 @@ def compute_delta(
         if 2**k * math.factorial(k) <= triangles:
             # the identity comes first and is left out
             images = [ball.translate(0, r, s) for s in letter_symmetries(ball.presentation)[1:]]
-        pairs = _orbit_representatives(n, images)
+        pairs = list(_orbit_representatives(n, images))
     elif mode == MODE_SAMPLED:
         rng = random.Random(seed)
         ids = range(n)
@@ -288,19 +296,26 @@ def compute_delta(
     else:
         raise ValueError(f"unknown delta mode {mode!r}")
 
-    run = _DeltaRun(ball)
+    def chunk_thinness(chunk):
+        # the first maximal triangle of the chunk, its witness as a tuple
+        # so that it crosses the pipe
+        run = _DeltaRun(ball)
+        value, witness = -1, None
+        for x, y in chunk:
+            v, w = triangle_thinness(run, x, y)
+            if v > value:
+                value, witness = v, w
+        return value, None if witness is None else astuple(witness)
+
     value, witness = -1, None
-    computed = 0
-    for x, y in pairs:
-        computed += 1
-        v, w = triangle_thinness(run, x, y)
+    for v, w in fork_map(chunk_thinness, split(pairs)):
         if v > value:
-            value, witness = v, w
+            value, witness = v, TriangleWitness(*w)
     return DeltaEstimate(
         delta=float(max(value, 0)),
         radius_checked=r,
         mode=mode,
         witness=witness,
         triangles=triangles,
-        triangles_computed=computed,
+        triangles_computed=len(pairs),
     )

@@ -27,6 +27,7 @@ from .language import (
     cone_type_classes,
     verify_cone_lemma,
 )
+from .parallel import cpu_count
 from .presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from .qi import estimate_qi_constants, verify_qi_bounds
 from .subdivision import (
@@ -174,6 +175,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "config": {k: v for k, v in asdict(config).items() if k != "cache_dir"},
     }
     artifacts = Artifacts()
+    log.info("chunks per parallel loop: at most %d, one per CPU in the affinity mask", cpu_count())
 
     last = [t0]
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import pickle
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import subforge
 from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall
 from subforge.cli import _config_from, build_parser, main
 from subforge.pipeline import RunConfig
@@ -268,6 +270,30 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "surface2" in proc.stdout
+
+
+def test_exports_do_not_depend_on_the_cpu_count(tmp_path):
+    # one run pinned to a single CPU, where nothing is forked, and one over
+    # every CPU of this process write the same exports and the same report
+    # apart from its timings
+    cpus = os.sched_getaffinity(0)
+    env = dict(os.environ, PYTHONPATH=str(Path(subforge.__file__).resolve().parent.parent))
+    runs = {}
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {min(cpus)})), ("all", None)):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "subforge", "run", "--preset", "f2", "--radius", "6",
+             "--export", "dot,json", "--out", str(out), "-v"],
+            env=env, preexec_fn=pin, capture_output=True, text=True, check=True,
+        )
+        report = _report(out)
+        del report["timings"]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir() if p.name != "report.json"}
+        runs[name] = (digests, report)
+        chunks = 1 if pin else len(cpus)
+        assert f"chunks per parallel loop: at most {chunks}," in proc.stderr
+    assert runs["one"] == runs["all"]
+    assert len(runs["one"][0]) == 8
 
 
 def test_report_records_config(tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from subforge import hyperbolicity
+from subforge import hyperbolicity, parallel
 from subforge.ball import enumerate_ball
 from subforge.presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from subforge.hyperbolicity import (
@@ -206,7 +206,9 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     # BFS layers, 202 vertices over 74 points with one triangle per
     # symmetry orbit; 409 over 89 points when every triangle was computed,
     # 26,883 with a BFS map per geodesic source as well, and 204,633 with
-    # each source expanded over the whole ball.
+    # each source expanded over the whole ball.  One chunk, so that every
+    # triangle runs in this process and the bound covers all of delta.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
     states = []
 
     class Recording(_DeltaRun):

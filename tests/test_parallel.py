@@ -1,0 +1,124 @@
+import os
+import time
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+
+from subforge import parallel
+from subforge.ball import enumerate_ball
+from subforge.hyperbolicity import MODE_SAMPLED, compute_delta
+from subforge.parallel import fork_map, split
+from subforge.presentation import Presentation, preset, verify_small_cancellation
+from subforge.qi import estimate_qi_constants
+from subforge.subdivision import build_subdivision_graph
+
+from reference import FOUR_GENERATORS, TWO_RELATORS, distinct_letter_relators, odd_relator_presentation
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _pin(monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus, lengths", [(1, [7]), (2, [4, 3]), (3, [3, 2, 2]), (9, [1] * 7)])
+def test_split_is_contiguous_and_capped(monkeypatch, cpus, lengths):
+    _pin(monkeypatch, cpus)
+    chunks = split(list(range(7)))
+    assert [len(c) for c in chunks] == lengths
+    assert sum(chunks, []) == list(range(7))
+    assert split([]) == [[]]
+
+
+def test_fork_map_returns_chunk_results_in_order():
+    parent = os.getpid()
+    got = fork_map(lambda chunk: (sum(chunk), os.getpid() == parent), [[1, 2], [3], [4, 5, 6]])
+    # the first chunk runs in the caller, the others in children
+    assert got == [(3, True), (3, False), (15, False)]
+    assert _no_children_left()
+
+
+def test_fork_map_one_chunk_runs_in_the_caller():
+    parent = os.getpid()
+    assert fork_map(lambda chunk: os.getpid() == parent, [[1]]) == [True]
+    assert _no_children_left()
+
+
+def test_child_error_reaches_the_caller():
+    def fn(chunk):
+        if chunk == [2]:
+            raise ValueError(f"chunk {chunk} failed")
+        return chunk
+
+    with pytest.raises(ValueError, match=r"^chunk \[2\] failed$"):
+        fork_map(fn, [[1], [2], [3]])
+    assert _no_children_left()
+
+
+def test_caller_interrupt_kills_every_child():
+    def fn(chunk):
+        if chunk == [0]:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        fork_map(fn, [[0], [1], [2]])
+    assert time.perf_counter() - t0 < 30
+    assert _no_children_left()
+
+
+@pytest.fixture(scope="module")
+def odd_relator_ball():
+    return enumerate_ball(odd_relator_presentation(), 4)
+
+
+@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}],
+    ids=["exhaustive", "sampled"],
+)
+def test_delta_is_the_same_for_any_chunk_count(ball_name, r, kwargs, request, monkeypatch):
+    ball = request.getfixturevalue(ball_name)
+    _pin(monkeypatch, 1)
+    serial = compute_delta(ball, r, **kwargs)
+    for cpus in (2, 3):
+        _pin(monkeypatch, cpus)
+        # dataclass equality: value, witness, triangles_computed and the rest
+        assert compute_delta(ball, r, **kwargs) == serial
+    assert _no_children_left()
+
+
+def _qi_per_chunk_count(graph, monkeypatch, **kwargs):
+    results = []
+    for cpus in (1, 2, 3):
+        _pin(monkeypatch, cpus)
+        results.append(estimate_qi_constants(graph, **kwargs))
+    return results
+
+
+@pytest.mark.parametrize("radius", [6, 8])
+def test_qi_is_the_same_for_any_chunk_count_f2(radius, monkeypatch):
+    graph = build_subdivision_graph(enumerate_ball(preset("f2"), radius), 0.0)
+    serial, *split_runs = _qi_per_chunk_count(graph, monkeypatch, seed=5)
+    assert split_runs == [serial, serial]
+    assert _no_children_left()
+
+
+@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
+@example(list(TWO_RELATORS))
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.function_scoped_fixture])
+def test_qi_is_the_same_for_any_chunk_count_c16_family(monkeypatch, relators):
+    p = Presentation(FOUR_GENERATORS, tuple(relators))
+    assume(verify_small_cancellation(p).satisfies_c16)
+    # K=2 leaves levels 0-2 trusted (about 2,000 pairs, every one of them
+    # measured), with horizontal edges on an odd relator
+    graph = build_subdivision_graph(enumerate_ball(p, 5), 0.5)
+    serial, *split_runs = _qi_per_chunk_count(graph, monkeypatch, sample_pairs=10**9)
+    assert split_runs == [serial, serial]
+    assert serial[3] and serial[1] is not None  # exhaustive, with an extremal pair

@@ -8,6 +8,8 @@ from subforge.ball import enumerate_ball
 from subforge.language import cone_type_classes
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.subdivision import (
+    _edge_subdivision,
+    _label_sort_key,
     assign_labels,
     build_subdivision_graph,
     check_lemma_bound,
@@ -350,6 +352,35 @@ def test_axioms_surface_k2_edge_subdivisions(surface_k2):
         assert sides == {0, 1}
         for i, j, _lab in sub.edges:
             assert sub.vertex_labels[i][0] != sub.vertex_labels[j][0]
+
+
+def test_axiom6_orders_edge_sides_by_the_smaller_label(surface_k2, surface_ball):
+    # numbering the cone types backwards is the same labelling, but now the
+    # reverse reading of every edge is the smaller label, so axiom 6 swaps
+    # the preimage sides of each edge before grouping it
+    graph, table = surface_k2
+    top = table.class_count - 1
+    backwards = replace(
+        table,
+        class_of={e: top - c for e, c in table.class_of.items()},
+        fingerprints=table.fingerprints[::-1],
+    )
+    flipped = assign_labels(build_subdivision_graph(surface_ball, 0.5, k_override=2), backwards)
+    domain = [(u, v) for n, (u, v) in flipped.all_level_edges() if n + 1 <= flipped.n_max]
+    assert len(domain) == 8
+    for u, v in domain:
+        assert _label_sort_key(flipped.edge_labels[(v, u)]) < _label_sort_key(flipped.edge_labels[(u, v)])
+    rep = verify_axioms(flipped)
+    assert rep.all_passed
+    assert len(rep.edge_subdivisions) == len(verify_axioms(graph).edge_subdivisions)
+    differs = 0
+    for label, sub in rep.edge_subdivisions.items():
+        # side 0 holds the children of v, the endpoint label.type_a types
+        u, v = next((u, v) for u, v in domain if flipped.edge_labels[(v, u)] == label)
+        assert label.type_a == backwards.class_of[v]
+        assert sub == _edge_subdivision(flipped, v, u)
+        differs += sub != _edge_subdivision(flipped, u, v)
+    assert differs > 0  # the side order shows in the table
 
 
 def test_corrupted_label_fails_condition5(f2_run):
