@@ -45,9 +45,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--cache-dir", default=None, help="binary ball cache directory")
     p.add_argument("-v", "--verbose", action="store_true", help="log each stage's time on stderr")
-    # fault-injection hooks used by the negative-control tests
+    # fault-injection hook used by the negative-control tests
     p.add_argument("--force-k", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--corrupt-vertex-label", action="store_true", help=argparse.SUPPRESS)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -67,7 +66,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         cache_dir=args.cache_dir,
         force_k=args.force_k,
-        corrupt_vertex_label=args.corrupt_vertex_label,
     )
 
 

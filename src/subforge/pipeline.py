@@ -1,6 +1,12 @@
 """End-to-end pipeline: parse, enumerate, estimate delta, build the
 language machinery and the subdivision graph, then verify everything.
 
+Each fact is decided by one verdict in ``report["checks"]``, and each
+verdict can fail: the small cancellation certificate, prefix closure, the
+cone lemma, acceptor consistency, the six axioms (axiom 3 covers the
+geodesic tree's parent links) and QI (a)-(d) (QI (b) covers the
+closeness-lemma bound on horizontal edges).
+
 The pipeline keeps going after verification failures so the report carries
 every verdict; operational problems (bad config, resource caps) abort.
 Exit status contract: 0 all checks passed, 2 some verification check
@@ -30,13 +36,7 @@ from .language import (
 from .parallel import cpu_count
 from .presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from .qi import estimate_qi_constants, verify_qi_bounds
-from .subdivision import (
-    assign_labels,
-    build_subdivision_graph,
-    check_lemma_bound,
-    verify_axioms,
-    working_constant,
-)
+from .subdivision import assign_labels, build_subdivision_graph, verify_axioms, working_constant
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,6 @@ class RunConfig:
     seed: int = 2024
     cache_dir: str | None = None
     force_k: int | None = None
-    corrupt_vertex_label: bool = False
 
     def validate(self) -> None:
         if (self.preset is None) == (self.file is None):
@@ -104,7 +103,6 @@ class Artifacts:
     acceptor_report: object | None = None
     graph: object | None = None
     axiom_report: object | None = None
-    lemma_report: object | None = None
     qi_report: object | None = None
 
 
@@ -255,29 +253,27 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         }
     stage("delta")
 
-    # geodesic tree
+    # geodesic tree (axiom 3 reports the parent links as a verdict)
     edges = build_gamma(ball)
-    checks["gamma_tree"] = True  # build_gamma raises on violation
     report["gamma"] = {"vertices": ball.size, "edges": edges}
     stage("gamma")
 
-    # cone types with the adaptive-K escape hatch
-    adaptation = []
+    # cone types with the adaptive-K escape hatch: K is bumped while the
+    # acceptor is inconsistent, up to R//2, unless it was forced
     if config.force_k is not None:
         k = config.force_k
         k_clamped = False
     else:
         k = min(working_constant(delta), ball.radius)
         k_clamped = k != working_constant(delta)
-    table = cone_type_classes(ball, k)
-    acceptor, acc_report = build_acceptor(ball, table)
-    adaptation.append({"k": k, "consistent": acc_report.consistent})
-    if config.force_k is None:
-        while not acc_report.consistent and k < ball.radius // 2:
-            k += 1
-            table = cone_type_classes(ball, k)
-            acceptor, acc_report = build_acceptor(ball, table)
-            adaptation.append({"k": k, "consistent": acc_report.consistent})
+    adaptation = []
+    while True:
+        table = cone_type_classes(ball, k)
+        acceptor, acc_report = build_acceptor(ball, table)
+        adaptation.append({"k": k, "consistent": acc_report.consistent})
+        if acc_report.consistent or config.force_k is not None or k >= ball.radius // 2:
+            break
+        k += 1
     artifacts.table = table
     artifacts.acceptor = acceptor
     artifacts.acceptor_report = acc_report
@@ -313,8 +309,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     horizon = config.horizon if config.horizon is not None else ball.radius
     graph = build_subdivision_graph(ball, delta, horizon=horizon, k_override=k)
     assign_labels(graph, table)
-    if config.corrupt_vertex_label:
-        _corrupt_one_label(graph)
     artifacts.graph = graph
     report["xi"] = {
         "k": graph.k,
@@ -334,16 +328,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "label_warnings": list(graph.label_warnings),
         "vertical_edges": ball.size - 1,
     }
-    lemma_bound = check_lemma_bound(graph)
-    artifacts.lemma_report = lemma_bound
-    report["lemma_bound"] = {
-        "passed": lemma_bound.passed,
-        "bound": lemma_bound.bound,
-        "max_observed": lemma_bound.max_observed,
-        "edges": lemma_bound.edge_count,
-        "witness": _maybe_describe(ball, lemma_bound.witness),
-    }
-    checks["lemma_bound"] = lemma_bound.passed
     stage("xi")
 
     axioms = verify_axioms(graph)
@@ -403,13 +387,3 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     exit_code = EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
     return PipelineResult(report, artifacts, exit_code)
 
-
-def _corrupt_one_label(graph) -> None:
-    """Fault injection: overwrite the first vertex label with the first
-    different one (makes condition 5 fail when stars differ)."""
-    items = sorted(graph.vertex_labels)
-    for v in items:
-        for w in items:
-            if graph.vertex_labels[v] != graph.vertex_labels[w]:
-                graph.vertex_labels[v] = graph.vertex_labels[w]
-                return

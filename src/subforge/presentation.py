@@ -4,9 +4,10 @@ The pipeline decides every group fact on the Cayley ball, whose
 enumeration needs the C'(1/6) certificate; ``verify_small_cancellation``
 computes it and the parser checks it.  ``letter_symmetries`` finds the
 generator permutations that preserve the relators, which the delta stage
-uses to compute one triangle per orbit.  The oracles (free reduction for a
-presentation without relators, Dehn's algorithm otherwise) are an
-independent second route for the tests; no pipeline stage calls them.
+uses to compute one triangle per orbit.  The word oracles (``WordOracle``:
+free reduction, ``DehnOracle``: Dehn's algorithm) are an independent second
+route for the tests, which pick Dehn's algorithm when there are relators;
+no pipeline stage calls them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .words import (
     GeneratorAlphabet,
@@ -42,11 +42,6 @@ class Presentation:
                 raise PresentationError("empty relator")
             if cyclically_reduce(r, self.alphabet) != r:
                 raise PresentationError("relator not cyclically reduced")
-
-    def oracle(self) -> "WordOracle":
-        """Dehn's algorithm when there are relators, free reduction when
-        there are none."""
-        return _make_oracle(self)
 
     def text(self) -> str:
         """Round-trippable presentation-file form (used for cache keys)."""
@@ -234,13 +229,6 @@ class DehnOracle(WordOracle):
                 return w
             i, length, repl = hit
             w = free_reduce(w[:i] + repl + w[i + length :], self.alphabet)
-
-
-@lru_cache(maxsize=64)
-def _make_oracle(pres: Presentation) -> WordOracle:
-    if pres.relators:
-        return DehnOracle(pres)
-    return WordOracle(pres.alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -508,32 +508,3 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
         vertex_subdivisions=vertex_subs if emit else None,
         edge_subdivisions=edge_subs if emit else None,
     )
-
-
-@dataclass
-class LemmaBoundReport:
-    passed: bool
-    bound: int
-    max_observed: int
-    edge_count: int
-    witness: tuple[int, int] | None
-
-
-def check_lemma_bound(graph: SubdivisionGraph) -> LemmaBoundReport:
-    """Every geodesically close pair must lie within ceil(2*delta) + 1 in
-    the Cayley graph (the closeness lemma, with the integer ceiling).
-
-    ``build_subdivision_graph`` only pairs vertices within distance K, so
-    on a graph it built this check cannot fail; it does not show that the
-    distance-K candidates lose nothing."""
-    bound = graph.k
-    worst = 0
-    witness = None
-    count = 0
-    for _, (u, v) in graph.all_level_edges():
-        count += 1
-        d = horizontal_edge_length(graph, u, v)
-        if d > worst:
-            worst = d
-            witness = (u, v)
-    return LemmaBoundReport(worst <= bound, bound, worst, count, witness)

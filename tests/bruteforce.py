@@ -11,6 +11,8 @@ from __future__ import annotations
 from subforge.presentation import Presentation
 from subforge.words import Word, free_reduce, inverse_word
 
+from reference import word_oracle
+
 
 def reduced_words(alphabet, max_len: int) -> list[Word]:
     """All freely reduced words of length <= max_len, in shortlex order."""
@@ -33,7 +35,7 @@ def naive_ball(pres: Presentation, radius: int) -> list[Word]:
     """Canonical (shortlex-least) words of the ball, found by scanning all
     reduced words in shortlex order and keeping those the oracle cannot
     match to an earlier word."""
-    oracle = pres.oracle()
+    oracle = word_oracle(pres)
     alphabet = pres.alphabet
     canon: list[Word] = []
     for w in reduced_words(alphabet, radius):

@@ -13,6 +13,9 @@ over all same-level pairs.  ``reference_delta`` computes every anchored
 triangle, with no symmetry quotient.  The export writers that built each
 file as one string (``json.dumps`` of the whole object tree, DOT lines
 joined at the end) are kept as the reference for the streamed exports.
+``word_oracle`` picks a presentation's word oracle, and
+``corrupt_pipeline_labels`` injects the label fault of the negative
+controls into ``run_pipeline``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import random
 
 from hypothesis import assume, strategies as st
 
+from subforge import pipeline
 from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP
 from subforge.exports import _edge_label_json, _labeled_graph_json, _vertex_label_json
 from subforge.hyperbolicity import (
@@ -34,8 +38,8 @@ from subforge.hyperbolicity import (
     triangle_thinness,
 )
 from subforge.language import ConeTypeTable, InternalConsistencyError, WordAcceptor
-from subforge.presentation import Presentation, parse_presentation
-from subforge.subdivision import VertexLabel, Witness, geodesically_close
+from subforge.presentation import DehnOracle, Presentation, WordOracle, parse_presentation
+from subforge.subdivision import SubdivisionGraph, VertexLabel, Witness, geodesically_close
 from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
 
 # one-relator C'(1/6) group with an odd relator (randomized search, seed 1;
@@ -45,6 +49,36 @@ ODD_RELATOR = "bbaabbbaaabaaaabbabaababa"
 
 def odd_relator_presentation() -> Presentation:
     return parse_presentation(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
+
+
+def word_oracle(pres: Presentation) -> WordOracle:
+    """Dehn's algorithm when there are relators, free reduction when there
+    are none."""
+    return DehnOracle(pres) if pres.relators else WordOracle(pres.alphabet)
+
+
+def corrupt_one_label(graph: SubdivisionGraph) -> None:
+    """Overwrite the first vertex label with the first different one, so
+    condition 5 fails when stars differ."""
+    items = sorted(graph.vertex_labels)
+    for v in items:
+        for w in items:
+            if graph.vertex_labels[v] != graph.vertex_labels[w]:
+                graph.vertex_labels[v] = graph.vertex_labels[w]
+                return
+
+
+def corrupt_pipeline_labels(monkeypatch) -> None:
+    """Make ``run_pipeline`` apply ``corrupt_one_label`` after it labels
+    the subdivision graph, for the rest of the test."""
+    assign = pipeline.assign_labels
+
+    def assign_and_corrupt(graph, table):
+        assign(graph, table)
+        corrupt_one_label(graph)
+        return graph
+
+    monkeypatch.setattr(pipeline, "assign_labels", assign_and_corrupt)
 
 
 # the hypothesis family of C'(1/6) presentations: one or two relators of
@@ -182,7 +216,7 @@ def reference_ball(
         raise ValueError("radius must be >= 0")
     alphabet = pres.alphabet
     inv = alphabet.inverse
-    oracle = pres.oracle()
+    oracle = word_oracle(pres)
     units = [exponent_vector((x,), alphabet) for x in range(alphabet.size)]
 
     lattice = IntegerLattice([exponent_vector(r, alphabet) for r in pres.relators])

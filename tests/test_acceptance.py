@@ -24,6 +24,7 @@ from bruteforce import (
     naive_pieces,
     naive_sphere_sizes,
 )
+from reference import corrupt_pipeline_labels, word_oracle
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -178,11 +179,11 @@ def test_criterion_3_surface_run():
         f"k={lemma['k']} pairs={lemma['pairs_checked']} tested={lemma['elements_tested']}",
     )
 
-    lb = report["lemma_bound"]
+    qi_b = next(c for c in report["qi"]["checks"] if c["name"] == "b")
     _verdict(
-        "3e: closeness-lemma bound, 0 violations",
-        lb["passed"] and lb["max_observed"] <= k_expected,
-        f"max {lb['max_observed']} <= {k_expected} over {lb['edges']} edges",
+        "3e: closeness-lemma bound (QI (b)), 0 violations",
+        qi_b["passed"] and (qi_b["domain"] == 0 or qi_b["max_observed"] <= k_expected),
+        f"max {qi_b['max_observed']} <= {k_expected} over {qi_b['domain']} edges",
     )
 
     _verdict(
@@ -250,7 +251,7 @@ def test_criterion_4_stability(name, radius):
 # -- criterion 5: negative controls ---------------------------------------------
 
 
-def test_criterion_5_negative_controls(tmp_path):
+def test_criterion_5_negative_controls(tmp_path, monkeypatch):
     out1 = tmp_path / "k0"
     code1 = main(["run", "--preset", "f2", "--radius", "5", "--force-k", "0", "--out", str(out1)])
     report1 = json.loads((out1 / "report.json").read_text())
@@ -263,9 +264,8 @@ def test_criterion_5_negative_controls(tmp_path):
     )
 
     out2 = tmp_path / "corrupt"
-    code2 = main(
-        ["run", "--preset", "f2", "--radius", "5", "--corrupt-vertex-label", "--out", str(out2)]
-    )
+    corrupt_pipeline_labels(monkeypatch)
+    code2 = main(["run", "--preset", "f2", "--radius", "5", "--out", str(out2)])
     report2 = json.loads((out2 / "report.json").read_text())
     cond5 = next(c for c in report2["axioms"] if c["index"] == 5)
     _verdict(
@@ -284,7 +284,7 @@ def test_criterion_6_oracle_cross_validation():
     from subforge.ball import enumerate_ball
 
     p = preset("surface2")
-    oracle = p.oracle()
+    oracle = word_oracle(p)
     rng = random.Random(20240)
     failures = 0
     for _ in range(1000):

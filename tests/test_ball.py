@@ -45,6 +45,7 @@ from reference import (
     normal_forms,
     one_sided_distance,
     reference_ball,
+    word_oracle,
 )
 
 
@@ -109,7 +110,7 @@ def test_parent_prefix_closure(surface_ball):
 
 def test_neighbors_complete_and_symmetric(surface_small_ball):
     ball = surface_small_ball
-    oracle = ball.presentation.oracle()
+    oracle = word_oracle(ball.presentation)
     alphabet = ball.presentation.alphabet
     for e in range(ball.size):
         for x in range(alphabet.size):
@@ -144,7 +145,7 @@ def test_relative_element_matches_oracle(which, surface_ball):
     # translating B_3 by u gives image[h] = u h, so u^-1 image[h] = h: the
     # relative element of every vertex near u agrees with the word oracle
     ball = surface_ball if which == "surface" else enumerate_ball(odd_relator_presentation(), 5)
-    oracle = ball.presentation.oracle()
+    oracle = word_oracle(ball.presentation)
     alphabet = ball.presentation.alphabet
     for u in ball.sphere(2):
         image = ball.translate(u, 3)

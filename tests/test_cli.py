@@ -128,11 +128,14 @@ def test_export_exit_code_on_cap(tmp_path, capsys):
     assert not (tmp_path / "cap" / "acceptor.json").exists()
 
 
-def test_export_missing_artifact_errors(tmp_path):
+def test_export_missing_artifact_errors(tmp_path, monkeypatch):
+    from reference import corrupt_pipeline_labels
+
     # label corruption breaks conditions 5/6, so no subdivision tables exist
+    corrupt_pipeline_labels(monkeypatch)
     code = main(
         [
-            "export", "--preset", "f2", "--radius", "5", "--corrupt-vertex-label",
+            "export", "--preset", "f2", "--radius", "5",
             "--what", "subdivisions", "--format", "json", "--out", str(tmp_path / "m"),
         ]
     )

@@ -88,7 +88,6 @@ def test_report_schema_stable(f2_run):
         "cone_lemma",
         "acceptor",
         "xi",
-        "lemma_bound",
         "axioms",
         "subdivisions",
         "qi",
@@ -97,6 +96,15 @@ def test_report_schema_stable(f2_run):
     ):
         assert key in report, key
     assert report["status"] == "completed"
+    # one verdict per fact, each of which can fail
+    assert list(report["checks"]) == [
+        "small_cancellation",
+        "prefix_closure",
+        "cone_lemma",
+        "acceptor_consistent",
+        *(f"axiom_{i}" for i in range(1, 7)),
+        *(f"qi_{c}" for c in "abcd"),
+    ]
 
 
 def test_delta_override_recorded(surface_labeled_run):

@@ -1,12 +1,15 @@
 import copy
+import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from subforge.ball import enumerate_ball
 from subforge.presentation import preset
 from subforge.qi import _bfs_distance, _pair_constant, _xi_adjacency, estimate_qi_constants, verify_qi_bounds
-from subforge.subdivision import build_subdivision_graph
+from subforge.subdivision import build_subdivision_graph, working_constant
 
 from bruteforce import free_distance
 from reference import one_sided_distance
@@ -37,6 +40,7 @@ def test_surface_labeled_checks(surface_labeled_run):
     assert qi.all_passed
     b = _check(qi, "b")
     assert b.domain_size == 8
+    assert b.max_observed == 2  # octagon partners sit at distance 2
     assert b.max_observed < 2 * 1.0 + 2
     # the sharper closeness-lemma bound also holds for the observed max
     assert b.max_observed <= surface_labeled_run.artifacts.graph.k
@@ -99,10 +103,26 @@ def test_injected_level_changing_edges_fail_check_d(surface_labeled_run):
     assert d.witness == (aa, b)
 
 
-def test_density_is_exact(f2_run):
-    qi = f2_run.artifacts.qi_report
-    d = _check(qi, "density")
-    assert d.passed and d.max_observed == 0 and d.bound == 0
+@pytest.mark.parametrize(
+    "delta",
+    [0.0, 1.0, 2.0, 5.0, 0.5, 1.5, 2.5, 0.1, 0.3, 1 / 3, 0.7, 2.05, 3.9, math.nextafter(0.5, 1.0)],
+)
+def test_closeness_bound_is_the_working_constant(delta):
+    # for an integer length d, d < 2*delta + 2 (evaluated exactly) is
+    # d <= ceil(2*delta) + 1: QI (b) decides the closeness-lemma bound on
+    # the same constant that limits the candidate search
+    for d in range(13):
+        assert (d < 2 * Fraction(delta) + 2) == (d <= working_constant(delta)), (d, delta)
+
+
+def test_b_is_exact_where_the_float_bound_rounds(surface_ball):
+    # at the least positive delta, 2*delta + 2 rounds to 2.0, yet the
+    # length-2 octagon edges lie below the exact bound
+    graph = build_subdivision_graph(surface_ball, math.nextafter(0.0, 1.0))
+    b = _check(verify_qi_bounds(graph), "b")
+    assert b.bound == 2.0 and b.max_observed == 2 and b.domain_size > 0
+    assert b.passed
+    assert not _check(verify_qi_bounds(replace(graph, delta=0.0)), "b").passed
 
 
 @pytest.mark.parametrize("which", ["f2-r8", "surface2-labeled"])

@@ -7,12 +7,12 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from subforge.ball import enumerate_ball
 from subforge.language import cone_type_classes
 from subforge.presentation import Presentation, preset, verify_small_cancellation
+from subforge.qi import verify_qi_bounds
 from subforge.subdivision import (
     _edge_subdivision,
     _label_sort_key,
     assign_labels,
     build_subdivision_graph,
-    check_lemma_bound,
     close_candidates,
     geodesically_close,
     outward_vertices,
@@ -26,6 +26,7 @@ from reference import (
     TWO_RELATORS,
     all_pairs_close_edges,
     cone_neighborhood,
+    corrupt_one_label,
     distinct_letter_relators,
     odd_relator_presentation,
     relative_element,
@@ -217,8 +218,8 @@ def test_set_tests_keep_every_edge_two_relators():
 def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
     # with K below the true working constant the distance-K candidates
     # drop the distance-4 close pairs (octagon halves meeting at a common
-    # outward vertex); the all-pairs search finds them and the closeness
-    # bound check flags the graph
+    # outward vertex); the all-pairs search finds them and QI (b), the
+    # closeness-lemma bound 2*delta + 2 = 3, flags the graph
     filtered = build_subdivision_graph(surface_ball, 0.5, k_override=2)
     level_edges, _ = all_pairs_close_edges(surface_ball, filtered.n_max, filtered.horizon)
     extra = set(level_edges[2]) - set(filtered.level_edges[2])
@@ -234,9 +235,9 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
     grown = replace(filtered, level_edges=level_edges, relative=relative)
     # the partner index is derived per graph, so the copy sees the new edges
     assert dc in grown.partners(ab) and dc not in filtered.partners(ab)
-    report = check_lemma_bound(grown)
-    assert not report.passed and report.max_observed == 4
-    assert report.witness in extra
+    b = next(c for c in verify_qi_bounds(grown).checks if c.name == "b")
+    assert not b.passed and b.max_observed == 4
+    assert b.witness in extra
 
 
 @pytest.mark.parametrize(
@@ -385,21 +386,11 @@ def test_axiom6_orders_edge_sides_by_the_smaller_label(surface_k2, surface_ball)
 
 def test_corrupted_label_fails_condition5(f2_run):
     graph = copy.deepcopy(f2_run.artifacts.graph)
-    items = sorted(graph.vertex_labels)
-    v = items[0]
-    other = next(w for w in items if graph.vertex_labels[w] != graph.vertex_labels[v])
-    graph.vertex_labels[v] = graph.vertex_labels[other]
+    corrupt_one_label(graph)
     rep = verify_axioms(graph)
     cond5 = next(c for c in rep.conditions if c.index == 5)
     assert not cond5.passed
     assert cond5.counterexample is not None
-
-
-def test_lemma_bound(surface_labeled_run):
-    lb = surface_labeled_run.artifacts.lemma_report
-    assert lb.passed
-    assert lb.max_observed == 2  # octagon partners sit at distance 2
-    assert lb.edge_count == 8
 
 
 def test_witness_inheritance_in_condition4(surface_k2):
