@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from .presentation import Presentation, PresentationError, relator_conjugates, verify_small_cancellation
 from .words import Word, inverse_word
 
-DEFAULT_ELEMENT_CAP = 5_000_000
+# admits surface2 at R=8 (7,579,441 elements, about 1.2 GB) and stops R=9
+# (52,903,257 elements) before it runs out of memory
+DEFAULT_ELEMENT_CAP = 8_000_000
 
 
 class BallCapExceeded(RuntimeError):

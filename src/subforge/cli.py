@@ -1,7 +1,7 @@
 """Command-line front end: run the pipeline, export artifacts, list presets.
 
 Exit codes: 0 every verification check passed, 2 some check failed,
-1 configuration or resource error.
+1 usage, configuration or resource error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,16 @@ log = logging.getLogger("subforge.cli")
 EXPORT_GROUPS = (("gamma",), ("xi", "acceptor", "subdivisions"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, the code of a configuration
+    error, rather than argparse's 2, which here means a failed check.
+    Subparsers are made with the parser's own class, so they inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=sorted(PRESET_TEXTS), help="built-in presentation")
@@ -36,9 +46,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=int, required=True, help="ball radius R")
     p.add_argument("--delta", type=float, default=None, help="override the thinness constant")
     p.add_argument("--delta-radius", type=int, default=None, help="triangle search radius (default R//2)")
-    p.add_argument("--delta-mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--delta-samples", type=int, default=RunConfig.delta_samples)
-    p.add_argument("--horizon", type=int, default=None, help="witness search horizon (default R)")
     p.add_argument("--cap", type=int, default=RunConfig.element_cap, help="element cap for enumeration")
     p.add_argument("--probe", type=int, default=RunConfig.probe, help="cone-lemma probe depth")
     p.add_argument("--qi-samples", type=int, default=RunConfig.qi_samples)
@@ -50,16 +57,12 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    mode = "exhaustive-triangles" if args.delta_mode == "exhaustive" else "sampled-triangles"
     return RunConfig(
         preset=args.preset,
         file=args.file,
         radius=args.radius,
         delta_override=args.delta,
         delta_radius=args.delta_radius,
-        delta_mode=mode,
-        delta_samples=args.delta_samples,
-        horizon=args.horizon,
         element_cap=args.cap,
         probe=args.probe,
         qi_samples=args.qi_samples,
@@ -134,7 +137,7 @@ def cmd_presets(_: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="subforge")
+    parser = _Parser(prog="subforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the full pipeline and write the report")
@@ -157,7 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (1)
+        return exc.code
     # progress lines go to stderr only, so stdout and every file written
     # are the same with and without -v
     logger = logging.getLogger("subforge")

@@ -153,7 +153,7 @@ def _xi_vertices(graph: SubdivisionGraph):
 
 def xi_json(arts: Artifacts, write) -> None:
     graph: SubdivisionGraph = arts.graph
-    write(f'{{\n  "horizon": {graph.horizon},\n  "horizontal_edges": ')
+    write(f'{{\n  "horizon": {graph.ball.radius},\n  "horizontal_edges": ')
     _array(write, _horizontal_edges(graph), "  ")
     write(
         f',\n  "k": {graph.k},\n  "n_max": {graph.n_max},'

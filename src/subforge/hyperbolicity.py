@@ -31,8 +31,7 @@ Every side's geodesics are enumerated in full, with no cap.  In a free
 group the geodesic between two points is unique; in a C'(1/6) group two
 geodesics with the same endpoints bound a ladder of relator cells
 (Strebel's classification of geodesic bigons), and on the surface preset
-no anchored side up to R=6 has more than two.  The mode reported is
-always the mode requested.
+no anchored side up to R=6 has more than two.
 
 The Cayley graph is vertex-transitive, so a side from x to y is x times a
 side from the identity to x^-1 y, whose geodesics walk down the levels
@@ -41,13 +40,13 @@ left is the thinness search from a point, grown one layer at a time to
 the first depth where every geodesic of one other side has been met; its
 layers are shallow and kept for the run.
 
-Exhaustive mode computes one triangle per symmetry orbit.  A letter
-symmetry sigma of the presentation (``letter_symmetries``) is a Cayley
-graph automorphism that fixes the identity and keeps word length, so it
-maps B_R onto itself with in-ball distances intact: the triangle
-(1, sigma x, sigma y) has the same thinness as (1, x, y).  Only the
-pairs (x, y) that are lexicographically least in their orbit
-{sorted(sigma x, sigma y)} are computed.  The first maximal pair in
+Every anchored triangle is covered, but only one per symmetry orbit is
+computed.  A letter symmetry sigma of the presentation
+(``letter_symmetries``) is a Cayley graph automorphism that fixes the
+identity and keeps word length, so it maps B_R onto itself with in-ball
+distances intact: the triangle (1, sigma x, sigma y) has the same
+thinness as (1, x, y).  Only the pairs (x, y) that are lexicographically
+least in their orbit {sorted(sigma x, sigma y)} are computed.  The first maximal pair in
 enumeration order is least in its own orbit, so the witness is the one
 the unreduced loop finds.  The search for the symmetries grows as
 2^k k! in the number k of generator pairs, so it is run only when that
@@ -64,18 +63,12 @@ and witness are those of one loop over every triangle.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import astuple, dataclass
 
 from .ball import CayleyBall, TrustRadiusError
 from .parallel import fork_map, split
 from .presentation import letter_symmetries
 from .words import inverse_word
-
-MODE_EXHAUSTIVE = "exhaustive-triangles"
-MODE_SAMPLED = "sampled-triangles"
-DELTA_MODES = (MODE_EXHAUSTIVE, MODE_SAMPLED)
-
 
 class _DeltaRun:
     """What one delta computation keeps for the run: the BFS layers over
@@ -177,7 +170,6 @@ class TriangleWitness:
 class DeltaEstimate:
     delta: float
     radius_checked: int
-    mode: str
     witness: TriangleWitness | None
     triangles: int  # anchored triangles checked
     triangles_computed: int  # of which computed: one per symmetry orbit
@@ -253,48 +245,34 @@ def _orbit_representatives(n, images):
                 yield x, y
 
 
-def compute_delta(
-    ball: CayleyBall,
-    r: int,
-    mode: str = MODE_EXHAUSTIVE,
-    samples: int = 2000,
-    seed: int = 0,
-) -> DeltaEstimate:
+def compute_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
     """Max thinness over anchored triangles with the two free vertices in
     the ball of radius r.  Requires 2r <= ball.radius so that every side
     geodesic stays inside the ball.
 
-    Exhaustive mode covers every pair x <= y of B_r but computes only one
-    per orbit of the presentation's letter symmetries (module docstring);
-    sampled mode computes every sample.  The triangles are computed in
-    parallel chunks, one per CPU, with the result of a single loop."""
+    Every pair x <= y of B_r is covered, but only one per orbit of the
+    presentation's letter symmetries is computed (module docstring).  The
+    triangles are computed in parallel chunks, one per CPU, with the
+    result of a single loop."""
     if r < 0:
         raise ValueError("delta radius must be >= 0")
     if 2 * r > ball.radius:
         raise ValueError(f"delta radius {r} needs ball radius >= {2 * r}")
     n = ball.sphere(r).stop  # B_r is range(n)
-    if mode == MODE_EXHAUSTIVE:
-        triangles = n * (n + 1) // 2
-        images = []
-        # The search tries the 2^k k! signed permutations of the k generator
-        # pairs; each symmetry it keeps (every candidate, in a free group)
-        # is mapped over B_r and tested against the pairs.  Per candidate
-        # that is a fraction of one triangle's cost, so the quotient is
-        # taken only when there are no more candidates than triangles: F5
-        # (3,840 candidates) is 6x slower with it at r=1 (66 triangles) and
-        # 2x faster at r=2 (5,151).
-        k = len(ball.presentation.alphabet.pairs)
-        if 2**k * math.factorial(k) <= triangles:
-            # the identity comes first and is left out
-            images = [ball.translate(0, r, s) for s in letter_symmetries(ball.presentation)[1:]]
-        pairs = list(_orbit_representatives(n, images))
-    elif mode == MODE_SAMPLED:
-        rng = random.Random(seed)
-        ids = range(n)
-        triangles = samples
-        pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(samples)]
-    else:
-        raise ValueError(f"unknown delta mode {mode!r}")
+    triangles = n * (n + 1) // 2
+    images = []
+    # The search tries the 2^k k! signed permutations of the k generator
+    # pairs; each symmetry it keeps (every candidate, in a free group) is
+    # mapped over B_r and tested against the pairs.  Per candidate that is
+    # a fraction of one triangle's cost, so the quotient is taken only
+    # when there are no more candidates than triangles: F5 (3,840
+    # candidates) is 6x slower with it at r=1 (66 triangles) and 2x faster
+    # at r=2 (5,151).
+    k = len(ball.presentation.alphabet.pairs)
+    if 2**k * math.factorial(k) <= triangles:
+        # the identity comes first and is left out
+        images = [ball.translate(0, r, s) for s in letter_symmetries(ball.presentation)[1:]]
+    pairs = list(_orbit_representatives(n, images))
 
     def chunk_thinness(chunk):
         # the first maximal triangle of the chunk, its witness as a tuple
@@ -314,7 +292,6 @@ def compute_delta(
     return DeltaEstimate(
         delta=float(max(value, 0)),
         radius_checked=r,
-        mode=mode,
         witness=witness,
         triangles=triangles,
         triangles_computed=len(pairs),

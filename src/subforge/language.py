@@ -108,13 +108,11 @@ def _probe_cone(ball: CayleyBall, g: int, probe: int) -> frozenset[int]:
     )
 
 
-def verify_cone_lemma(
-    ball: CayleyBall, k: int, probe: int, table: ConeTypeTable | None = None
-) -> ConeLemmaReport:
-    """Check that equal K-level fingerprints imply equal observed cones to
-    depth ``probe`` on the region where both are resolvable."""
-    if table is None or table.k != k:
-        table = cone_type_classes(ball, k)
+def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> ConeLemmaReport:
+    """Check that equal K-level fingerprints (K = ``table.k``) imply equal
+    observed cones to depth ``probe`` on the region where both are
+    resolvable."""
+    k = table.k
     max_depth = ball.radius - max(k, probe)
     groups: dict[int, list[int]] = {}
     tested = 0

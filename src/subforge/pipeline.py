@@ -56,9 +56,6 @@ class RunConfig:
     radius: int = 4
     delta_override: float | None = None
     delta_radius: int | None = None
-    delta_mode: str = hyp.MODE_EXHAUSTIVE
-    delta_samples: int = 2000
-    horizon: int | None = None
     element_cap: int = ball_mod.DEFAULT_ELEMENT_CAP
     probe: int = 2
     qi_samples: int = 2000
@@ -75,18 +72,12 @@ class RunConfig:
             raise ConfigError("element cap must be positive")
         if self.delta_radius is not None and not 0 <= 2 * self.delta_radius <= self.radius:
             raise ConfigError("delta radius must satisfy 0 <= 2*r <= radius")
-        if self.horizon is not None and not 1 <= self.horizon <= self.radius:
-            raise ConfigError("horizon must lie in [1, radius]")
         # the working constant is ceil(2*delta) + 1, so 2*delta must be finite
         if self.delta_override is not None and not 0 <= 2 * self.delta_override < math.inf:
             raise ConfigError("delta override must be >= 0 with 2*delta finite")
         if self.force_k is not None and not 0 <= self.force_k <= self.radius:
             raise ConfigError("force-k must lie in [0, radius]")
-        if self.delta_mode not in hyp.DELTA_MODES:
-            raise ConfigError(f"delta mode must be one of {', '.join(hyp.DELTA_MODES)}")
         # a check handed nothing to test would still read as a pass
-        if self.delta_samples < 1:
-            raise ConfigError("delta samples must be >= 1")
         if self.qi_samples < 1:
             raise ConfigError("qi samples must be >= 1")
         if not 0 <= self.probe <= self.radius:
@@ -224,20 +215,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         estimate = None
         report["delta"] = {"value": delta, "source": "override", "is_lower_bound": True}
     else:
-        estimate = hyp.compute_delta(
-            ball,
-            delta_radius,
-            mode=config.delta_mode,
-            samples=config.delta_samples,
-            seed=config.seed,
-        )
+        estimate = hyp.compute_delta(ball, delta_radius)
         artifacts.delta = estimate
         delta = estimate.delta
         report["delta"] = {
             "value": delta,
             "source": "computed",
             "radius_checked": estimate.radius_checked,
-            "mode": estimate.mode,
             "triangles": estimate.triangles,
             "triangles_computed": estimate.triangles_computed,
             "is_lower_bound": True,
@@ -277,7 +261,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     artifacts.table = table
     artifacts.acceptor = acceptor
     artifacts.acceptor_report = acc_report
-    lemma = verify_cone_lemma(ball, k, config.probe, table)
+    lemma = verify_cone_lemma(ball, table, config.probe)
     report["cone_types"] = {
         "k": k,
         "k_clamped_to_radius": k_clamped,
@@ -306,19 +290,18 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     stage("language")
 
     # subdivision graph
-    horizon = config.horizon if config.horizon is not None else ball.radius
-    graph = build_subdivision_graph(ball, delta, horizon=horizon, k_override=k)
+    graph = build_subdivision_graph(ball, delta, k_override=k)
     assign_labels(graph, table)
     artifacts.graph = graph
     report["xi"] = {
         "k": graph.k,
         "n_max": graph.n_max,
-        "horizon": graph.horizon,
+        "horizon": ball.radius,
         "conventions": [
             "geodesic closeness is witnessed on outward geodesics from the "
             "origin through each endpoint (|v| = |u| + d(u, v)), meeting at "
             "distance <= 1; witnesses are searched exhaustively within the "
-            "horizon, so the relation under-approximates the unbounded one "
+            "ball, so the relation under-approximates the unbounded one "
             "(see unstable_levels)",
             "equal levels are required for closeness, as defined",
         ],

@@ -4,11 +4,12 @@ The graph contains the geodesic tree (vertical edges) plus a horizontal
 edge between every pair of same-level vertices that are geodesically
 close: each admits an outward geodesic (|v| = |u| + d(u, v) all along) and
 the two geodesics pass within distance 1 of each other at vertices no
-closer to the origin.  The witness search is exhaustive out to the horizon
-and returns the witness minimizing (depth of first vertex, shortlex, shortlex),
-so results are reproducible.  Candidate partners are read by translation:
-the vertices within distance K of u are u h for h in B_K, so each edge
-(u, v) comes with h = u^-1 v and no path search between u and v is needed.
+closer to the origin.  The witness search is exhaustive out to the ball's
+radius and returns the witness minimizing (depth of first vertex,
+shortlex, shortlex), so results are reproducible.  Candidate partners are
+read by translation: the vertices within distance K of u are u h for h in
+B_K, so each edge (u, v) comes with h = u^-1 v and no path search between
+u and v is needed.
 
 Levels up to n_max = R - K - 1 (K = ceil(2*delta) + 1) carry complete label
 data: vertex labels are cone K-neighborhoods (each geodesically close
@@ -56,7 +57,6 @@ class SubdivisionGraph:
     ball: CayleyBall
     k: int
     n_max: int
-    horizon: int
     delta: float
     level_edges: dict[int, tuple[tuple[int, int], ...]]
     witnesses: dict[tuple[int, int], Witness]
@@ -88,13 +88,13 @@ class SubdivisionGraph:
         return self.partner_index.get(v, ())
 
 
-def outward_vertices(ball: CayleyBall, u: int, horizon: int) -> set[int]:
-    """Vertices v with |v| = |u| + d(u, v) <= horizon (vertices on
+def outward_vertices(ball: CayleyBall, u: int) -> set[int]:
+    """Vertices v of the ball with |v| = |u| + d(u, v) (vertices on
     geodesics from the origin through u, by the layered-closure argument)."""
     sphere_of, table, a = ball.sphere_of, ball.table, ball.degree
     out = {u}
     frontier = [u]
-    for level in range(sphere_of[u] + 1, horizon + 1):
+    for level in range(sphere_of[u] + 1, ball.radius + 1):
         nxt = []
         for v in frontier:
             for w in table[v * a : v * a + a]:
@@ -107,12 +107,12 @@ def outward_vertices(ball: CayleyBall, u: int, horizon: int) -> set[int]:
     return out
 
 
-def _outward(ball: CayleyBall, u: int, horizon: int, cache: dict[int, set[int]] | None) -> set[int]:
+def _outward(ball: CayleyBall, u: int, cache: dict[int, set[int]] | None) -> set[int]:
     if cache is None:
-        return outward_vertices(ball, u, horizon)
+        return outward_vertices(ball, u)
     got = cache.get(u)
     if got is None:
-        got = cache[u] = outward_vertices(ball, u, horizon)
+        got = cache[u] = outward_vertices(ball, u)
     return got
 
 
@@ -130,19 +130,16 @@ def geodesically_close(
     ball: CayleyBall,
     u1: int,
     u2: int,
-    horizon: int,
     _outward_cache: dict[int, set[int]] | None = None,
 ) -> Witness | None:
-    """Exhaustive witness search within the horizon; returns the minimal
+    """Exhaustive witness search within the ball; returns the minimal
     witness or None.  Requires distinct same-level vertices."""
     if u1 == u2:
         raise ValueError("geodesically close is only defined for distinct vertices")
     if ball.sphere_of[u1] != ball.sphere_of[u2]:
         raise ValueError("geodesically close requires equal levels")
-    if horizon > ball.radius:
-        raise ValueError("horizon exceeds ball radius")
-    o1 = _outward(ball, u1, horizon, _outward_cache)
-    o2 = _outward(ball, u2, horizon, _outward_cache)
+    o1 = _outward(ball, u1, _outward_cache)
+    o2 = _outward(ball, u2, _outward_cache)
     table, a = ball.table, ball.degree
     for v1 in sorted(o1):
         candidates = []
@@ -175,7 +172,6 @@ def working_constant(delta: float) -> int:
 def build_subdivision_graph(
     ball: CayleyBall,
     delta: float,
-    horizon: int | None = None,
     k_override: int | None = None,
 ) -> SubdivisionGraph:
     """Detect all geodesically close pairs on levels <= n_max and attach
@@ -185,15 +181,16 @@ def build_subdivision_graph(
     distance K (``close_candidates``), which loses nothing by the closeness
     lemma (the tests compare the edges with an all-pairs search).  Each
     edge (u, v) keeps the id of u^-1 v that its candidate search found.  A
-    level is flagged unstable when some edge's minimal witness needs the
-    full horizon, i.e. the edge would be absent at horizon - 1.
+    level is flagged unstable when some edge's minimal witness reaches the
+    ball's outer sphere: its edges needed the whole ball, so a larger ball
+    may add more.
 
     A witness for (u, v) exists exactly when the outward vertices o(v)
     meet o(u) or its in-ball neighbours, and set tests reject the other
     pairs; only the pairs they pass are searched for their minimal
     witness.  No neighbour on another level is needed: take x in o(u) and
     y in o(v) adjacent on consecutive levels.  The lower of the two lies
-    below the horizon, so the outward search from it reaches the upper
+    below the outer sphere, so the outward search from it reaches the upper
     one, which thus lies in both o(u) and o(v).  That leaves o(u) and the
     same-level neighbours of o(u), built for one u at a time.  A Cayley
     graph whose relators all have even length has no same-level edges
@@ -201,9 +198,6 @@ def build_subdivision_graph(
     and no table row is read again.
     """
     k = working_constant(delta) if k_override is None else k_override
-    horizon = ball.radius if horizon is None else horizon
-    if horizon > ball.radius:
-        raise ValueError("horizon exceeds ball radius")
     n_max = ball.radius - k - 1
     level_edges: dict[int, tuple[tuple[int, int], ...]] = {}
     witnesses: dict[tuple[int, int], Witness] = {}
@@ -217,17 +211,17 @@ def build_subdivision_graph(
             candidates = close_candidates(ball, u, k)
             if not candidates:
                 continue
-            out = _outward(ball, u, horizon, cache)
+            out = _outward(ball, u, cache)
             beside = set() if bipartite else same_level_neighbours(ball, out)
             for v, h in candidates:
-                other = _outward(ball, v, horizon, cache)
+                other = _outward(ball, v, cache)
                 if other.isdisjoint(out) and other.isdisjoint(beside):
                     continue
-                w = geodesically_close(ball, u, v, horizon, cache)
+                w = geodesically_close(ball, u, v, cache)
                 edges.append((u, v))
                 witnesses[(u, v)] = w
                 relative[(u, v)] = h
-                if max(ball.sphere_of[w.first], ball.sphere_of[w.second]) >= horizon:
+                if max(ball.sphere_of[w.first], ball.sphere_of[w.second]) == ball.radius:
                     unstable.add(n)
         level_edges[n] = tuple(sorted(edges))
         cache.clear()
@@ -235,7 +229,6 @@ def build_subdivision_graph(
         ball=ball,
         k=k,
         n_max=n_max,
-        horizon=horizon,
         delta=delta,
         level_edges=level_edges,
         witnesses=witnesses,

@@ -29,7 +29,6 @@ from subforge import pipeline
 from subforge.ball import BallCapExceeded, CayleyBall, DEFAULT_ELEMENT_CAP
 from subforge.exports import _edge_label_json, _labeled_graph_json, _vertex_label_json
 from subforge.hyperbolicity import (
-    MODE_EXHAUSTIVE,
     DeltaEstimate,
     TriangleWitness,
     _DeltaRun,
@@ -507,7 +506,6 @@ def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
     return DeltaEstimate(
         delta=float(max(value, 0)),
         radius_checked=r,
-        mode=MODE_EXHAUSTIVE,
         witness=witness,
         triangles=triangles,
         triangles_computed=triangles,
@@ -549,13 +547,10 @@ def validate_delta(
 # -- vertex labels -------------------------------------------------------------
 
 
-def cone_neighborhood(
-    ball: CayleyBall, table: ConeTypeTable, g: int, horizon: int | None = None
-) -> VertexLabel:
+def cone_neighborhood(ball: CayleyBall, table: ConeTypeTable, g: int) -> VertexLabel:
     """Cone K-neighborhood of g: each h with |h| < K and (g, g h)
     geodesically close, tagged with the cone type of g h."""
     k = table.k
-    horizon = ball.radius if horizon is None else horizon
     level = ball.sphere_of[g]
     if level + k > ball.radius:
         raise ValueError(f"cone neighborhood of |g|={level} needs radius {level + k}")
@@ -568,7 +563,7 @@ def cone_neighborhood(
             raise InternalConsistencyError("in-trust walk left the ball")
         if gh == g or ball.sphere_of[gh] != level:
             continue
-        if geodesically_close(ball, g, gh, horizon) is not None:
+        if geodesically_close(ball, g, gh) is not None:
             members.append((ball.normal_form(h), table.class_of[gh]))
     members.sort(key=lambda m: ((len(m[0]), m[0]), m[1]))
     return VertexLabel(own_type=table.class_of[g], neighborhood=tuple(members))
@@ -595,7 +590,7 @@ def same_level_within(ball: CayleyBall, u: int, k: int) -> list[int]:
 
 
 def all_pairs_close_edges(
-    ball: CayleyBall, n_max: int, horizon: int
+    ball: CayleyBall, n_max: int
 ) -> tuple[dict[int, tuple[tuple[int, int], ...]], dict[tuple[int, int], Witness]]:
     """Level edges and witnesses of every geodesically close same-level
     pair on levels 1..n_max, searched over all pairs rather than only
@@ -608,7 +603,7 @@ def all_pairs_close_edges(
         edges = []
         for u in sphere:
             for v in range(u + 1, sphere.stop):
-                w = geodesically_close(ball, u, v, horizon, cache)
+                w = geodesically_close(ball, u, v, cache)
                 if w is not None:
                     edges.append((u, v))
                     witnesses[(u, v)] = w
@@ -672,7 +667,7 @@ def _xi_json(arts) -> str:
         {
             "k": graph.k,
             "n_max": graph.n_max,
-            "horizon": graph.horizon,
+            "horizon": ball.radius,
             "unstable_levels": list(graph.unstable_levels),
             "vertices": [
                 {

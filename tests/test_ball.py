@@ -10,6 +10,7 @@ from subforge.ball import (
     CACHE_HEADER_LEN,
     CACHE_MAGIC,
     CACHE_VERSION,
+    DEFAULT_ELEMENT_CAP,
     BallCapExceeded,
     CayleyBall,
     TrustRadiusError,
@@ -417,6 +418,17 @@ def test_surface_growth_series_to_radius_six():
     assert sizes == [1, 8, 56, 392, 2_736, 19_096, 133_288]
     for n in (5, 6):
         assert sizes[n] == 6 * (sizes[n - 1] + sizes[n - 2] + sizes[n - 3]) - sizes[n - 4]
+
+
+def test_default_cap_admits_surface_radius_eight():
+    # |B_8| from the growth recurrence above, without enumerating R=8: the
+    # default cap admits it and stops R=9, which would need about 6 GB
+    sizes = [1, 8, 56, 392, 2_736]
+    while len(sizes) < 10:
+        sizes.append(6 * (sizes[-1] + sizes[-2] + sizes[-3]) - sizes[-4])
+    assert sum(sizes[:9]) == 7_579_441
+    assert sum(sizes[:9]) <= DEFAULT_ELEMENT_CAP < sum(sizes)
+    assert RunConfig().element_cap == DEFAULT_ELEMENT_CAP
 
 
 def _assert_flat(ball):

@@ -82,7 +82,37 @@ def test_subdivisions_export_f2(tmp_path):
 
 def test_exit_code_on_config_error(tmp_path):
     assert main(["run", "--preset", "f2", "--radius", "0", "--out", str(tmp_path)]) == 1
+    # so is an unknown flag, a usage error
     assert main(["run", "--preset", "f2", "--radius", "4", "--horizon", "9", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--preset", "f2", "--radius", "4", "--bogus"],
+        ["run", "--preset", "f2"],
+        ["run", "--preset", "f2", "--radius", "x"],
+        ["run", "--preset", "f2", "--radius", "4", "--delta-mode", "sampled"],
+        ["bogus"],
+    ],
+    ids=["unknown-flag", "missing-radius", "bad-radius", "retired-flag", "unknown-command"],
+)
+def test_usage_error_exits_1_with_the_usage(argv, tmp_path, capsys):
+    # exit 2 means a failed check, so a mistyped command line must not get it
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: subforge")
+    assert "error: " in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: subforge run")
+    for retired in ("--delta-mode", "--delta-samples", "--horizon"):
+        assert retired not in out
 
 
 @pytest.mark.parametrize("delta", ["inf", "1e308", "nan"])

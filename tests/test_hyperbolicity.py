@@ -7,8 +7,6 @@ from subforge import hyperbolicity, parallel
 from subforge.ball import enumerate_ball
 from subforge.presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from subforge.hyperbolicity import (
-    MODE_EXHAUSTIVE,
-    MODE_SAMPLED,
     _DeltaRun,
     compute_delta,
     enumerate_pair_geodesics,
@@ -30,7 +28,6 @@ from reference import (
 def test_f2_tree_delta_zero(f2_ball):
     est = compute_delta(f2_ball, 3)
     assert est.delta == 0.0
-    assert est.mode == MODE_EXHAUSTIVE
     assert est.is_lower_bound
 
 
@@ -73,19 +70,6 @@ def test_validate_delta(f2_ball, surface_ball):
     ok, cex = validate_delta(surface_ball, star - 1, 400)
     assert not ok and cex is not None
     assert cex.value > star - 1
-
-
-def test_sampled_mode_deterministic(surface_ball):
-    a = compute_delta(surface_ball, 2, mode=MODE_SAMPLED, samples=150, seed=5)
-    b = compute_delta(surface_ball, 2, mode=MODE_SAMPLED, samples=150, seed=5)
-    assert a.delta == b.delta
-    assert a.delta <= compute_delta(surface_ball, 2).delta
-    assert a.triangles == a.triangles_computed == 150
-
-
-def test_unknown_mode_is_an_error(surface_ball):
-    with pytest.raises(ValueError):
-        compute_delta(surface_ball, 2, mode="bogus", samples=5)
 
 
 def test_triangle_counts(surface_ball):
@@ -186,18 +170,18 @@ def test_early_stop_geodesics_match_whole_ball_bfs(ball_name, r, request):
             assert enumerate_pair_geodesics(ball, x, y) == bfs(ball, x, y), (x, y)
 
 
-@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
 @pytest.mark.parametrize(
-    "kwargs",
-    [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}],
-    ids=["exhaustive", "sampled"],
+    "ball_name, r",
+    [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)],
+    # delta covers every anchored triangle of B_r
+    ids=["exhaustive-surface4_ball-2", "exhaustive-f2_ball-3", "exhaustive-odd_relator_ball-2"],
 )
-def test_delta_matches_whole_ball_bfs(ball_name, r, kwargs, request, monkeypatch):
+def test_delta_matches_whole_ball_bfs(ball_name, r, request, monkeypatch):
     ball = request.getfixturevalue(ball_name)
-    fast = compute_delta(ball, r, **kwargs)
+    fast = compute_delta(ball, r)
     monkeypatch.setattr(hyperbolicity, "enumerate_pair_geodesics", BfsPairGeodesics())
-    # dataclass equality: value, witness, mode, triangles
-    assert compute_delta(ball, r, **kwargs) == fast
+    # dataclass equality: value, witness, triangles
+    assert compute_delta(ball, r) == fast
 
 
 def test_delta_bfs_work_gate(surface4_ball, monkeypatch):

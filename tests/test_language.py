@@ -89,12 +89,12 @@ def test_class_count_stabilizes_surface(surface_small_ball):
 
 
 def test_cone_lemma_passes(f2_ball, z_ball):
-    assert verify_cone_lemma(f2_ball, 1, 2).passed
-    assert verify_cone_lemma(z_ball, 1, 2).passed
+    assert verify_cone_lemma(f2_ball, cone_type_classes(f2_ball, 1), 2).passed
+    assert verify_cone_lemma(z_ball, cone_type_classes(z_ball, 1), 2).passed
 
 
 def test_cone_lemma_negative_control(f2_ball):
-    rep = verify_cone_lemma(f2_ball, 0, 2)
+    rep = verify_cone_lemma(f2_ball, cone_type_classes(f2_ball, 0), 2)
     assert not rep.passed
     g, g2, h = rep.counterexample
     # the witness is concrete: the two cones genuinely differ at h

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from subforge import parallel
 from subforge.ball import enumerate_ball
-from subforge.hyperbolicity import MODE_SAMPLED, compute_delta
+from subforge.hyperbolicity import compute_delta
 from subforge.parallel import fork_map, split
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import estimate_qi_constants
@@ -77,20 +77,20 @@ def odd_relator_ball():
     return enumerate_ball(odd_relator_presentation(), 4)
 
 
-@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
 @pytest.mark.parametrize(
-    "kwargs",
-    [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}],
-    ids=["exhaustive", "sampled"],
+    "ball_name, r",
+    [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)],
+    # delta covers every anchored triangle of B_r
+    ids=["exhaustive-surface4_ball-2", "exhaustive-f2_ball-3", "exhaustive-odd_relator_ball-2"],
 )
-def test_delta_is_the_same_for_any_chunk_count(ball_name, r, kwargs, request, monkeypatch):
+def test_delta_is_the_same_for_any_chunk_count(ball_name, r, request, monkeypatch):
     ball = request.getfixturevalue(ball_name)
     _pin(monkeypatch, 1)
-    serial = compute_delta(ball, r, **kwargs)
+    serial = compute_delta(ball, r)
     for cpus in (2, 3):
         _pin(monkeypatch, cpus)
         # dataclass equality: value, witness, triangles_computed and the rest
-        assert compute_delta(ball, r, **kwargs) == serial
+        assert compute_delta(ball, r) == serial
     assert _no_children_left()
 
 

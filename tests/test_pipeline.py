@@ -17,8 +17,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, delta_radius=-1).validate()
     with pytest.raises(ConfigError):
-        RunConfig(preset="f2", radius=4, horizon=5).validate()
-    with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, delta_override=-0.5).validate()
     # the working constant ceil(2*delta) + 1 needs 2*delta finite
     for bad in (float("inf"), float("nan"), 1e308):
@@ -26,12 +24,8 @@ def test_config_validation():
             RunConfig(preset="f2", radius=4, delta_override=bad).validate()
     with pytest.raises(ConfigError):
         RunConfig(preset="f2", radius=4, force_k=5).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(preset="f2", radius=4, delta_mode="bogus", delta_samples=5).validate()
     # a check handed nothing to test must not read as a pass
     for bad in (
-        dict(delta_mode="sampled-triangles", delta_samples=0),
-        dict(delta_mode="sampled-triangles", delta_samples=-3),
         dict(qi_samples=0),
         dict(qi_samples=-1),
         dict(probe=-1),
@@ -41,7 +35,7 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError):
             RunConfig(preset="f2", radius=4, **bad).validate()
-    RunConfig(preset="f2", radius=4, probe=0, delta_samples=1, qi_samples=1).validate()
+    RunConfig(preset="f2", radius=4, probe=0, qi_samples=1).validate()
     RunConfig(preset="f2", radius=4, probe=4, delta_override=1e307).validate()
     RunConfig(preset="f2", radius=4).validate()
 
@@ -120,15 +114,6 @@ def test_delta_sample_count_recorded(surface_run):
     # one per orbit of the 4 letter symmetries
     assert surface_run.report["delta"]["triangles"] == 2_145
     assert surface_run.report["delta"]["triangles_computed"] == 561
-    reports = [
-        run_pipeline(
-            RunConfig(preset="f2", radius=4, delta_mode="sampled-triangles", delta_samples=n, seed=7)
-        ).report
-        for n in (5, 9)
-    ]
-    assert [r["config"]["delta_samples"] for r in reports] == [5, 9]
-    assert [r["delta"]["triangles"] for r in reports] == [5, 9]
-    assert [r["delta"]["triangles_computed"] for r in reports] == [5, 9]
 
 
 def test_k_clamp_recorded():

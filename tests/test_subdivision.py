@@ -67,42 +67,36 @@ def test_outward_vertices_tree(f2_ball):
     # in a free group the outward cone of a letter is exactly the reduced
     # words extending it
     a = f2_ball.element_of("a")
-    cone = outward_vertices(f2_ball, a, 3)
-    expected = {
-        v
-        for v in range(f2_ball.size)
-        if f2_ball.sphere_of[v] <= 3 and f2_ball.normal_form(v)[:1] == (f2_ball.normal_form(a)[0],)
-    }
+    cone = outward_vertices(f2_ball, a)
+    expected = {v for v in range(f2_ball.size) if f2_ball.normal_form(v)[:1] == (f2_ball.normal_form(a)[0],)}
     assert cone == expected
 
 
 def test_geodesically_close_f2_none(f2_ball):
     a, b = f2_ball.element_of("a"), f2_ball.element_of("b")
-    assert geodesically_close(f2_ball, a, b, 6) is None
+    assert geodesically_close(f2_ball, a, b) is None
 
 
 def test_geodesically_close_z_none(z_ball):
     a, inv = z_ball.element_of("a"), z_ball.element_of("A")
-    assert geodesically_close(z_ball, a, inv, 8) is None
+    assert geodesically_close(z_ball, a, inv) is None
 
 
 def test_geodesically_close_surface_octagon(surface_ball):
     a, d = surface_ball.element_of("a"), surface_ball.element_of("d")
-    w = geodesically_close(surface_ball, a, d, 5)
+    w = geodesically_close(surface_ball, a, d)
     assert w is not None
     _assert_witness_valid(surface_ball, a, d, w)
     # non-partners on the vertex's octagons stay separated
     for other in ("b", "c"):
-        assert geodesically_close(surface_ball, a, surface_ball.element_of(other), 5) is None
+        assert geodesically_close(surface_ball, a, surface_ball.element_of(other)) is None
 
 
 def test_geodesically_close_preconditions(f2_ball):
     with pytest.raises(ValueError):
-        geodesically_close(f2_ball, 1, 1, 6)
+        geodesically_close(f2_ball, 1, 1)
     with pytest.raises(ValueError):
-        geodesically_close(f2_ball, 1, f2_ball.element_of("ab"), 6)
-    with pytest.raises(ValueError):
-        geodesically_close(f2_ball, 1, 2, 99)
+        geodesically_close(f2_ball, 1, f2_ball.element_of("ab"))
 
 
 def test_distance_one_pairs_are_close(surface_small_ball):
@@ -112,7 +106,7 @@ def test_distance_one_pairs_are_close(surface_small_ball):
     a, b = ball.element_of("a"), ball.element_of("b")
     letter = next(x for x, t in enumerate(ball.row(a)) if t >= 0 and ball.sphere_of[t] == 2)
     ball.table[a * ball.degree + letter] = b
-    w = geodesically_close(ball, a, b, 3)
+    w = geodesically_close(ball, a, b)
     assert w is not None
     assert (w.first, w.second, w.separation) == (a, b, 1)
 
@@ -149,12 +143,12 @@ def test_surface_level_one_is_octagon_cycle(surface_labeled_run):
 def test_prefilter_loses_nothing(surface_ball):
     # candidates within distance K find every edge the all-pairs search does
     graph = build_subdivision_graph(surface_ball, 1.0)
-    level_edges, witnesses = all_pairs_close_edges(surface_ball, graph.n_max, graph.horizon)
+    level_edges, witnesses = all_pairs_close_edges(surface_ball, graph.n_max)
     assert graph.level_edges == level_edges
     assert graph.witnesses == witnesses
 
 
-def _set_tests_agree(ball, n: int, k: int, horizon: int) -> tuple[int, int, int]:
+def _set_tests_agree(ball, n: int, k: int) -> tuple[int, int, int]:
     """For every candidate pair (u, v) on level n, the set tests of
     ``build_subdivision_graph`` reject v (o(v) misses o(u) and the
     same-level neighbours of o(u)) exactly when ``geodesically_close``
@@ -162,13 +156,13 @@ def _set_tests_agree(ball, n: int, k: int, horizon: int) -> tuple[int, int, int]
     the same-level neighbours alone, and rejected."""
     passed = beside_only = rejected = 0
     for u in ball.sphere(n):
-        out = outward_vertices(ball, u, horizon)
+        out = outward_vertices(ball, u)
         beside = same_level_neighbours(ball, out)
         for v, _ in close_candidates(ball, u, k):
-            other = outward_vertices(ball, v, horizon)
+            other = outward_vertices(ball, v)
             meets = not other.isdisjoint(out)
             meets_beside = not other.isdisjoint(beside)
-            assert (meets or meets_beside) == (geodesically_close(ball, u, v, horizon) is not None), (u, v)
+            assert (meets or meets_beside) == (geodesically_close(ball, u, v) is not None), (u, v)
             passed += meets or meets_beside
             beside_only += meets_beside and not meets
             rejected += not (meets or meets_beside)
@@ -178,7 +172,7 @@ def _set_tests_agree(ball, n: int, k: int, horizon: int) -> tuple[int, int, int]
 def test_set_tests_match_witness_search_surface_r6():
     # the surface relator has even length: no same-level neighbours
     ball = enumerate_ball(preset("surface2"), 6)
-    assert _set_tests_agree(ball, 1, 5, 6) == (8, 0, 20)
+    assert _set_tests_agree(ball, 1, 5) == (8, 0, 20)
 
 
 @given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
@@ -188,7 +182,7 @@ def test_set_tests_match_witness_search_c16_family(relators):
     p = Presentation(FOUR_GENERATORS, tuple(relators))
     assume(verify_small_cancellation(p).satisfies_c16)
     ball = enumerate_ball(p, 4)
-    counts = [_set_tests_agree(ball, n, 4 - n, 4) for n in (1, 2, 3)]
+    counts = [_set_tests_agree(ball, n, 4 - n) for n in (1, 2, 3)]
     # level 1 (K=3) both passes and rejects pairs for every member of the
     # family; the even relators have no candidates on level 3 (K=1)
     passed, _, rejected = counts[0]
@@ -208,7 +202,7 @@ def test_set_tests_keep_every_edge_two_relators():
     for n in range(1, graph.n_max + 1):
         for u in ball.sphere(n):
             for v, h in close_candidates(ball, u, 2):
-                w = geodesically_close(ball, u, v, graph.horizon)
+                w = geodesically_close(ball, u, v)
                 if w is not None:
                     searched[(u, v)] = (w, h)
     assert {e: (graph.witnesses[e], graph.relative[e]) for _, e in graph.all_level_edges()} == searched
@@ -221,7 +215,7 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
     # outward vertex); the all-pairs search finds them and QI (b), the
     # closeness-lemma bound 2*delta + 2 = 3, flags the graph
     filtered = build_subdivision_graph(surface_ball, 0.5, k_override=2)
-    level_edges, _ = all_pairs_close_edges(surface_ball, filtered.n_max, filtered.horizon)
+    level_edges, _ = all_pairs_close_edges(surface_ball, filtered.n_max)
     extra = set(level_edges[2]) - set(filtered.level_edges[2])
     assert len(extra) == 8
     ab, dc = surface_ball.element_of("ab"), surface_ball.element_of("dc")
@@ -262,16 +256,18 @@ def test_translated_candidates_match_bfs(which, k, surface_ball):
         assert h == relative_element(ball, u, v), (u, v)
 
 
-def test_horizon_monotone(surface_ball):
-    graphs = {h: build_subdivision_graph(surface_ball, 1.0, horizon=h) for h in (3, 4, 5)}
-    e3 = set(graphs[3].level_edges[1])
-    e4 = set(graphs[4].level_edges[1])
-    e5 = set(graphs[5].level_edges[1])
-    assert e3 <= e4 <= e5
-    # the octagon edges need depth-4 witnesses: fresh at horizon 4, stable at 5
-    assert e3 == set() and len(e4) == 8
-    assert graphs[4].unstable_levels == (1,)
-    assert graphs[5].unstable_levels == ()
+def test_witnesses_on_the_outer_sphere_flag_the_level(surface4_ball, surface_ball):
+    # the octagon edges of level 1 need depth-4 witnesses: at R=4 they lie
+    # on the outer sphere and the level is flagged, at R=5 it is stable
+    graphs = [
+        build_subdivision_graph(surface4_ball, 1.0, k_override=2),
+        build_subdivision_graph(surface_ball, 1.0),
+    ]
+    edges = [{(g.ball.normal_form(u), g.ball.normal_form(v)) for u, v in g.level_edges[1]} for g in graphs]
+    assert len(edges[0]) == 8 and edges[0] == edges[1]
+    level = surface4_ball.sphere_of
+    assert max(max(level[w.first], level[w.second]) for w in graphs[0].witnesses.values()) == 4
+    assert [g.unstable_levels for g in graphs] == [(1,), ()]
 
 
 def test_labels_f2(f2_run):
