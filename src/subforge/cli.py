@@ -52,8 +52,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--cache-dir", default=None, help="binary ball cache directory")
     p.add_argument("-v", "--verbose", action="store_true", help="log each stage's time on stderr")
-    # fault-injection hook used by the negative-control tests
-    p.add_argument("--force-k", type=int, default=None, help=argparse.SUPPRESS)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -68,7 +66,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         qi_samples=args.qi_samples,
         seed=args.seed,
         cache_dir=args.cache_dir,
-        force_k=args.force_k,
     )
 
 
@@ -144,24 +141,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(run_p)
     run_p.add_argument("--out", default="subforge-out", help="output directory")
     run_p.add_argument("--export", default="", help="comma-separated formats: dot,json")
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=cmd_run, subparser=run_p)
 
     exp_p = sub.add_parser("export", help="run the pipeline and write one artifact")
     _add_config_args(exp_p)
     exp_p.add_argument("--out", default="subforge-out")
     exp_p.add_argument("--what", choices=exports.EXPORT_KINDS, required=True)
     exp_p.add_argument("--format", choices=exports.EXPORT_FORMATS, required=True)
-    exp_p.set_defaults(func=cmd_export)
+    exp_p.set_defaults(func=cmd_export, subparser=exp_p)
 
     pre_p = sub.add_parser("presets", help="list built-in presentations")
-    pre_p.set_defaults(func=cmd_presets)
+    pre_p.set_defaults(func=cmd_presets, subparser=pre_p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # leftovers belong to the subcommand, so its usage is shown
+            args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # --help (0) or a usage error (1)
         return exc.code
     # progress lines go to stderr only, so stdout and every file written

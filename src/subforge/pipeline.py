@@ -1,11 +1,12 @@
 """End-to-end pipeline: parse, enumerate, estimate delta, build the
 language machinery and the subdivision graph, then verify everything.
 
-Each fact is decided by one verdict in ``report["checks"]``, and each
-verdict can fail: the small cancellation certificate, prefix closure, the
-cone lemma, acceptor consistency, the six axioms (axiom 3 covers the
-geodesic tree's parent links) and QI (a)-(d) (QI (b) covers the
-closeness-lemma bound on horizontal edges).
+Each fact is decided by one verdict in ``report["checks"]``: the small
+cancellation certificate, prefix closure, the cone lemma, acceptor
+consistency, the six axioms (axiom 3 covers the geodesic tree's parent
+links) and QI (a)-(d) (QI (b) covers the closeness-lemma bound on
+horizontal edges). K is ceil(2*delta) + 1, clamped to the radius, and is
+decided once; an inconsistent acceptor at that K fails its verdict.
 
 The pipeline keeps going after verification failures so the report carries
 every verdict; operational problems (bad config, resource caps) abort.
@@ -61,7 +62,6 @@ class RunConfig:
     qi_samples: int = 2000
     seed: int = 2024
     cache_dir: str | None = None
-    force_k: int | None = None
 
     def validate(self) -> None:
         if (self.preset is None) == (self.file is None):
@@ -75,8 +75,6 @@ class RunConfig:
         # the working constant is ceil(2*delta) + 1, so 2*delta must be finite
         if self.delta_override is not None and not 0 <= 2 * self.delta_override < math.inf:
             raise ConfigError("delta override must be >= 0 with 2*delta finite")
-        if self.force_k is not None and not 0 <= self.force_k <= self.radius:
-            raise ConfigError("force-k must lie in [0, radius]")
         # a check handed nothing to test would still read as a pass
         if self.qi_samples < 1:
             raise ConfigError("qi samples must be >= 1")
@@ -242,32 +240,23 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     report["gamma"] = {"vertices": ball.size, "edges": edges}
     stage("gamma")
 
-    # cone types with the adaptive-K escape hatch: K is bumped while the
-    # acceptor is inconsistent, up to R//2, unless it was forced
-    if config.force_k is not None:
-        k = config.force_k
-        k_clamped = False
-    else:
-        k = min(working_constant(delta), ball.radius)
-        k_clamped = k != working_constant(delta)
-    adaptation = []
-    while True:
-        table = cone_type_classes(ball, k)
-        acceptor, acc_report = build_acceptor(ball, table)
-        adaptation.append({"k": k, "consistent": acc_report.consistent})
-        if acc_report.consistent or config.force_k is not None or k >= ball.radius // 2:
-            break
-        k += 1
+    # cone types at K = ceil(2*delta) + 1, clamped to the ball
+    k = min(working_constant(delta), ball.radius)
+    table = cone_type_classes(ball, k)
+    acceptor, acc_report = build_acceptor(ball, table)
     artifacts.table = table
     artifacts.acceptor = acceptor
     artifacts.acceptor_report = acc_report
     lemma = verify_cone_lemma(ball, table, config.probe)
     report["cone_types"] = {
         "k": k,
-        "k_clamped_to_radius": k_clamped,
+        "k_clamped_to_radius": k != working_constant(delta),
         "count": table.class_count,
         "trusted_depth": table.trusted_depth,
-        "adaptation": adaptation,
+        # K is decided once. The one-entry list stays because the
+        # benchmark reads its length as language.k_attempts, and its
+        # traced runs fail with a KeyError without it
+        "adaptation": [{"k": k, "consistent": acc_report.consistent}],
     }
     report["cone_lemma"] = {
         "passed": lemma.passed,

@@ -7,8 +7,10 @@ check; the work is in the four directed edge-distance checks:
   (a) every vertical edge is a Cayley edge;
   (b) endpoints of a horizontal edge are less than 2*delta + 2 apart (the
       closeness lemma: for an integer length d this is
-      d <= ceil(2*delta) + 1, so on a built graph (b) can fail only where
-      K was bumped or forced above that);
+      d <= ceil(2*delta) + 1; a pipeline run searches candidates within
+      that K, so there (b) restates the candidate radius, and it fails
+      only on a graph built with a larger ``k_override`` or given a
+      longer edge);
   (c) a same-level Cayley edge forces a horizontal edge;
   (d) a level-changing Cayley edge maps to distance <= 2 (via the upper
       endpoint's predecessor).

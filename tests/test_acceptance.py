@@ -252,12 +252,14 @@ def test_criterion_4_stability(name, radius):
 
 
 def test_criterion_5_negative_controls(tmp_path, monkeypatch):
-    out1 = tmp_path / "k0"
-    code1 = main(["run", "--preset", "f2", "--radius", "5", "--force-k", "0", "--out", str(out1)])
+    # delta 0.5 is undersized for the surface group, and K = 2 follows from it
+    out1 = tmp_path / "k2"
+    code1 = main(["run", "--preset", "surface2", "--radius", "5", "--delta", "0.5", "--out", str(out1)])
     report1 = json.loads((out1 / "report.json").read_text())
     _verdict(
-        "5a: K=0 makes the cone lemma fail with a concrete witness (exit 2)",
+        "5a: undersized delta (K=2) makes the cone lemma fail with a concrete witness (exit 2)",
         code1 == 2
+        and report1["cone_types"]["k"] == 2
         and not report1["cone_lemma"]["passed"]
         and report1["cone_lemma"]["counterexample"] is not None,
         str(report1["cone_lemma"]["counterexample"]),

@@ -93,16 +93,18 @@ def test_exit_code_on_config_error(tmp_path):
         ["run", "--preset", "f2"],
         ["run", "--preset", "f2", "--radius", "x"],
         ["run", "--preset", "f2", "--radius", "4", "--delta-mode", "sampled"],
+        ["run", "--preset", "f2", "--radius", "4", "--force-k", "0"],
         ["bogus"],
     ],
-    ids=["unknown-flag", "missing-radius", "bad-radius", "retired-flag", "unknown-command"],
+    ids=["unknown-flag", "missing-radius", "bad-radius", "retired-flag", "retired-force-k", "unknown-command"],
 )
 def test_usage_error_exits_1_with_the_usage(argv, tmp_path, capsys):
     # exit 2 means a failed check, so a mistyped command line must not get it
     assert main(argv + ["--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: subforge")
+    # a leftover flag gets the usage of the subcommand it was given to
+    assert captured.err.startswith("usage: subforge run" if argv[0] == "run" else "usage: subforge")
     assert "error: " in captured.err
     assert not any(tmp_path.iterdir())
 
@@ -111,7 +113,7 @@ def test_help_exits_0(capsys):
     assert main(["run", "--help"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: subforge run")
-    for retired in ("--delta-mode", "--delta-samples", "--horizon"):
+    for retired in ("--delta-mode", "--delta-samples", "--horizon", "--force-k"):
         assert retired not in out
 
 
@@ -139,14 +141,16 @@ def test_exit_code_on_cap(tmp_path):
 
 
 F2_R4_ACCEPTOR = ["export", "--preset", "f2", "--radius", "4", "--what", "acceptor", "--format", "json"]
+# delta 0.5 gives K=2, too small for the surface group: the cone lemma fails
+SURFACE2_R5_K2 = ["--preset", "surface2", "--radius", "5", "--delta", "0.5"]
 
 
 def test_export_exit_code_on_failed_checks(tmp_path):
-    # K=0 breaks the cone lemma and the acceptor: the export is still
-    # written, and the exit code is the pipeline's, as for `run`
-    out = tmp_path / "k0"
-    assert main(["run", "--preset", "f2", "--radius", "4", "--force-k", "0", "--out", str(tmp_path / "r")]) == 2
-    assert main(F2_R4_ACCEPTOR + ["--force-k", "0", "--out", str(out)]) == 2
+    # a failed check still writes the export, and the exit code is the
+    # pipeline's, as for `run`
+    out = tmp_path / "k2"
+    assert main(["run"] + SURFACE2_R5_K2 + ["--out", str(tmp_path / "r")]) == 2
+    assert main(["export"] + SURFACE2_R5_K2 + ["--what", "acceptor", "--format", "json", "--out", str(out)]) == 2
     assert (out / "acceptor.json").exists()
 
 
@@ -372,7 +376,7 @@ def test_readme_lists_the_cli_flags():
     "argv",
     [
         ["run", "--preset", "surface2", "--radius", "4", "--export", "dot,json"],
-        ["run", "--preset", "f2", "--radius", "4", "--force-k", "0"],
+        ["run"] + SURFACE2_R5_K2,
         F2_R4_ACCEPTOR,
     ],
 )

@@ -116,7 +116,7 @@ LABELED_DIGESTS = {
         "subdivisions.json": "f2c3eee857623748cfea0163da98f5477d59c845e23e4d544e8f9a2619100c78",
         "xi.dot": "10b6975d00e93726b0afce83b338fdaf81fa7f1ab904907f546f83c63024c2dc",
         "xi.json": "6b5971df227394fc6b60113e156b3f78f1337c34223b7f61bb9416e9380e1a77",
-        "report": "e788e8893a81e558ee7b41cc1f22d150d7bd668c94adc8f54502e98d5d74b92f",
+        "report": "038735acd613fc0dccc19b2163314c6506aa87d4f47a7538d6f64a14ee38280c",
     }),
     "0.5": (2, {
         "acceptor.dot": "272a464d1778c451931827ad6543db9b90ae500032799abb44d6bee249d947a3",
@@ -127,7 +127,7 @@ LABELED_DIGESTS = {
         "subdivisions.json": "5a680f6f9a69518c9dbd64270f2e5814741b928d781bdfb6de0ee8ef5a76bbd9",
         "xi.dot": "56a3449d03da9ab0e35f5061a5ad5732de1689ca07ac0af45307d9fffd85dbb0",
         "xi.json": "4be42cad8f4938958b1b01d0b0a9645109a040bf1479c5e3c10d0a503e34c4b7",
-        "report": "52cdca32ac9c06506e77a9a486a3737c22f37889995fca89dc932e98f9462de0",
+        "report": "a45d973deeb3e277b69c622e485ae68942e8dfcb2f9d9c8e99ff71210e8e66df",
     }),
 }
 

@@ -22,8 +22,6 @@ def test_config_validation():
     for bad in (float("inf"), float("nan"), 1e308):
         with pytest.raises(ConfigError):
             RunConfig(preset="f2", radius=4, delta_override=bad).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(preset="f2", radius=4, force_k=5).validate()
     # a check handed nothing to test must not read as a pass
     for bad in (
         dict(qi_samples=0),
@@ -47,25 +45,30 @@ def test_report_echoes_every_setting():
     assert set(report["config"]) == {f.name for f in fields(RunConfig)} - {"cache_dir"}
 
 
-def test_adaptive_k_escape_hatch():
-    # an undersized delta makes the K=1 acceptor inconsistent on the
-    # surface group; the pipeline bumps K until transitions are well
-    # defined, and the dishonest delta still fails the QI (b) bound
+def _failed(res):
+    return {k for k, v in res.report["checks"].items() if not v}
+
+
+def test_undersized_delta_fails_at_its_own_k():
+    # delta = 0 gives K = 1, which is too small for the surface group: the
+    # run stays at that K, and the acceptor, the cone lemma, condition 5
+    # and QI (d) all fail there
     res = run_pipeline(RunConfig(preset="surface2", radius=5, delta_override=0.0))
-    adaptation = res.report["cone_types"]["adaptation"]
-    assert adaptation[0] == {"k": 1, "consistent": False}
-    assert adaptation[-1]["consistent"]
-    assert res.report["cone_types"]["k"] == adaptation[-1]["k"]
-    assert res.report["acceptor"]["consistent"]
-    failed = {k for k, v in res.report["checks"].items() if not v}
-    assert "qi_b" in failed
+    assert res.report["cone_types"]["k"] == 1
+    assert res.report["cone_types"]["adaptation"] == [{"k": 1, "consistent": False}]
+    assert not res.report["acceptor"]["consistent"]
+    assert _failed(res) == {"acceptor_consistent", "axiom_5", "cone_lemma", "qi_d"}
     assert res.exit_code == 2
 
 
-def test_forced_k_disables_adaptation(f2_run):
-    res = run_pipeline(RunConfig(preset="f2", radius=5, force_k=0))
+def test_half_delta_fails_at_k_two_on_radius_six():
+    # delta = 0.5 gives K = 2; at R=6 the acceptor, the cone lemma and
+    # condition 4 fail there rather than pass at a larger K
+    res = run_pipeline(RunConfig(preset="surface2", radius=6, delta_override=0.5))
+    assert res.report["cone_types"]["k"] == 2
     assert len(res.report["cone_types"]["adaptation"]) == 1
-    assert res.report["cone_types"]["k"] == 0
+    assert _failed(res) == {"acceptor_consistent", "axiom_4", "cone_lemma"}
+    assert res.exit_code == 2
 
 
 def test_report_schema_stable(f2_run):
