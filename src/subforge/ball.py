@@ -49,10 +49,10 @@ class TrustRadiusError(ValueError):
     """A query needed data beyond the enumerated radius."""
 
 
-def bidirectional_distance(table: list[int], degree: int, u: int, v: int, limit: int) -> int | None:
-    """Distance from u to v in the graph of a flat neighbour table, whose
-    row ``table[w * degree : (w + 1) * degree]`` lists the neighbours of w
-    padded with -1; None when it exceeds ``limit`` or v is unreachable.
+def bidirectional_distance(rows: Sequence[Sequence[int]], u: int, v: int, limit: int) -> int | None:
+    """Distance from u to v in the graph whose neighbour rows are ``rows``
+    (``rows[w]`` lists the neighbours of w; an entry -1 is no neighbour);
+    None when it exceeds ``limit`` or v is unreachable.
 
     Grows the smaller of the BFS frontiers around u and v one full layer at
     a time.  While the balls of radii a around u and b around v are
@@ -65,7 +65,7 @@ def bidirectional_distance(table: list[int], degree: int, u: int, v: int, limit:
     """
     if u == v:
         return 0
-    mark = bytearray(len(table) // degree + 1)
+    mark = bytearray(len(rows) + 1)
     mark[-1] = 3
     mark[u], mark[v] = 1, 2
     near_front, far_front = [u], [v]
@@ -77,8 +77,7 @@ def bidirectional_distance(table: list[int], degree: int, u: int, v: int, limit:
         reached += 1
         nxt = []
         for w in near_front:
-            i = w * degree
-            for t in table[i : i + degree]:
+            for t in rows[w]:
                 m = mark[t]
                 if not m:
                     mark[t] = near
@@ -87,6 +86,23 @@ def bidirectional_distance(table: list[int], degree: int, u: int, v: int, limit:
                     return reached
         near_front = nxt
     return None
+
+
+class _TableRows:
+    """The rows of a flat letter table as a sequence, read in place:
+    ``rows[w]`` is the slice of the table that holds w's row."""
+
+    __slots__ = ("table", "degree")
+
+    def __init__(self, table: list[int], degree: int):
+        self.table, self.degree = table, degree
+
+    def __len__(self) -> int:
+        return len(self.table) // self.degree
+
+    def __getitem__(self, w: int) -> list[int]:
+        i = w * self.degree
+        return self.table[i : i + self.degree]
 
 
 # Cache file layout: magic, format version (2 bytes, big-endian) and the
@@ -226,7 +242,7 @@ class CayleyBall:
         exceeds ``limit``.  Exact whenever some true geodesic between them
         stays inside the ball (guaranteed e.g. when
         (|u| + |v| + limit) / 2 <= radius)."""
-        return bidirectional_distance(self.table, self.degree, u, v, limit)
+        return bidirectional_distance(_TableRows(self.table, self.degree), u, v, limit)
 
     # -- cache -------------------------------------------------------------
 

@@ -24,9 +24,20 @@ from .presentation import PRESET_TEXTS, PresentationError
 
 log = logging.getLogger("subforge.cli")
 
-# the export kinds in groups written in parallel: gamma's files take about
-# as long to write as xi's, and the acceptor and subdivision tables are small
-EXPORT_GROUPS = (("gamma",), ("xi", "acceptor", "subdivisions"))
+# the export files, as (kind, format), in groups written in parallel: at
+# surface2 R=7 gamma.json and xi.dot take about as long to write as
+# gamma.dot and xi.json, and the acceptor and subdivision files are small
+EXPORT_GROUPS = (
+    (("gamma", "json"), ("xi", "dot")),
+    (
+        ("gamma", "dot"),
+        ("xi", "json"),
+        ("acceptor", "json"),
+        ("acceptor", "dot"),
+        ("subdivisions", "json"),
+        ("subdivisions", "dot"),
+    ),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,12 +99,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     def write(groups):
         for group in groups:
-            for what in group:
-                for fmt in formats:
-                    try:
-                        exports.export_graph(result.artifacts, what, fmt, os.path.join(out, f"{what}.{fmt}"))
-                    except exports.MissingArtifact:
-                        continue
+            for what, fmt in group:
+                if fmt not in formats:
+                    continue
+                try:
+                    exports.export_graph(result.artifacts, what, fmt, os.path.join(out, f"{what}.{fmt}"))
+                except exports.MissingArtifact:
+                    continue
 
     if formats:
         fork_map(write, split(EXPORT_GROUPS))

@@ -6,9 +6,12 @@ timing data appear in graph exports (timings live only in report.json
 under the "timings" key, which consumers are expected to strip before
 diffing).
 
-``export_graph`` streams each file a line or a record at a time, so no
-file is ever held whole in memory. The geodesic tree and the subdivision
-graph go through fixed templates. Every JSON file equals, byte for byte,
+``export_graph`` streams each file, so no file is ever held whole in
+memory. The geodesic tree and the subdivision graph go through fixed
+templates, rendered ``CHUNK`` records at a time by one list comprehension
+and written with one ``write``; each distinct vertex label is rendered
+once. Words are quoted as they are, since generator symbols are ASCII
+letters. Every JSON file equals, byte for byte,
 ``json.dumps(obj, sort_keys=True, indent=2)`` of the object it describes,
 plus a final newline. When the pipeline did not produce an artifact,
 ``export_graph`` raises ``MissingArtifact`` and writes no file.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from json.encoder import encode_basestring_ascii
+from itertools import islice
 
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph
@@ -28,6 +31,10 @@ from .subdivision import EdgeLabel, SubdivisionGraph, VertexLabel
 
 EXPORT_KINDS = ("gamma", "xi", "acceptor", "subdivisions")
 EXPORT_FORMATS = ("dot", "json")
+
+# records rendered per write: the writes cost little next to the rendering,
+# and one chunk's strings add little to the peak memory
+CHUNK = 1024
 
 
 class MissingArtifact(RuntimeError):
@@ -45,38 +52,48 @@ def _nested(obj, depth: int) -> str:
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _array(write, records, pad: str) -> None:
-    """Write a JSON array of the rendered ``records`` (each already
-    indented one level inside it) whose brackets sit at indent ``pad``."""
+def _batches(items):
+    """``items`` in lists of at most ``CHUNK``, in order."""
+    it = iter(items)
+    while batch := list(islice(it, CHUNK)):
+        yield batch
+
+
+def _array(write, chunks, pad: str) -> None:
+    """Write a JSON array of rendered records, given as non-empty lists of
+    records each already indented one level inside the array, whose
+    brackets sit at indent ``pad``."""
     sep = "[\n"
-    for record in records:
+    for records in chunks:
         write(sep)
-        write(record)
+        write(",\n".join(records))
         sep = ",\n"
     write("[]" if sep == "[\n" else "\n" + pad + "]")
 
 
 def _words(ball: CayleyBall):
-    """Formatted normal form of every element, in id order: each is its
-    parent's plus the last letter.  Only the words inside the outer sphere
-    are kept, since no element's parent lies on it; at R=7 on surface2 that
-    is a fifth of the ball."""
+    """Formatted normal form of every element, a batch of ids at a time:
+    yields (ids, words) for each of ``_batches(ball.sphere(n))``, sphere by
+    sphere.  Each word is its parent's plus the last letter, and the parent
+    lies on the sphere below, so a batch is formed by one comprehension.
+    Only the words inside the outer sphere are kept, since no element's
+    parent lies on it; at R=7 on surface2 that is a fifth of the ball."""
     alphabet = ball.presentation.alphabet
     symbols, parent, last_letter = alphabet.symbols, ball.parent, ball.last_letter
-    yield alphabet.format_word(())
+    yield [0], [alphabet.format_word(())]
     inner = [""]
-    outer = max(1, ball.sphere(ball.radius).start)  # the identity is yielded above
-    for e in range(1, outer):
-        word = inner[parent[e]] + symbols[last_letter[e]]
-        inner.append(word)
-        yield word
-    for e in range(outer, ball.size):
-        yield inner[parent[e]] + symbols[last_letter[e]]
+    for n in range(1, ball.radius + 1):
+        for ids in _batches(ball.sphere(n)):
+            words = [inner[parent[e]] + symbols[last_letter[e]] for e in ids]
+            if n < ball.radius:
+                inner += words
+            yield ids, words
 
 
 def _tree_edges(ball: CayleyBall):
     parent = ball.parent
-    return (f"    [\n      {e},\n      {parent[e]}\n    ]" for e in range(1, ball.size))
+    for ids in _batches(range(1, ball.size)):
+        yield [f"    [\n      {e},\n      {parent[e]}\n    ]" for e in ids]
 
 
 # -- gamma -------------------------------------------------------------------
@@ -91,9 +108,11 @@ def gamma_json(arts: Artifacts, write) -> None:
     _array(
         write,
         (
-            f'    {{\n      "id": {e},\n      "level": {level[e]},\n'
-            f'      "word": {encode_basestring_ascii(word)}\n    }}'
-            for e, word in enumerate(_words(ball))
+            [
+                f'    {{\n      "id": {e},\n      "level": {level[e]},\n      "word": "{word}"\n    }}'
+                for e, word in zip(ids, words)
+            ]
+            for ids, words in _words(ball)
         ),
         "  ",
     )
@@ -103,11 +122,11 @@ def gamma_json(arts: Artifacts, write) -> None:
 def gamma_dot(arts: Artifacts, write) -> None:
     ball = arts.ball
     write("graph gamma {\n")
-    for e, word in enumerate(_words(ball)):
-        write(f'  v{e} [label="{word}"];\n')
+    for ids, words in _words(ball):
+        write("".join([f'  v{e} [label="{word}"];\n' for e, word in zip(ids, words)]))
     parent = ball.parent
-    for e in range(1, ball.size):
-        write(f"  v{e} -- v{parent[e]};\n")
+    for ids in _batches(range(1, ball.size)):
+        write("".join([f"  v{e} -- v{parent[e]};\n" for e in ids]))
     write("}\n")
 
 
@@ -127,34 +146,37 @@ def _edge_label_json(ball: CayleyBall, label: EdgeLabel) -> dict:
     return {"type_a": label.type_a, "type_b": label.type_b, "relative": fmt(label.relative)}
 
 
-def _horizontal_edges(graph: SubdivisionGraph):
-    for n, (u, v) in graph.all_level_edges():
-        entry = {"level": n, "u": u, "v": v}
-        label = graph.edge_labels.get((u, v))
-        if label is not None:
-            entry["label"] = _edge_label_json(graph.ball, label)
-        w = graph.witnesses[(u, v)]
-        entry["witness"] = {"first": w.first, "second": w.second, "separation": w.separation}
-        yield "    " + _nested(entry, 2)
+def _horizontal_edge(graph: SubdivisionGraph, n: int, u: int, v: int) -> str:
+    entry = {"level": n, "u": u, "v": v}
+    label = graph.edge_labels.get((u, v))
+    if label is not None:
+        entry["label"] = _edge_label_json(graph.ball, label)
+    w = graph.witnesses[(u, v)]
+    entry["witness"] = {"first": w.first, "second": w.second, "separation": w.separation}
+    return "    " + _nested(entry, 2)
 
 
 def _xi_vertices(graph: SubdivisionGraph):
     ball = graph.ball
     level = ball.sphere_of
     labels = graph.vertex_labels
-    for e, word in enumerate(_words(ball)):
-        label = labels.get(e)
-        rendered = "null" if label is None else _nested(_vertex_label_json(ball, label), 3)
-        yield (
-            f'    {{\n      "id": {e},\n      "label": {rendered},\n      "level": {level[e]},\n'
-            f'      "word": {encode_basestring_ascii(word)}\n    }}'
-        )
+    rendered = {label: _nested(_vertex_label_json(ball, label), 3) for label in set(labels.values())}
+    for ids, words in _words(ball):
+        yield [
+            f'    {{\n      "id": {e},\n      "label": {rendered.get(labels.get(e), "null")},\n'
+            f'      "level": {level[e]},\n      "word": "{word}"\n    }}'
+            for e, word in zip(ids, words)
+        ]
 
 
 def xi_json(arts: Artifacts, write) -> None:
     graph: SubdivisionGraph = arts.graph
     write(f'{{\n  "horizon": {graph.ball.radius},\n  "horizontal_edges": ')
-    _array(write, _horizontal_edges(graph), "  ")
+    _array(
+        write,
+        ([_horizontal_edge(graph, n, u, v) for n, (u, v) in edges] for edges in _batches(graph.all_level_edges())),
+        "  ",
+    )
     write(
         f',\n  "k": {graph.k},\n  "n_max": {graph.n_max},'
         f'\n  "unstable_levels": {_nested(list(graph.unstable_levels), 1)},'
@@ -169,18 +191,19 @@ def xi_json(arts: Artifacts, write) -> None:
 def xi_dot(arts: Artifacts, write) -> None:
     graph: SubdivisionGraph = arts.graph
     ball = graph.ball
-    words = _words(ball)  # the spheres are consecutive runs of ids
+    words = _words(ball)  # its batches run through the spheres in order
     write("graph xi {\n")
     for level in range(ball.radius + 1):
         write(f'  subgraph cluster_level_{level} {{\n    label="level {level}"; rank=same;\n')
-        for e in ball.sphere(level):
-            write(f'    v{e} [label="{next(words)}"];\n')
+        for _ in _batches(ball.sphere(level)):
+            ids, chunk = next(words)
+            write("".join([f'    v{e} [label="{word}"];\n' for e, word in zip(ids, chunk)]))
         write("  }\n")
     parent = ball.parent
-    for e in range(1, ball.size):
-        write(f"  v{e} -- v{parent[e]} [kind=vertical];\n")
-    for _, (u, v) in graph.all_level_edges():
-        write(f"  v{u} -- v{v} [kind=horizontal];\n")
+    for ids in _batches(range(1, ball.size)):
+        write("".join([f"  v{e} -- v{parent[e]} [kind=vertical];\n" for e in ids]))
+    for edges in _batches(graph.all_level_edges()):
+        write("".join([f"  v{u} -- v{v} [kind=horizontal];\n" for _, (u, v) in edges]))
     write("}\n")
 
 

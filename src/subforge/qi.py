@@ -18,12 +18,19 @@ check; the work is in the four directed edge-distance checks:
 Checks quantify over the levels where horizontal-edge data is complete.
 The empirical QI constant measures independent vertex pairs, which are
 split over the CPUs (``estimate_qi_constants``).
+
+Each pair's Cayley distance is measured in B_M, M = min(R, 2 n_max),
+which gives the same distance as the whole ball.  For trusted u and v the
+tree path through the identity gives d(u, v) <= |u| + |v| <= 2 n_max, and
+every vertex w on a u-v geodesic has |w| <= (|u| + |v| + d(u, v)) / 2 <=
+2 n_max, so no such geodesic leaves B_{2 n_max}.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ball import bidirectional_distance
@@ -59,11 +66,10 @@ def _trusted_vertices(graph: SubdivisionGraph) -> range:
     return range(graph.ball.sphere(graph.n_max).stop if graph.n_max >= 0 else 0)
 
 
-def _xi_adjacency(graph: SubdivisionGraph) -> tuple[list[int], int]:
+def _xi_adjacency(graph: SubdivisionGraph) -> list[list[int]]:
     """Unit-length adjacency of the subdivision graph restricted to the
-    trusted levels (vertical tree edges plus horizontal edges), as a flat
-    table of rows of ``degree`` neighbour ids padded with -1 (the layout
-    of the ball's letter table); returns (table, degree)."""
+    trusted levels (vertical tree edges plus horizontal edges): one row of
+    neighbour ids per trusted vertex."""
     rows: list[list[int]] = [[] for _ in _trusted_vertices(graph)]
     parent = graph.ball.parent
     for v in range(1, len(rows)):
@@ -72,20 +78,24 @@ def _xi_adjacency(graph: SubdivisionGraph) -> tuple[list[int], int]:
     for _, (u, v) in graph.all_level_edges():
         rows[u].append(v)
         rows[v].append(u)
-    degree = max(map(len, rows), default=0)
-    table: list[int] = []
-    for row in rows:
-        table += row
-        table += [-1] * (degree - len(row))
-    return table, degree
+    return rows
 
 
-def _bfs_distance(adj: tuple[list[int], int], source: int, target: int) -> int:
-    table, degree = adj
-    # no distance exceeds the vertex count len(table) / degree
-    d = bidirectional_distance(table, degree, source, target, len(table))
+def _cayley_adjacency(graph: SubdivisionGraph) -> list[tuple[int, ...]]:
+    """The Cayley graph of B_M, M = min(R, 2 n_max), as one row of
+    neighbour ids per element; every geodesic between trusted vertices
+    stays inside it (module docstring)."""
+    ball = graph.ball
+    stop = ball.sphere(min(ball.radius, 2 * graph.n_max)).stop
+    table, a = ball.table, ball.degree
+    return [tuple([t for t in table[i : i + a] if 0 <= t < stop]) for i in range(0, stop * a, a)]
+
+
+def _distance(rows: Sequence[Sequence[int]], u: int, v: int, graph_name: str) -> int:
+    # no distance exceeds the vertex count
+    d = bidirectional_distance(rows, u, v, len(rows))
     if d is None:
-        raise ValueError("target not reachable in the trusted subdivision graph")
+        raise ValueError(f"{v} not reachable from {u} in the {graph_name}")
     return d
 
 
@@ -183,10 +193,9 @@ def estimate_qi_constants(
     exhaustive flag).
 
     The pairs are measured in parallel, one contiguous chunk per CPU
-    (``parallel.fork_map``) over the subdivision graph's adjacency built
+    (``parallel.fork_map``), over the neighbour rows of both graphs built
     once beforehand; the chunks' first maximal pairs are merged in order,
     so the extremal pair is the first one a single loop would find."""
-    ball = graph.ball
     trusted = _trusted_vertices(graph)
     if len(trusted) < 2:
         return None, None, 0, True
@@ -207,16 +216,12 @@ def estimate_qi_constants(
             while v == u:
                 v = rng.choice(trusted)
             pairs.append((u, v))
-    adj = _xi_adjacency(graph)
-    limit = 2 * max(graph.n_max, 0) + 2
+    cayley, xi = _cayley_adjacency(graph), _xi_adjacency(graph)
 
     def chunk_constant(chunk):
         best, extremal = 0.0, None
         for u, v in chunk:
-            d_x = ball.distance_between(u, v, limit)
-            if d_x is None:
-                raise ValueError("Cayley distance exceeded its in-ball limit")
-            k = _pair_constant(d_x, _bfs_distance(adj, u, v))
+            k = _pair_constant(_distance(cayley, u, v, "Cayley graph"), _distance(xi, u, v, "subdivision graph"))
             if k > best:
                 best, extremal = k, (u, v)
         return best, extremal

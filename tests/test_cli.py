@@ -13,7 +13,8 @@ import pytest
 
 import subforge
 from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall
-from subforge.cli import _config_from, build_parser, main
+from subforge.cli import EXPORT_GROUPS, _config_from, build_parser, main
+from subforge.exports import EXPORT_FORMATS, EXPORT_KINDS
 from subforge.pipeline import RunConfig
 from subforge.presentation import preset
 
@@ -55,6 +56,18 @@ def test_run_writes_exports(tmp_path):
     assert len(xi["vertices"]) == 9
     assert len(xi["vertical_edges"]) == 8
     assert xi["horizontal_edges"] == []
+
+
+def test_export_groups_hold_every_file_once():
+    files = [f for group in EXPORT_GROUPS for f in group]
+    assert sorted(files) == sorted((what, fmt) for what in EXPORT_KINDS for fmt in EXPORT_FORMATS)
+
+
+@pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+def test_run_writes_only_the_formats_asked_for(fmt, tmp_path):
+    assert main(["run", "--preset", "z", "--radius", "4", "--out", str(tmp_path), "--export", fmt]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(["report.json"] + [f"{what}.{fmt}" for what in EXPORT_KINDS])
 
 
 def test_acceptor_export_counts(tmp_path):

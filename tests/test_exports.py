@@ -7,8 +7,9 @@ import hashlib
 import json
 
 import pytest
-from reference import ODD_RELATOR, reference_export
+from reference import reference_export
 
+from subforge import exports
 from subforge.ball import enumerate_ball
 from subforge.cli import main
 from subforge.exports import EXPORT_FORMATS, EXPORT_KINDS, MissingArtifact, export_graph
@@ -33,20 +34,8 @@ def _assert_streams_as_reference(arts: Artifacts, out_dir) -> int:
 
 
 @pytest.fixture(scope="module")
-def f2_r5_run():
-    return run_pipeline(RunConfig(preset="f2", radius=5))
-
-
-@pytest.fixture(scope="module")
 def surface_r4_run():
     return run_pipeline(RunConfig(preset="surface2", radius=4))
-
-
-@pytest.fixture(scope="module")
-def odd_r4_run(tmp_path_factory):
-    path = tmp_path_factory.mktemp("odd") / "odd.txt"
-    path.write_text(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
-    return run_pipeline(RunConfig(file=str(path), radius=4))
 
 
 # (fixture, files it exports): surface2 R=4 labels no vertex (n_max is -1),
@@ -65,6 +54,19 @@ def test_streamed_exports_equal_the_reference(run, files, request, tmp_path):
     result = request.getfixturevalue(run)
     assert result.exit_code == 0
     assert _assert_streams_as_reference(result.artifacts, tmp_path) == files
+
+
+@pytest.mark.parametrize("run", ["surface_r4_run", "f2_r5_run", "surface_labeled_run"])
+def test_exports_do_not_depend_on_the_chunk_size(run, request, tmp_path, monkeypatch):
+    # records are rendered CHUNK at a time; 1, 2 and 3 put chunk boundaries
+    # everywhere, and the outer sphere's first id, or one less, makes a
+    # chunk end just before the outer sphere (ids from 0) or the tree edges
+    # (ids from 1) reach it
+    arts = request.getfixturevalue(run).artifacts
+    outer = arts.ball.sphere(arts.ball.radius).start
+    for chunk in (1, 2, 3, outer - 1, outer):
+        monkeypatch.setattr(exports, "CHUNK", chunk)
+        assert _assert_streams_as_reference(arts, tmp_path) == dict(RUNS)[run], chunk
 
 
 def test_the_compared_exports_are_not_vacuous(f2_r5_run, surface_labeled_run):

@@ -6,9 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from subforge.ball import enumerate_ball
+from subforge.ball import bidirectional_distance, enumerate_ball
 from subforge.presentation import preset
-from subforge.qi import _bfs_distance, _pair_constant, _xi_adjacency, estimate_qi_constants, verify_qi_bounds
+from subforge.qi import (
+    _cayley_adjacency,
+    _distance,
+    _pair_constant,
+    _trusted_vertices,
+    _xi_adjacency,
+    estimate_qi_constants,
+    verify_qi_bounds,
+)
 from subforge.subdivision import build_subdivision_graph, working_constant
 
 from bruteforce import free_distance
@@ -132,14 +140,41 @@ def test_xi_distance_matches_one_sided_bfs(which, surface_labeled_run):
         graph = build_subdivision_graph(ball, 0.0)
     else:
         graph = surface_labeled_run.artifacts.graph
-    adj = table, degree = _xi_adjacency(graph)
-    trusted = range(len(table) // degree)
-    assert trusted.stop == graph.ball.sphere(graph.n_max).stop
+    rows = _xi_adjacency(graph)
+    assert len(rows) == graph.ball.sphere(graph.n_max).stop
+    assert all(0 <= t < len(rows) for row in rows for t in row)  # no padding
 
-    def neighbours(w):
-        return [t for t in table[w * degree : (w + 1) * degree] if t >= 0]
-
+    vertices = range(len(rows))
     rng = random.Random(8)
     for _ in range(300):
-        u, v = rng.choice(trusted), rng.choice(trusted)
-        assert _bfs_distance(adj, u, v) == one_sided_distance(neighbours, u, v), (u, v)
+        u, v = rng.choice(vertices), rng.choice(vertices)
+        assert _distance(rows, u, v, "subdivision graph") == one_sided_distance(rows.__getitem__, u, v), (u, v)
+
+
+# (run, Cayley rows): surface2 R=5 at delta 1.0 has n_max 1, so its rows
+# are B_2, 65 of the ball's 22,289 elements; the others have 2 n_max >= R,
+# so their rows are the whole ball
+@pytest.mark.parametrize(
+    "run, row_count",
+    [("surface_labeled_run", 65), ("f2_r5_run", 485), ("z_run", 17), ("odd_r4_run", 161)],
+)
+def test_cayley_rows_of_b_m_give_the_in_ball_distance(run, row_count, request):
+    graph = request.getfixturevalue(run).artifacts.graph
+    ball = graph.ball
+    rows = _cayley_adjacency(graph)
+    assert len(rows) == row_count == ball.sphere(min(ball.radius, 2 * graph.n_max)).stop
+    assert all(0 <= t < len(rows) for row in rows for t in row)
+    trusted = _trusted_vertices(graph)
+    assert len(trusted) >= 2
+    for u in trusted:
+        for v in trusted:
+            if u < v:
+                d = ball.distance_between(u, v, 2 * ball.radius)
+                assert _distance(rows, u, v, "Cayley graph") == d, (u, v)
+
+
+def test_unreachable_pair_is_a_fault():
+    rows = [[1], [0], []]
+    assert bidirectional_distance(rows, 0, 2, len(rows)) is None
+    with pytest.raises(ValueError, match="2 not reachable from 0 in the Cayley graph"):
+        _distance(rows, 0, 2, "Cayley graph")
