@@ -21,7 +21,7 @@ Cayley graph, and every query walks that graph.
 
 from __future__ import annotations
 
-import hashlib
+import struct
 import sys
 from array import array
 from bisect import bisect_left
@@ -110,18 +110,16 @@ class _TableRows:
 # text and the text (UTF-8), the radius, the alphabet size, the R + 1
 # sphere sizes, then the tables ``parent`` (N ids), ``last_letter``
 # (N letters) and ``table`` (N |A| ids); every number is a little-endian
-# int32.
+# int32.  ``hashlib`` is imported by the cache code alone: it loads
+# OpenSSL (about 5 ms and 3.6 MB), which a run without a cache never uses.
 CACHE_MAGIC = b"subforge-ball\n"
 CACHE_VERSION = 3
 CACHE_HEADER_LEN = len(CACHE_MAGIC) + 2 + 32
 
 
-def _int32(values: Sequence[int]) -> array:
+def _int32(values: Sequence[int]) -> bytes:
     """The values as little-endian int32."""
-    a = array("i", values)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a
+    return struct.pack(f"<{len(values)}i", *values)
 
 
 @dataclass
@@ -250,6 +248,8 @@ class CayleyBall:
         """The cache file: the header, then the payload.  Tables are
         converted 8,192 values at a time, so that serialising holds the
         file and one small chunk, never a second copy of a table."""
+        import hashlib
+
         text = self.presentation.text().encode()
         out = bytearray(CACHE_MAGIC + CACHE_VERSION.to_bytes(2, "big") + bytes(32))
         out += _int32([len(text)])
@@ -267,6 +267,8 @@ class CayleyBall:
         the header, the payload checksum and the presentation all match
         and the table lengths agree with the radius, the alphabet size
         and the sphere sizes in the header."""
+        import hashlib
+
         magic_end = len(CACHE_MAGIC)
         if data[:magic_end] != CACHE_MAGIC:
             raise ValueError("not a subforge ball cache file")
@@ -319,6 +321,8 @@ class CayleyBall:
 
 
 def cache_key(pres: Presentation, radius: int) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     h.update(pres.text().encode())
     h.update(str(radius).encode())

@@ -197,5 +197,29 @@ def main(argv: list[str] | None = None) -> int:
             logger.setLevel(level)
 
 
+def entry_point() -> None:
+    """The process entry point (``python -m subforge``, ``python -m
+    subforge.cli`` and the ``subforge`` console script): ``main()``, then
+    flush stdout and stderr and end the process with ``os._exit``, with
+    the status ``sys.exit`` gives the same value (None is 0).  It does not
+    return.
+
+    Skipping interpreter teardown (25-32 ms of a 0.3 s surface2 R=5 run
+    on a 2-vCPU VM) loses nothing: every file a run writes is closed by
+    its ``with`` block, ``fork_map`` reaps every child before ``main()``
+    returns and no subforge code registers an ``atexit`` handler.  An
+    exception out of ``main()`` or a failed flush takes the ``sys.exit``
+    path, with teardown, as before."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a missing, closed or broken stream
+        sys.exit(code)
+    if code is None or isinstance(code, int):
+        os._exit(code or 0)
+    sys.exit(code)  # any other value is printed, with status 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -184,9 +184,18 @@ def _point_thinness(run, p, other_sides):
     """min over the two other sides of (max over geodesics of d(p, geo)).
 
     ``other_sides`` holds, per side, the vertex set of each of its
-    geodesics.  Expands the BFS from p one layer at a time and stops as
-    soon as one side has every geodesic hit.
+    geodesics.  A point on every geodesic of one side has thinness 0 and
+    builds no BFS state; otherwise the BFS from p is expanded one layer at
+    a time and stops as soon as one side has every geodesic hit.
     """
+    # plain loops: written as any(all(...)), the generators cost more than
+    # the BFS state saved (delta on f2 R=8 r=4 +10%, against -40% here)
+    for side in other_sides:
+        for geo in side:
+            if p not in geo:
+                break
+        else:
+            return 0
     targets = list(other_sides)
     maxima = [0, 0]
     depth = 0

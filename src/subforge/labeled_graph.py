@@ -8,8 +8,8 @@ one exists.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Hashable
 
 
 @dataclass(frozen=True)

@@ -311,15 +311,66 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     assert path.read_bytes() == good
 
 
-def test_console_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "subforge.cli", "presets"],
-        capture_output=True,
-        text=True,
-        check=False,
+def _child_env(**extra) -> dict[str, str]:
+    """The environment for a subforge child process: this checkout's
+    sources on the path and no PYTHON* setting, so that stdout on a pipe
+    is block-buffered, as in a plain shell."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(subforge.__file__).resolve().parent.parent)
+    env.update(extra)
+    return env
+
+
+def test_console_entry_point(tmp_path, monkeypatch, capsys):
+    # the process entry point ends with os._exit after flushing stdout and
+    # stderr: each child writes exactly what main() writes in-process and
+    # exits with its return value, so no buffered output is lost
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    env = _child_env(COLUMNS="80")
+    cases = [
+        ["run", "--preset", "f2", "--radius", "3", "--out", "out"],
+        ["run"] + SURFACE2_R5_K2 + ["--out", "out"],
+        ["run", "--preset", "f2", "--radius", "3", "--bogus"],
+        ["--help"],
+        ["presets"],
+    ]
+    for argv, code in zip(cases, [0, 2, 1, 0, 0]):
+        where = tmp_path / "in-process"
+        where.mkdir(exist_ok=True)
+        monkeypatch.chdir(where)
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        for module in ("subforge", "subforge.cli"):
+            where = tmp_path / module
+            where.mkdir(exist_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv], env=env, cwd=where,
+                stdin=subprocess.DEVNULL, capture_output=True, text=True, check=False,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err), (module, argv)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache-dir"])
+def test_hashlib_loads_only_with_the_cache(tmp_path, cached):
+    # hashlib loads OpenSSL, which only the ball cache needs
+    script = (
+        "import sys\n"
+        "before = 'hashlib' in sys.modules\n"
+        "import subforge.cli\n"
+        "code = subforge.cli.main(sys.argv[1:])\n"
+        "print(before, 'hashlib' in sys.modules, code)\n"
     )
-    assert proc.returncode == 0
-    assert "surface2" in proc.stdout
+    argv = ["run", "--preset", "f2", "--radius", "3", "--out", str(tmp_path / "out")]
+    if cached:
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=_child_env(), stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, check=True,
+    )
+    before, loaded, code = proc.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("the interpreter loads hashlib before subforge is imported")
+    assert (loaded, code) == (str(cached), "0")
 
 
 def test_exports_do_not_depend_on_the_cpu_count(tmp_path):
