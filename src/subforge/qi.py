@@ -19,23 +19,46 @@ Checks quantify over the levels where horizontal-edge data is complete.
 The empirical QI constant measures independent vertex pairs, which are
 split over the CPUs (``estimate_qi_constants``).
 
-Each pair's Cayley distance is measured in B_M, M = min(R, 2 n_max),
-which gives the same distance as the whole ball.  For trusted u and v the
-tree path through the identity gives d(u, v) <= |u| + |v| <= 2 n_max, and
-every vertex w on a u-v geodesic has |w| <= (|u| + |v| + d(u, v)) / 2 <=
-2 n_max, so no such geodesic leaves B_{2 n_max}.
+Each pair's Cayley distance is measured over the rows of B_c, where c is
+the geodesic ceiling of the trusted levels (``_geodesic_ceiling``); this
+gives the in-ball distance that the whole ball gives.  Two facts bound c.
+
+From above: for trusted u and v the tree path through the identity gives
+d(u, v) <= |u| + |v| <= 2 n_max, and every vertex w on a u-v geodesic has
+|w| <= (|u| + |v| + d(u, v)) / 2 <= 2 n_max, so no such geodesic leaves
+B_{2 n_max}, and a shortest in-ball path stays in B_M, M = min(R, 2 n_max).
+
+From the tree: call a table entry a tree entry when it is a parent link
+of the geodesic tree, read from either end (w's entry for its parent, or
+a parent's entry for its child).  Take a shortest in-ball path between u
+and v whose highest level m lies above |u| and |v|.  Its vertices on
+level m come in runs, each entered from level m - 1 and left to it.  A
+run of one vertex w has two distinct neighbours on the path one level
+down (else the path backtracks), and at most one is w's parent; a longer
+run starts with a vertex whose next vertex shares its level.  Either way
+a row on level m holds an entry that is not a tree entry.  So no shortest
+in-ball path between trusted vertices climbs above the highest level in
+(n_max, M] whose rows hold such an entry, or above n_max when none does.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .ball import bidirectional_distance
+from .ball import CayleyBall, bidirectional_distance
 from .parallel import fork_map, split
 from .subdivision import SubdivisionGraph, horizontal_edge_length, working_constant
+
+log = logging.getLogger(__name__)
+
+# rows compared per step of the geodesic-ceiling scan: a level with an
+# entry off the tree usually stops the scan after one small slice
+_CEILING_CHUNK = 4096
 
 
 @dataclass
@@ -81,12 +104,41 @@ def _xi_adjacency(graph: SubdivisionGraph) -> list[list[int]]:
     return rows
 
 
-def _cayley_adjacency(graph: SubdivisionGraph) -> list[tuple[int, ...]]:
-    """The Cayley graph of B_M, M = min(R, 2 n_max), as one row of
-    neighbour ids per element; every geodesic between trusted vertices
-    stays inside it (module docstring)."""
-    ball = graph.ball
-    stop = ball.sphere(min(ball.radius, 2 * graph.n_max)).stop
+def _geodesic_ceiling(ball: CayleyBall, n: int) -> int:
+    """The highest level a shortest in-ball path between two vertices of
+    B_n can reach: the highest level in (n, min(R, 2n)] whose rows hold an
+    entry that is not a tree entry, or n when none does (module docstring).
+
+    Scans down from level min(R, 2n), ``_CEILING_CHUNK`` rows at a time,
+    and compares a chunk's entries other than -1 with its tree entries:
+    one parent link per row plus one per child.  Ids are shortlex, so
+    ``parent`` never decreases along a sphere, and the children of a run
+    of ids are a run of the next sphere, counted by bisection.  An extra
+    entry that leaves the top level upward also stops the scan there,
+    which gives the bound from above."""
+    table, a, parent = ball.table, ball.degree, ball.parent
+    for m in range(min(ball.radius, 2 * n), n, -1):
+        level = ball.sphere(m)
+        up = ball.sphere(m + 1) if m < ball.radius else range(0)
+        for lo in range(level.start, level.stop, _CEILING_CHUNK):
+            hi = min(lo + _CEILING_CHUNK, level.stop)
+            entries = table[lo * a : hi * a]
+            children = bisect_left(parent, hi, up.start, up.stop) - bisect_left(parent, lo, up.start, up.stop)
+            if len(entries) - entries.count(-1) > hi - lo + children:
+                return m
+    return n
+
+
+def _cayley_adjacency(ball: CayleyBall, n: int) -> list[tuple[int, ...]]:
+    """The Cayley graph of B_c, c = ``_geodesic_ceiling(ball, n)``, as one
+    row of neighbour ids per element.  A shortest in-ball path between two
+    vertices of B_n that climbs above both ends meets an entry off the
+    geodesic tree on its highest level, and no such path climbs above
+    B_min(R, 2n), so every one stays inside B_c (module docstring) and a
+    search over these rows gives their in-ball distance."""
+    ceiling = _geodesic_ceiling(ball, n)
+    stop = ball.sphere(ceiling).stop
+    log.info("qi: Cayley rows over B_%d of B_%d (%s of %s elements)", ceiling, ball.radius, f"{stop:,}", f"{ball.size:,}")
     table, a = ball.table, ball.degree
     return [tuple([t for t in table[i : i + a] if 0 <= t < stop]) for i in range(0, stop * a, a)]
 
@@ -216,7 +268,7 @@ def estimate_qi_constants(
             while v == u:
                 v = rng.choice(trusted)
             pairs.append((u, v))
-    cayley, xi = _cayley_adjacency(graph), _xi_adjacency(graph)
+    cayley, xi = _cayley_adjacency(graph.ball, graph.n_max), _xi_adjacency(graph)
 
     def chunk_constant(chunk):
         best, extremal = 0.0, None

@@ -436,15 +436,18 @@ def test_readme_lists_the_cli_flags():
     assert sorted(documented - flags) == []
 
 
+# (argv, QI's Cayley rows line): surface2 R=4 has no two trusted
+# vertices, so its QI sample builds no rows
 @pytest.mark.parametrize(
-    "argv",
+    "argv, rows_line",
     [
-        ["run", "--preset", "surface2", "--radius", "4", "--export", "dot,json"],
-        ["run"] + SURFACE2_R5_K2,
-        F2_R4_ACCEPTOR,
+        (["run", "--preset", "surface2", "--radius", "4", "--export", "dot,json"], None),
+        (["run"] + SURFACE2_R5_K2, "qi: Cayley rows over B_4 of B_5 (3,193 of 22,289 elements)"),
+        (F2_R4_ACCEPTOR, "qi: Cayley rows over B_2 of B_4 (17 of 161 elements)"),
     ],
+    ids=["argv0", "argv1", "argv2"],
 )
-def test_verbose_changes_only_stderr(tmp_path, monkeypatch, capsys, argv):
+def test_verbose_changes_only_stderr(tmp_path, monkeypatch, capsys, argv, rows_line):
     # -v adds progress lines on stderr; stdout, the exit code and every
     # file written stay the same, report.json apart from its timings
     runs = {}
@@ -469,4 +472,5 @@ def test_verbose_changes_only_stderr(tmp_path, monkeypatch, capsys, argv):
         ["exports"] if argv[0] == "run" else []
     )
     assert any("sphere sizes [1, " in line for line in lines)
+    assert [line for line in lines if "Cayley rows" in line] == ([f"subforge: {rows_line}"] if rows_line else [])
     assert all(line.startswith("subforge: ") for line in lines)

@@ -5,22 +5,30 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from subforge.ball import bidirectional_distance, enumerate_ball
-from subforge.presentation import preset
+from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import (
     _cayley_adjacency,
     _distance,
+    _geodesic_ceiling,
     _pair_constant,
     _trusted_vertices,
     _xi_adjacency,
     estimate_qi_constants,
     verify_qi_bounds,
 )
-from subforge.subdivision import build_subdivision_graph, working_constant
+from subforge.subdivision import SubdivisionGraph, build_subdivision_graph, working_constant
 
 from bruteforce import free_distance
-from reference import one_sided_distance
+from reference import (
+    FOUR_GENERATORS,
+    TWO_RELATORS,
+    distinct_letter_relators,
+    odd_relator_presentation,
+    one_sided_distance,
+)
 
 
 def _check(report, name):
@@ -151,26 +159,90 @@ def test_xi_distance_matches_one_sided_bfs(which, surface_labeled_run):
         assert _distance(rows, u, v, "subdivision graph") == one_sided_distance(rows.__getitem__, u, v), (u, v)
 
 
-# (run, Cayley rows): surface2 R=5 at delta 1.0 has n_max 1, so its rows
-# are B_2, 65 of the ball's 22,289 elements; the others have 2 n_max >= R,
-# so their rows are the whole ball
+@pytest.fixture(scope="module")
+def surface_r6_graph():
+    # surface2 R=6 at delta 0.5: K=2, so n_max is 3
+    return build_subdivision_graph(enumerate_ball(preset("surface2"), 6), 0.5)
+
+
+# (graph, Cayley rows): no relator loop of f2, z or the odd relator at
+# R=4 climbs above n_max, nor does the octagon's above level 1 of
+# surface2 R=5 at delta 1.0 (n_max 1), so those rows stop at B_{n_max}:
+# 53 of the ball's 485 elements, 13 of 17, 17 of 161 and 9 of 22,289.
+# On surface2 R=6 at delta 0.5 (n_max 3) the octagon's loops reach every
+# level from 4 up, so the rows hold the whole ball; its 104k trusted pairs
+# are sampled
 @pytest.mark.parametrize(
-    "run, row_count",
-    [("surface_labeled_run", 65), ("f2_r5_run", 485), ("z_run", 17), ("odd_r4_run", 161)],
+    "source, row_count",
+    [
+        ("f2_r5_run", 53),
+        ("z_run", 13),
+        ("odd_r4_run", 17),
+        ("surface_labeled_run", 9),
+        ("surface_r6_graph", 155_577),
+    ],
 )
-def test_cayley_rows_of_b_m_give_the_in_ball_distance(run, row_count, request):
-    graph = request.getfixturevalue(run).artifacts.graph
+def test_cayley_rows_of_b_c_give_the_in_ball_distance(source, row_count, request):
+    graph = request.getfixturevalue(source)
+    if not isinstance(graph, SubdivisionGraph):
+        graph = graph.artifacts.graph
     ball = graph.ball
-    rows = _cayley_adjacency(graph)
-    assert len(rows) == row_count == ball.sphere(min(ball.radius, 2 * graph.n_max)).stop
+    rows = _cayley_adjacency(ball, graph.n_max)
+    assert len(rows) == row_count == ball.sphere(_geodesic_ceiling(ball, graph.n_max)).stop
     assert all(0 <= t < len(rows) for row in rows for t in row)
     trusted = _trusted_vertices(graph)
-    assert len(trusted) >= 2
-    for u in trusted:
-        for v in trusted:
-            if u < v:
-                d = ball.distance_between(u, v, 2 * ball.radius)
-                assert _distance(rows, u, v, "Cayley graph") == d, (u, v)
+    pairs = [(u, v) for u in trusted for v in trusted if u < v]
+    assert pairs
+    if len(pairs) > 300:
+        pairs = random.Random(6).sample(pairs, 300)
+    for u, v in pairs:
+        d = ball.distance_between(u, v, 2 * ball.radius)
+        assert _distance(rows, u, v, "Cayley graph") == d, (u, v)
+
+
+def test_rows_cut_at_n_max_misread_a_pair_whose_path_peaks_above_it(surface_r6_graph):
+    # the only shortest paths from ab to dcD climb above both ends, to
+    # level 4, so rows cut at n_max = 3 measure a detour; the ceiling,
+    # which counts the entries off the geodesic tree, keeps level 4
+    ball, n_max = surface_r6_graph.ball, surface_r6_graph.n_max
+    u, v = ball.element_of("ab"), ball.element_of("dcD")
+    stop = ball.sphere(n_max).stop
+    cut = [tuple(t for t in ball.row(e) if 0 <= t < stop) for e in range(stop)]
+    assert ball.distance_between(u, v, 2 * ball.radius) == 3
+    assert _distance(cut, u, v, "Cayley graph") == 5
+    assert _distance(_cayley_adjacency(ball, n_max), u, v, "Cayley graph") == 3
+
+
+def _ceiling_keeps_in_ball_distances(ball):
+    """For every n < R: the ceiling is at least n, and a search over rows
+    cut there gives the in-ball distance of sampled pairs of B_n."""
+    for m in range(ball.radius + 1):
+        level = ball.sphere(m)
+        # the ceiling scan bisects parent ids along the next sphere
+        assert all(ball.parent[w] <= ball.parent[w + 1] for w in range(level.start, level.stop - 1)), m
+    rng = random.Random(ball.size)
+    for n in range(ball.radius):
+        assert _geodesic_ceiling(ball, n) >= n
+        rows = _cayley_adjacency(ball, n)
+        vertices = range(ball.sphere(n).stop)
+        for _ in range(200):
+            u, v = rng.choice(vertices), rng.choice(vertices)
+            assert _distance(rows, u, v, "Cayley graph") == ball.distance_between(u, v, 2 * ball.radius), (n, u, v)
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "surface2", "odd_relator"])
+def test_geodesic_ceiling_keeps_in_ball_distances(name):
+    p = odd_relator_presentation() if name == "odd_relator" else preset(name)
+    _ceiling_keeps_in_ball_distances(enumerate_ball(p, 5))
+
+
+@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
+@example(list(TWO_RELATORS))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_geodesic_ceiling_keeps_in_ball_distances_c16_family(relators):
+    p = Presentation(FOUR_GENERATORS, tuple(relators))
+    assume(verify_small_cancellation(p).satisfies_c16)
+    _ceiling_keeps_in_ball_distances(enumerate_ball(p, 5))
 
 
 def test_unreachable_pair_is_a_fault():
