@@ -56,10 +56,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--file", help="presentation file path")
     p.add_argument("--radius", type=int, required=True, help="ball radius R")
     p.add_argument("--delta", type=float, default=None, help="override the thinness constant")
-    p.add_argument("--delta-radius", type=int, default=None, help="triangle search radius (default R//2)")
     p.add_argument("--cap", type=int, default=RunConfig.element_cap, help="element cap for enumeration")
-    p.add_argument("--probe", type=int, default=RunConfig.probe, help="cone-lemma probe depth")
-    p.add_argument("--qi-samples", type=int, default=RunConfig.qi_samples)
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--cache-dir", default=None, help="binary ball cache directory")
     p.add_argument("-v", "--verbose", action="store_true", help="log each stage's time on stderr")
@@ -71,10 +68,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         file=args.file,
         radius=args.radius,
         delta_override=args.delta,
-        delta_radius=args.delta_radius,
         element_cap=args.cap,
-        probe=args.probe,
-        qi_samples=args.qi_samples,
         seed=args.seed,
         cache_dir=args.cache_dir,
     )

@@ -24,18 +24,10 @@ from .ball import CayleyBall, TrustRadiusError
 from .words import Word
 
 
-class InternalConsistencyError(RuntimeError):
-    """A structural invariant that construction should guarantee failed."""
-
-
 def build_gamma(ball: CayleyBall) -> int:
-    """Verify that the parent links form the geodesic tree and return its
-    edge count.  Each parent lies one level down, so every parent chain
-    descends to the identity: the links are a spanning tree."""
-    for e in range(1, ball.size):
-        p = ball.parent[e]
-        if not 0 <= p < ball.size or ball.sphere_of[p] != ball.sphere_of[e] - 1:
-            raise InternalConsistencyError(f"bad parent link at element {e}")
+    """The edge count of the geodesic tree: one parent link per element
+    but the identity.  Axiom 3 (``verify_axioms``) checks that each link
+    goes one level down, and prefix closure that it spells its element."""
     return ball.size - 1
 
 

@@ -8,6 +8,11 @@ links) and QI (a)-(d) (QI (b) covers the closeness-lemma bound on
 horizontal edges). K is ceil(2*delta) + 1, clamped to the radius, and is
 decided once; an inconsistent acceptor at that K fails its verdict.
 
+Three values are constants of every run: delta is computed over the
+triangles of B_{R//2}, the cone lemma probes cones to depth min(2, R) and
+QI samples 2,000 pairs (``estimate_qi_constants``' default).  An overridden
+delta (``delta_override``) is the one way to trade delta for time.
+
 The pipeline keeps going after verification failures so the report carries
 every verdict; operational problems (bad config, resource caps) abort.
 Exit status contract: 0 all checks passed, 2 some verification check
@@ -56,10 +61,7 @@ class RunConfig:
     file: str | None = None
     radius: int = 4
     delta_override: float | None = None
-    delta_radius: int | None = None
     element_cap: int = ball_mod.DEFAULT_ELEMENT_CAP
-    probe: int = 2
-    qi_samples: int = 2000
     seed: int = 2024
     cache_dir: str | None = None
 
@@ -70,16 +72,9 @@ class RunConfig:
             raise ConfigError("radius must be >= 1")
         if self.element_cap <= 0:
             raise ConfigError("element cap must be positive")
-        if self.delta_radius is not None and not 0 <= 2 * self.delta_radius <= self.radius:
-            raise ConfigError("delta radius must satisfy 0 <= 2*r <= radius")
         # the working constant is ceil(2*delta) + 1, so 2*delta must be finite
         if self.delta_override is not None and not 0 <= 2 * self.delta_override < math.inf:
             raise ConfigError("delta override must be >= 0 with 2*delta finite")
-        # a check handed nothing to test would still read as a pass
-        if self.qi_samples < 1:
-            raise ConfigError("qi samples must be >= 1")
-        if not 0 <= self.probe <= self.radius:
-            raise ConfigError(f"probe depth {self.probe} must lie in [0, {self.radius}]")
 
 
 @dataclass
@@ -207,13 +202,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     log.info("ball: %d elements, sphere sizes %s", ball.size, ball.sphere_sizes)
 
     # delta
-    delta_radius = config.delta_radius if config.delta_radius is not None else ball.radius // 2
     if config.delta_override is not None:
         delta = config.delta_override
         estimate = None
         report["delta"] = {"value": delta, "source": "override", "is_lower_bound": True}
     else:
-        estimate = hyp.compute_delta(ball, delta_radius)
+        estimate = hyp.compute_delta(ball, ball.radius // 2)
         artifacts.delta = estimate
         delta = estimate.delta
         report["delta"] = {
@@ -235,9 +229,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         }
     stage("delta")
 
-    # geodesic tree (axiom 3 reports the parent links as a verdict)
-    edges = build_gamma(ball)
-    report["gamma"] = {"vertices": ball.size, "edges": edges}
+    # geodesic tree: the parent links, which axiom 3 checks
+    report["gamma"] = {"vertices": ball.size, "edges": build_gamma(ball)}
     stage("gamma")
 
     # cone types at K = ceil(2*delta) + 1, clamped to the ball
@@ -247,7 +240,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     artifacts.table = table
     artifacts.acceptor = acceptor
     artifacts.acceptor_report = acc_report
-    lemma = verify_cone_lemma(ball, table, config.probe)
+    lemma = verify_cone_lemma(ball, table, min(2, ball.radius))
     report["cone_types"] = {
         "k": k,
         "k_clamped_to_radius": k != working_constant(delta),
@@ -324,9 +317,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     stage("axioms")
 
     qi = verify_qi_bounds(graph)
-    empirical_k, extremal, used, exhaustive = estimate_qi_constants(
-        graph, sample_pairs=config.qi_samples, seed=config.seed
-    )
+    empirical_k, extremal, used, exhaustive = estimate_qi_constants(graph, seed=config.seed)
     qi.empirical_k = empirical_k
     qi.extremal_pair = extremal
     qi.pairs_sampled = used

@@ -36,7 +36,7 @@ from subforge.hyperbolicity import (
     _side_geodesics,
     triangle_thinness,
 )
-from subforge.language import ConeTypeTable, InternalConsistencyError, WordAcceptor
+from subforge.language import ConeTypeTable, WordAcceptor
 from subforge.presentation import DehnOracle, Presentation, WordOracle, parse_presentation
 from subforge.subdivision import SubdivisionGraph, VertexLabel, Witness, geodesically_close
 from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
@@ -44,6 +44,10 @@ from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
 # one-relator C'(1/6) group with an odd relator (randomized search, seed 1;
 # the properties that matter are asserted in the tests, not assumed)
 ODD_RELATOR = "bbaabbbaaabaaaabbabaababa"
+
+
+class InternalConsistencyError(RuntimeError):
+    """A structural invariant that construction should guarantee failed."""
 
 
 def odd_relator_presentation() -> Presentation:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import subforge
-from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall
+from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall, cache_key, enumerate_ball
 from subforge.cli import EXPORT_GROUPS, _config_from, build_parser, main
 from subforge.exports import EXPORT_FORMATS, EXPORT_KINDS
 from subforge.pipeline import RunConfig
@@ -107,9 +107,15 @@ def test_exit_code_on_config_error(tmp_path):
         ["run", "--preset", "f2", "--radius", "x"],
         ["run", "--preset", "f2", "--radius", "4", "--delta-mode", "sampled"],
         ["run", "--preset", "f2", "--radius", "4", "--force-k", "0"],
+        ["run", "--preset", "f2", "--radius", "4", "--delta-radius", "1"],
+        ["run", "--preset", "f2", "--radius", "4", "--probe", "1"],
+        ["run", "--preset", "f2", "--radius", "4", "--qi-samples", "10"],
         ["bogus"],
     ],
-    ids=["unknown-flag", "missing-radius", "bad-radius", "retired-flag", "retired-force-k", "unknown-command"],
+    ids=[
+        "unknown-flag", "missing-radius", "bad-radius", "retired-flag", "retired-force-k",
+        "retired-delta-radius", "retired-probe", "retired-qi-samples", "unknown-command",
+    ],
 )
 def test_usage_error_exits_1_with_the_usage(argv, tmp_path, capsys):
     # exit 2 means a failed check, so a mistyped command line must not get it
@@ -126,7 +132,9 @@ def test_help_exits_0(capsys):
     assert main(["run", "--help"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: subforge run")
-    for retired in ("--delta-mode", "--delta-samples", "--horizon", "--force-k"):
+    for retired in (
+        "--delta-mode", "--delta-samples", "--horizon", "--force-k", "--delta-radius", "--probe", "--qi-samples",
+    ):
         assert retired not in out
 
 
@@ -137,11 +145,10 @@ def test_non_finite_delta_is_a_config_error(delta, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: delta override")
 
 
-def test_probe_error_names_its_values(tmp_path, capsys):
-    # the default probe depth 2 does not fit a radius-1 ball
-    assert main(["run", "--preset", "f2", "--radius", "1", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: probe depth 2 must lie in [0, 1]\n"
-    assert main(["run", "--preset", "f2", "--radius", "1", "--probe", "1", "--out", str(tmp_path)]) == 0
+def test_radius_one_probes_to_depth_one(tmp_path):
+    # the cone lemma probes to depth min(2, R), so a radius-1 ball runs
+    assert main(["run", "--preset", "f2", "--radius", "1", "--out", str(tmp_path)]) == 0
+    assert _report(tmp_path)["cone_lemma"]["probe"] == 1
 
 
 def test_exit_code_on_cap(tmp_path):
@@ -237,6 +244,25 @@ def test_cache_dir_roundtrip(tmp_path):
     assert main(["run", "--preset", "f2", "--radius", "4", "--cache-dir", str(cache), "--out", str(out2)]) == 0
     r1, r2 = _report(out1), _report(out2)
     assert r1["ball"] == r2["ball"]
+
+
+def test_cached_ball_with_an_off_level_parent_fails_its_checks(tmp_path):
+    # a cache file that loads but whose ball has one parent link two
+    # levels down: the run ends with verdicts, not an exception
+    pres = preset("f2")
+    ball = enumerate_ball(pres, 3)
+    e = ball.sphere(2).start
+    ball.parent[e] = 0
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"{cache_key(pres, 3)}.ball").write_bytes(ball.to_bytes())
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "f2", "--radius", "3", "--cache-dir", str(cache), "--out", str(out)]) == 2
+    report = _report(out)
+    failed = {name for name, ok in report["checks"].items() if not ok}
+    assert {"prefix_closure", "axiom_3"} <= failed
+    (axiom_3,) = (c for c in report["axioms"] if c["index"] == 3)
+    assert [x["id"] for x in axiom_3["counterexample"]] == [e, 0]
 
 
 F2_R4 = ["run", "--preset", "f2", "--radius", "4", "--export", "dot,json"]

@@ -4,7 +4,6 @@ import pytest
 
 from subforge.ball import TrustRadiusError, enumerate_ball
 from subforge.language import (
-    InternalConsistencyError,
     build_acceptor,
     build_gamma,
     check_prefix_closure,
@@ -166,8 +165,6 @@ def test_corrupt_parent_links_are_caught():
     # last letter, and the parent is not one level down
     bad_parent = _spoiled(ball, "parent", e, 0)
     assert not check_prefix_closure(bad_parent)
-    with pytest.raises(InternalConsistencyError):
-        build_gamma(bad_parent)
     # a wrong last letter leaves the levels intact, but the derived normal
     # form would spell another element
     a = ball.presentation.alphabet.parse_word("a")[0]
