@@ -264,9 +264,10 @@ class CayleyBall:
     @classmethod
     def from_bytes(cls, data: bytes, presentation: Presentation) -> "CayleyBall":
         """Load a ball written by ``to_bytes``; raises ValueError unless
-        the header, the payload checksum and the presentation all match
-        and the table lengths agree with the radius, the alphabet size
-        and the sphere sizes in the header."""
+        the header, the payload checksum and the presentation all match,
+        the table lengths agree with the radius, the alphabet size and the
+        sphere sizes in the header, and every parent link points to a
+        smaller id by a letter of the alphabet."""
         import hashlib
 
         magic_end = len(CACHE_MAGIC)
@@ -314,6 +315,15 @@ class CayleyBall:
             table = list(map(ids.__getitem__, ints(n * degree)))
         except IndexError:
             raise ValueError("cache tables name an id outside the ball") from None
+        # Every link but the identity's must point to a smaller id by a
+        # letter of the alphabet, as in any enumerated ball: parent chains
+        # then end at the identity.  Whether a link goes one level down is
+        # axiom 3's verdict.
+        links, letters = parent[1:], last_letter[1:]
+        if links and (
+            min(links) < 0 or any(map(int.__ge__, links, range(1, n))) or min(letters) < 0 or max(letters) >= degree
+        ):
+            raise ValueError("cache parent links do not each point to a smaller id by a letter")
         sphere_of: list[int] = []
         for level, size in enumerate(sizes):
             sphere_of += [level] * size

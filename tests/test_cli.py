@@ -296,7 +296,8 @@ def _version_2_file() -> bytes:
 
 
 @pytest.mark.parametrize(
-    "spoil", ["truncated", "flipped_byte", "other_presentation", "other_radius", "old_version"]
+    "spoil",
+    ["truncated", "flipped_byte", "other_presentation", "other_radius", "old_version", "parent_cycle", "bad_letter"],
 )
 def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     cache = tmp_path / "cache"
@@ -311,6 +312,16 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
         path.write_bytes(bytes(spoiled))
     elif spoil == "old_version":
         path.write_bytes(_version_2_file())
+    elif spoil in ("parent_cycle", "bad_letter"):
+        # checksum-valid files whose links would send a parent-chain walk
+        # round a cycle, or name a letter outside the alphabet
+        ball = enumerate_ball(preset("f2"), 4)
+        e = ball.sphere(3).start
+        if spoil == "parent_cycle":
+            ball.parent[e] = e
+        else:
+            ball.last_letter[e] = ball.degree
+        path.write_bytes(ball.to_bytes())
     else:
         other = ["--preset", "z", "--radius", "4"] if spoil == "other_presentation" else ["--preset", "f2", "--radius", "3"]
         elsewhere = tmp_path / "elsewhere"
@@ -322,6 +333,8 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     assert "re-enumerating" in caplog.text
     if spoil == "flipped_byte":
         assert "checksum mismatch" in caplog.text
+    if spoil in ("parent_cycle", "bad_letter"):
+        assert "parent links do not each point to a smaller id" in caplog.text
     if spoil == "old_version":
         assert "cache format version 2, expected 3" in caplog.text
         assert UNPICKLED == []

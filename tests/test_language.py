@@ -162,7 +162,8 @@ def test_corrupt_parent_links_are_caught():
     ball = enumerate_ball(preset("f2"), 4)
     e = ball.element_of("ab")
     # a parent two levels down: the element is not its parent times its
-    # last letter, and the parent is not one level down
+    # last letter (the level check is axiom 3's; test_cli runs it on a
+    # cached ball with such a link)
     bad_parent = _spoiled(ball, "parent", e, 0)
     assert not check_prefix_closure(bad_parent)
     # a wrong last letter leaves the levels intact, but the derived normal
