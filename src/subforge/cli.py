@@ -57,7 +57,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=int, required=True, help="ball radius R")
     p.add_argument("--delta", type=float, default=None, help="override the thinness constant")
     p.add_argument("--cap", type=int, default=RunConfig.element_cap, help="element cap for enumeration")
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--seed", type=int, default=RunConfig.seed, help="seed of the QI pair sample, the only sampled check")
     p.add_argument("--cache-dir", default=None, help="binary ball cache directory")
     p.add_argument("-v", "--verbose", action="store_true", help="log each stage's time on stderr")
 

@@ -39,6 +39,18 @@ run starts with a vertex whose next vertex shares its level.  Either way
 a row on level m holds an entry that is not a tree entry.  So no shortest
 in-ball path between trusted vertices climbs above the highest level in
 (n_max, M] whose rows hold such an entry, or above n_max when none does.
+
+When a graph's rows are exactly the geodesic tree on their vertices, a
+pair's distance is read off the tree and no rows are built.  The Cayley
+graph of B_c is that tree when the entries of B_c's rows that lie in B_c
+number 2(|B_c| - 1) (``_is_geodesic_tree``): each parent link is such an
+entry at both of its ends, in two distinct places, so any other entry,
+a repeated one included, raises the count.  The subdivision graph of the
+trusted levels is that tree when they hold no horizontal edge.  On a tree
+the only path between u and v without backtracking runs through their
+lowest common ancestor, so the search over the rows returns the tree
+distance |u| + |v| - 2|lca(u, v)| (``_tree_distance``), which for the
+Cayley rows is the in-ball distance by the argument above.
 """
 
 from __future__ import annotations
@@ -129,18 +141,42 @@ def _geodesic_ceiling(ball: CayleyBall, n: int) -> int:
     return n
 
 
-def _cayley_adjacency(ball: CayleyBall, n: int) -> list[tuple[int, ...]]:
-    """The Cayley graph of B_c, c = ``_geodesic_ceiling(ball, n)``, as one
-    row of neighbour ids per element.  A shortest in-ball path between two
-    vertices of B_n that climbs above both ends meets an entry off the
-    geodesic tree on its highest level, and no such path climbs above
-    B_min(R, 2n), so every one stays inside B_c (module docstring) and a
-    search over these rows gives their in-ball distance."""
-    ceiling = _geodesic_ceiling(ball, n)
-    stop = ball.sphere(ceiling).stop
-    log.info("qi: Cayley rows over B_%d of B_%d (%s of %s elements)", ceiling, ball.radius, f"{stop:,}", f"{ball.size:,}")
+def _is_geodesic_tree(ball: CayleyBall, stop: int) -> bool:
+    """Whether the Cayley graph of the first ``stop`` ids, a ball B_c, is
+    its geodesic tree: whether the entries of their rows that lie in
+    [0, stop) number 2(stop - 1) (module docstring).  Only rows on the top
+    level of B_c can hold an entry at or above ``stop``."""
+    a = ball.degree
+    entries = ball.table[: stop * a]
+    top = ball.sphere(ball.sphere_of[stop - 1]).start * a
+    above = sum(1 for t in entries[top:] if t >= stop)
+    return len(entries) - entries.count(-1) - above == 2 * (stop - 1)
+
+
+def _cayley_adjacency(ball: CayleyBall, stop: int) -> list[tuple[int, ...]]:
+    """The Cayley graph of the first ``stop`` ids as one row of neighbour
+    ids per element.  For B_c, c = ``_geodesic_ceiling(ball, n)``: a
+    shortest in-ball path between two vertices of B_n that climbs above
+    both ends meets an entry off the geodesic tree on its highest level,
+    and no such path climbs above B_min(R, 2n), so every one stays inside
+    B_c (module docstring) and a search over these rows gives their
+    in-ball distance."""
     table, a = ball.table, ball.degree
     return [tuple([t for t in table[i : i + a] if 0 <= t < stop]) for i in range(0, stop * a, a)]
+
+
+def _tree_distance(parent: Sequence[int], u: int, v: int) -> int:
+    """Distance from u to v along the geodesic tree: the larger id moves
+    to its parent until the two meet.  Ids are shortlex, so a parent id is
+    smaller than its child's and the larger id is never the shallower."""
+    d = 0
+    while u != v:
+        if u > v:
+            u = parent[u]
+        else:
+            v = parent[v]
+        d += 1
+    return d
 
 
 def _distance(rows: Sequence[Sequence[int]], u: int, v: int, graph_name: str) -> int:
@@ -245,9 +281,11 @@ def estimate_qi_constants(
     exhaustive flag).
 
     The pairs are measured in parallel, one contiguous chunk per CPU
-    (``parallel.fork_map``), over the neighbour rows of both graphs built
-    once beforehand; the chunks' first maximal pairs are merged in order,
-    so the extremal pair is the first one a single loop would find."""
+    (``parallel.fork_map``).  Each graph is decided once: one that is the
+    geodesic tree gives its distances off the parent links, and any other
+    is searched over its neighbour rows, built once beforehand.  The
+    chunks' first maximal pairs are merged in order, so the extremal pair
+    is the first one a single loop would find."""
     trusted = _trusted_vertices(graph)
     if len(trusted) < 2:
         return None, None, 0, True
@@ -268,12 +306,25 @@ def estimate_qi_constants(
             while v == u:
                 v = rng.choice(trusted)
             pairs.append((u, v))
-    cayley, xi = _cayley_adjacency(graph.ball, graph.n_max), _xi_adjacency(graph)
+    ball = graph.ball
+    ceiling = _geodesic_ceiling(ball, graph.n_max)
+    stop = ball.sphere(ceiling).stop
+    cayley = None if _is_geodesic_tree(ball, stop) else _cayley_adjacency(ball, stop)
+    xi = None if graph.edge_count() == 0 else _xi_adjacency(graph)
+    log.info(
+        "qi: distances over B_%d of B_%d (%s of %s elements): Cayley graph by %s, subdivision graph by %s",
+        ceiling, ball.radius, f"{stop:,}", f"{ball.size:,}",
+        *("geodesic tree" if rows is None else "search over rows" for rows in (cayley, xi)),
+    )
+    parent = ball.parent
 
     def chunk_constant(chunk):
         best, extremal = 0.0, None
         for u, v in chunk:
-            k = _pair_constant(_distance(cayley, u, v, "Cayley graph"), _distance(xi, u, v, "subdivision graph"))
+            tree = _tree_distance(parent, u, v) if cayley is None or xi is None else None
+            d_cayley = tree if cayley is None else _distance(cayley, u, v, "Cayley graph")
+            d_xi = tree if xi is None else _distance(xi, u, v, "subdivision graph")
+            k = _pair_constant(d_cayley, d_xi)
             if k > best:
                 best, extremal = k, (u, v)
         return best, extremal

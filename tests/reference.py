@@ -10,7 +10,8 @@ the BFS routes it replaced live here as the cross-check: the geodesics of
 a side from a distance map of its source, the same-level vertices near a
 vertex, u^-1 v from a path between them, and the horizontal edges found
 over all same-level pairs.  ``reference_delta`` computes every anchored
-triangle, with no symmetry quotient.  The export writers that built each
+triangle, with no symmetry quotient, and ``reference_qi_constants``
+measures every QI pair by search.  The export writers that built each
 file as one string (``json.dumps`` of the whole object tree, DOT lines
 joined at the end) are kept as the reference for the streamed exports.
 ``word_oracle`` picks a presentation's word oracle, and
@@ -38,6 +39,7 @@ from subforge.hyperbolicity import (
 )
 from subforge.language import ConeTypeTable, WordAcceptor
 from subforge.presentation import DehnOracle, Presentation, WordOracle, parse_presentation
+from subforge.qi import _pair_constant
 from subforge.subdivision import SubdivisionGraph, VertexLabel, Witness, geodesically_close
 from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
 
@@ -344,6 +346,42 @@ def one_sided_distance(adjacent, u: int, v: int, limit: int | None = None) -> in
                     nxt.append(t)
         frontier = nxt
     return None
+
+
+def reference_qi_constants(graph: SubdivisionGraph, sample_pairs: int = 2000, seed: int = 0):
+    """``qi.estimate_qi_constants`` by search alone, in one serial loop:
+    the same pair sample, each Cayley distance the in-ball distance over
+    the whole ball's table (``CayleyBall.distance_between``) and each
+    subdivision-graph distance a one-sided BFS over the parent links and
+    horizontal edges of the trusted levels, with no tree shortcut and no
+    rows cut at the geodesic ceiling."""
+    ball = graph.ball
+    trusted = range(ball.sphere(graph.n_max).stop if graph.n_max >= 0 else 0)
+    if len(trusted) < 2:
+        return None, None, 0, True
+    exhaustive = len(trusted) * (len(trusted) - 1) // 2 <= sample_pairs
+    if exhaustive:
+        pairs = [(u, v) for u in trusted for v in trusted if u < v]
+    else:
+        rng = random.Random(seed)
+        pairs = []
+        for _ in range(sample_pairs):
+            u = rng.choice(trusted)
+            v = rng.choice(trusted)
+            while v == u:
+                v = rng.choice(trusted)
+            pairs.append((u, v))
+    xi: dict[int, list[int]] = {v: [] for v in trusted}
+    edges = [(ball.parent[v], v) for v in trusted if v] + [e for _, e in graph.all_level_edges()]
+    for u, v in edges:
+        xi[u].append(v)
+        xi[v].append(u)
+    best, extremal = 0.0, None
+    for u, v in pairs:
+        k = _pair_constant(ball.distance_between(u, v, 2 * ball.radius), one_sided_distance(xi.__getitem__, u, v))
+        if k > best:
+            best, extremal = k, (u, v)
+    return best, extremal, len(pairs), exhaustive
 
 
 def relative_element(ball: CayleyBall, u: int, v: int) -> int | None:

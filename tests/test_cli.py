@@ -136,6 +136,10 @@ def test_help_exits_0(capsys):
         "--delta-mode", "--delta-samples", "--horizon", "--force-k", "--delta-radius", "--probe", "--qi-samples",
     ):
         assert retired not in out
+    for command in ("run", "export"):
+        assert main([command, "--help"]) == 0
+        # argparse wraps help text at the terminal's width
+        assert "seed of the QI pair sample, the only sampled check" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("delta", ["inf", "1e308", "nan"])
@@ -475,18 +479,27 @@ def test_readme_lists_the_cli_flags():
     assert sorted(documented - flags) == []
 
 
-# (argv, QI's Cayley rows line): surface2 R=4 has no two trusted
-# vertices, so its QI sample builds no rows
+# (argv, QI's distances line): surface2 R=4 has no two trusted vertices,
+# so its QI sample measures nothing; on f2 R=4 both graphs are the
+# geodesic tree, so QI builds no rows
 @pytest.mark.parametrize(
-    "argv, rows_line",
+    "argv, qi_line",
     [
         (["run", "--preset", "surface2", "--radius", "4", "--export", "dot,json"], None),
-        (["run"] + SURFACE2_R5_K2, "qi: Cayley rows over B_4 of B_5 (3,193 of 22,289 elements)"),
-        (F2_R4_ACCEPTOR, "qi: Cayley rows over B_2 of B_4 (17 of 161 elements)"),
+        (
+            ["run"] + SURFACE2_R5_K2,
+            "qi: distances over B_4 of B_5 (3,193 of 22,289 elements): "
+            "Cayley graph by search over rows, subdivision graph by search over rows",
+        ),
+        (
+            F2_R4_ACCEPTOR,
+            "qi: distances over B_2 of B_4 (17 of 161 elements): "
+            "Cayley graph by geodesic tree, subdivision graph by geodesic tree",
+        ),
     ],
     ids=["argv0", "argv1", "argv2"],
 )
-def test_verbose_changes_only_stderr(tmp_path, monkeypatch, capsys, argv, rows_line):
+def test_verbose_changes_only_stderr(tmp_path, monkeypatch, capsys, argv, qi_line):
     # -v adds progress lines on stderr; stdout, the exit code and every
     # file written stay the same, report.json apart from its timings
     runs = {}
@@ -511,5 +524,5 @@ def test_verbose_changes_only_stderr(tmp_path, monkeypatch, capsys, argv, rows_l
         ["exports"] if argv[0] == "run" else []
     )
     assert any("sphere sizes [1, " in line for line in lines)
-    assert [line for line in lines if "Cayley rows" in line] == ([f"subforge: {rows_line}"] if rows_line else [])
+    assert [line for line in lines if "qi: distances" in line] == ([f"subforge: {qi_line}"] if qi_line else [])
     assert all(line.startswith("subforge: ") for line in lines)

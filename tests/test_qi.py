@@ -1,4 +1,5 @@
 import copy
+import logging
 import math
 import random
 from dataclasses import replace
@@ -13,7 +14,9 @@ from subforge.qi import (
     _cayley_adjacency,
     _distance,
     _geodesic_ceiling,
+    _is_geodesic_tree,
     _pair_constant,
+    _tree_distance,
     _trusted_vertices,
     _xi_adjacency,
     estimate_qi_constants,
@@ -28,11 +31,25 @@ from reference import (
     distinct_letter_relators,
     odd_relator_presentation,
     one_sided_distance,
+    reference_qi_constants,
 )
 
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+def _graph_of(source, request):
+    """The subdivision graph of a fixture that holds a graph or a run."""
+    graph = request.getfixturevalue(source)
+    return graph if isinstance(graph, SubdivisionGraph) else graph.artifacts.graph
+
+
+def _ceiling_stop(graph):
+    """The number of elements of B_c, c the geodesic ceiling of the
+    trusted levels: the ids whose Cayley rows QI measures."""
+    ball = graph.ball
+    return ball.sphere(_geodesic_ceiling(ball, graph.n_max)).stop
 
 
 def test_f2_checks(f2_run):
@@ -141,13 +158,14 @@ def test_b_is_exact_where_the_float_bound_rounds(surface_ball):
     assert not _check(verify_qi_bounds(replace(graph, delta=0.0)), "b").passed
 
 
+@pytest.fixture(scope="module")
+def f2_r8_graph():
+    return build_subdivision_graph(enumerate_ball(preset("f2"), 8), 0.0)
+
+
 @pytest.mark.parametrize("which", ["f2-r8", "surface2-labeled"])
-def test_xi_distance_matches_one_sided_bfs(which, surface_labeled_run):
-    if which == "f2-r8":
-        ball = enumerate_ball(preset("f2"), 8)
-        graph = build_subdivision_graph(ball, 0.0)
-    else:
-        graph = surface_labeled_run.artifacts.graph
+def test_xi_distance_matches_one_sided_bfs(which, f2_r8_graph, surface_labeled_run):
+    graph = f2_r8_graph if which == "f2-r8" else surface_labeled_run.artifacts.graph
     rows = _xi_adjacency(graph)
     assert len(rows) == graph.ball.sphere(graph.n_max).stop
     assert all(0 <= t < len(rows) for row in rows for t in row)  # no padding
@@ -183,12 +201,10 @@ def surface_r6_graph():
     ],
 )
 def test_cayley_rows_of_b_c_give_the_in_ball_distance(source, row_count, request):
-    graph = request.getfixturevalue(source)
-    if not isinstance(graph, SubdivisionGraph):
-        graph = graph.artifacts.graph
+    graph = _graph_of(source, request)
     ball = graph.ball
-    rows = _cayley_adjacency(ball, graph.n_max)
-    assert len(rows) == row_count == ball.sphere(_geodesic_ceiling(ball, graph.n_max)).stop
+    rows = _cayley_adjacency(ball, _ceiling_stop(graph))
+    assert len(rows) == row_count == _ceiling_stop(graph)
     assert all(0 <= t < len(rows) for row in rows for t in row)
     trusted = _trusted_vertices(graph)
     pairs = [(u, v) for u in trusted for v in trusted if u < v]
@@ -207,10 +223,10 @@ def test_rows_cut_at_n_max_misread_a_pair_whose_path_peaks_above_it(surface_r6_g
     ball, n_max = surface_r6_graph.ball, surface_r6_graph.n_max
     u, v = ball.element_of("ab"), ball.element_of("dcD")
     stop = ball.sphere(n_max).stop
-    cut = [tuple(t for t in ball.row(e) if 0 <= t < stop) for e in range(stop)]
+    cut = _cayley_adjacency(ball, stop)
     assert ball.distance_between(u, v, 2 * ball.radius) == 3
     assert _distance(cut, u, v, "Cayley graph") == 5
-    assert _distance(_cayley_adjacency(ball, n_max), u, v, "Cayley graph") == 3
+    assert _distance(_cayley_adjacency(ball, _ceiling_stop(surface_r6_graph)), u, v, "Cayley graph") == 3
 
 
 def _ceiling_keeps_in_ball_distances(ball):
@@ -223,7 +239,7 @@ def _ceiling_keeps_in_ball_distances(ball):
     rng = random.Random(ball.size)
     for n in range(ball.radius):
         assert _geodesic_ceiling(ball, n) >= n
-        rows = _cayley_adjacency(ball, n)
+        rows = _cayley_adjacency(ball, ball.sphere(_geodesic_ceiling(ball, n)).stop)
         vertices = range(ball.sphere(n).stop)
         for _ in range(200):
             u, v = rng.choice(vertices), rng.choice(vertices)
@@ -250,3 +266,76 @@ def test_unreachable_pair_is_a_fault():
     assert bidirectional_distance(rows, 0, 2, len(rows)) is None
     with pytest.raises(ValueError, match="2 not reachable from 0 in the Cayley graph"):
         _distance(rows, 0, 2, "Cayley graph")
+
+
+@pytest.mark.parametrize("source", ["f2_r5_run", "z_run", "odd_r4_run"])
+def test_tree_distance_is_the_search_distance(source, request):
+    # both graphs are the geodesic tree here, so QI reads every distance
+    # off the parent links; the searches over both graphs' rows agree
+    graph = request.getfixturevalue(source).artifacts.graph
+    ball, stop = graph.ball, _ceiling_stop(graph)
+    assert _is_geodesic_tree(ball, stop) and graph.edge_count() == 0
+    cayley, xi = _cayley_adjacency(ball, stop), _xi_adjacency(graph)
+    trusted = _trusted_vertices(graph)
+    for u in trusted:
+        for v in trusted:
+            d = _tree_distance(ball.parent, u, v)
+            assert d == bidirectional_distance(cayley, u, v, len(cayley)) == bidirectional_distance(xi, u, v, len(xi)), (u, v)
+
+
+@pytest.fixture(scope="module")
+def surface_r6_delta1_graph(surface_r6_graph):
+    return build_subdivision_graph(surface_r6_graph.ball, 1.0)
+
+
+# (graph, elements of B_c, whether its Cayley rows are the geodesic tree,
+# horizontal edges of the trusted levels)
+@pytest.mark.parametrize(
+    "source, stop, cayley_tree, edges",
+    [
+        ("f2-r4", 17, True, 0),
+        ("f2_r8_graph", 1_457, True, 0),
+        ("z_run", 13, True, 0),
+        ("surface_r6_delta1_graph", 3_193, False, 56),
+        ("surface_labeled_run", 9, True, 8),
+    ],
+)
+def test_tree_test_of_each_graph(source, stop, cayley_tree, edges, request):
+    if source == "f2-r4":
+        graph = build_subdivision_graph(enumerate_ball(preset("f2"), 4), 0.0)
+    else:
+        graph = _graph_of(source, request)
+    assert _ceiling_stop(graph) == stop
+    assert _is_geodesic_tree(graph.ball, stop) == cayley_tree
+    assert graph.edge_count() == edges
+
+
+def test_tree_test_counts_a_repeated_entry(f2_run):
+    # a top-level row that names its parent twice holds only ids of tree
+    # neighbours, and the count still sees the extra entry
+    graph = copy.deepcopy(f2_run.artifacts.graph)
+    ball, stop = graph.ball, _ceiling_stop(graph)
+    assert _is_geodesic_tree(ball, stop)
+    w = stop - 1
+    child = next(x for x, t in enumerate(ball.row(w)) if t >= stop)
+    ball.table[w * ball.degree + child] = ball.parent[w]
+    assert not _is_geodesic_tree(ball, stop)
+
+
+@pytest.mark.parametrize("source", ["f2_r8_graph", "surface_labeled_run", "surface_r6_delta1_graph"])
+def test_qi_constants_equal_the_search_reference(source, request):
+    graph = _graph_of(source, request)
+    assert estimate_qi_constants(graph, seed=2024) == reference_qi_constants(graph, seed=2024)
+
+
+def test_a_horizontal_edge_switches_the_subdivision_graph_to_the_search(f2_run, caplog):
+    graph = f2_run.artifacts.graph
+    ball = graph.ball
+    u, v = sorted(ball.element_of(w) for w in ("aaaa", "BBBB"))
+    assert graph.n_max == 4 and graph.edge_count() == 0
+    mutated = replace(graph, level_edges={**graph.level_edges, 4: ((u, v),)})
+    with caplog.at_level(logging.INFO, logger="subforge.qi"):
+        got = estimate_qi_constants(mutated, seed=7)
+    assert "Cayley graph by geodesic tree, subdivision graph by search over rows" in caplog.text
+    assert got == reference_qi_constants(mutated, seed=7)
+    assert got[0] > 1.0  # the shortcut from aaaa to BBBB is measured
