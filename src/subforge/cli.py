@@ -13,7 +13,6 @@ import sys
 import time
 
 from . import exports
-from .parallel import fork_map, split
 from .pipeline import (
     EXIT_ERROR,
     ConfigError,
@@ -23,22 +22,6 @@ from .pipeline import (
 from .presentation import PRESET_TEXTS, PresentationError
 
 log = logging.getLogger("subforge.cli")
-
-# the export files, as (kind, format), in groups written in parallel: at
-# surface2 R=7 gamma.json and xi.dot take about as long to write as
-# gamma.dot and xi.json, and the acceptor and subdivision files are small
-EXPORT_GROUPS = (
-    (("gamma", "json"), ("xi", "dot")),
-    (
-        ("gamma", "dot"),
-        ("xi", "json"),
-        ("acceptor", "json"),
-        ("acceptor", "dot"),
-        ("subdivisions", "json"),
-        ("subdivisions", "dot"),
-    ),
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors exit 1, the code of a configuration
@@ -91,18 +74,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     _write(os.path.join(out, "report.json"), exports.export_report(result.report))
 
-    def write(groups):
-        for group in groups:
-            for what, fmt in group:
-                if fmt not in formats:
-                    continue
-                try:
-                    exports.export_graph(result.artifacts, what, fmt, os.path.join(out, f"{what}.{fmt}"))
-                except exports.MissingArtifact:
-                    continue
-
     if formats:
-        fork_map(write, split(EXPORT_GROUPS))
+        arts = result.artifacts
+        kinds = [what for what in exports.EXPORT_KINDS if exports.missing(arts, what) is None]
+        exports.export_graph(arts, out, kinds, formats)
     log.info("exports: %.3f s", time.perf_counter() - start)
     checks = result.report.get("checks", {})
     failed = sorted(name for name, ok in checks.items() if not ok)
@@ -122,13 +97,12 @@ def cmd_export(args: argparse.Namespace) -> int:
     if result.report["status"] != "completed":
         print(f"error: {result.report['error']}", file=sys.stderr)
         return EXIT_ERROR
-    path = os.path.join(args.out, f"{args.what}.{args.format}")
     try:
-        exports.export_graph(result.artifacts, args.what, args.format, path)
+        exports.export_graph(result.artifacts, args.out, [args.what], [args.format])
     except exports.MissingArtifact as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(path)
+    print(os.path.join(args.out, f"{args.what}.{args.format}"))
     return result.exit_code
 
 

@@ -7,20 +7,39 @@ under the "timings" key, which consumers are expected to strip before
 diffing).
 
 ``export_graph`` streams each file, so no file is ever held whole in
-memory. The geodesic tree and the subdivision graph go through fixed
-templates, rendered ``CHUNK`` records at a time by one list comprehension
-and written with one ``write``; each distinct vertex label is rendered
-once. Words are quoted as they are, since generator symbols are ASCII
-letters. Every JSON file equals, byte for byte,
+memory, and renders only the files asked for. The geodesic tree and the
+subdivision graph go through fixed templates, rendered ``CHUNK`` records
+at a time and written with one ``write`` per file; each distinct vertex
+label is rendered once. Every JSON file equals, byte for byte,
 ``json.dumps(obj, sort_keys=True, indent=2)`` of the object it describes,
 plus a final newline. When the pipeline did not produce an artifact,
 ``export_graph`` raises ``MissingArtifact`` and writes no file.
+
+The gamma and xi files asked for are open at once and written in two
+passes over the sphere-aligned chunks of ids (``_chunks``), since in JSON
+the tree edges come before the vertices and in DOT after them:
+
+- pass 1 writes the DOT vertex lines and the JSON tree edges;
+- pass 2 writes the JSON vertex records and the DOT tree edges.
+
+Within a pass each chunk formats its ids once, and a block shared by two
+files is rendered once: the JSON tree edges are the same bytes in
+gamma.json ("edges") and xi.json ("vertical_edges"). xi.dot's vertex and
+tree-edge lines differ from gamma.dot's only by a wider indent and a
+``[kind=vertical]`` attribute, so its blocks are gamma.dot's after
+``str.replace("  v", "    v")`` and ``str.replace(";\\n", " [kind=vertical];\\n")``.
+Likewise a chunk of xi.json vertex records with no labeled vertex is
+gamma.json's with ``"label": null`` put before each ``"level"`` key.
+That is exact because words are quoted as they are and hold only ASCII
+letters (``words._check_symbols``): no pattern replaced can occur inside
+a word, only where the template puts it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from itertools import islice
 
 from .ball import CayleyBall
@@ -31,6 +50,8 @@ from .subdivision import EdgeLabel, SubdivisionGraph, VertexLabel
 
 EXPORT_KINDS = ("gamma", "xi", "acceptor", "subdivisions")
 EXPORT_FORMATS = ("dot", "json")
+# the files written together, in two passes
+GRAPH_FILES = (("gamma", "json"), ("gamma", "dot"), ("xi", "json"), ("xi", "dot"))
 
 # records rendered per write: the writes cost little next to the rendering,
 # and one chunk's strings add little to the peak memory
@@ -71,66 +92,38 @@ def _array(write, chunks, pad: str) -> None:
     write("[]" if sep == "[\n" else "\n" + pad + "]")
 
 
-def _words(ball: CayleyBall):
-    """Formatted normal form of every element, a batch of ids at a time:
-    yields (ids, words) for each of ``_batches(ball.sphere(n))``, sphere by
-    sphere.  Each word is its parent's plus the last letter, and the parent
-    lies on the sphere below, so a batch is formed by one comprehension.
-    Only the words inside the outer sphere are kept, since no element's
-    parent lies on it; at R=7 on surface2 that is a fifth of the ball."""
+def _records(head: str, mid: str, tail: str, sep: str, firsts, seconds) -> str:
+    """``sep.join(head + a + mid + b + tail for a, b in zip(firsts, seconds))``
+    for non-empty iterables of strings, by C-level joins: about a fifth
+    faster than a comprehension of f-strings."""
+    return head + (tail + sep + head).join(map(mid.join, zip(firsts, seconds))) + tail
+
+
+def _chunks(ball: CayleyBall, words: bool):
+    """Yields (n, ids, words) for each run ``ids`` of at most ``CHUNK``
+    consecutive ids of sphere n, sphere by sphere; ``words`` holds their
+    formatted normal forms, or is None when not asked for.  Each word is
+    its parent's plus the last letter, and the parent lies on the sphere
+    below, so a chunk's words are formed by one comprehension.  Only the
+    words inside the outer sphere are kept, since no element's parent lies
+    on it; at R=7 on surface2 that is a fifth of the ball."""
     alphabet = ball.presentation.alphabet
     symbols, parent, last_letter = alphabet.symbols, ball.parent, ball.last_letter
-    yield [0], [alphabet.format_word(())]
+    yield 0, range(1), [alphabet.format_word(())] if words else None
     inner = [""]
     for n in range(1, ball.radius + 1):
-        for ids in _batches(ball.sphere(n)):
-            words = [inner[parent[e]] + symbols[last_letter[e]] for e in ids]
-            if n < ball.radius:
-                inner += words
-            yield ids, words
+        sphere = ball.sphere(n)
+        for lo in range(sphere.start, sphere.stop, CHUNK):
+            hi = min(lo + CHUNK, sphere.stop)
+            chunk = None
+            if words:
+                chunk = [inner[p] + symbols[x] for p, x in zip(parent[lo:hi], last_letter[lo:hi])]
+                if n < ball.radius:
+                    inner += chunk
+            yield n, range(lo, hi), chunk
 
 
-def _tree_edges(ball: CayleyBall):
-    parent = ball.parent
-    for ids in _batches(range(1, ball.size)):
-        yield [f"    [\n      {e},\n      {parent[e]}\n    ]" for e in ids]
-
-
-# -- gamma -------------------------------------------------------------------
-
-
-def gamma_json(arts: Artifacts, write) -> None:
-    ball = arts.ball
-    level = ball.sphere_of
-    write('{\n  "edges": ')
-    _array(write, _tree_edges(ball), "  ")
-    write(',\n  "vertices": ')
-    _array(
-        write,
-        (
-            [
-                f'    {{\n      "id": {e},\n      "level": {level[e]},\n      "word": "{word}"\n    }}'
-                for e, word in zip(ids, words)
-            ]
-            for ids, words in _words(ball)
-        ),
-        "  ",
-    )
-    write("\n}\n")
-
-
-def gamma_dot(arts: Artifacts, write) -> None:
-    ball = arts.ball
-    write("graph gamma {\n")
-    for ids, words in _words(ball):
-        write("".join([f'  v{e} [label="{word}"];\n' for e, word in zip(ids, words)]))
-    parent = ball.parent
-    for ids in _batches(range(1, ball.size)):
-        write("".join([f"  v{e} -- v{parent[e]};\n" for e in ids]))
-    write("}\n")
-
-
-# -- xi ----------------------------------------------------------------------
+# -- gamma and xi ------------------------------------------------------------
 
 
 def _vertex_label_json(ball: CayleyBall, label: VertexLabel) -> dict:
@@ -156,21 +149,8 @@ def _horizontal_edge(graph: SubdivisionGraph, n: int, u: int, v: int) -> str:
     return "    " + _nested(entry, 2)
 
 
-def _xi_vertices(graph: SubdivisionGraph):
-    ball = graph.ball
-    level = ball.sphere_of
-    labels = graph.vertex_labels
-    rendered = {label: _nested(_vertex_label_json(ball, label), 3) for label in set(labels.values())}
-    for ids, words in _words(ball):
-        yield [
-            f'    {{\n      "id": {e},\n      "label": {rendered.get(labels.get(e), "null")},\n'
-            f'      "level": {level[e]},\n      "word": "{word}"\n    }}'
-            for e, word in zip(ids, words)
-        ]
-
-
-def xi_json(arts: Artifacts, write) -> None:
-    graph: SubdivisionGraph = arts.graph
+def _xi_json_head(graph: SubdivisionGraph, write) -> None:
+    """xi.json up to its vertical edges: the keys that sort before them."""
     write(f'{{\n  "horizon": {graph.ball.radius},\n  "horizontal_edges": ')
     _array(
         write,
@@ -182,29 +162,97 @@ def xi_json(arts: Artifacts, write) -> None:
         f'\n  "unstable_levels": {_nested(list(graph.unstable_levels), 1)},'
         '\n  "vertical_edges": '
     )
-    _array(write, _tree_edges(graph.ball), "  ")
-    write(',\n  "vertices": ')
-    _array(write, _xi_vertices(graph), "  ")
-    write("\n}\n")
 
 
-def xi_dot(arts: Artifacts, write) -> None:
-    graph: SubdivisionGraph = arts.graph
-    ball = graph.ball
-    words = _words(ball)  # its batches run through the spheres in order
-    write("graph xi {\n")
-    for level in range(ball.radius + 1):
-        write(f'  subgraph cluster_level_{level} {{\n    label="level {level}"; rank=same;\n')
-        for _ in _batches(ball.sphere(level)):
-            ids, chunk = next(words)
-            write("".join([f'    v{e} [label="{word}"];\n' for e, word in zip(ids, chunk)]))
-        write("  }\n")
+def _xi_clusters(start: int, stop: int) -> str:
+    """xi.dot from inside level ``start``'s cluster (-1: before the first)
+    to inside level ``stop``'s."""
+    return "".join(
+        ("  }\n" if m else "") + f'  subgraph cluster_level_{m} {{\n    label="level {m}"; rank=same;\n'
+        for m in range(start + 1, stop + 1)
+    )
+
+
+def _write_graphs(arts: Artifacts, files: dict) -> None:
+    """Write the gamma and xi files among ``files``, which maps (kind,
+    format) to the ``write`` of the open file, in two passes over
+    ``_chunks`` (module docstring)."""
+    ball, graph = arts.ball, arts.graph
+    gj, gd, xj, xd = map(files.get, GRAPH_FILES)
+    jsons = [write for write in (gj, xj) if write]
+    dots = [write for write in (gd, xd) if write]
     parent = ball.parent
-    for ids in _batches(range(1, ball.size)):
-        write("".join([f"  v{e} -- v{parent[e]} [kind=vertical];\n" for e in ids]))
-    for edges in _batches(graph.all_level_edges()):
-        write("".join([f"  v{u} -- v{v} [kind=horizontal];\n" for _, (u, v) in edges]))
-    write("}\n")
+    if gj:
+        gj('{\n  "edges": ')
+    if xj:
+        _xi_json_head(graph, xj)
+    if gd:
+        gd("graph gamma {\n")
+    if xd:
+        xd("graph xi {\n")
+
+    # pass 1: the DOT vertex lines and the JSON tree edges
+    sep, level = "[\n", -1
+    for n, ids, words in _chunks(ball, bool(dots)):
+        es = list(map(str, ids))
+        if dots:
+            lines = _records("  v", ' [label="', '"];\n', "", es, words)
+            if gd:
+                gd(lines)
+            if xd:
+                if n > level:
+                    xd(_xi_clusters(level, n))
+                    level = n
+                # exact, as words hold only ASCII letters (module docstring)
+                xd(lines.replace("  v", "    v"))
+        if jsons and n:
+            ps = map(str, parent[ids.start : ids.stop])
+            edges = sep + _records("    [\n      ", ",\n      ", "\n    ]", ",\n", es, ps)
+            sep = ",\n"
+            for write in jsons:
+                write(edges)
+    if xd:
+        xd(_xi_clusters(level, ball.radius) + "  }\n")
+    for write in jsons:
+        write(("[]" if sep == "[\n" else "\n  ]") + ',\n  "vertices": [\n')
+
+    # pass 2: the JSON vertex records and the DOT tree edges
+    if xj:
+        labels = graph.vertex_labels
+        rendered = {label: _nested(_vertex_label_json(ball, label), 3) for label in set(labels.values())}
+    sep = ""
+    for n, ids, words in _chunks(ball, bool(jsons)):
+        es = list(map(str, ids))
+        if jsons:
+            mid = f',\n      "level": {n},\n      "word": "'
+            records = sep + _records('    {\n      "id": ', mid, '"\n    }', ",\n", es, words)
+            if gj:
+                gj(records)
+            if xj and labels.keys().isdisjoint(ids):
+                xj(records.replace(',\n      "level"', ',\n      "label": null,\n      "level"'))
+            elif xj:
+                labeled = [
+                    f'    {{\n      "id": {e},\n      "label": {rendered.get(labels.get(i), "null")},\n'
+                    f'      "level": {n},\n      "word": "{w}"\n    }}'
+                    for i, e, w in zip(ids, es, words)
+                ]
+                xj(sep + ",\n".join(labeled))
+            sep = ",\n"
+        if dots and n:
+            ps = map(str, parent[ids.start : ids.stop])
+            lines = _records("  v", " -- v", ";\n", "", es, ps)
+            if gd:
+                gd(lines)
+            if xd:
+                xd(lines.replace(";\n", " [kind=vertical];\n"))
+    for write in jsons:
+        write("\n  ]\n}\n")
+    if gd:
+        gd("}\n")
+    if xd:
+        for edges in _batches(graph.all_level_edges()):
+            xd("".join([f"  v{u} -- v{v} [kind=horizontal];\n" for _, (u, v) in edges]))
+        xd("}\n")
 
 
 # -- acceptor ------------------------------------------------------------------
@@ -307,7 +355,7 @@ def subdivisions_dot(arts: Artifacts, write) -> None:
         write("}\n")
 
 
-def _missing(arts: Artifacts, what: str) -> str | None:
+def missing(arts: Artifacts, what: str) -> str | None:
     """Why the pipeline left no ``what`` to export, or None."""
     if what == "gamma" and arts.ball is None:
         return "geodesic tree not built"
@@ -323,10 +371,6 @@ def _missing(arts: Artifacts, what: str) -> str | None:
 
 
 _WRITERS = {
-    ("gamma", "json"): gamma_json,
-    ("gamma", "dot"): gamma_dot,
-    ("xi", "json"): xi_json,
-    ("xi", "dot"): xi_dot,
     ("acceptor", "json"): acceptor_json,
     ("acceptor", "dot"): acceptor_dot,
     ("subdivisions", "json"): subdivisions_json,
@@ -334,20 +378,34 @@ _WRITERS = {
 }
 
 
-def export_graph(arts: Artifacts, what: str, fmt: str, path: str) -> None:
-    """Write one artifact to ``path`` as it is rendered; raises
-    MissingArtifact, before ``path`` is created, when the pipeline did not
-    produce it."""
-    try:
-        writer = _WRITERS[(what, fmt)]
-    except KeyError:
-        raise ValueError(f"unknown export {what}/{fmt}") from None
-    reason = _missing(arts, what)
-    if reason is not None:
-        raise MissingArtifact(reason)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        writer(arts, fh.write)
+def export_graph(arts: Artifacts, out_dir: str, kinds, formats) -> None:
+    """Write ``{kind}.{format}`` in ``out_dir`` for every kind and format
+    asked for, each as it is rendered; the gamma and xi files are written
+    together.  Raises MissingArtifact, before any file is created, when
+    the pipeline did not produce one of the kinds."""
+    for what in kinds:
+        if what not in EXPORT_KINDS:
+            raise ValueError(f"unknown export {what}")
+    for fmt in formats:
+        if fmt not in EXPORT_FORMATS:
+            raise ValueError(f"unknown export format {fmt}")
+    for what in kinds:
+        reason = missing(arts, what)
+        if reason is not None:
+            raise MissingArtifact(reason)
+    os.makedirs(out_dir or ".", exist_ok=True)
+    with ExitStack() as stack:
+        writes = {
+            (what, fmt): stack.enter_context(open(os.path.join(out_dir, f"{what}.{fmt}"), "w", encoding="utf-8")).write
+            for what in kinds
+            for fmt in formats
+        }
+        for key, write in writes.items():
+            if key in _WRITERS:
+                _WRITERS[key](arts, write)
+        graphs = {key: write for key, write in writes.items() if key in GRAPH_FILES}
+        if graphs:
+            _write_graphs(arts, graphs)
 
 
 def export_report(report: dict) -> str:

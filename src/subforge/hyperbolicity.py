@@ -53,6 +53,17 @@ the unreduced loop finds.  The search for the symmetries grows as
 count is at most the number of triangles; otherwise every triangle is
 computed.
 
+Each end of a side lies on every geodesic of one of the other two sides,
+so a point at distance i from one end of a side of length L has thinness
+at most min(i, L - i).  No side is longer than |x| + |y|, so no value of
+the triangle (1, x, y) exceeds (|x| + |y|) // 2.  A chunk passes its
+running value v to each triangle: one with (|x| + |y|) // 2 <= v is not
+searched, and on each geodesic only the points farther than the larger
+of v and the triangle's best so far from both ends are measured.  What
+is skipped cannot exceed the value it would be compared with, so every
+strict comparison that can change the result takes the same branch, and
+the value and witness are those of the full search.
+
 The triangles are independent, so the computed ones are cut into one
 contiguous chunk per CPU (``parallel.fork_map``).  Each chunk keeps its own
 BFS layers and anchored sides and returns its first maximal triangle; the
@@ -217,9 +228,16 @@ def _point_thinness(run, p, other_sides):
         depth += 1
 
 
-def triangle_thinness(run, x, y):
+def triangle_thinness(run, x, y, floor=-1):
     """Worst thinness value over all points of all sides of the anchored
-    triangle (identity, x, y); returns (value, witness)."""
+    triangle (identity, x, y); returns (value, witness).  A point that
+    cannot exceed the larger of ``floor`` and the best value found so far
+    is not measured (module docstring): a triangle whose worst value is at most
+    ``floor`` may return less, down to (-1, None), and any other returns
+    the value and witness of the full search."""
+    sphere_of = run.ball.sphere_of
+    if (sphere_of[x] + sphere_of[y]) // 2 <= floor:
+        return -1, None
     sides = _side_geodesics(run, x, y)
     vertex_sets = [[set(geo) for geo in side] for side in sides]
     best = (-1, None)
@@ -227,7 +245,9 @@ def triangle_thinness(run, x, y):
         others = [vertex_sets[(si + 1) % 3], vertex_sets[(si + 2) % 3]]
         seen_points = set()
         for geo in sides[si]:
-            for p in geo:
+            # a point within v of an end of its side is within v of another side
+            v = max(best[0], floor)
+            for p in geo[v + 1 : len(geo) - 1 - v]:
                 if p in seen_points:
                     continue
                 seen_points.add(p)
@@ -289,7 +309,7 @@ def compute_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
         run = _DeltaRun(ball)
         value, witness = -1, None
         for x, y in chunk:
-            v, w = triangle_thinness(run, x, y)
+            v, w = triangle_thinness(run, x, y, value)
             if v > value:
                 value, witness = v, w
         return value, None if witness is None else astuple(witness)

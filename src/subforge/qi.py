@@ -283,9 +283,11 @@ def estimate_qi_constants(
     The pairs are measured in parallel, one contiguous chunk per CPU
     (``parallel.fork_map``).  Each graph is decided once: one that is the
     geodesic tree gives its distances off the parent links, and any other
-    is searched over its neighbour rows, built once beforehand.  The
-    chunks' first maximal pairs are merged in order, so the extremal pair
-    is the first one a single loop would find."""
+    is searched over its neighbour rows, built once beforehand.  When both
+    graphs are the tree, a pair costs a few microseconds and a fork costs
+    more than it saves, so the pairs are measured in one chunk, in the
+    caller.  The chunks' first maximal pairs are merged in order, so the
+    extremal pair is the first one a single loop would find."""
     trusted = _trusted_vertices(graph)
     if len(trusted) < 2:
         return None, None, 0, True
@@ -330,7 +332,8 @@ def estimate_qi_constants(
         return best, extremal
 
     best, extremal = 0.0, None
-    for k, pair in fork_map(chunk_constant, split(pairs)):
+    chunks = [pairs] if cayley is None and xi is None else split(pairs)
+    for k, pair in fork_map(chunk_constant, chunks):
         if k > best:
             best, extremal = k, pair
     return best, extremal, len(pairs), exhaustive

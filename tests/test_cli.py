@@ -13,7 +13,7 @@ import pytest
 
 import subforge
 from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall, cache_key, enumerate_ball
-from subforge.cli import EXPORT_GROUPS, _config_from, build_parser, main
+from subforge.cli import _config_from, build_parser, main
 from subforge.exports import EXPORT_FORMATS, EXPORT_KINDS
 from subforge.pipeline import RunConfig
 from subforge.presentation import preset
@@ -56,11 +56,6 @@ def test_run_writes_exports(tmp_path):
     assert len(xi["vertices"]) == 9
     assert len(xi["vertical_edges"]) == 8
     assert xi["horizontal_edges"] == []
-
-
-def test_export_groups_hold_every_file_once():
-    files = [f for group in EXPORT_GROUPS for f in group]
-    assert sorted(files) == sorted((what, fmt) for what in EXPORT_KINDS for fmt in EXPORT_FORMATS)
 
 
 @pytest.mark.parametrize("fmt", EXPORT_FORMATS)

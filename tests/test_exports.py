@@ -7,7 +7,7 @@ import hashlib
 import json
 
 import pytest
-from reference import reference_export
+from reference import ODD_RELATOR, reference_export
 
 from subforge import exports
 from subforge.ball import enumerate_ball
@@ -24,7 +24,7 @@ def _assert_streams_as_reference(arts: Artifacts, out_dir) -> int:
         for fmt in EXPORT_FORMATS:
             path = out_dir / f"{what}.{fmt}"
             try:
-                export_graph(arts, what, fmt, str(path))
+                export_graph(arts, str(out_dir), [what], [fmt])
             except MissingArtifact:
                 assert not path.exists()
                 continue
@@ -69,6 +69,38 @@ def test_exports_do_not_depend_on_the_chunk_size(run, request, tmp_path, monkeyp
         assert _assert_streams_as_reference(arts, tmp_path) == dict(RUNS)[run], chunk
 
 
+@pytest.mark.parametrize("export", ["dot,json", "json", "dot"])
+@pytest.mark.parametrize(
+    "run, argv",
+    [
+        ("f2_r5_run", ["--preset", "f2", "--radius", "5"]),
+        ("surface_labeled_run", ["--preset", "surface2", "--radius", "5", "--delta", "1.0"]),
+        ("odd_r4_run", ["--file", None, "--radius", "4"]),
+    ],
+)
+def test_run_exports_equal_the_reference(run, argv, export, request, tmp_path, monkeypatch):
+    # run writes the gamma and xi files of each format together, in two
+    # passes over the chunks; every file must still equal the reference,
+    # and no file of a format not asked for may appear
+    arts = request.getfixturevalue(run).artifacts
+    if None in argv:
+        odd = tmp_path / "odd.txt"
+        odd.write_text(f"gens: a A b B\nrelators: {ODD_RELATOR}\n")
+        argv = [str(odd) if a is None else a for a in argv]
+    expected = {
+        f"{what}.{fmt}": reference_export(arts, what, fmt).encode()
+        for what in EXPORT_KINDS
+        for fmt in export.split(",")
+    }
+    for chunk in (1, 3, exports.CHUNK):
+        monkeypatch.setattr(exports, "CHUNK", chunk)
+        out = tmp_path / f"out-{chunk}"
+        assert main(["run", *argv, "--out", str(out), "--export", export]) == 0
+        assert {p.name for p in out.iterdir()} == set(expected) | {"report.json"}, chunk
+        for name, data in expected.items():
+            assert (out / name).read_bytes() == data, (name, chunk)
+
+
 def test_the_compared_exports_are_not_vacuous(f2_r5_run, surface_labeled_run):
     # the label records and the horizontal-edge records go through their
     # own templates, so the configs above must hold some of each
@@ -89,7 +121,7 @@ def test_unstable_levels_stream_as_the_reference(f2_r5_run, tmp_path):
     unstable = dataclasses.replace(arts, graph=graph)
     for fmt in EXPORT_FORMATS:
         path = tmp_path / f"xi.{fmt}"
-        export_graph(unstable, "xi", fmt, str(path))
+        export_graph(unstable, str(tmp_path), ["xi"], [fmt])
         assert path.read_bytes() == reference_export(unstable, "xi", fmt).encode()
     assert b'"unstable_levels": [\n    1,\n    2\n  ],' in (tmp_path / "xi.json").read_bytes()
 
@@ -100,8 +132,22 @@ def test_gamma_of_a_small_ball_streams_as_the_reference(radius, tmp_path):
     arts = Artifacts(ball=enumerate_ball(preset("f2"), radius))
     for fmt in EXPORT_FORMATS:
         path = tmp_path / f"gamma.{fmt}"
-        export_graph(arts, "gamma", fmt, str(path))
+        export_graph(arts, str(tmp_path), ["gamma"], [fmt])
         assert path.read_bytes() == reference_export(arts, "gamma", fmt).encode()
+
+
+def test_graphs_of_a_ball_with_empty_spheres_stream_as_the_reference(tmp_path):
+    # <a | a> is the trivial group: every sphere past the identity is
+    # empty, and xi.dot still holds a cluster for each level
+    path = tmp_path / "trivial.txt"
+    path.write_text("gens: a A\nrelators: a\n")
+    arts = run_pipeline(RunConfig(file=str(path), radius=3)).artifacts
+    assert arts.ball.size == 1
+    export_graph(arts, str(tmp_path), ["gamma", "xi"], EXPORT_FORMATS)
+    for what in ("gamma", "xi"):
+        for fmt in EXPORT_FORMATS:
+            assert (tmp_path / f"{what}.{fmt}").read_bytes() == reference_export(arts, what, fmt).encode()
+    assert (tmp_path / "xi.dot").read_text().count("subgraph cluster_level_") == 4
 
 
 # sha256 of every export of surface2 R=5 at two delta overrides, the only

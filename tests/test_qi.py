@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from subforge import parallel, qi
 from subforge.ball import bidirectional_distance, enumerate_ball
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import (
@@ -339,3 +340,21 @@ def test_a_horizontal_edge_switches_the_subdivision_graph_to_the_search(f2_run, 
     assert "Cayley graph by geodesic tree, subdivision graph by search over rows" in caplog.text
     assert got == reference_qi_constants(mutated, seed=7)
     assert got[0] > 1.0  # the shortcut from aaaa to BBBB is measured
+
+
+@pytest.mark.parametrize("source, chunks", [("f2_r8_graph", 1), ("surface_labeled_run", 2)])
+def test_tree_pairs_are_measured_in_the_caller(source, chunks, request, monkeypatch):
+    # where both graphs are the geodesic tree a pair costs microseconds,
+    # less than a fork; a graph searched over rows still splits per CPU
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    counts = []
+
+    def recording_fork_map(fn, parts):
+        counts.append(len(parts))
+        return [fn(part) for part in parts]
+
+    monkeypatch.setattr(qi, "fork_map", recording_fork_map)
+    graph = _graph_of(source, request)
+    got = estimate_qi_constants(graph, seed=2024)
+    assert counts == [chunks]
+    assert got == reference_qi_constants(graph, seed=2024)
