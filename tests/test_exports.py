@@ -17,8 +17,10 @@ from subforge.pipeline import Artifacts, RunConfig, run_pipeline
 from subforge.presentation import preset
 
 
-def _assert_streams_as_reference(arts: Artifacts, out_dir) -> int:
-    """Compare every file the run can export; return how many there were."""
+def _assert_streams_as_reference(arts: Artifacts, out_dir, references: dict) -> int:
+    """Compare every file the run can export with its reference, built
+    once per (kind, format) into ``references``; return how many files
+    there were."""
     written = 0
     for what in EXPORT_KINDS:
         for fmt in EXPORT_FORMATS:
@@ -28,7 +30,9 @@ def _assert_streams_as_reference(arts: Artifacts, out_dir) -> int:
             except MissingArtifact:
                 assert not path.exists()
                 continue
-            assert path.read_bytes() == reference_export(arts, what, fmt).encode(), path.name
+            if (what, fmt) not in references:
+                references[(what, fmt)] = reference_export(arts, what, fmt).encode()
+            assert path.read_bytes() == references[(what, fmt)], path.name
             written += 1
     return written
 
@@ -53,7 +57,7 @@ RUNS = [
 def test_streamed_exports_equal_the_reference(run, files, request, tmp_path):
     result = request.getfixturevalue(run)
     assert result.exit_code == 0
-    assert _assert_streams_as_reference(result.artifacts, tmp_path) == files
+    assert _assert_streams_as_reference(result.artifacts, tmp_path, {}) == files
 
 
 @pytest.mark.parametrize("run", ["surface_r4_run", "f2_r5_run", "surface_labeled_run"])
@@ -64,9 +68,10 @@ def test_exports_do_not_depend_on_the_chunk_size(run, request, tmp_path, monkeyp
     # (ids from 1) reach it
     arts = request.getfixturevalue(run).artifacts
     outer = arts.ball.sphere(arts.ball.radius).start
+    references = {}
     for chunk in (1, 2, 3, outer - 1, outer):
         monkeypatch.setattr(exports, "CHUNK", chunk)
-        assert _assert_streams_as_reference(arts, tmp_path) == dict(RUNS)[run], chunk
+        assert _assert_streams_as_reference(arts, tmp_path, references) == dict(RUNS)[run], chunk
 
 
 @pytest.mark.parametrize("export", ["dot,json", "json", "dot"])
