@@ -375,7 +375,12 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
     is made; a walk that completes ends at g*x, with the relator as the
     proof.  Every edge at g still unknown afterwards leads to a new
     element, made in letter order.  The boundary sphere gets the same walk
-    for its same-sphere edges.
+    for its same-sphere edges when some relator has odd length.  When
+    every relator has even length, word length mod 2 is a homomorphism to
+    Z/2 (each relator maps to 0), so the two ends of every edge differ in
+    parity and no edge joins two elements of one sphere; the edges from
+    the boundary sphere down were all recorded while the sphere below it
+    was processed, so the sweep would record nothing and is skipped.
 
     The walk is complete for C'(1/6) presentations, which are required.
     Take g in sphere n with g*x = u, where u was created earlier from g'
@@ -482,8 +487,9 @@ def enumerate_ball(pres: Presentation, radius: int, cap: int = DEFAULT_ELEMENT_C
         sphere = nxt
 
     # Boundary sweep: edges from the outer sphere downward were recorded
-    # while the lower spheres were processed; only same-sphere edges remain.
-    if pres.relators:
+    # while the lower spheres were processed; only same-sphere edges remain,
+    # and only an odd relator makes one (docstring).
+    if any(len(r) % 2 for r in pres.relators):
         for g in sphere:
             if g:
                 close(g)

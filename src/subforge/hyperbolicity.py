@@ -64,15 +64,23 @@ is skipped cannot exceed the value it would be compared with, so every
 strict comparison that can change the result takes the same branch, and
 the value and witness are those of the full search.
 
-The triangles are independent, so the computed ones are cut into one
-contiguous chunk per CPU (``parallel.fork_map``).  Each chunk keeps its own
-BFS layers and anchored sides and returns its first maximal triangle; the
-chunks are merged in order with the same strict comparison, so the value
-and witness are those of one loop over every triangle.
+The triangles are independent, so from ``FORK_PAIRS`` computed pairs on
+they are cut into one contiguous chunk per CPU (``parallel.fork_map``).
+Each chunk keeps its own BFS layers and anchored sides and returns its
+first maximal triangle; the chunks are merged in order with the same
+strict comparison, so the value and witness are those of one loop over
+every triangle, whatever the chunk count.  Below ``FORK_PAIRS`` the pairs
+run as one chunk in the process, where a fork does not pay for itself (and
+a second chunk starts with no running value to prune by).  One chunk
+against two on a 2-vCPU VM: surface2 R=5 (561 pairs) 5 against 13 ms,
+f2 R=8 (1,691) 40-60 ms either way, surface2 R=7 (26,335) 0.56-0.72
+against 0.67-0.76 s in the CLI, and f2 R=12 (133,246) 3.9-4.8 against
+2.9 s.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import astuple, dataclass
 
@@ -80,6 +88,13 @@ from .ball import CayleyBall, TrustRadiusError
 from .parallel import fork_map, split
 from .presentation import letter_symmetries
 from .words import inverse_word
+
+log = logging.getLogger(__name__)
+
+# computed pairs from which the triangles are split over the CPUs: the
+# break-even lies between 26,335 and 133,246 (module docstring)
+FORK_PAIRS = 100_000
+
 
 class _DeltaRun:
     """What one delta computation keeps for the run: the BFS layers over
@@ -280,9 +295,9 @@ def compute_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
     geodesic stays inside the ball.
 
     Every pair x <= y of B_r is covered, but only one per orbit of the
-    presentation's letter symmetries is computed (module docstring).  The
-    triangles are computed in parallel chunks, one per CPU, with the
-    result of a single loop."""
+    presentation's letter symmetries is computed (module docstring).  From
+    ``FORK_PAIRS`` computed pairs on, the triangles are computed in
+    parallel chunks, one per CPU, with the result of a single loop."""
     if r < 0:
         raise ValueError("delta radius must be >= 0")
     if 2 * r > ball.radius:
@@ -314,8 +329,10 @@ def compute_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
                 value, witness = v, w
         return value, None if witness is None else astuple(witness)
 
+    chunks = split(pairs) if len(pairs) >= FORK_PAIRS else [pairs]
+    log.info("delta: %s computed triangles in %d chunk(s)", f"{len(pairs):,}", len(chunks))
     value, witness = -1, None
-    for v, w in fork_map(chunk_thinness, split(pairs)):
+    for v, w in fork_map(chunk_thinness, chunks):
         if v > value:
             value, witness = v, TriangleWitness(*w)
     return DeltaEstimate(

@@ -157,7 +157,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "config": {k: v for k, v in asdict(config).items() if k != "cache_dir"},
     }
     artifacts = Artifacts()
-    log.info("chunks per parallel loop: at most %d, one per CPU in the affinity mask", cpu_count())
+    log.info("CPUs in the affinity mask: %d, at most one chunk each per parallel loop", cpu_count())
 
     last = [t0]
 

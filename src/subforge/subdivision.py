@@ -447,7 +447,9 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
         ConditionResult(5, "same-label open stars isomorphic", bad5 is None, domain5, bad5)
     )
 
-    # 6: same-label predecessor-map preimages are isomorphic
+    # 6: same-label predecessor-map preimages are isomorphic; a preimage
+    # equal to its group's representative is, by the identity map, and
+    # needs no search
     domain6 = 0
     bad6 = None
     note6 = ""
@@ -463,7 +465,7 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
                 rep = vs_groups.get(label)
                 if rep is None:
                     vs_groups[label] = (v, sub)
-                elif bad6 is None and find_isomorphism(rep[1], sub) is None:
+                elif bad6 is None and rep[1] != sub and find_isomorphism(rep[1], sub) is None:
                     bad6 = ("vertex", rep[0], v)
                     note6 = "vertex-subdivision mismatch"
         # edges are grouped by the orientation-normalized label: min of the
@@ -483,7 +485,7 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
             rep = es_groups.get(key)
             if rep is None:
                 es_groups[key] = ((u, v), sub, canon)
-            elif bad6 is None and find_isomorphism(rep[1], sub) is None:
+            elif bad6 is None and rep[1] != sub and find_isomorphism(rep[1], sub) is None:
                 swapped = _edge_subdivision(graph, u, v, swap=True) if symmetric else None
                 if swapped is None or find_isomorphism(rep[1], swapped) is None:
                     bad6 = ("edge", rep[0], (u, v))

@@ -366,6 +366,19 @@ def test_two_relator_coincidences_and_boundary_sweep():
     assert ball.table == ref.table
 
 
+def test_boundary_sweep_finds_the_same_sphere_edges_of_an_odd_relator():
+    # BBAABabAAbABA (length 13) first joins two elements of one sphere on
+    # sphere 6; at R=6 that is the boundary, and only the sweep records them
+    p = parse_presentation("gens: a A b B\nrelators: BBAABabAAbABA\n")
+
+    def same_sphere_edges(ball, n):
+        return {(g, h) for g in ball.sphere(n) for h in ball.row(g) if g < h and ball.sphere_of[h] == n}
+
+    edges = same_sphere_edges(enumerate_ball(p, 6), 6)
+    assert len(edges) == 13
+    assert edges == same_sphere_edges(enumerate_ball(p, 7), 6)
+
+
 @pytest.mark.parametrize(
     "gens, relators",
     [

@@ -429,8 +429,9 @@ def test_exports_do_not_depend_on_the_cpu_count(tmp_path):
         del report["timings"]
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir() if p.name != "report.json"}
         runs[name] = (digests, report)
-        chunks = 1 if pin else len(cpus)
-        assert f"chunks per parallel loop: at most {chunks}," in proc.stderr
+        assert f"CPUs in the affinity mask: {1 if pin else len(cpus)}," in proc.stderr
+        # delta's 202 computed pairs are far below its fork threshold
+        assert "delta: 202 computed triangles in 1 chunk(s)" in proc.stderr
     assert runs["one"] == runs["all"]
     assert len(runs["one"][0]) == 8
 

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from subforge import parallel
+from subforge import hyperbolicity, parallel
 from subforge.ball import enumerate_ball
 from subforge.hyperbolicity import compute_delta
 from subforge.parallel import fork_map, split
@@ -85,6 +85,8 @@ def odd_relator_ball():
 )
 def test_delta_is_the_same_for_any_chunk_count(ball_name, r, request, monkeypatch):
     ball = request.getfixturevalue(ball_name)
+    # these balls hold far fewer pairs than the fork threshold
+    monkeypatch.setattr(hyperbolicity, "FORK_PAIRS", 0)
     _pin(monkeypatch, 1)
     serial = compute_delta(ball, r)
     for cpus in (2, 3):
@@ -92,6 +94,26 @@ def test_delta_is_the_same_for_any_chunk_count(ball_name, r, request, monkeypatc
         # dataclass equality: value, witness, triangles_computed and the rest
         assert compute_delta(ball, r) == serial
     assert _no_children_left()
+
+
+def test_delta_forks_only_from_the_threshold(f2_ball, monkeypatch):
+    # one chunk in the caller below FORK_PAIRS computed pairs, one per CPU
+    # from there on
+    _pin(monkeypatch, 3)
+    counts = []
+
+    def recording_fork_map(fn, chunks):
+        counts.append(len(chunks))
+        return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(hyperbolicity, "fork_map", recording_fork_map)
+    serial = compute_delta(f2_ball, 3)
+    computed = serial.triangles_computed
+    assert 1 < computed < hyperbolicity.FORK_PAIRS
+    for threshold in (computed + 1, computed):
+        monkeypatch.setattr(hyperbolicity, "FORK_PAIRS", threshold)
+        assert compute_delta(f2_ball, 3) == serial
+    assert counts == [1, 1, 3]
 
 
 def _qi_per_chunk_count(graph, monkeypatch, **kwargs):

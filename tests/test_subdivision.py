@@ -4,7 +4,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from subforge import subdivision
 from subforge.ball import enumerate_ball
+from subforge.labeled_graph import find_isomorphism
 from subforge.language import cone_type_classes
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import verify_qi_bounds
@@ -378,6 +380,31 @@ def test_axiom6_orders_edge_sides_by_the_smaller_label(surface_k2, surface_ball)
         assert sub == _edge_subdivision(flipped, v, u)
         differs += sub != _edge_subdivision(flipped, u, v)
     assert differs > 0  # the side order shows in the table
+
+
+def test_axiom6_searches_only_a_preimage_unequal_to_its_representative(f2_run, monkeypatch):
+    # a preimage equal to its group's representative is isomorphic to it by
+    # the identity, so f2 needs no search; swapping the labels of two
+    # children of the last vertex below n_max reorders that vertex's
+    # preimage without changing its isomorphism class, and that one
+    # preimage is searched and passes
+    calls = []
+
+    def recording(g1, g2):
+        calls.append((g1, g2))
+        return find_isomorphism(g1, g2)
+
+    monkeypatch.setattr(subdivision, "find_isomorphism", recording)
+    graph = copy.deepcopy(f2_run.artifacts.graph)
+    assert verify_axioms(graph).all_passed and calls == []
+    ball, labels = graph.ball, graph.vertex_labels
+    v = ball.sphere(graph.n_max - 1)[-1]
+    c, d = ball.children(v)[:2]
+    labels[c], labels[d] = labels[d], labels[c]
+    rep = verify_axioms(graph)
+    assert rep.all_passed
+    [(first, swapped)] = calls
+    assert first != swapped and first == rep.vertex_subdivisions[labels[v]]
 
 
 def test_corrupted_label_fails_condition5(f2_run):
