@@ -85,7 +85,7 @@ import math
 from dataclasses import astuple, dataclass
 
 from .ball import CayleyBall, TrustRadiusError
-from .parallel import fork_map, split
+from .parallel import cpu_count, fork_map, split
 from .presentation import letter_symmetries
 from .words import inverse_word
 
@@ -330,7 +330,10 @@ def compute_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
         return value, None if witness is None else astuple(witness)
 
     chunks = split(pairs) if len(pairs) >= FORK_PAIRS else [pairs]
-    log.info("delta: %s computed triangles in %d chunk(s)", f"{len(pairs):,}", len(chunks))
+    log.info(
+        "delta: %s computed triangles in %d chunk(s), %d CPU(s) in the affinity mask",
+        f"{len(pairs):,}", len(chunks), cpu_count(),
+    )
     value, witness = -1, None
     for v, w in fork_map(chunk_thinness, chunks):
         if v > value:

@@ -2,12 +2,12 @@
 
 ``fork_map(fn, chunks)`` returns ``[fn(chunk) for chunk in chunks]``.  The
 first chunk runs in the caller; every other chunk runs in an ``os.fork``
-child, which sends ``marshal.dumps(fn(chunk))`` back through a pipe.  The
-callers merge the results in chunk order, so the outcome does not depend on
-the chunk count.  A child that fails has its chunk re-run in the caller,
-which then raises the child's exception itself.  No child outlives the
-call: on any exception in the caller, interrupts included, every child is
-killed and reaped.
+child, which sends ``marshal.dumps(fn(chunk))`` back through a pipe.  Its
+one user, delta's triangle loop, merges the results in chunk order, so the
+outcome does not depend on the chunk count.  A child that fails has its
+chunk re-run in the caller, which then raises the child's exception
+itself.  No child outlives the call: on any exception in the caller,
+interrupts included, every child is killed and reaped.
 """
 
 from __future__ import annotations

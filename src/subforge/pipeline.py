@@ -39,7 +39,6 @@ from .language import (
     cone_type_classes,
     verify_cone_lemma,
 )
-from .parallel import cpu_count
 from .presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from .qi import estimate_qi_constants, verify_qi_bounds
 from .subdivision import assign_labels, build_subdivision_graph, verify_axioms, working_constant
@@ -157,7 +156,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "config": {k: v for k, v in asdict(config).items() if k != "cache_dir"},
     }
     artifacts = Artifacts()
-    log.info("CPUs in the affinity mask: %d, at most one chunk each per parallel loop", cpu_count())
 
     last = [t0]
 

@@ -16,8 +16,15 @@ check; the work is in the four directed edge-distance checks:
       endpoint's predecessor).
 
 Checks quantify over the levels where horizontal-edge data is complete.
-The empirical QI constant measures independent vertex pairs, which are
-split over the CPUs (``estimate_qi_constants``).
+The empirical QI constant measures sampled vertex pairs in one loop, in
+the process (``estimate_qi_constants``).  One chunk against two forked
+ones, in process on a 2-vCPU VM with equal results: surface2 R=5 at delta
+1.0 (36 pairs) 0.3 against 3.1-3.4 ms, R=6 at delta 1.0 (2,000 pairs,
+both graphs searched over rows) 42-49 against 50-56 ms, R=7 at delta 0.5
+(rows over all 1,085,905 elements, built before any fork) 1.9-2.8
+against 2.2-3.0 s, and R=8 at delta 1.0 (rows over 7.58M elements)
+11.6-13.2 against 10.2-14.3 s in single runs.  R=7 at delta 1.0 was
+within 2% either way, so a fork gains at most about a second, at R=8.
 
 Each pair's Cayley distance is measured over the rows of B_c, where c is
 the geodesic ceiling of the trusted levels (``_geodesic_ceiling``); this
@@ -63,7 +70,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ball import CayleyBall, bidirectional_distance
-from .parallel import fork_map, split
 from .subdivision import SubdivisionGraph, horizontal_edge_length, working_constant
 
 log = logging.getLogger(__name__)
@@ -280,14 +286,11 @@ def estimate_qi_constants(
     identity correspondence; returns (K, extremal pair, pairs used,
     exhaustive flag).
 
-    The pairs are measured in parallel, one contiguous chunk per CPU
-    (``parallel.fork_map``).  Each graph is decided once: one that is the
-    geodesic tree gives its distances off the parent links, and any other
-    is searched over its neighbour rows, built once beforehand.  When both
-    graphs are the tree, a pair costs a few microseconds and a fork costs
-    more than it saves, so the pairs are measured in one chunk, in the
-    caller.  The chunks' first maximal pairs are merged in order, so the
-    extremal pair is the first one a single loop would find."""
+    Each graph is decided once: one that is the geodesic tree gives its
+    distances off the parent links, and any other is searched over its
+    neighbour rows, built once beforehand.  The pairs are measured in one
+    loop, in order, and the extremal pair is the first one of maximal K
+    (module docstring)."""
     trusted = _trusted_vertices(graph)
     if len(trusted) < 2:
         return None, None, 0, True
@@ -319,21 +322,12 @@ def estimate_qi_constants(
         *("geodesic tree" if rows is None else "search over rows" for rows in (cayley, xi)),
     )
     parent = ball.parent
-
-    def chunk_constant(chunk):
-        best, extremal = 0.0, None
-        for u, v in chunk:
-            tree = _tree_distance(parent, u, v) if cayley is None or xi is None else None
-            d_cayley = tree if cayley is None else _distance(cayley, u, v, "Cayley graph")
-            d_xi = tree if xi is None else _distance(xi, u, v, "subdivision graph")
-            k = _pair_constant(d_cayley, d_xi)
-            if k > best:
-                best, extremal = k, (u, v)
-        return best, extremal
-
     best, extremal = 0.0, None
-    chunks = [pairs] if cayley is None and xi is None else split(pairs)
-    for k, pair in fork_map(chunk_constant, chunks):
+    for u, v in pairs:
+        tree = _tree_distance(parent, u, v) if cayley is None or xi is None else None
+        d_cayley = tree if cayley is None else _distance(cayley, u, v, "Cayley graph")
+        d_xi = tree if xi is None else _distance(xi, u, v, "subdivision graph")
+        k = _pair_constant(d_cayley, d_xi)
         if k > best:
-            best, extremal = k, pair
+            best, extremal = k, (u, v)
     return best, extremal, len(pairs), exhaustive

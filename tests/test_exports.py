@@ -155,12 +155,14 @@ def test_graphs_of_a_ball_with_empty_spheres_stream_as_the_reference(tmp_path):
     assert (tmp_path / "xi.dot").read_text().count("subgraph cluster_level_") == 4
 
 
-# sha256 of every export of surface2 R=5 at two delta overrides, the only
-# small configs with horizontal edges: 8 edges at delta 1.0, and at 0.5 56
-# edges in 8 edge-subdivision classes (the cone lemma fails there, exit 2).
-# "report" is report.json less its timings, re-dumped as the exports are.
+# sha256 of every export of surface2 at delta overrides, keyed by radius
+# and delta.  R=5 gives the only small configs with horizontal edges: 8
+# edges at delta 1.0, and at 0.5 56 edges in 8 edge-subdivision classes
+# (the cone lemma fails there, exit 2).  At R=6 and delta 1.0 the trusted
+# levels hold 56 edges and QI searches both graphs over rows.  "report" is
+# report.json less its timings, re-dumped as the exports are.
 LABELED_DIGESTS = {
-    "1.0": (0, {
+    (5, "1.0"): (0, {
         "acceptor.dot": "ec9f4821f6e7e840a2b7044446a39a8f1cbf943da28a5ab0566dcbac01afc207",
         "acceptor.json": "32cb0698e747519bb151cba3a1a3e439c6884da5f328bd0970252d88826a8035",
         "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
@@ -171,7 +173,7 @@ LABELED_DIGESTS = {
         "xi.json": "6b5971df227394fc6b60113e156b3f78f1337c34223b7f61bb9416e9380e1a77",
         "report": "456bdf298a3940ddd52aa9c594e63ed5f4ca7981aff0778943705f2d8f425baf",
     }),
-    "0.5": (2, {
+    (5, "0.5"): (2, {
         "acceptor.dot": "272a464d1778c451931827ad6543db9b90ae500032799abb44d6bee249d947a3",
         "acceptor.json": "448e59179abae5df0991c233e05eaedae33b9365d6cfcd5f7483e1771e970086",
         "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
@@ -182,13 +184,27 @@ LABELED_DIGESTS = {
         "xi.json": "4be42cad8f4938958b1b01d0b0a9645109a040bf1479c5e3c10d0a503e34c4b7",
         "report": "1b3125de28dd75963ab1af8cf5e4ddab509e7042b97671031020cd286f2e441e",
     }),
+    (6, "1.0"): (0, {
+        "acceptor.dot": "e78637c059eba6e3a960f34f15ba536497f3abb3bf626bf6c142a28afea8a385",
+        "acceptor.json": "2381c03604adb492a8ab881854574925ddd52e51b0e99c7be8295fb183a5c119",
+        "gamma.dot": "a4c84da5db9e570568ee549d0b071fd66d3ec377252f32a8017e2f7257703938",
+        "gamma.json": "92f5676728690fb57a6e41a29c87fb6d56d406cc6fc121e6107c45bfb111caf4",
+        "subdivisions.dot": "3509a241d736666eb0257cf9918b41b10daba05aa56c4cc61f568a0eec126ac1",
+        "subdivisions.json": "5a680f6f9a69518c9dbd64270f2e5814741b928d781bdfb6de0ee8ef5a76bbd9",
+        "xi.dot": "c472dac18c2743e888972d37bf0ab55f7efbba1487a3d97d21d7223b4c70c002",
+        "xi.json": "0fca2509476d57879ec191a20c1a9218bdd87e81b05201952cdd2f3f823dc874",
+        "report": "8c1312cd57ab92072efcce6531f6856a6b2dcf90e47fb5933fd7488406b60838",
+    }),
 }
 
 
-@pytest.mark.parametrize("delta", sorted(LABELED_DIGESTS))
-def test_labeled_surface_exports_are_pinned(delta, tmp_path):
-    code, digests = LABELED_DIGESTS[delta]
-    argv = ["run", "--preset", "surface2", "--radius", "5", "--delta", delta]
+# ids: the delta alone at R=5, radius and delta otherwise
+@pytest.mark.parametrize(
+    "radius, delta", sorted(LABELED_DIGESTS), ids=[d if r == 5 else f"r{r}-{d}" for r, d in sorted(LABELED_DIGESTS)]
+)
+def test_labeled_surface_exports_are_pinned(radius, delta, tmp_path):
+    code, digests = LABELED_DIGESTS[radius, delta]
+    argv = ["run", "--preset", "surface2", "--radius", str(radius), "--delta", delta]
     assert main(argv + ["--out", str(tmp_path), "--export", "dot,json"]) == code
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     report = json.loads((tmp_path / "report.json").read_text())

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from subforge import hyperbolicity, parallel
+from subforge import hyperbolicity
 from subforge.ball import enumerate_ball
 from subforge.presentation import Presentation, parse_presentation, preset, verify_small_cancellation
 from subforge.hyperbolicity import (
@@ -193,10 +193,9 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     # on every geodesic of another side built its depth-0 layer as well,
     # 409 over 89 points when every triangle was computed (and the depth-0
     # layer built), 26,883 with a BFS map per geodesic source as well, and
-    # 204,633 with each source expanded over the whole ball.  One chunk, so
-    # that every triangle runs in this process and the bound covers all of
-    # delta.
-    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+    # 204,633 with each source expanded over the whole ball.  The run
+    # computes fewer pairs than the fork threshold, so every triangle runs
+    # in this process and the bound covers all of delta.
     states = []
 
     class Recording(_DeltaRun):
@@ -205,6 +204,8 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
             states.append(self._state)
 
     monkeypatch.setattr(hyperbolicity, "_DeltaRun", Recording)
-    assert compute_delta(surface4_ball, 2).delta == 2.0
+    estimate = compute_delta(surface4_ball, 2)
+    assert estimate.delta == 2.0
+    assert estimate.triangles_computed < hyperbolicity.FORK_PAIRS
     visited = sum(len(seen) for state in states for seen, _ in state.values())
     assert 0 < visited <= 26

@@ -2,17 +2,13 @@ import os
 import time
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from subforge import hyperbolicity, parallel
 from subforge.ball import enumerate_ball
 from subforge.hyperbolicity import compute_delta
 from subforge.parallel import fork_map, split
-from subforge.presentation import Presentation, preset, verify_small_cancellation
-from subforge.qi import estimate_qi_constants
-from subforge.subdivision import build_subdivision_graph
 
-from reference import FOUR_GENERATORS, TWO_RELATORS, distinct_letter_relators, odd_relator_presentation
+from reference import odd_relator_presentation
 
 
 def _no_children_left():
@@ -114,33 +110,3 @@ def test_delta_forks_only_from_the_threshold(f2_ball, monkeypatch):
         monkeypatch.setattr(hyperbolicity, "FORK_PAIRS", threshold)
         assert compute_delta(f2_ball, 3) == serial
     assert counts == [1, 1, 3]
-
-
-def _qi_per_chunk_count(graph, monkeypatch, **kwargs):
-    results = []
-    for cpus in (1, 2, 3):
-        _pin(monkeypatch, cpus)
-        results.append(estimate_qi_constants(graph, **kwargs))
-    return results
-
-
-@pytest.mark.parametrize("radius", [6, 8])
-def test_qi_is_the_same_for_any_chunk_count_f2(radius, monkeypatch):
-    graph = build_subdivision_graph(enumerate_ball(preset("f2"), radius), 0.0)
-    serial, *split_runs = _qi_per_chunk_count(graph, monkeypatch, seed=5)
-    assert split_runs == [serial, serial]
-    assert _no_children_left()
-
-
-@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
-@example(list(TWO_RELATORS))
-@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.function_scoped_fixture])
-def test_qi_is_the_same_for_any_chunk_count_c16_family(monkeypatch, relators):
-    p = Presentation(FOUR_GENERATORS, tuple(relators))
-    assume(verify_small_cancellation(p).satisfies_c16)
-    # K=2 leaves levels 0-2 trusted (about 2,000 pairs, every one of them
-    # measured), with horizontal edges on an odd relator
-    graph = build_subdivision_graph(enumerate_ball(p, 5), 0.5)
-    serial, *split_runs = _qi_per_chunk_count(graph, monkeypatch, sample_pairs=10**9)
-    assert split_runs == [serial, serial]
-    assert serial[3] and serial[1] is not None  # exhaustive, with an extremal pair

@@ -1,6 +1,7 @@
 import copy
 import logging
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from subforge import parallel, qi
+from subforge import parallel
 from subforge.ball import bidirectional_distance, enumerate_ball
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import (
@@ -342,19 +343,28 @@ def test_a_horizontal_edge_switches_the_subdivision_graph_to_the_search(f2_run, 
     assert got[0] > 1.0  # the shortcut from aaaa to BBBB is measured
 
 
-@pytest.mark.parametrize("source, chunks", [("f2_r8_graph", 1), ("surface_labeled_run", 2)])
-def test_tree_pairs_are_measured_in_the_caller(source, chunks, request, monkeypatch):
-    # where both graphs are the geodesic tree a pair costs microseconds,
-    # less than a fork; a graph searched over rows still splits per CPU
+def test_qi_forks_nothing(surface_r6_delta1_graph, monkeypatch):
+    # both graphs are searched over rows here, and 2,000 sampled pairs on
+    # two CPUs would be two chunks if QI split its pairs
+    expected = reference_qi_constants(surface_r6_delta1_graph, seed=2024)
     monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
-    counts = []
 
-    def recording_fork_map(fn, parts):
-        counts.append(len(parts))
-        return [fn(part) for part in parts]
+    def no_fork():
+        raise AssertionError("QI forked")
 
-    monkeypatch.setattr(qi, "fork_map", recording_fork_map)
-    graph = _graph_of(source, request)
-    got = estimate_qi_constants(graph, seed=2024)
-    assert counts == [chunks]
-    assert got == reference_qi_constants(graph, seed=2024)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert estimate_qi_constants(surface_r6_delta1_graph, seed=2024) == expected
+
+
+@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
+@example(list(TWO_RELATORS))
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_qi_constants_equal_the_search_reference_c16_family(relators):
+    p = Presentation(FOUR_GENERATORS, tuple(relators))
+    assume(verify_small_cancellation(p).satisfies_c16)
+    # K=2 leaves levels 0-2 trusted (about 2,000 pairs, every one of them
+    # measured), with horizontal edges on an odd relator
+    graph = build_subdivision_graph(enumerate_ball(p, 5), 0.5)
+    got = estimate_qi_constants(graph, sample_pairs=10**9)
+    assert got == reference_qi_constants(graph, sample_pairs=10**9)
+    assert got[3] and got[1] is not None  # exhaustive, with an extremal pair
