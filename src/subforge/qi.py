@@ -17,47 +17,30 @@ check; the work is in the four directed edge-distance checks:
 
 Checks quantify over the levels where horizontal-edge data is complete.
 The empirical QI constant measures sampled vertex pairs in one loop, in
-the process (``estimate_qi_constants``).  One chunk against two forked
-ones, in process on a 2-vCPU VM with equal results: surface2 R=5 at delta
-1.0 (36 pairs) 0.3 against 3.1-3.4 ms, R=6 at delta 1.0 (2,000 pairs,
-both graphs searched over rows) 42-49 against 50-56 ms, R=7 at delta 0.5
-(rows over all 1,085,905 elements, built before any fork) 1.9-2.8
-against 2.2-3.0 s, and R=8 at delta 1.0 (rows over 7.58M elements)
-11.6-13.2 against 10.2-14.3 s in single runs.  R=7 at delta 1.0 was
-within 2% either way, so a fork gains at most about a second, at R=8.
+the process (``estimate_qi_constants``).  Split into two forked chunks on
+a 2-vCPU VM the loop was slower or within 2% up to surface2 R=7, and at
+most about a second faster in 11-14 s at surface2 R=8 at delta 1.0, when
+each search still ran over neighbour rows built beforehand.
 
-Each pair's Cayley distance is measured over the rows of B_c, where c is
-the geodesic ceiling of the trusted levels (``_geodesic_ceiling``); this
-gives the in-ball distance that the whole ball gives.  Two facts bound c.
+Each pair's Cayley distance is its in-ball distance, searched over the
+ball's own letter table (``CayleyBall.distance_between``) with the limit
+2 n_max.  For trusted u and v the tree path through the identity gives
+d(u, v) <= |u| + |v| <= 2 n_max, so the search finds v within the limit,
+and every vertex w on a u-v geodesic has
+|w| <= (|u| + |v| + d(u, v)) / 2 <= 2 n_max, so every shortest in-ball
+path stays in B_M, M = min(R, 2 n_max).
 
-From above: for trusted u and v the tree path through the identity gives
-d(u, v) <= |u| + |v| <= 2 n_max, and every vertex w on a u-v geodesic has
-|w| <= (|u| + |v| + d(u, v)) / 2 <= 2 n_max, so no such geodesic leaves
-B_{2 n_max}, and a shortest in-ball path stays in B_M, M = min(R, 2 n_max).
-
-From the tree: call a table entry a tree entry when it is a parent link
-of the geodesic tree, read from either end (w's entry for its parent, or
-a parent's entry for its child).  Take a shortest in-ball path between u
-and v whose highest level m lies above |u| and |v|.  Its vertices on
-level m come in runs, each entered from level m - 1 and left to it.  A
-run of one vertex w has two distinct neighbours on the path one level
-down (else the path backtracks), and at most one is w's parent; a longer
-run starts with a vertex whose next vertex shares its level.  Either way
-a row on level m holds an entry that is not a tree entry.  So no shortest
-in-ball path between trusted vertices climbs above the highest level in
-(n_max, M] whose rows hold such an entry, or above n_max when none does.
-
-When a graph's rows are exactly the geodesic tree on their vertices, a
-pair's distance is read off the tree and no rows are built.  The Cayley
-graph of B_c is that tree when the entries of B_c's rows that lie in B_c
-number 2(|B_c| - 1) (``_is_geodesic_tree``): each parent link is such an
-entry at both of its ends, in two distinct places, so any other entry,
-a repeated one included, raises the count.  The subdivision graph of the
+When a graph is exactly the geodesic tree on its vertices, a pair's
+distance is read off the tree and nothing is searched.  The Cayley graph
+of B_M is that tree when the entries of B_M's rows that lie in B_M number
+2(|B_M| - 1) (``_is_geodesic_tree``): each parent link is such an entry
+at both of its ends, in two distinct places, so any other entry, a
+repeated one included, raises the count.  The subdivision graph of the
 trusted levels is that tree when they hold no horizontal edge.  On a tree
 the only path between u and v without backtracking runs through their
-lowest common ancestor, so the search over the rows returns the tree
-distance |u| + |v| - 2|lca(u, v)| (``_tree_distance``), which for the
-Cayley rows is the in-ball distance by the argument above.
+lowest common ancestor, so a search returns the tree distance
+|u| + |v| - 2|lca(u, v)| (``_tree_distance``), which for the Cayley graph
+of B_M is the in-ball distance by the bound above.
 """
 
 from __future__ import annotations
@@ -65,18 +48,15 @@ from __future__ import annotations
 import logging
 import math
 import random
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import countOf
 
 from .ball import CayleyBall, bidirectional_distance
 from .subdivision import SubdivisionGraph, horizontal_edge_length, working_constant
 
 log = logging.getLogger(__name__)
-
-# rows compared per step of the geodesic-ceiling scan: a level with an
-# entry off the tree usually stops the scan after one small slice
-_CEILING_CHUNK = 4096
 
 
 @dataclass
@@ -122,53 +102,22 @@ def _xi_adjacency(graph: SubdivisionGraph) -> list[list[int]]:
     return rows
 
 
-def _geodesic_ceiling(ball: CayleyBall, n: int) -> int:
-    """The highest level a shortest in-ball path between two vertices of
-    B_n can reach: the highest level in (n, min(R, 2n)] whose rows hold an
-    entry that is not a tree entry, or n when none does (module docstring).
-
-    Scans down from level min(R, 2n), ``_CEILING_CHUNK`` rows at a time,
-    and compares a chunk's entries other than -1 with its tree entries:
-    one parent link per row plus one per child.  Ids are shortlex, so
-    ``parent`` never decreases along a sphere, and the children of a run
-    of ids are a run of the next sphere, counted by bisection.  An extra
-    entry that leaves the top level upward also stops the scan there,
-    which gives the bound from above."""
-    table, a, parent = ball.table, ball.degree, ball.parent
-    for m in range(min(ball.radius, 2 * n), n, -1):
-        level = ball.sphere(m)
-        up = ball.sphere(m + 1) if m < ball.radius else range(0)
-        for lo in range(level.start, level.stop, _CEILING_CHUNK):
-            hi = min(lo + _CEILING_CHUNK, level.stop)
-            entries = table[lo * a : hi * a]
-            children = bisect_left(parent, hi, up.start, up.stop) - bisect_left(parent, lo, up.start, up.stop)
-            if len(entries) - entries.count(-1) > hi - lo + children:
-                return m
-    return n
-
-
 def _is_geodesic_tree(ball: CayleyBall, stop: int) -> bool:
-    """Whether the Cayley graph of the first ``stop`` ids, a ball B_c, is
+    """Whether the Cayley graph of the first ``stop`` ids, a ball B_M, is
     its geodesic tree: whether the entries of their rows that lie in
-    [0, stop) number 2(stop - 1) (module docstring).  Only rows on the top
-    level of B_c can hold an entry at or above ``stop``."""
-    a = ball.degree
-    entries = ball.table[: stop * a]
-    top = ball.sphere(ball.sphere_of[stop - 1]).start * a
-    above = sum(1 for t in entries[top:] if t >= stop)
-    return len(entries) - entries.count(-1) - above == 2 * (stop - 1)
-
-
-def _cayley_adjacency(ball: CayleyBall, stop: int) -> list[tuple[int, ...]]:
-    """The Cayley graph of the first ``stop`` ids as one row of neighbour
-    ids per element.  For B_c, c = ``_geodesic_ceiling(ball, n)``: a
-    shortest in-ball path between two vertices of B_n that climbs above
-    both ends meets an entry off the geodesic tree on its highest level,
-    and no such path climbs above B_min(R, 2n), so every one stays inside
-    B_c (module docstring) and a search over these rows gives their
-    in-ball distance."""
+    [0, stop) number 2(stop - 1) (module docstring).  Counted in place,
+    without a copy of the table: when B_M is the whole ball every entry
+    but -1 lies in it (a plain count, 0.3 s over surface2 R=8's 60.6M
+    entries, where a count through ``islice`` takes 1.1 s); otherwise
+    only rows on the top level of B_M can hold an entry at or above
+    ``stop``."""
     table, a = ball.table, ball.degree
-    return [tuple([t for t in table[i : i + a] if 0 <= t < stop]) for i in range(0, stop * a, a)]
+    if stop == ball.size:
+        return len(table) - table.count(-1) == 2 * (stop - 1)
+    end = stop * a
+    top = ball.sphere(ball.sphere_of[stop - 1]).start * a
+    inside = end - countOf(islice(table, end), -1) - sum(1 for t in islice(table, top, end) if t >= stop)
+    return inside == 2 * (stop - 1)
 
 
 def _tree_distance(parent: Sequence[int], u: int, v: int) -> int:
@@ -185,9 +134,9 @@ def _tree_distance(parent: Sequence[int], u: int, v: int) -> int:
     return d
 
 
-def _distance(rows: Sequence[Sequence[int]], u: int, v: int, graph_name: str) -> int:
-    # no distance exceeds the vertex count
-    d = bidirectional_distance(rows, u, v, len(rows))
+def _distance(d: int | None, u: int, v: int, graph_name: str) -> int:
+    """A searched distance from u to v, or a fault when the search did not
+    reach v: a trusted pair is always joined by its tree path."""
     if d is None:
         raise ValueError(f"{v} not reachable from {u} in the {graph_name}")
     return d
@@ -287,10 +236,11 @@ def estimate_qi_constants(
     exhaustive flag).
 
     Each graph is decided once: one that is the geodesic tree gives its
-    distances off the parent links, and any other is searched over its
-    neighbour rows, built once beforehand.  The pairs are measured in one
-    loop, in order, and the extremal pair is the first one of maximal K
-    (module docstring)."""
+    distances off the parent links; otherwise the Cayley graph is searched
+    over the ball's letter table within 2 n_max, and the subdivision graph
+    over its neighbour rows, built once beforehand.  The pairs are
+    measured in one loop, in order, and the extremal pair is the first one
+    of maximal K (module docstring)."""
     trusted = _trusted_vertices(graph)
     if len(trusted) < 2:
         return None, None, 0, True
@@ -312,21 +262,23 @@ def estimate_qi_constants(
                 v = rng.choice(trusted)
             pairs.append((u, v))
     ball = graph.ball
-    ceiling = _geodesic_ceiling(ball, graph.n_max)
-    stop = ball.sphere(ceiling).stop
-    cayley = None if _is_geodesic_tree(ball, stop) else _cayley_adjacency(ball, stop)
+    limit = 2 * graph.n_max
+    m = min(ball.radius, limit)
+    stop = ball.sphere(m).stop
+    cayley_tree = _is_geodesic_tree(ball, stop)
     xi = None if graph.edge_count() == 0 else _xi_adjacency(graph)
     log.info(
-        "qi: distances over B_%d of B_%d (%s of %s elements): Cayley graph by %s, subdivision graph by %s",
-        ceiling, ball.radius, f"{stop:,}", f"{ball.size:,}",
-        *("geodesic tree" if rows is None else "search over rows" for rows in (cayley, xi)),
+        "qi: distances within B_%d of B_%d (%s of %s elements): Cayley graph by %s, subdivision graph by %s",
+        m, ball.radius, f"{stop:,}", f"{ball.size:,}",
+        "geodesic tree" if cayley_tree else "search of the ball's table",
+        "geodesic tree" if xi is None else "search over rows",
     )
     parent = ball.parent
     best, extremal = 0.0, None
     for u, v in pairs:
-        tree = _tree_distance(parent, u, v) if cayley is None or xi is None else None
-        d_cayley = tree if cayley is None else _distance(cayley, u, v, "Cayley graph")
-        d_xi = tree if xi is None else _distance(xi, u, v, "subdivision graph")
+        tree = _tree_distance(parent, u, v) if cayley_tree or xi is None else None
+        d_cayley = tree if cayley_tree else _distance(ball.distance_between(u, v, limit), u, v, "Cayley graph")
+        d_xi = tree if xi is None else _distance(bidirectional_distance(xi, u, v, len(xi)), u, v, "subdivision graph")
         k = _pair_constant(d_cayley, d_xi)
         if k > best:
             best, extremal = k, (u, v)

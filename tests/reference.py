@@ -349,12 +349,11 @@ def one_sided_distance(adjacent, u: int, v: int, limit: int | None = None) -> in
 
 
 def reference_qi_constants(graph: SubdivisionGraph, sample_pairs: int = 2000, seed: int = 0):
-    """``qi.estimate_qi_constants`` by search alone, in one serial loop:
-    the same pair sample, each Cayley distance the in-ball distance over
-    the whole ball's table (``CayleyBall.distance_between``) and each
-    subdivision-graph distance a one-sided BFS over the parent links and
-    horizontal edges of the trusted levels, with no tree shortcut and no
-    rows cut at the geodesic ceiling."""
+    """``qi.estimate_qi_constants`` by one-sided BFS alone, in one serial
+    loop: the same pair sample, each Cayley distance the in-ball distance
+    over the whole ball's in-ball neighbours, with no limit, and each
+    subdivision-graph distance over the parent links and horizontal edges
+    of the trusted levels, with no tree shortcut."""
     ball = graph.ball
     trusted = range(ball.sphere(graph.n_max).stop if graph.n_max >= 0 else 0)
     if len(trusted) < 2:
@@ -378,7 +377,8 @@ def reference_qi_constants(graph: SubdivisionGraph, sample_pairs: int = 2000, se
         xi[v].append(u)
     best, extremal = 0.0, None
     for u, v in pairs:
-        k = _pair_constant(ball.distance_between(u, v, 2 * ball.radius), one_sided_distance(xi.__getitem__, u, v))
+        d_cayley = one_sided_distance(lambda w: in_ball_neighbors(ball, w).values(), u, v)
+        k = _pair_constant(d_cayley, one_sided_distance(xi.__getitem__, u, v))
         if k > best:
             best, extremal = k, (u, v)
     return best, extremal, len(pairs), exhaustive

@@ -479,19 +479,19 @@ def test_readme_lists_the_cli_flags():
 
 # (argv, QI's distances line): surface2 R=4 has no two trusted vertices,
 # so its QI sample measures nothing; on f2 R=4 both graphs are the
-# geodesic tree, so QI builds no rows
+# geodesic tree, so QI searches neither
 @pytest.mark.parametrize(
     "argv, qi_line",
     [
         (["run", "--preset", "surface2", "--radius", "4", "--export", "dot,json"], None),
         (
             ["run"] + SURFACE2_R5_K2,
-            "qi: distances over B_4 of B_5 (3,193 of 22,289 elements): "
-            "Cayley graph by search over rows, subdivision graph by search over rows",
+            "qi: distances within B_4 of B_5 (3,193 of 22,289 elements): "
+            "Cayley graph by search of the ball's table, subdivision graph by search over rows",
         ),
         (
             F2_R4_ACCEPTOR,
-            "qi: distances over B_2 of B_4 (17 of 161 elements): "
+            "qi: distances within B_4 of B_4 (161 of 161 elements): "
             "Cayley graph by geodesic tree, subdivision graph by geodesic tree",
         ),
     ],

@@ -13,9 +13,7 @@ from subforge import parallel
 from subforge.ball import bidirectional_distance, enumerate_ball
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import (
-    _cayley_adjacency,
     _distance,
-    _geodesic_ceiling,
     _is_geodesic_tree,
     _pair_constant,
     _tree_distance,
@@ -31,7 +29,7 @@ from reference import (
     FOUR_GENERATORS,
     TWO_RELATORS,
     distinct_letter_relators,
-    odd_relator_presentation,
+    in_ball_neighbors,
     one_sided_distance,
     reference_qi_constants,
 )
@@ -47,11 +45,11 @@ def _graph_of(source, request):
     return graph if isinstance(graph, SubdivisionGraph) else graph.artifacts.graph
 
 
-def _ceiling_stop(graph):
-    """The number of elements of B_c, c the geodesic ceiling of the
-    trusted levels: the ids whose Cayley rows QI measures."""
+def _tree_test_stop(graph):
+    """The number of elements of B_M, M = min(R, 2 n_max): the ids whose
+    Cayley graph QI's tree test counts."""
     ball = graph.ball
-    return ball.sphere(_geodesic_ceiling(ball, graph.n_max)).stop
+    return ball.sphere(min(ball.radius, 2 * graph.n_max)).stop
 
 
 def test_f2_checks(f2_run):
@@ -176,7 +174,7 @@ def test_xi_distance_matches_one_sided_bfs(which, f2_r8_graph, surface_labeled_r
     rng = random.Random(8)
     for _ in range(300):
         u, v = rng.choice(vertices), rng.choice(vertices)
-        assert _distance(rows, u, v, "subdivision graph") == one_sided_distance(rows.__getitem__, u, v), (u, v)
+        assert bidirectional_distance(rows, u, v, len(rows)) == one_sided_distance(rows.__getitem__, u, v), (u, v)
 
 
 @pytest.fixture(scope="module")
@@ -185,104 +183,40 @@ def surface_r6_graph():
     return build_subdivision_graph(enumerate_ball(preset("surface2"), 6), 0.5)
 
 
-# (graph, Cayley rows): no relator loop of f2, z or the odd relator at
-# R=4 climbs above n_max, nor does the octagon's above level 1 of
-# surface2 R=5 at delta 1.0 (n_max 1), so those rows stop at B_{n_max}:
-# 53 of the ball's 485 elements, 13 of 17, 17 of 161 and 9 of 22,289.
-# On surface2 R=6 at delta 0.5 (n_max 3) the octagon's loops reach every
-# level from 4 up, so the rows hold the whole ball; its 104k trusted pairs
-# are sampled, while the other inputs check every trusted pair
-@pytest.mark.parametrize(
-    "source, row_count",
-    [
-        ("f2_r5_run", 53),
-        ("z_run", 13),
-        ("odd_r4_run", 17),
-        ("surface_labeled_run", 9),
-        ("surface_r6_graph", 155_577),
-    ],
-)
-def test_cayley_rows_of_b_c_give_the_in_ball_distance(source, row_count, request):
-    graph = _graph_of(source, request)
-    ball = graph.ball
-    rows = _cayley_adjacency(ball, _ceiling_stop(graph))
-    assert len(rows) == row_count == _ceiling_stop(graph)
-    assert all(0 <= t < len(rows) for row in rows for t in row)
-    trusted = _trusted_vertices(graph)
-    pairs = [(u, v) for u in trusted for v in trusted if u < v]
-    assert pairs
-    if source == "surface_r6_graph":
-        pairs = random.Random(6).sample(pairs, 300)
-    for u, v in pairs:
-        d = ball.distance_between(u, v, 2 * ball.radius)
-        assert _distance(rows, u, v, "Cayley graph") == d, (u, v)
-
-
 def test_rows_cut_at_n_max_misread_a_pair_whose_path_peaks_above_it(surface_r6_graph):
     # the only shortest paths from ab to dcD climb above both ends, to
-    # level 4, so rows cut at n_max = 3 measure a detour; the ceiling,
-    # which counts the entries off the geodesic tree, keeps level 4
+    # level 4, so a search cut at n_max = 3 measures a detour; QI's search
+    # of the ball's table within 2 n_max finds the climb
     ball, n_max = surface_r6_graph.ball, surface_r6_graph.n_max
     u, v = ball.element_of("ab"), ball.element_of("dcD")
     stop = ball.sphere(n_max).stop
-    cut = _cayley_adjacency(ball, stop)
-    assert ball.distance_between(u, v, 2 * ball.radius) == 3
-    assert _distance(cut, u, v, "Cayley graph") == 5
-    assert _distance(_cayley_adjacency(ball, _ceiling_stop(surface_r6_graph)), u, v, "Cayley graph") == 3
-
-
-def _ceiling_keeps_in_ball_distances(ball):
-    """For every n < R: the ceiling is at least n, and a search over rows
-    cut there gives the in-ball distance of sampled pairs of B_n."""
-    for m in range(ball.radius + 1):
-        level = ball.sphere(m)
-        # the ceiling scan bisects parent ids along the next sphere
-        assert all(ball.parent[w] <= ball.parent[w + 1] for w in range(level.start, level.stop - 1)), m
-    rng = random.Random(ball.size)
-    for n in range(ball.radius):
-        assert _geodesic_ceiling(ball, n) >= n
-        rows = _cayley_adjacency(ball, ball.sphere(_geodesic_ceiling(ball, n)).stop)
-        vertices = range(ball.sphere(n).stop)
-        for _ in range(200):
-            u, v = rng.choice(vertices), rng.choice(vertices)
-            assert _distance(rows, u, v, "Cayley graph") == ball.distance_between(u, v, 2 * ball.radius), (n, u, v)
-
-
-@pytest.mark.parametrize("name", ["f2", "z", "surface2", "odd_relator"])
-def test_geodesic_ceiling_keeps_in_ball_distances(name):
-    p = odd_relator_presentation() if name == "odd_relator" else preset(name)
-    _ceiling_keeps_in_ball_distances(enumerate_ball(p, 5))
-
-
-@given(st.lists(distinct_letter_relators(), min_size=1, max_size=2, unique=True))
-@example(list(TWO_RELATORS))
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-def test_geodesic_ceiling_keeps_in_ball_distances_c16_family(relators):
-    p = Presentation(FOUR_GENERATORS, tuple(relators))
-    assume(verify_small_cancellation(p).satisfies_c16)
-    _ceiling_keeps_in_ball_distances(enumerate_ball(p, 5))
+    cut = one_sided_distance(lambda w: [t for t in in_ball_neighbors(ball, w).values() if t < stop], u, v)
+    assert cut == 5
+    assert ball.distance_between(u, v, 2 * n_max) == 3
 
 
 def test_unreachable_pair_is_a_fault():
     rows = [[1], [0], []]
     assert bidirectional_distance(rows, 0, 2, len(rows)) is None
-    with pytest.raises(ValueError, match="2 not reachable from 0 in the Cayley graph"):
-        _distance(rows, 0, 2, "Cayley graph")
+    with pytest.raises(ValueError, match="2 not reachable from 0 in the subdivision graph"):
+        _distance(bidirectional_distance(rows, 0, 2, len(rows)), 0, 2, "subdivision graph")
+
 
 
 @pytest.mark.parametrize("source", ["f2_r5_run", "z_run", "odd_r4_run"])
 def test_tree_distance_is_the_search_distance(source, request):
     # both graphs are the geodesic tree here, so QI reads every distance
-    # off the parent links; the searches over both graphs' rows agree
+    # off the parent links; the search of the ball's table and the search
+    # over the subdivision graph's rows agree
     graph = request.getfixturevalue(source).artifacts.graph
-    ball, stop = graph.ball, _ceiling_stop(graph)
-    assert _is_geodesic_tree(ball, stop) and graph.edge_count() == 0
-    cayley, xi = _cayley_adjacency(ball, stop), _xi_adjacency(graph)
+    ball = graph.ball
+    assert _is_geodesic_tree(ball, _tree_test_stop(graph)) and graph.edge_count() == 0
+    xi = _xi_adjacency(graph)
     trusted = _trusted_vertices(graph)
     for u in trusted:
         for v in trusted:
             d = _tree_distance(ball.parent, u, v)
-            assert d == bidirectional_distance(cayley, u, v, len(cayley)) == bidirectional_distance(xi, u, v, len(xi)), (u, v)
+            assert d == ball.distance_between(u, v, 2 * graph.n_max) == bidirectional_distance(xi, u, v, len(xi)), (u, v)
 
 
 @pytest.fixture(scope="module")
@@ -290,16 +224,16 @@ def surface_r6_delta1_graph(surface_r6_graph):
     return build_subdivision_graph(surface_r6_graph.ball, 1.0)
 
 
-# (graph, elements of B_c, whether its Cayley rows are the geodesic tree,
+# (graph, elements of B_M, whether its Cayley graph is the geodesic tree,
 # horizontal edges of the trusted levels)
 @pytest.mark.parametrize(
     "source, stop, cayley_tree, edges",
     [
-        ("f2-r4", 17, True, 0),
-        ("f2_r8_graph", 1_457, True, 0),
-        ("z_run", 13, True, 0),
+        ("f2-r4", 161, True, 0),
+        ("f2_r8_graph", 13_121, True, 0),
+        ("z_run", 17, True, 0),
         ("surface_r6_delta1_graph", 3_193, False, 56),
-        ("surface_labeled_run", 9, True, 8),
+        ("surface_labeled_run", 65, True, 8),
     ],
 )
 def test_tree_test_of_each_graph(source, stop, cayley_tree, edges, request):
@@ -307,21 +241,30 @@ def test_tree_test_of_each_graph(source, stop, cayley_tree, edges, request):
         graph = build_subdivision_graph(enumerate_ball(preset("f2"), 4), 0.0)
     else:
         graph = _graph_of(source, request)
-    assert _ceiling_stop(graph) == stop
+    assert _tree_test_stop(graph) == stop
     assert _is_geodesic_tree(graph.ball, stop) == cayley_tree
     assert graph.edge_count() == edges
 
 
 def test_tree_test_counts_a_repeated_entry(f2_run):
     # a top-level row that names its parent twice holds only ids of tree
-    # neighbours, and the count still sees the extra entry
+    # neighbours, and the count still sees the extra entry: in B_M, here
+    # the whole ball (f2 R=6, n_max 4), and in B_5, whose top-level rows
+    # also name children outside it
     graph = copy.deepcopy(f2_run.artifacts.graph)
-    ball, stop = graph.ball, _ceiling_stop(graph)
-    assert _is_geodesic_tree(ball, stop)
+    ball, stop = graph.ball, _tree_test_stop(graph)
+    assert stop == ball.size
+    inner = ball.sphere(5).stop
+    for b in (stop, inner):
+        assert _is_geodesic_tree(ball, b)
     w = stop - 1
-    child = next(x for x, t in enumerate(ball.row(w)) if t >= stop)
-    ball.table[w * ball.degree + child] = ball.parent[w]
+    other = next(x for x, t in enumerate(ball.row(w)) if t < 0)
+    ball.table[w * ball.degree + other] = ball.parent[w]
     assert not _is_geodesic_tree(ball, stop)
+    w = inner - 1
+    child = next(x for x, t in enumerate(ball.row(w)) if t >= inner)
+    ball.table[w * ball.degree + child] = ball.parent[w]
+    assert not _is_geodesic_tree(ball, inner)
 
 
 @pytest.mark.parametrize("source", ["f2_r8_graph", "surface_labeled_run", "surface_r6_delta1_graph"])
@@ -344,7 +287,7 @@ def test_a_horizontal_edge_switches_the_subdivision_graph_to_the_search(f2_run, 
 
 
 def test_qi_forks_nothing(surface_r6_delta1_graph, monkeypatch):
-    # both graphs are searched over rows here, and 2,000 sampled pairs on
+    # both graphs are searched here, and 2,000 sampled pairs on
     # two CPUs would be two chunks if QI split its pairs
     expected = reference_qi_constants(surface_r6_delta1_graph, seed=2024)
     monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
