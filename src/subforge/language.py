@@ -103,7 +103,8 @@ def _probe_cone(ball: CayleyBall, g: int, probe: int) -> frozenset[int]:
 def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> ConeLemmaReport:
     """Check that equal K-level fingerprints (K = ``table.k``) imply equal
     observed cones to depth ``probe`` on the region where both are
-    resolvable."""
+    resolvable.  Every pair is compared; the counterexample is the first
+    that differs."""
     k = table.k
     max_depth = ball.radius - max(k, probe)
     groups: dict[int, list[int]] = {}
@@ -114,6 +115,7 @@ def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> Con
         tested += 1
         groups.setdefault(table.class_of[e], []).append(e)
     pairs = 0
+    counterexample = None
     for members in groups.values():
         if len(members) < 2:
             continue
@@ -122,10 +124,9 @@ def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> Con
         for other in members[1:]:
             pairs += 1
             cone = _probe_cone(ball, other, probe)
-            if cone != base_cone:
-                h = min(cone.symmetric_difference(base_cone))
-                return ConeLemmaReport(False, k, probe, max_depth, tested, pairs, (base, other, h))
-    return ConeLemmaReport(True, k, probe, max_depth, tested, pairs, None)
+            if cone != base_cone and counterexample is None:
+                counterexample = (base, other, min(cone.symmetric_difference(base_cone)))
+    return ConeLemmaReport(counterexample is None, k, probe, max_depth, tested, pairs, counterexample)
 
 
 @dataclass
@@ -209,13 +210,17 @@ def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor
     return acceptor, report
 
 
-def check_prefix_closure(ball: CayleyBall) -> bool:
-    """Exhaustive check that every element is its parent times its last
-    letter, with the parent earlier in id order.  This makes the normal
-    forms read up the parent chain prefix-closed, and makes each one spell
-    its element."""
+def check_prefix_closure(ball: CayleyBall) -> tuple[int, int] | None:
+    """Exhaustive check over the N - 1 parent links that every element is
+    its parent times its last letter, with the parent earlier in id order;
+    returns the first failing link (element, parent), or None.  This makes
+    the normal forms read up the parent chain prefix-closed, makes each one
+    spell its element, and makes every vertical edge of the subdivision
+    graph a Cayley edge."""
     parent, last_letter, table, a = ball.parent, ball.last_letter, ball.table, ball.degree
-    return all(
-        0 <= parent[e] < e and table[parent[e] * a + last_letter[e]] == e
-        for e in range(1, ball.size)
-    )
+    bad = None
+    for e in range(1, ball.size):
+        p = parent[e]
+        if bad is None and not (0 <= p < e and table[p * a + last_letter[e]] == e):
+            bad = (e, p)
+    return bad

@@ -1,12 +1,15 @@
 """End-to-end pipeline: parse, enumerate, estimate delta, build the
 language machinery and the subdivision graph, then verify everything.
 
-Each fact is decided by one verdict in ``report["checks"]``: the small
-cancellation certificate, prefix closure, the cone lemma, acceptor
-consistency, the six axioms (axiom 3 covers the geodesic tree's parent
-links) and QI (a)-(d) (QI (b) covers the closeness-lemma bound on
-horizontal edges). K is ceil(2*delta) + 1, clamped to the radius, and is
-decided once; an inconsistent acceptor at that K fails its verdict.
+Each fact is decided by one verdict in ``report["checks"]``, and each
+verdict can fail on some input: prefix closure (which also makes every
+vertical edge a Cayley edge), the cone lemma, acceptor consistency, the six
+axioms (axiom 3 covers the geodesic tree's parent links) and QI (b)-(d)
+(QI (b) covers the closeness-lemma bound on horizontal edges). The
+C'(1/6) certificate is reported but is not a verdict: the parser rejects
+a presentation that fails it, so on a run it always holds. K is
+ceil(2*delta) + 1, clamped to the radius, and is decided once; an
+inconsistent acceptor at that K fails its verdict.
 
 Three values are constants of every run: delta is computed over the
 triangles of B_{R//2}, the cone lemma probes cones to depth min(2, R) and
@@ -83,7 +86,6 @@ class Artifacts:
     delta: hyp.DeltaEstimate | None = None
     table: ConeTypeTable | None = None
     acceptor: WordAcceptor | None = None
-    acceptor_report: object | None = None
     graph: object | None = None
     axiom_report: object | None = None
     qi_report: object | None = None
@@ -165,7 +167,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         last[0] = now
         log.info("%s: %.3f s", name, timings[name])
 
-    # parse + small cancellation certificate
+    # parse + small cancellation certificate, which the parser has already
+    # required of any relators
     pres = load_presentation(config)
     artifacts.presentation = pres
     report["presentation"] = {
@@ -180,7 +183,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "satisfies_c16": pieces.satisfies_c16,
         "vacuous": pieces.vacuous,
     }
-    checks["small_cancellation"] = pieces.satisfies_c16
     stage("parse")
 
     # ball enumeration
@@ -194,8 +196,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         return PipelineResult(report, artifacts, EXIT_ERROR)
     artifacts.ball = ball
     report["ball"] = {"radius": ball.radius, "size": ball.size, "sphere_sizes": ball.sphere_sizes}
-    checks["prefix_closure"] = check_prefix_closure(ball)
-    report["prefix_closure"] = {"passed": checks["prefix_closure"], "domain": ball.size}
+    broken_link = check_prefix_closure(ball)
+    checks["prefix_closure"] = broken_link is None
+    report["prefix_closure"] = {
+        "passed": checks["prefix_closure"],
+        "domain": ball.size - 1,
+        "counterexample": _maybe_describe(ball, broken_link),
+    }
     stage("ball")
     log.info("ball: %d elements, sphere sizes %s", ball.size, ball.sphere_sizes)
 
@@ -237,7 +244,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     acceptor, acc_report = build_acceptor(ball, table)
     artifacts.table = table
     artifacts.acceptor = acceptor
-    artifacts.acceptor_report = acc_report
     lemma = verify_cone_lemma(ball, table, min(2, ball.radius))
     report["cone_types"] = {
         "k": k,
@@ -276,7 +282,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     report["xi"] = {
         "k": graph.k,
         "n_max": graph.n_max,
-        "horizon": ball.radius,
         "conventions": [
             "geodesic closeness is witnessed on outward geodesics from the "
             "origin through each endpoint (|v| = |u| + d(u, v)), meeting at "
@@ -288,7 +293,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "level_edge_counts": {str(n): len(es) for n, es in graph.level_edges.items()},
         "total_horizontal": graph.edge_count(),
         "unstable_levels": list(graph.unstable_levels),
-        "label_warnings": list(graph.label_warnings),
         "vertical_edges": ball.size - 1,
     }
     stage("xi")

@@ -2,9 +2,11 @@
 
 The vertex correspondence is the canonical bijection (same ids), so the
 density clause of a quasi-isometry holds with constant 0 and is not a
-check; the work is in the four directed edge-distance checks:
+check.  That every vertical edge is a Cayley edge is prefix closure's
+verdict (``language.check_prefix_closure``): each element is its parent
+times its last letter.  The work here is in three directed edge-distance
+checks:
 
-  (a) every vertical edge is a Cayley edge;
   (b) endpoints of a horizontal edge are less than 2*delta + 2 apart (the
       closeness lemma: for an integer length d this is
       d <= ceil(2*delta) + 1; a pipeline run searches candidates within
@@ -17,10 +19,7 @@ check; the work is in the four directed edge-distance checks:
 
 Checks quantify over the levels where horizontal-edge data is complete.
 The empirical QI constant measures sampled vertex pairs in one loop, in
-the process (``estimate_qi_constants``).  Split into two forked chunks on
-a 2-vCPU VM the loop was slower or within 2% up to surface2 R=7, and at
-most about a second faster in 11-14 s at surface2 R=8 at delta 1.0, when
-each search still ran over neighbour rows built beforehand.
+the process (``estimate_qi_constants``).
 
 Each pair's Cayley distance is its in-ball distance, searched over the
 ball's own letter table (``CayleyBall.distance_between``) with the limit
@@ -145,20 +144,6 @@ def _distance(d: int | None, u: int, v: int, graph_name: str) -> int:
 def verify_qi_bounds(graph: SubdivisionGraph) -> QiReport:
     ball = graph.ball
     checks: list[QiCheck] = []
-
-    # (a) vertical edges are Cayley edges
-    domain = 0
-    bad = None
-    table, a = ball.table, ball.degree
-    for e in range(1, ball.size):
-        domain += 1
-        p = ball.parent[e]
-        if table[p * a + ball.last_letter[e]] != e:
-            bad = (e, p)
-            break
-    checks.append(
-        QiCheck("a", "vertical edge implies Cayley adjacency", domain, 1 if domain else None, 1, bad is None, bad)
-    )
 
     # (b) horizontal edges stay within 2*delta + 2 in the Cayley graph
     bound_b = 2 * graph.delta + 2

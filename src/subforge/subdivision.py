@@ -12,10 +12,11 @@ B_K, so each edge (u, v) comes with h = u^-1 v and no path search between
 u and v is needed.
 
 Levels up to n_max = R - K - 1 (K = ceil(2*delta) + 1) carry complete label
-data: vertex labels are cone K-neighborhoods (each geodesically close
-partner h with |h| < K tagged with the cone type of g h), horizontal edge
-labels carry the endpoint cone types and the relative group element, and
-all vertical edges share one reserved label.
+data: vertex labels are cone K-neighborhoods (every geodesically close
+partner g h, |h| <= K as QI (b)'s bound d <= ceil(2*delta) + 1 allows,
+tagged with its cone type), horizontal edge labels carry the endpoint
+cone types and the relative group element, and all vertical edges share
+one reserved label.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class SubdivisionGraph:
     relative: dict[tuple[int, int], int] = field(default_factory=dict)  # (u, v) -> id of u^-1 v
     vertex_labels: dict[int, VertexLabel] = field(default_factory=dict)
     edge_labels: dict[tuple[int, int], EdgeLabel] = field(default_factory=dict)
-    label_warnings: tuple[str, ...] = ()
 
     def all_level_edges(self):
         for n in sorted(self.level_edges):
@@ -243,9 +243,9 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
     Every horizontal edge is labelled once in each orientation: (u, v)
     by the normal form of the u^-1 v its candidate search kept, (v, u) by
     the normal form of the inverse, with the endpoint types swapped.
-    Vertex neighborhoods read the labels of the edges leaving the vertex
-    (the closeness lemma makes the two definitions agree; a partner at
-    distance >= K would contradict it and is flagged).
+    Vertex neighborhoods list every partner with the label of the edge
+    leaving the vertex toward it; each partner lies within K, the
+    candidate radius, which QI (b)'s bound d <= ceil(2*delta) + 1 allows.
     """
     if table.k != graph.k:
         raise ValueError("cone-type table K does not match the graph")
@@ -259,23 +259,14 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
         edge_labels[(u, v)] = EdgeLabel(class_of[u], class_of[v], form)
         edge_labels[(v, u)] = EdgeLabel(class_of[v], class_of[u], back)
 
-    warnings: list[str] = []
     vertex_labels: dict[int, VertexLabel] = {}
     for n in range(0, graph.n_max + 1):
         for v in ball.sphere(n):
-            members = []
-            for p in graph.partners(v):
-                h = edge_labels[(v, p)].relative
-                if len(h) >= graph.k:
-                    warnings.append(
-                        f"partner of element {v} at distance {len(h)} >= K={graph.k}"
-                    )
-                members.append((h, class_of[p]))
+            members = [(edge_labels[(v, p)].relative, class_of[p]) for p in graph.partners(v)]
             members.sort(key=lambda m: ((len(m[0]), m[0]), m[1]))
             vertex_labels[v] = VertexLabel(own_type=class_of[v], neighborhood=tuple(members))
     graph.vertex_labels = vertex_labels
     graph.edge_labels = edge_labels
-    graph.label_warnings = tuple(warnings)
     return graph
 
 
@@ -365,13 +356,33 @@ def _edge_subdivision(graph: SubdivisionGraph, u: int, v: int, swap: bool = Fals
     return LabeledGraph(labels, tuple(sorted(edges)))
 
 
+def _predecessor_failure(graph: SubdivisionGraph, u: int, v: int) -> tuple[tuple, str] | None:
+    """Axiom 4 on the horizontal edge (u, v): None when the predecessors
+    are equal, or connected with the edge's witness inherited by them;
+    else (counterexample, note)."""
+    ball = graph.ball
+    pu, pv = ball.parent[u], ball.parent[v]
+    if pu == pv:
+        return None
+    if (min(pu, pv), max(pu, pv)) not in graph.witnesses:
+        return (u, v, pu, pv), ""
+    # witness inheritance: the witness for (u, v) certifies the parents
+    w = graph.witnesses[(u, v)]
+    for parent, outer in ((pu, w.first), (pv, w.second)):
+        need = ball.sphere_of[outer] - ball.sphere_of[parent]
+        if ball.distance_between(parent, outer, need) != need:
+            return (u, v, parent, outer), "witness not inherited by predecessors"
+    return None
+
+
 def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     """Check the six combinatorial-subdivision-graph conditions.
 
     Structural conditions (1-3) are checked on the full ball; conditions
     that need horizontal edges or labels quantify only over levels where
     that data is complete (4: levels <= n_max, 5: vertices at levels
-    <= n_max, 6: preimages living at levels <= n_max).
+    <= n_max, 6: preimages living at levels <= n_max).  Each condition
+    runs over its whole domain and reports the first counterexample.
     """
     ball = graph.ball
     conditions: list[ConditionResult] = []
@@ -392,38 +403,19 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     bad3 = None
     for e in range(1, ball.size):
         p = ball.parent[e]
-        if ball.sphere_of[p] != ball.sphere_of[e] - 1:
+        if bad3 is None and ball.sphere_of[p] != ball.sphere_of[e] - 1:
             bad3 = (e, p)
-            break
     conditions.append(
         ConditionResult(3, "unique predecessor one level down", bad3 is None, ball.size - 1, bad3)
     )
 
     # 4: predecessors of edge endpoints are equal or connected
-    domain4 = 0
-    bad4 = None
-    note4 = ""
-    for n, (u, v) in graph.all_level_edges():
-        domain4 += 1
-        pu, pv = ball.parent[u], ball.parent[v]
-        if pu == pv:
-            continue
-        if (min(pu, pv), max(pu, pv)) not in graph.witnesses:
-            bad4 = (u, v, pu, pv)
-            break
-        # witness inheritance: the witness for (u, v) certifies the parents
-        w = graph.witnesses[(u, v)]
-        for parent, outer in ((pu, w.first), (pv, w.second)):
-            need = ball.sphere_of[outer] - ball.sphere_of[parent]
-            d = ball.distance_between(parent, outer, need)
-            if d != need:
-                bad4 = (u, v, parent, outer)
-                note4 = "witness not inherited by predecessors"
-                break
-        if bad4:
-            break
+    failures4 = [f for _, (u, v) in graph.all_level_edges() if (f := _predecessor_failure(graph, u, v))]
+    bad4, note4 = failures4[0] if failures4 else (None, "")
     conditions.append(
-        ConditionResult(4, "predecessors of connected vertices connected or equal", bad4 is None, domain4, bad4, note4)
+        ConditionResult(
+            4, "predecessors of connected vertices connected or equal", bad4 is None, graph.edge_count(), bad4, note4
+        )
     )
 
     labels_ready = graph.n_max >= 0 and (graph.vertex_labels or ball.size == 0)

@@ -264,6 +264,25 @@ def test_cached_ball_with_an_off_level_parent_fails_its_checks(tmp_path):
     assert [x["id"] for x in axiom_3["counterexample"]] == [e, 0]
 
 
+def test_cached_ball_with_a_wrong_parent_link_entry_fails_prefix_closure(tmp_path):
+    # a checksum-valid cache file in which the letter-table entry of one
+    # parent link names another element of the same level: the file loads,
+    # and prefix closure fails on that link
+    pres = preset("f2")
+    ball = enumerate_ball(pres, 3)
+    e = ball.sphere(2).start
+    p = ball.parent[e]
+    ball.table[p * ball.degree + ball.last_letter[e]] = e + 1
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"{cache_key(pres, 3)}.ball").write_bytes(ball.to_bytes())
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "f2", "--radius", "3", "--cache-dir", str(cache), "--out", str(out)]) == 2
+    closure = _report(out)["prefix_closure"]
+    assert not closure["passed"] and closure["domain"] == ball.size - 1
+    assert [x["id"] for x in closure["counterexample"]] == [e, p]
+
+
 F2_R4 = ["run", "--preset", "f2", "--radius", "4", "--export", "dot,json"]
 
 

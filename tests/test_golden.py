@@ -29,6 +29,8 @@ FILES = {
 # (8, and 56 in 8 edge-subdivision classes; the cone lemma fails at 0.5,
 # exit 2).  At R=5 delta 0.5 and R=6 delta 1.0 neither graph is the
 # geodesic tree, so QI searches both and its constant is pinned here.
+# surface2 R=6 delta 0.5 (exit 2) fails axiom 4, the acceptor and the cone
+# lemma, and pins the domains those verdicts report when they fail.
 GOLDEN = {
     "bbaab-r9": (
         ["--file", "bbaab.txt", "--radius", "9"],
@@ -38,8 +40,8 @@ GOLDEN = {
             "acceptor.json": "3aaa8a618a6e992c440ccd254271418065498fd1183116a24355f9bb4b70c2e2",
             "gamma.dot": "22a9482bc05e2746053623b97df3eda24a25b14e98fe4ce3d63935546100f403",
             "gamma.json": "060e5a4191af012ab71ced9d923a327ec4d8c851368033f88acfa37100ca4368",
-            "report": "7fad88a45c956d3d49c631b4b5bc2dd139b5bed375425dcaa65563796244f8af",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "00b83968999d519e6cce5ee0a4128ae07ce94b0175d6baf7d2262d73e57e9849",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "3d40c1c0529ae3df9da336be78edf2ed30b20a44e5751a8bf7689bd29bed81a4",
             "subdivisions.json": "0c2edb52f7dacb1ce668ad3041b3fc7d0d12e2cdc54aa92dfc1f5e837a7379c5",
             "xi.dot": "d2d7e19265fed711c45bc757b72ad0f8ee2827021acc9debda215069531663e2",
@@ -54,8 +56,8 @@ GOLDEN = {
             "acceptor.json": "532cae5368d72bb8d1aec24b38cd8a73509ca10d3a5e8451f949e6e567c9a78d",
             "gamma.dot": "24da75b1f868d1279f6296ae01f21c58940b5f92b09202131853d64d320b3abc",
             "gamma.json": "d76ddf706ec519d5f2c5edb3e22767247bdcc909992e224e3a00ef0f8b15096e",
-            "report": "be4c48e0065f39e53c8136ce95e689d106d569c09ef69608400ba2f1df65895f",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "5af14d7be6ddeeb882ae5504623c77ec99289f20e8fdcdcb0652726facb79090",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "65a78bf0d20abacf24b6635ce01b0b43a16a4b4f3f7727971c45b5c4d625a113",
             "subdivisions.json": "52447d698cf474dbd9b5f2d0e8f917ad52586cf117876163474aa55a9eff14e1",
             "xi.dot": "fa5120c67d92f78d6ac42b1083932289ad08b9a8de56582d13012b1ed172c6ae",
@@ -70,8 +72,8 @@ GOLDEN = {
             "acceptor.json": "532cae5368d72bb8d1aec24b38cd8a73509ca10d3a5e8451f949e6e567c9a78d",
             "gamma.dot": "a4d09a6ce9f59ec874aad84d7ca8b147ce7d1f32db8a78022b129d773f355b0d",
             "gamma.json": "07684efdbc08e07c05f3147350ce9f281ed9d0e1ac730e1fa2bda17b2bd135d5",
-            "report": "d4a23a5a77c7f478530822bb4c7ffc176a60deb09a99cc2d04e567f1140f5060",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "b46519c6855f80c3af562995d80ef31f6df22a05468c57cdfed49741e8f1e7a4",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "65a78bf0d20abacf24b6635ce01b0b43a16a4b4f3f7727971c45b5c4d625a113",
             "subdivisions.json": "52447d698cf474dbd9b5f2d0e8f917ad52586cf117876163474aa55a9eff14e1",
             "xi.dot": "d1a63bf5cadba58c323da8ced0ecf45b5246f605a1dcbf74790bdf1ca515406c",
@@ -86,8 +88,8 @@ GOLDEN = {
             "acceptor.json": "08eebb24b2a6fb32814bd4da78fc2bf684c503122bbc7a4f60ef4ab5134d8ceb",
             "gamma.dot": "cd67b871edb2c32e974890a3ccb5e09a55484052fa71cfc45879647299251d0c",
             "gamma.json": "43d1bd76a49bf902734197c78ce15c84548194177290a671c62984a71a362ff4",
-            "report": "a16168ade6c66ddef05f12e5f976d2b648638e8f0cf6e625388f88310cc23919",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "36a1815b8e853198d05baa86e3b3a97d218eaf7b5671491d129d930cf66a479d",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "xi.dot": "9ae66b276dd96a0cae51b463e61f38ea85c0ad485bb8154b5b27ac6e06041104",
             "xi.json": "a962c296453ec5252721ec63d2f289f1eadbdc2fb8d98a26e8e238069ba31c05",
         },
@@ -100,8 +102,8 @@ GOLDEN = {
             "acceptor.json": "08eebb24b2a6fb32814bd4da78fc2bf684c503122bbc7a4f60ef4ab5134d8ceb",
             "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
             "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
-            "report": "884c277e06384f0229e9e5e9f651717f07756ba57eab0c1468597287e6a74a91",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "4133bc5b837dd84b0c83ea8e6a43ea6fd5a47b54a79a7861ac3d6b32193725d6",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "xi.dot": "996707badb93847c91968d652501c64c93f14f3e7c6ca6434acefba95481684b",
             "xi.json": "5d08f8ff3270a245cb54bd5a2f8a7451dcd9e1bced1f6419695d40838b08099b",
         },
@@ -114,7 +116,7 @@ GOLDEN = {
             "acceptor.json": "448e59179abae5df0991c233e05eaedae33b9365d6cfcd5f7483e1771e970086",
             "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
             "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
-            "report": "1b3125de28dd75963ab1af8cf5e4ddab509e7042b97671031020cd286f2e441e",
+            "report": "5a768489f75eca12bc6e956aa76922fb520031475d2b9608ba0d53ca608fa84a",
             "stdout": "d2d07b5b63adab365c3449dffece1e150c67c8f23b39531c1d1070065b0531c9",
             "subdivisions.dot": "3509a241d736666eb0257cf9918b41b10daba05aa56c4cc61f568a0eec126ac1",
             "subdivisions.json": "5a680f6f9a69518c9dbd64270f2e5814741b928d781bdfb6de0ee8ef5a76bbd9",
@@ -130,8 +132,8 @@ GOLDEN = {
             "acceptor.json": "32cb0698e747519bb151cba3a1a3e439c6884da5f328bd0970252d88826a8035",
             "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
             "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
-            "report": "456bdf298a3940ddd52aa9c594e63ed5f4ca7981aff0778943705f2d8f425baf",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "9d014b73b121441451534ebbdb89820f8ea731a0e33856c362d76c4963100625",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "04b041a8b4960e23bfff2688931e12010f665fa4c4cb0333e0e59cfaebd412f7",
             "subdivisions.json": "f2c3eee857623748cfea0163da98f5477d59c845e23e4d544e8f9a2619100c78",
             "xi.dot": "10b6975d00e93726b0afce83b338fdaf81fa7f1ab904907f546f83c63024c2dc",
@@ -146,12 +148,28 @@ GOLDEN = {
             "acceptor.json": "5f5be24e936545d74c2ab275281e5b346c8dfe1c2d6a773cc25a7d2f021e916c",
             "gamma.dot": "a4c84da5db9e570568ee549d0b071fd66d3ec377252f32a8017e2f7257703938",
             "gamma.json": "92f5676728690fb57a6e41a29c87fb6d56d406cc6fc121e6107c45bfb111caf4",
-            "report": "54e31da95a010e12d239e349bebcbce1580278fdfb70f296f11a60a5e671e9a1",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "5cd0d94de5afc8dc16781c5430df97c04fdb1cbcfa549bec465f9a33b11b483d",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
             "subdivisions.json": "69f174fd4e3f77521bdc758baf204122ab19f291ea65581096c7f6f9bf3db56a",
             "xi.dot": "9808c466007a0f166199766cbf3a9952e673548cd42c28937bfd4b8a47a3a74b",
             "xi.json": "10f49d899bcda7d3ad902755e485240f0aa17cee266ddf0621b830b587cd6a02",
+        },
+    ),
+    "surface2-r6-delta0.5": (
+        ["--preset", "surface2", "--radius", "6", "--delta", "0.5"],
+        2,
+        {
+            "acceptor.dot": "0dac7cb2dc662d588ab7ec7c470ec259ca423b664e42fc609d450e35fdfccbbc",
+            "acceptor.json": "638d11a1f668d5a6187d205eba6fbfcce2f5d962b4016eb7ada731a811c6bcc9",
+            "gamma.dot": "a4c84da5db9e570568ee549d0b071fd66d3ec377252f32a8017e2f7257703938",
+            "gamma.json": "92f5676728690fb57a6e41a29c87fb6d56d406cc6fc121e6107c45bfb111caf4",
+            "report": "133df662a07395557e9e841d917dfc31c60629d6e81adc4d7d8912d196fc0fa9",
+            "stdout": "7bc878056f29d222defa61e9abe84712c0a3811aefbeec14ca04ce4440daecac",
+            "subdivisions.dot": "cca86150d9732c7cd3511e9e5ca25f0e9e93df68cf41af27b84bf5f5e2b3a1b1",
+            "subdivisions.json": "29f8cf182bd54bf2bf85ddaef5788c1d472ae9c1cdbe8713b9b467af3d0cf316",
+            "xi.dot": "242975d37e7f631456b3a899e6e5c4b53041ce57a1540f78e2e772a624f517b7",
+            "xi.json": "4e8de38656e9d698612f958c1bb9adee8503d9a08004801c2138273047d819ba",
         },
     ),
     "surface2-r6-delta1.0": (
@@ -162,8 +180,8 @@ GOLDEN = {
             "acceptor.json": "2381c03604adb492a8ab881854574925ddd52e51b0e99c7be8295fb183a5c119",
             "gamma.dot": "a4c84da5db9e570568ee549d0b071fd66d3ec377252f32a8017e2f7257703938",
             "gamma.json": "92f5676728690fb57a6e41a29c87fb6d56d406cc6fc121e6107c45bfb111caf4",
-            "report": "8c1312cd57ab92072efcce6531f6856a6b2dcf90e47fb5933fd7488406b60838",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "3e5c48a32ac6eeeb34cac00b352aca387245349b5df4064d5c2951fea041de08",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "3509a241d736666eb0257cf9918b41b10daba05aa56c4cc61f568a0eec126ac1",
             "subdivisions.json": "5a680f6f9a69518c9dbd64270f2e5814741b928d781bdfb6de0ee8ef5a76bbd9",
             "xi.dot": "c472dac18c2743e888972d37bf0ab55f7efbba1487a3d97d21d7223b4c70c002",
@@ -178,8 +196,8 @@ GOLDEN = {
             "acceptor.json": "4fa3308675e4623c97f2e14d147bcb507855ec6702b88c5416ce03bc00193749",
             "gamma.dot": "44560e2470e7d30aaedd6c6c0066cfb4bf467b6d62725b282dd0e32257984c17",
             "gamma.json": "29c70fec328abc74bdf7efbd3983cd3aeaf9fc93778d3c9c1b02bd8fa4b89216",
-            "report": "08b2670dfb6ef24ac49337979dbbee1b38a9d60a50c497d8a2fbfa17816af77e",
-            "stdout": "d6057f99aa846f9c64a7a0b72a78bceede24f1d73adff2bd18def3ccfad0f8d5",
+            "report": "d6059e9a0234701c4990e716ea7022938645e15f0c2281a5b3b868a61b71de6b",
+            "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "565105df80a18e03bacb8b9cdc40bd6ef62ab148db770ad412e8f828812190a3",
             "subdivisions.json": "f5f633f4b400a2849ddbddfd20636476dac7acd0990ec24ddb779a86c0a9fe09",
             "xi.dot": "5324c36c38a98cc594ed6868c47d010013ccd64194be015de86015d20b31900f",

@@ -146,13 +146,14 @@ def test_acceptor_prefix_closed(f2_ball):
 
 
 def test_prefix_closure_checks(f2_ball, z_ball, surface_ball):
-    assert check_prefix_closure(f2_ball)
-    assert check_prefix_closure(z_ball)
-    assert check_prefix_closure(surface_ball)
+    assert check_prefix_closure(f2_ball) is None
+    assert check_prefix_closure(z_ball) is None
+    assert check_prefix_closure(surface_ball) is None
 
 
 def _spoiled(ball, field, e, value):
-    """A copy of ``ball`` with entry e of one parent-link table replaced."""
+    """A copy of ``ball`` with entry e of one of its tables (parent links,
+    last letters or the letter table) replaced."""
     table = list(getattr(ball, field))
     table[e] = value
     return replace(ball, **{field: table})
@@ -165,10 +166,16 @@ def test_corrupt_parent_links_are_caught():
     # last letter (the level check is axiom 3's; test_cli runs it on a
     # cached ball with such a link)
     bad_parent = _spoiled(ball, "parent", e, 0)
-    assert not check_prefix_closure(bad_parent)
+    assert check_prefix_closure(bad_parent) == (e, 0)
     # a wrong last letter leaves the levels intact, but the derived normal
     # form would spell another element
     a = ball.presentation.alphabet.parse_word("a")[0]
     bad_letter = _spoiled(ball, "last_letter", e, a)
-    assert not check_prefix_closure(bad_letter)
-    assert check_prefix_closure(ball) and build_gamma(ball) == ball.size - 1
+    assert check_prefix_closure(bad_letter) == (e, ball.parent[e])
+    # a parent link's table entry naming another element: the link read
+    # through that entry fails, naming the element and its parent
+    p = ball.parent[e]
+    entry = p * ball.degree + ball.last_letter[e]
+    bad_entry = _spoiled(ball, "table", entry, ball.element_of("ba"))
+    assert check_prefix_closure(bad_entry) == (e, p)
+    assert check_prefix_closure(ball) is None and build_gamma(ball) == ball.size - 1

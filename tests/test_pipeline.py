@@ -53,6 +53,10 @@ def test_half_delta_fails_at_k_two_on_radius_six():
     assert len(res.report["cone_types"]["adaptation"]) == 1
     assert _failed(res) == {"acceptor_consistent", "axiom_4", "cone_lemma"}
     assert res.exit_code == 2
+    # each failing verdict still runs over its whole domain
+    (axiom_4,) = (c for c in res.report["axioms"] if c["index"] == 4)
+    assert axiom_4["domain"] == res.report["xi"]["total_horizontal"] == 400
+    assert res.report["cone_lemma"]["pairs_checked"] == 3_120
 
 
 def test_report_schema_stable(f2_run):
@@ -79,13 +83,13 @@ def test_report_schema_stable(f2_run):
     assert report["status"] == "completed"
     # one verdict per fact, each of which can fail
     assert list(report["checks"]) == [
-        "small_cancellation",
         "prefix_closure",
         "cone_lemma",
         "acceptor_consistent",
         *(f"axiom_{i}" for i in range(1, 7)),
-        *(f"qi_{c}" for c in "abcd"),
+        *(f"qi_{c}" for c in "bcd"),
     ]
+    assert "label_warnings" not in report["xi"] and "horizon" not in report["xi"]
 
 
 def test_delta_override_recorded(surface_labeled_run):
