@@ -5,6 +5,7 @@ from .ball import BallCapExceeded, CayleyBall, TrustRadiusError, enumerate_ball
 from .hyperbolicity import DeltaEstimate, compute_delta
 from .language import (
     ConeTypeTable,
+    Verdict,
     WordAcceptor,
     build_acceptor,
     build_gamma,

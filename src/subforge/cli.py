@@ -80,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         exports.export_graph(arts, out, kinds, formats)
     log.info("exports: %.3f s", time.perf_counter() - start)
     checks = result.report.get("checks", {})
-    failed = sorted(name for name, ok in checks.items() if not ok)
+    failed = sorted(name for name, v in checks.items() if not v["passed"])
     status = result.report.get("status", "completed")
     if status != "completed":
         print(f"status: {status} ({result.report.get('error', '')})")
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         logger.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except (ConfigError, PresentationError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, PresentationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -317,26 +317,26 @@ def _by_repr(table: dict) -> list:
 
 def subdivisions_json(arts: Artifacts, write) -> None:
     ball = arts.ball
+    vertex_subs, edge_subs = arts.subdivisions
     vertex_entries = [
         {
             "label": _vertex_label_json(ball, label),
             "subdivision": _labeled_graph_json(ball, sub, "vertex"),
         }
-        for label, sub in _by_repr(arts.axiom_report.vertex_subdivisions)
+        for label, sub in _by_repr(vertex_subs)
     ]
     edge_entries = [
         {
             "label": _edge_label_json(ball, label),
             "subdivision": _labeled_graph_json(ball, sub, "edge"),
         }
-        for label, sub in _by_repr(arts.axiom_report.edge_subdivisions)
+        for label, sub in _by_repr(edge_subs)
     ]
     write(_dumps({"vertex_subdivisions": vertex_entries, "edge_subdivisions": edge_entries}))
 
 
 def subdivisions_dot(arts: Artifacts, write) -> None:
-    vertex_tables = _by_repr(arts.axiom_report.vertex_subdivisions)
-    edge_tables = _by_repr(arts.axiom_report.edge_subdivisions)
+    vertex_tables, edge_tables = map(_by_repr, arts.subdivisions)
     if not vertex_tables and not edge_tables:
         write("\n")  # no graph at all: the document is one empty line
     for idx, (_, sub) in enumerate(vertex_tables):
@@ -363,10 +363,8 @@ def missing(arts: Artifacts, what: str) -> str | None:
         return "subdivision graph not built"
     if what == "acceptor" and arts.acceptor is None:
         return "acceptor not built"
-    if what == "subdivisions":
-        rep = arts.axiom_report
-        if rep is None or rep.vertex_subdivisions is None or rep.edge_subdivisions is None:
-            return "subdivision tables unavailable (axioms not verified)"
+    if what == "subdivisions" and arts.subdivisions is None:
+        return "subdivision tables unavailable (axioms not verified)"
     return None
 
 

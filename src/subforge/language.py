@@ -24,6 +24,19 @@ from .ball import CayleyBall, TrustRadiusError
 from .words import Word
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """What one check decided: whether it passed, the size of the domain it
+    quantified over, its first counterexample and a note.  In a
+    counterexample an int is an element id, a string a letter or a kind,
+    and a tuple holds either."""
+
+    passed: bool
+    domain: int
+    counterexample: tuple | None = None
+    note: str = ""
+
+
 def build_gamma(ball: CayleyBall) -> int:
     """The edge count of the geodesic tree: one parent link per element
     but the identity.  Axiom 3 (``verify_axioms``) checks that each link
@@ -79,17 +92,6 @@ def cone_type_classes(ball: CayleyBall, k: int) -> ConeTypeTable:
     return ConeTypeTable(k, trusted, class_of, tuple(fingerprints))
 
 
-@dataclass
-class ConeLemmaReport:
-    passed: bool
-    k: int
-    probe: int
-    tested_depth: int
-    elements_tested: int
-    pairs_checked: int
-    counterexample: tuple[int, int, int] | None  # (g, g_prime, h)
-
-
 def _probe_cone(ball: CayleyBall, g: int, probe: int) -> frozenset[int]:
     """Elements h of B_probe with |g h| = |g| + |h| (the metric restatement
     of 'some geodesic to g h passes through g')."""
@@ -100,19 +102,17 @@ def _probe_cone(ball: CayleyBall, g: int, probe: int) -> frozenset[int]:
     )
 
 
-def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> ConeLemmaReport:
+def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> Verdict:
     """Check that equal K-level fingerprints (K = ``table.k``) imply equal
-    observed cones to depth ``probe`` on the region where both are
-    resolvable.  Every pair is compared; the counterexample is the first
-    that differs."""
-    k = table.k
-    max_depth = ball.radius - max(k, probe)
+    observed cones to depth ``probe`` on |g| <= R - max(K, probe), where
+    both are resolvable.  The domain is the pairs compared, each member of
+    a class against its first; the counterexample is the first pair that
+    differs, with an h in one cone but not the other."""
+    max_depth = ball.radius - max(table.k, probe)
     groups: dict[int, list[int]] = {}
-    tested = 0
     for e in range(ball.size):
         if ball.sphere_of[e] > max_depth:
             break
-        tested += 1
         groups.setdefault(table.class_of[e], []).append(e)
     pairs = 0
     counterexample = None
@@ -126,7 +126,7 @@ def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> Con
             cone = _probe_cone(ball, other, probe)
             if cone != base_cone and counterexample is None:
                 counterexample = (base, other, min(cone.symmetric_difference(base_cone)))
-    return ConeLemmaReport(counterexample is None, k, probe, max_depth, tested, pairs, counterexample)
+    return Verdict(counterexample is None, pairs, counterexample)
 
 
 @dataclass
@@ -151,20 +151,14 @@ class WordAcceptor:
         return True
 
 
-@dataclass
-class AcceptorReport:
-    consistent: bool
-    state_count: int
-    transition_count: int
-    conflicts: tuple[tuple, ...]  # (class, letter, kind, witness_a, witness_b)
-
-
-def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor, AcceptorReport]:
+def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor, Verdict]:
     """Record class transitions along tree edges inside the trusted region
     and verify they are well defined.
 
-    A conflict means the K-level fingerprint failed to determine the cone
-    type on this data, i.e. K was too small.
+    The domain is the (class, letter) slots decided.  A conflict means the
+    K-level fingerprint failed to determine the cone type on this data,
+    i.e. K was too small; the counterexample is the first one, as (letter,
+    kind, witness, witness), with the count and the class in the note.
     """
     transitions: dict[tuple[int, int], int] = {}
     trans_witness: dict[tuple[int, int], int] = {}
@@ -201,26 +195,25 @@ def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor
         initial=table.class_of[0],
         transitions=transitions,
     )
-    report = AcceptorReport(
-        consistent=not conflicts,
-        state_count=table.class_count,
-        transition_count=len(transitions),
-        conflicts=tuple(conflicts),
-    )
-    return acceptor, report
+    if not conflicts:
+        return acceptor, Verdict(True, len(votes))
+    cls, x, kind, a, b = conflicts[0]
+    letter = ball.presentation.alphabet.symbols[x]
+    note = f"{len(conflicts)} conflicts; the first in class {cls}"
+    return acceptor, Verdict(False, len(votes), (letter, kind, a, b), note)
 
 
-def check_prefix_closure(ball: CayleyBall) -> tuple[int, int] | None:
+def check_prefix_closure(ball: CayleyBall) -> Verdict:
     """Exhaustive check over the N - 1 parent links that every element is
     its parent times its last letter, with the parent earlier in id order;
-    returns the first failing link (element, parent), or None.  This makes
-    the normal forms read up the parent chain prefix-closed, makes each one
-    spell its element, and makes every vertical edge of the subdivision
-    graph a Cayley edge."""
+    the counterexample is the first failing link (element, parent).  This
+    makes the normal forms read up the parent chain prefix-closed, makes
+    each one spell its element, and makes every vertical edge of the
+    subdivision graph a Cayley edge."""
     parent, last_letter, table, a = ball.parent, ball.last_letter, ball.table, ball.degree
     bad = None
     for e in range(1, ball.size):
         p = parent[e]
         if bad is None and not (0 <= p < e and table[p * a + last_letter[e]] == e):
             bad = (e, p)
-    return bad
+    return Verdict(bad is None, ball.size - 1, bad)

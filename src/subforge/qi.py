@@ -18,7 +18,11 @@ checks:
       endpoint's predecessor).
 
 Checks quantify over the levels where horizontal-edge data is complete.
-The empirical QI constant measures sampled vertex pairs in one loop, in
+Each returns a ``Verdict`` (``verify_qi_bounds``): its domain is the
+horizontal edges for (b), the same-level and the level-changing Cayley
+edges for (c) and (d), and its counterexample the first failing edge.
+The largest distance (b) and (d) observed is reported beside them.  The
+empirical QI constant measures sampled vertex pairs in one loop, in
 the process (``estimate_qi_constants``).
 
 Each pair's Cayley distance is its in-ball distance, searched over the
@@ -48,38 +52,14 @@ import logging
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
 from operator import countOf
 
 from .ball import CayleyBall, bidirectional_distance
+from .language import Verdict
 from .subdivision import SubdivisionGraph, horizontal_edge_length, working_constant
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class QiCheck:
-    name: str
-    description: str
-    domain_size: int
-    max_observed: float | None
-    bound: float | None
-    passed: bool
-    witness: tuple | None = None
-
-
-@dataclass
-class QiReport:
-    checks: list[QiCheck]
-    empirical_k: float | None
-    extremal_pair: tuple[int, int] | None
-    pairs_sampled: int
-    exhaustive_pairs: bool
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _trusted_vertices(graph: SubdivisionGraph) -> range:
@@ -141,12 +121,14 @@ def _distance(d: int | None, u: int, v: int, graph_name: str) -> int:
     return d
 
 
-def verify_qi_bounds(graph: SubdivisionGraph) -> QiReport:
+def verify_qi_bounds(graph: SubdivisionGraph) -> tuple[dict[str, Verdict], dict[str, int | None]]:
+    """The verdicts ``qi_b`` to ``qi_d``, and the largest distance (b) and
+    (d) observed (None over an empty domain)."""
     ball = graph.ball
-    checks: list[QiCheck] = []
+    verdicts: dict[str, Verdict] = {}
+    observed: dict[str, int | None] = {}
 
-    # (b) horizontal edges stay within 2*delta + 2 in the Cayley graph
-    bound_b = 2 * graph.delta + 2
+    # (b) horizontal edges stay within 2*delta + 2 in the Cayley graph;
     # for an integer d, d < 2*delta + 2 is d <= ceil(2*delta) + 1, which
     # floating point decides exactly (2*delta + 2 itself may round)
     longest = working_constant(graph.delta)
@@ -159,9 +141,8 @@ def verify_qi_bounds(graph: SubdivisionGraph) -> QiReport:
         worst = max(worst, d)
         if d > longest and bad is None:
             bad = (u, v)
-    checks.append(
-        QiCheck("b", "horizontal edge implies Cayley distance < 2*delta + 2", domain, worst if domain else None, bound_b, bad is None, bad)
-    )
+    verdicts["qi_b"] = Verdict(bad is None, domain, bad)
+    observed["b"] = worst if domain else None
 
     # (c) same-level Cayley edges force horizontal edges
     domain = 0
@@ -173,9 +154,7 @@ def verify_qi_bounds(graph: SubdivisionGraph) -> QiReport:
                     domain += 1
                     if bad is None and w not in graph.partners(u):
                         bad = (u, w)
-    checks.append(
-        QiCheck("c", "same-level Cayley edge implies horizontal edge", domain, None, None, bad is None, bad)
-    )
+    verdicts["qi_c"] = Verdict(bad is None, domain, bad)
 
     # (d) level-changing Cayley edges map to distance <= 2
     domain = 0
@@ -199,11 +178,9 @@ def verify_qi_bounds(graph: SubdivisionGraph) -> QiReport:
                     if bad is None:
                         bad = (u, w)
                     worst = max(worst, 3)
-    checks.append(
-        QiCheck("d", "level-changing Cayley edge maps to distance <= 2", domain, worst if domain else None, 2, bad is None, bad)
-    )
-
-    return QiReport(checks, None, None, 0, False)
+    verdicts["qi_d"] = Verdict(bad is None, domain, bad)
+    observed["d"] = worst if domain else None
+    return verdicts, observed
 
 
 def _pair_constant(d_cayley: int, d_xi: int) -> float:

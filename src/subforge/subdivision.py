@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph, find_isomorphism
-from .language import ConeTypeTable
+from .language import ConeTypeTable, Verdict
 from .words import Word, inverse_word
 
 
@@ -291,27 +291,6 @@ def orientation_free_label(graph: SubdivisionGraph, u: int, v: int) -> EdgeLabel
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConditionResult:
-    index: int
-    name: str
-    passed: bool
-    domain_size: int
-    counterexample: tuple | None = None
-    note: str = ""
-
-
-@dataclass
-class AxiomReport:
-    conditions: list[ConditionResult]
-    vertex_subdivisions: dict[VertexLabel, LabeledGraph] | None
-    edge_subdivisions: dict[EdgeLabel, LabeledGraph] | None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-
 def _star_summary(graph: SubdivisionGraph, v: int):
     up = 1 if v != 0 else 0
     down = len(graph.ball.children(v))
@@ -375,8 +354,13 @@ def _predecessor_failure(graph: SubdivisionGraph, u: int, v: int) -> tuple[tuple
     return None
 
 
-def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
-    """Check the six combinatorial-subdivision-graph conditions.
+Subdivisions = tuple[dict[VertexLabel, LabeledGraph], dict[EdgeLabel, LabeledGraph]]
+
+
+def verify_axioms(graph: SubdivisionGraph) -> tuple[dict[str, Verdict], Subdivisions | None]:
+    """Check the six combinatorial-subdivision-graph conditions, as the
+    verdicts ``axiom_1`` to ``axiom_6``, and return with them the vertex
+    and edge subdivision tables, or None when conditions 5 and 6 give none.
 
     Structural conditions (1-3) are checked on the full ball; conditions
     that need horizontal edges or labels quantify only over levels where
@@ -385,11 +369,10 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     runs over its whole domain and reports the first counterexample.
     """
     ball = graph.ball
-    conditions: list[ConditionResult] = []
+    verdicts: dict[str, Verdict] = {}
 
     # 1: the bottom level is a single vertex
-    ok1 = list(ball.sphere(0)) == [0]
-    conditions.append(ConditionResult(1, "level 0 is a single vertex", ok1, 1))
+    verdicts["axiom_1"] = Verdict(list(ball.sphere(0)) == [0], 1)
 
     # 2: levels partition the vertices
     spheres = [ball.sphere(n) for n in range(ball.radius + 1)]
@@ -397,7 +380,7 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     ok2 = total == ball.size and all(
         ball.sphere_of[e] == n for n, s in enumerate(spheres) for e in s
     )
-    conditions.append(ConditionResult(2, "every vertex lies in exactly one level", ok2, ball.size))
+    verdicts["axiom_2"] = Verdict(ok2, ball.size)
 
     # 3: unique predecessor one level down
     bad3 = None
@@ -405,18 +388,12 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
         p = ball.parent[e]
         if bad3 is None and ball.sphere_of[p] != ball.sphere_of[e] - 1:
             bad3 = (e, p)
-    conditions.append(
-        ConditionResult(3, "unique predecessor one level down", bad3 is None, ball.size - 1, bad3)
-    )
+    verdicts["axiom_3"] = Verdict(bad3 is None, ball.size - 1, bad3)
 
     # 4: predecessors of edge endpoints are equal or connected
     failures4 = [f for _, (u, v) in graph.all_level_edges() if (f := _predecessor_failure(graph, u, v))]
     bad4, note4 = failures4[0] if failures4 else (None, "")
-    conditions.append(
-        ConditionResult(
-            4, "predecessors of connected vertices connected or equal", bad4 is None, graph.edge_count(), bad4, note4
-        )
-    )
+    verdicts["axiom_4"] = Verdict(bad4 is None, graph.edge_count(), bad4, note4)
 
     labels_ready = graph.n_max >= 0 and (graph.vertex_labels or ball.size == 0)
 
@@ -435,9 +412,7 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
                     star_groups[label] = (v, summary)
                 elif rep[1] != summary and bad5 is None:
                     bad5 = (rep[0], v)
-    conditions.append(
-        ConditionResult(5, "same-label open stars isomorphic", bad5 is None, domain5, bad5)
-    )
+    verdicts["axiom_5"] = Verdict(bad5 is None, domain5, bad5)
 
     # 6: same-label predecessor-map preimages are isomorphic; a preimage
     # equal to its group's representative is, by the identity map, and
@@ -445,8 +420,7 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
     domain6 = 0
     bad6 = None
     note6 = ""
-    vertex_subs: dict[VertexLabel, LabeledGraph] = {}
-    edge_subs: dict[EdgeLabel, LabeledGraph] = {}
+    subdivisions = None
     if labels_ready:
         vs_groups: dict[VertexLabel, tuple[int, LabeledGraph]] = {}
         for n in range(0, graph.n_max):
@@ -482,16 +456,10 @@ def verify_axioms(graph: SubdivisionGraph) -> AxiomReport:
                 if swapped is None or find_isomorphism(rep[1], swapped) is None:
                     bad6 = ("edge", rep[0], (u, v))
                     note6 = "edge-subdivision mismatch"
-        if bad6 is None:
-            vertex_subs = {label: sub for label, (_, sub) in vs_groups.items()}
-            edge_subs = {canon: sub for _, (_, sub, canon) in es_groups.items()}
-    conditions.append(
-        ConditionResult(6, "same-label preimages isomorphic", bad6 is None, domain6, bad6, note6)
-    )
-
-    emit = labels_ready and bad5 is None and bad6 is None
-    return AxiomReport(
-        conditions=conditions,
-        vertex_subdivisions=vertex_subs if emit else None,
-        edge_subdivisions=edge_subs if emit else None,
-    )
+        if bad5 is None and bad6 is None:
+            subdivisions = (
+                {label: sub for label, (_, sub) in vs_groups.items()},
+                {canon: sub for _, (_, sub, canon) in es_groups.items()},
+            )
+    verdicts["axiom_6"] = Verdict(bad6 is None, domain6, bad6, note6)
+    return verdicts, subdivisions

@@ -777,7 +777,7 @@ def _acceptor_dot(arts) -> str:
 
 
 def _subdivisions_json(arts) -> str:
-    rep = arts.axiom_report
+    vertex_subs, edge_subs = arts.subdivisions
     ball = arts.ball
     vertex_entries = [
         {
@@ -785,7 +785,7 @@ def _subdivisions_json(arts) -> str:
             "subdivision": _labeled_graph_json(ball, sub, "vertex"),
         }
         for label, sub in sorted(
-            rep.vertex_subdivisions.items(), key=lambda kv: repr(kv[0])
+            vertex_subs.items(), key=lambda kv: repr(kv[0])
         )
     ]
     edge_entries = [
@@ -793,7 +793,7 @@ def _subdivisions_json(arts) -> str:
             "label": _edge_label_json(ball, label),
             "subdivision": _labeled_graph_json(ball, sub, "edge"),
         }
-        for label, sub in sorted(rep.edge_subdivisions.items(), key=lambda kv: repr(kv[0]))
+        for label, sub in sorted(edge_subs.items(), key=lambda kv: repr(kv[0]))
     ]
     return _dumps(
         {"vertex_subdivisions": vertex_entries, "edge_subdivisions": edge_entries}
@@ -801,10 +801,10 @@ def _subdivisions_json(arts) -> str:
 
 
 def _subdivisions_dot(arts) -> str:
-    rep = arts.axiom_report
+    vertex_subs, edge_subs = arts.subdivisions
     lines = []
     for idx, (_, sub) in enumerate(
-        sorted(rep.vertex_subdivisions.items(), key=lambda kv: repr(kv[0]))
+        sorted(vertex_subs.items(), key=lambda kv: repr(kv[0]))
     ):
         lines.append(f"graph vertex_subdivision_{idx} {{")
         for v in range(sub.size):
@@ -813,7 +813,7 @@ def _subdivisions_dot(arts) -> str:
             lines.append(f"  v{i} -- v{j};")
         lines.append("}")
     for idx, (_, sub) in enumerate(
-        sorted(rep.edge_subdivisions.items(), key=lambda kv: repr(kv[0]))
+        sorted(edge_subs.items(), key=lambda kv: repr(kv[0]))
     ):
         lines.append(f"graph edge_subdivision_{idx} {{")
         for v in range(sub.size):

@@ -59,7 +59,7 @@ def test_criterion_1_f2_golden_run():
         "1c: acceptor 5 states / 16 transitions, all accepting",
         acc["states"] == expected_classes
         and acc["transitions"] == expected_transitions
-        and acc["consistent"],
+        and report["checks"]["acceptor_consistent"]["passed"],
         f"states={acc['states']} transitions={acc['transitions']}",
     )
 
@@ -86,16 +86,18 @@ def test_criterion_1_f2_golden_run():
         f"graph={graph.edge_count()} brute force={close_pairs}",
     )
 
+    checks = report["checks"]
+    axioms = {f"axiom_{i}": checks[f"axiom_{i}"] for i in range(1, 7)}
     _verdict(
         "1f: all six conditions pass",
-        all(c["passed"] for c in report["axioms"]),
-        str([(c["index"], c["domain"]) for c in report["axioms"]]),
+        all(c["passed"] for c in axioms.values()),
+        str({k: c["domain"] for k, c in axioms.items()}),
     )
 
     # every vertical edge is a Cayley edge: prefix closure's verdict, over
     # all |B_6| - 1 parent links
-    closure = report["prefix_closure"]
-    qi = {c["name"]: c for c in report["qi"]["checks"]}
+    closure = checks["prefix_closure"]
+    qi = {c: checks[f"qi_{c}"] for c in "bcd"}
     _verdict(
         "1g: vertical edges are Cayley edges on all links, QI (c),(d) pass exhaustively, (b) vacuous",
         closure["passed"]
@@ -142,8 +144,8 @@ def test_criterion_2_z_golden_run():
 
     _verdict(
         "2d: all conditions and QI checks pass",
-        all(report["checks"].values()) and result.exit_code == 0,
-        str([k for k, v in report["checks"].items() if not v]),
+        all(v["passed"] for v in report["checks"].values()) and result.exit_code == 0,
+        str([k for k, v in report["checks"].items() if not v["passed"]]),
     )
 
 
@@ -168,36 +170,39 @@ def test_criterion_3_surface_run():
         str(sc),
     )
 
+    checks = report["checks"]
     _verdict(
         "3c: prefix closure holds on every parent link",
-        report["prefix_closure"]["passed"]
-        and report["prefix_closure"]["domain"] == report["ball"]["size"] - 1,
-        f"domain {report['prefix_closure']['domain']}",
+        checks["prefix_closure"]["passed"]
+        and checks["prefix_closure"]["domain"] == report["ball"]["size"] - 1,
+        f"domain {checks['prefix_closure']['domain']}",
     )
 
     k_expected = math.ceil(2 * report["delta"]["value"]) + 1
+    k = report["cone_types"]["k"]
     lemma = report["cone_lemma"]
     _verdict(
         "3d: cone lemma passes at K = ceil(2*delta)+1, probe 2",
-        lemma["passed"] and lemma["k"] == k_expected and lemma["probe"] == 2,
-        f"k={lemma['k']} pairs={lemma['pairs_checked']} tested={lemma['elements_tested']}",
+        checks["cone_lemma"]["passed"] and k == k_expected and lemma["probe"] == 2,
+        f"k={k} pairs={checks['cone_lemma']['domain']} tested={lemma['elements_tested']}",
     )
 
-    qi_b = next(c for c in report["qi"]["checks"] if c["name"] == "b")
+    qi_b, max_b = checks["qi_b"], report["qi"]["max_observed"]["b"]
     _verdict(
         "3e: closeness-lemma bound (QI (b)), 0 violations",
-        qi_b["passed"] and (qi_b["domain"] == 0 or qi_b["max_observed"] <= k_expected),
-        f"max {qi_b['max_observed']} <= {k_expected} over {qi_b['domain']} edges",
+        qi_b["passed"] and (qi_b["domain"] == 0 or max_b <= k_expected),
+        f"max {max_b} <= {k_expected} over {qi_b['domain']} edges",
     )
 
+    axioms = {f"axiom_{i}": checks[f"axiom_{i}"] for i in range(1, 7)}
     _verdict(
         "3f: all six conditions pass on levels <= n_max",
-        all(c["passed"] for c in report["axioms"]),
+        all(c["passed"] for c in axioms.values()),
         f"n_max={report['xi']['n_max']} domains="
-        + str([(c["index"], c["domain"]) for c in report["axioms"]]),
+        + str({k: c["domain"] for k, c in axioms.items()}),
     )
 
-    qi = {c["name"]: c for c in report["qi"]["checks"]}
+    qi = {n: checks[f"qi_{n}"] for n in "bcd"}
     _verdict(
         "3g: all three QI checks pass on trusted levels",
         list(qi) == ["b", "c", "d"] and all(c["passed"] for c in qi.values()),
@@ -264,16 +269,16 @@ def test_criterion_5_negative_controls(tmp_path, monkeypatch):
         "5a: undersized delta (K=2) makes the cone lemma fail with a concrete witness (exit 2)",
         code1 == 2
         and report1["cone_types"]["k"] == 2
-        and not report1["cone_lemma"]["passed"]
-        and report1["cone_lemma"]["counterexample"] is not None,
-        str(report1["cone_lemma"]["counterexample"]),
+        and not report1["checks"]["cone_lemma"]["passed"]
+        and report1["checks"]["cone_lemma"]["counterexample"] is not None,
+        str(report1["checks"]["cone_lemma"]["counterexample"]),
     )
 
     out2 = tmp_path / "corrupt"
     corrupt_pipeline_labels(monkeypatch)
     code2 = main(["run", "--preset", "f2", "--radius", "5", "--out", str(out2)])
     report2 = json.loads((out2 / "report.json").read_text())
-    cond5 = next(c for c in report2["axioms"] if c["index"] == 5)
+    cond5 = report2["checks"]["axiom_5"]
     _verdict(
         "5b: corrupted vertex label makes condition 5 fail with counterexample (exit 2)",
         code2 == 2 and not cond5["passed"] and cond5["counterexample"] is not None,

@@ -31,7 +31,7 @@ def test_run_f2(tmp_path):
     report = _report(out)
     assert report["cone_types"]["count"] == 5
     assert report["xi"]["total_horizontal"] == 0
-    assert all(report["checks"].values())
+    assert all(v["passed"] for v in report["checks"].values())
 
 
 def test_run_writes_exports(tmp_path):
@@ -222,7 +222,7 @@ def test_odd_relator_file_pipeline(tmp_path):
     assert code == 0
     report = _report(out)
     assert report["small_cancellation"]["satisfies_c16"]
-    assert all(report["checks"].values())
+    assert all(v["passed"] for v in report["checks"].values())
 
 
 def test_non_c16_file_is_operational_error(tmp_path):
@@ -258,10 +258,9 @@ def test_cached_ball_with_an_off_level_parent_fails_its_checks(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--preset", "f2", "--radius", "3", "--cache-dir", str(cache), "--out", str(out)]) == 2
     report = _report(out)
-    failed = {name for name, ok in report["checks"].items() if not ok}
+    failed = {name for name, v in report["checks"].items() if not v["passed"]}
     assert {"prefix_closure", "axiom_3"} <= failed
-    (axiom_3,) = (c for c in report["axioms"] if c["index"] == 3)
-    assert [x["id"] for x in axiom_3["counterexample"]] == [e, 0]
+    assert [x["id"] for x in report["checks"]["axiom_3"]["counterexample"]] == [e, 0]
 
 
 def test_cached_ball_with_a_wrong_parent_link_entry_fails_prefix_closure(tmp_path):
@@ -278,7 +277,7 @@ def test_cached_ball_with_a_wrong_parent_link_entry_fails_prefix_closure(tmp_pat
     (cache / f"{cache_key(pres, 3)}.ball").write_bytes(ball.to_bytes())
     out = tmp_path / "out"
     assert main(["run", "--preset", "f2", "--radius", "3", "--cache-dir", str(cache), "--out", str(out)]) == 2
-    closure = _report(out)["prefix_closure"]
+    closure = _report(out)["checks"]["prefix_closure"]
     assert not closure["passed"] and closure["domain"] == ball.size - 1
     assert [x["id"] for x in closure["counterexample"]] == [e, p]
 
@@ -366,6 +365,46 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     assert list(cache.iterdir()) == [path]
     assert CayleyBall.from_bytes(path.read_bytes(), preset("f2")).radius == 4
     assert path.read_bytes() == good
+
+
+def _run_with_unwritable_cache(tmp_path, caplog, cache) -> None:
+    """Run F2_R4 with ``cache`` as the cache directory, which cannot take
+    the ball: the write is a logged warning and the run's outputs are a
+    run's without a cache."""
+    with caplog.at_level(logging.WARNING, logger="subforge.pipeline"):
+        assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "cached")]) == 0
+    assert "not written" in caplog.text
+    assert main(F2_R4 + ["--out", str(tmp_path / "cold")]) == 0
+    assert _report(tmp_path / "cached")["checks"] == _report(tmp_path / "cold")["checks"]
+    assert _exports(tmp_path / "cached") == _exports(tmp_path / "cold")
+
+
+def test_cache_dir_that_is_a_file_is_a_logged_miss(tmp_path, caplog):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    _run_with_unwritable_cache(tmp_path, caplog, cache)
+    assert cache.read_text() == "not a directory"
+
+
+def test_directory_at_the_cache_file_path_is_a_logged_miss(tmp_path, caplog):
+    cache = tmp_path / "cache"
+    (cache / f"{cache_key(preset('f2'), 4)}.ball").mkdir(parents=True)
+    _run_with_unwritable_cache(tmp_path, caplog, cache)
+    assert "re-enumerating" in caplog.text
+    # the temp file is removed, and the directory left as it was
+    (entry,) = cache.iterdir()
+    assert entry.is_dir() and not any(entry.iterdir())
+
+
+def test_os_errors_exit_1_with_a_message(tmp_path, capsys):
+    # a directory given as the presentation file
+    assert main(["run", "--file", str(tmp_path), "--radius", "3", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    # a regular file given as the output directory
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["run", "--preset", "f2", "--radius", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _child_env(**extra) -> dict[str, str]:

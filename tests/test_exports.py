@@ -109,7 +109,7 @@ def test_the_compared_exports_are_not_vacuous(f2_r5_run, surface_labeled_run):
     # own templates, so the configs above must hold some of each
     graph = f2_r5_run.artifacts.graph
     assert len(graph.vertex_labels) == 53
-    assert f2_r5_run.artifacts.axiom_report.vertex_subdivisions
+    assert f2_r5_run.artifacts.subdivisions[0]
     graph = surface_labeled_run.artifacts.graph
     edges = [e for _, e in graph.all_level_edges()]
     assert len(edges) == 8

@@ -40,7 +40,7 @@ GOLDEN = {
             "acceptor.json": "3aaa8a618a6e992c440ccd254271418065498fd1183116a24355f9bb4b70c2e2",
             "gamma.dot": "22a9482bc05e2746053623b97df3eda24a25b14e98fe4ce3d63935546100f403",
             "gamma.json": "060e5a4191af012ab71ced9d923a327ec4d8c851368033f88acfa37100ca4368",
-            "report": "00b83968999d519e6cce5ee0a4128ae07ce94b0175d6baf7d2262d73e57e9849",
+            "report": "845114f2c450cceb937ae32a43f7ac329d5231169d6b8cb8c62a292a1d570c22",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "3d40c1c0529ae3df9da336be78edf2ed30b20a44e5751a8bf7689bd29bed81a4",
             "subdivisions.json": "0c2edb52f7dacb1ce668ad3041b3fc7d0d12e2cdc54aa92dfc1f5e837a7379c5",
@@ -56,7 +56,7 @@ GOLDEN = {
             "acceptor.json": "532cae5368d72bb8d1aec24b38cd8a73509ca10d3a5e8451f949e6e567c9a78d",
             "gamma.dot": "24da75b1f868d1279f6296ae01f21c58940b5f92b09202131853d64d320b3abc",
             "gamma.json": "d76ddf706ec519d5f2c5edb3e22767247bdcc909992e224e3a00ef0f8b15096e",
-            "report": "5af14d7be6ddeeb882ae5504623c77ec99289f20e8fdcdcb0652726facb79090",
+            "report": "2df8bd8b4ac6fa5743e9e4506d6706b5e2aff6780297505054ff24739e85e332",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "65a78bf0d20abacf24b6635ce01b0b43a16a4b4f3f7727971c45b5c4d625a113",
             "subdivisions.json": "52447d698cf474dbd9b5f2d0e8f917ad52586cf117876163474aa55a9eff14e1",
@@ -72,7 +72,7 @@ GOLDEN = {
             "acceptor.json": "532cae5368d72bb8d1aec24b38cd8a73509ca10d3a5e8451f949e6e567c9a78d",
             "gamma.dot": "a4d09a6ce9f59ec874aad84d7ca8b147ce7d1f32db8a78022b129d773f355b0d",
             "gamma.json": "07684efdbc08e07c05f3147350ce9f281ed9d0e1ac730e1fa2bda17b2bd135d5",
-            "report": "b46519c6855f80c3af562995d80ef31f6df22a05468c57cdfed49741e8f1e7a4",
+            "report": "d6ca3b9818316f0d3f3be4f320e60adad0239990d25f8c2c5e3ff4114e68d6f9",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "65a78bf0d20abacf24b6635ce01b0b43a16a4b4f3f7727971c45b5c4d625a113",
             "subdivisions.json": "52447d698cf474dbd9b5f2d0e8f917ad52586cf117876163474aa55a9eff14e1",
@@ -88,7 +88,7 @@ GOLDEN = {
             "acceptor.json": "08eebb24b2a6fb32814bd4da78fc2bf684c503122bbc7a4f60ef4ab5134d8ceb",
             "gamma.dot": "cd67b871edb2c32e974890a3ccb5e09a55484052fa71cfc45879647299251d0c",
             "gamma.json": "43d1bd76a49bf902734197c78ce15c84548194177290a671c62984a71a362ff4",
-            "report": "36a1815b8e853198d05baa86e3b3a97d218eaf7b5671491d129d930cf66a479d",
+            "report": "2222632d80210c07a532d61e7b7705f98292286f878104d9890457c32f0f94ba",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "xi.dot": "9ae66b276dd96a0cae51b463e61f38ea85c0ad485bb8154b5b27ac6e06041104",
             "xi.json": "a962c296453ec5252721ec63d2f289f1eadbdc2fb8d98a26e8e238069ba31c05",
@@ -102,7 +102,7 @@ GOLDEN = {
             "acceptor.json": "08eebb24b2a6fb32814bd4da78fc2bf684c503122bbc7a4f60ef4ab5134d8ceb",
             "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
             "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
-            "report": "4133bc5b837dd84b0c83ea8e6a43ea6fd5a47b54a79a7861ac3d6b32193725d6",
+            "report": "9c05f8db0131883b5461bc3544273de8bbe5151552c58a8a7e172cf4b6b55378",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "xi.dot": "996707badb93847c91968d652501c64c93f14f3e7c6ca6434acefba95481684b",
             "xi.json": "5d08f8ff3270a245cb54bd5a2f8a7451dcd9e1bced1f6419695d40838b08099b",
@@ -116,7 +116,7 @@ GOLDEN = {
             "acceptor.json": "448e59179abae5df0991c233e05eaedae33b9365d6cfcd5f7483e1771e970086",
             "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
             "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
-            "report": "5a768489f75eca12bc6e956aa76922fb520031475d2b9608ba0d53ca608fa84a",
+            "report": "22e8ab6b1f46cc5b6989e014900c98331b85fcaec41119ccb18c62e5a8d4bc34",
             "stdout": "d2d07b5b63adab365c3449dffece1e150c67c8f23b39531c1d1070065b0531c9",
             "subdivisions.dot": "3509a241d736666eb0257cf9918b41b10daba05aa56c4cc61f568a0eec126ac1",
             "subdivisions.json": "5a680f6f9a69518c9dbd64270f2e5814741b928d781bdfb6de0ee8ef5a76bbd9",
@@ -132,7 +132,7 @@ GOLDEN = {
             "acceptor.json": "32cb0698e747519bb151cba3a1a3e439c6884da5f328bd0970252d88826a8035",
             "gamma.dot": "60b0a9f8f6635c61230e191bf552cffe18311e3c751e704d43bc2237087caad8",
             "gamma.json": "b656e64cf0ca999eceb24a3c36a9894f03f5c422a2b8ef51bfa344ce7701716e",
-            "report": "9d014b73b121441451534ebbdb89820f8ea731a0e33856c362d76c4963100625",
+            "report": "60f41890d902cf150816e14d791dda5471ff6062ad0c70265226e82199573703",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "04b041a8b4960e23bfff2688931e12010f665fa4c4cb0333e0e59cfaebd412f7",
             "subdivisions.json": "f2c3eee857623748cfea0163da98f5477d59c845e23e4d544e8f9a2619100c78",
@@ -148,7 +148,7 @@ GOLDEN = {
             "acceptor.json": "5f5be24e936545d74c2ab275281e5b346c8dfe1c2d6a773cc25a7d2f021e916c",
             "gamma.dot": "a4c84da5db9e570568ee549d0b071fd66d3ec377252f32a8017e2f7257703938",
             "gamma.json": "92f5676728690fb57a6e41a29c87fb6d56d406cc6fc121e6107c45bfb111caf4",
-            "report": "5cd0d94de5afc8dc16781c5430df97c04fdb1cbcfa549bec465f9a33b11b483d",
+            "report": "0f3ba850c7d6266a6a2cb22aeeafe9933187754c6d835f3a1dee8ca2c06e51bb",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
             "subdivisions.json": "69f174fd4e3f77521bdc758baf204122ab19f291ea65581096c7f6f9bf3db56a",
@@ -164,7 +164,7 @@ GOLDEN = {
             "acceptor.json": "638d11a1f668d5a6187d205eba6fbfcce2f5d962b4016eb7ada731a811c6bcc9",
             "gamma.dot": "a4c84da5db9e570568ee549d0b071fd66d3ec377252f32a8017e2f7257703938",
             "gamma.json": "92f5676728690fb57a6e41a29c87fb6d56d406cc6fc121e6107c45bfb111caf4",
-            "report": "133df662a07395557e9e841d917dfc31c60629d6e81adc4d7d8912d196fc0fa9",
+            "report": "aac4e94891c5550dc73027ae9ebf32e2c42331b03435c474c7e6e2e568d92299",
             "stdout": "7bc878056f29d222defa61e9abe84712c0a3811aefbeec14ca04ce4440daecac",
             "subdivisions.dot": "cca86150d9732c7cd3511e9e5ca25f0e9e93df68cf41af27b84bf5f5e2b3a1b1",
             "subdivisions.json": "29f8cf182bd54bf2bf85ddaef5788c1d472ae9c1cdbe8713b9b467af3d0cf316",
@@ -180,7 +180,7 @@ GOLDEN = {
             "acceptor.json": "2381c03604adb492a8ab881854574925ddd52e51b0e99c7be8295fb183a5c119",
             "gamma.dot": "a4c84da5db9e570568ee549d0b071fd66d3ec377252f32a8017e2f7257703938",
             "gamma.json": "92f5676728690fb57a6e41a29c87fb6d56d406cc6fc121e6107c45bfb111caf4",
-            "report": "3e5c48a32ac6eeeb34cac00b352aca387245349b5df4064d5c2951fea041de08",
+            "report": "4a1f6691bde6d1a291dfdd4993cc586881244ec6678e70388ee576acbb6eae22",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "3509a241d736666eb0257cf9918b41b10daba05aa56c4cc61f568a0eec126ac1",
             "subdivisions.json": "5a680f6f9a69518c9dbd64270f2e5814741b928d781bdfb6de0ee8ef5a76bbd9",
@@ -196,7 +196,7 @@ GOLDEN = {
             "acceptor.json": "4fa3308675e4623c97f2e14d147bcb507855ec6702b88c5416ce03bc00193749",
             "gamma.dot": "44560e2470e7d30aaedd6c6c0066cfb4bf467b6d62725b282dd0e32257984c17",
             "gamma.json": "29c70fec328abc74bdf7efbd3983cd3aeaf9fc93778d3c9c1b02bd8fa4b89216",
-            "report": "d6059e9a0234701c4990e716ea7022938645e15f0c2281a5b3b868a61b71de6b",
+            "report": "dfa94ea82fa8a397cb2d19a16d1b0025a8cb55d0f44243fd52f2e58864442196",
             "stdout": "379c6aebc48a286f3057e07d61a91dcfcf6d6f0bf27bfe107e8e3a294bc98676",
             "subdivisions.dot": "565105df80a18e03bacb8b9cdc40bd6ef62ab148db770ad412e8f828812190a3",
             "subdivisions.json": "f5f633f4b400a2849ddbddfd20636476dac7acd0990ec24ddb779a86c0a9fe09",
@@ -207,8 +207,17 @@ GOLDEN = {
 }
 
 
+# the domains of the two language verdicts on three configs; surface2 R=6
+# delta 0.5 decides 520 (class, letter) slots with 16 conflicts
+DOMAINS = {
+    "f2-r8": {"acceptor_consistent": 20, "cone_lemma": 1_452},
+    "surface2-r5": {"acceptor_consistent": 0, "cone_lemma": 0},
+    "surface2-r6-delta0.5": {"acceptor_consistent": 520, "cone_lemma": 3_120},
+}
+
+
 def run_digests(args, where, monkeypatch, capsys):
-    """(exit code, digests) of one golden run made in ``where``."""
+    """(exit code, digests, report) of one golden run made in ``where``."""
     monkeypatch.chdir(where)
     for name, text in FILES.items():
         (where / name).write_text(text)
@@ -220,10 +229,22 @@ def run_digests(args, where, monkeypatch, capsys):
     del report["timings"]
     digests["report"] = hashlib.sha256((json.dumps(report, sort_keys=True, indent=2) + "\n").encode()).hexdigest()
     digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
-    return code, digests
+    return code, digests, report
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_config_outputs_are_pinned(name, tmp_path, monkeypatch, capsys):
     args, code, digests = GOLDEN[name]
-    assert run_digests(args, tmp_path, monkeypatch, capsys) == (code, digests)
+    got_code, got_digests, report = run_digests(args, tmp_path, monkeypatch, capsys)
+    assert (got_code, got_digests) == (code, digests)
+    # every verdict says what it quantified over, and every failure names
+    # its counterexample
+    checks = report["checks"]
+    assert len(checks) == 12
+    for verdict in checks.values():
+        assert type(verdict["domain"]) is int and verdict["domain"] >= 0
+        assert verdict["passed"] or verdict["counterexample"] is not None
+    for check, domain in DOMAINS.get(name, {}).items():
+        assert checks[check]["domain"] == domain, check
+    if name == "surface2-r6-delta0.5":
+        assert checks["acceptor_consistent"]["note"].startswith("16 conflicts;")

@@ -4,6 +4,7 @@ import pytest
 
 from subforge.ball import TrustRadiusError, enumerate_ball
 from subforge.language import (
+    Verdict,
     build_acceptor,
     build_gamma,
     check_prefix_closure,
@@ -104,10 +105,11 @@ def test_cone_lemma_negative_control(f2_ball):
 
 def test_acceptor_f2(f2_ball):
     table = cone_type_classes(f2_ball, 1)
-    acc, rep = build_acceptor(f2_ball, table)
-    assert rep.consistent
-    assert rep.state_count == 5
-    assert rep.transition_count == naive_free_transition_count(
+    acc, verdict = build_acceptor(f2_ball, table)
+    # 5 classes, 4 letters: every (class, letter) slot is decided
+    assert verdict == Verdict(True, 20)
+    assert len(acc.states) == 5
+    assert len(acc.transitions) == naive_free_transition_count(
         f2_ball.presentation.alphabet, f2_ball.radius, 1
     ) == 16
     out_degree = {}
@@ -119,13 +121,27 @@ def test_acceptor_f2(f2_ball):
 
 def test_acceptor_z(z_ball):
     table = cone_type_classes(z_ball, 1)
-    acc, rep = build_acceptor(z_ball, table)
-    assert rep.consistent and rep.state_count == 3 and rep.transition_count == 4
+    acc, verdict = build_acceptor(z_ball, table)
+    assert verdict.passed and len(acc.states) == 3 and len(acc.transitions) == 4
     out_degree = {}
     for (s, _x), _t in acc.transitions.items():
         out_degree[s] = out_degree.get(s, 0) + 1
     assert out_degree[acc.initial] == 2
     assert all(d == 1 for s, d in out_degree.items() if s != acc.initial)
+
+
+def test_acceptor_conflict_names_its_letter_and_witnesses():
+    # K = 2 is too small for the surface group at R=6: the first conflict
+    # is a letter read from two elements of one class
+    ball = enumerate_ball(preset("surface2"), 6)
+    table = cone_type_classes(ball, 2)
+    _, verdict = build_acceptor(ball, table)
+    assert not verdict.passed and verdict.domain == 520
+    letter, kind, a, b = verdict.counterexample
+    assert letter in ball.presentation.alphabet.symbols
+    assert kind in ("two-targets", "presence-differs")
+    assert table.class_of[a] == table.class_of[b]
+    assert verdict.note == f"16 conflicts; the first in class {table.class_of[a]}"
 
 
 def test_acceptor_language_is_normal_forms(f2_ball):
@@ -146,9 +162,8 @@ def test_acceptor_prefix_closed(f2_ball):
 
 
 def test_prefix_closure_checks(f2_ball, z_ball, surface_ball):
-    assert check_prefix_closure(f2_ball) is None
-    assert check_prefix_closure(z_ball) is None
-    assert check_prefix_closure(surface_ball) is None
+    for ball in (f2_ball, z_ball, surface_ball):
+        assert check_prefix_closure(ball) == Verdict(True, ball.size - 1)
 
 
 def _spoiled(ball, field, e, value):
@@ -166,16 +181,16 @@ def test_corrupt_parent_links_are_caught():
     # last letter (the level check is axiom 3's; test_cli runs it on a
     # cached ball with such a link)
     bad_parent = _spoiled(ball, "parent", e, 0)
-    assert check_prefix_closure(bad_parent) == (e, 0)
+    assert check_prefix_closure(bad_parent).counterexample == (e, 0)
     # a wrong last letter leaves the levels intact, but the derived normal
     # form would spell another element
     a = ball.presentation.alphabet.parse_word("a")[0]
     bad_letter = _spoiled(ball, "last_letter", e, a)
-    assert check_prefix_closure(bad_letter) == (e, ball.parent[e])
+    assert check_prefix_closure(bad_letter).counterexample == (e, ball.parent[e])
     # a parent link's table entry naming another element: the link read
     # through that entry fails, naming the element and its parent
     p = ball.parent[e]
     entry = p * ball.degree + ball.last_letter[e]
     bad_entry = _spoiled(ball, "table", entry, ball.element_of("ba"))
-    assert check_prefix_closure(bad_entry) == (e, p)
-    assert check_prefix_closure(ball) is None and build_gamma(ball) == ball.size - 1
+    assert check_prefix_closure(bad_entry) == Verdict(False, ball.size - 1, (e, p))
+    assert check_prefix_closure(ball).passed and build_gamma(ball) == ball.size - 1

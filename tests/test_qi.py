@@ -35,8 +35,10 @@ from reference import (
 )
 
 
-def _check(report, name):
-    return next(c for c in report.checks if c.name == name)
+def _all_passed(verdicts):
+    # vertical edges are prefix closure's verdict, not a QI check
+    assert list(verdicts) == ["qi_b", "qi_c", "qi_d"]
+    return all(v.passed for v in verdicts.values())
 
 
 def _graph_of(source, request):
@@ -53,32 +55,30 @@ def _tree_test_stop(graph):
 
 
 def test_f2_checks(f2_run):
-    qi = f2_run.artifacts.qi_report
-    assert qi.all_passed
-    # vertical edges are prefix closure's verdict, not a QI check
-    assert [c.name for c in qi.checks] == ["b", "c", "d"]
-    assert _check(qi, "b").domain_size == 0  # vacuous: no horizontal edges
-    assert _check(qi, "c").domain_size == 0
-    assert _check(qi, "d").domain_size > 0
-    assert qi.empirical_k == 1.0
+    verdicts, observed = verify_qi_bounds(f2_run.artifacts.graph)
+    assert _all_passed(verdicts)
+    assert verdicts["qi_b"].domain == 0  # vacuous: no horizontal edges
+    assert observed["b"] is None
+    assert verdicts["qi_c"].domain == 0
+    assert verdicts["qi_d"].domain > 0
+    assert f2_run.report["qi"]["empirical_k"] == 1.0
 
 
 def test_z_checks(z_run):
-    qi = z_run.artifacts.qi_report
-    assert qi.all_passed
-    assert qi.empirical_k == 1.0
+    assert _all_passed(verify_qi_bounds(z_run.artifacts.graph)[0])
+    assert z_run.report["qi"]["empirical_k"] == 1.0
 
 
 def test_surface_labeled_checks(surface_labeled_run):
-    qi = surface_labeled_run.artifacts.qi_report
-    assert qi.all_passed
-    b = _check(qi, "b")
-    assert b.domain_size == 8
-    assert b.max_observed == 2  # octagon partners sit at distance 2
-    assert b.max_observed < 2 * 1.0 + 2
+    graph = surface_labeled_run.artifacts.graph
+    verdicts, observed = verify_qi_bounds(graph)
+    assert _all_passed(verdicts)
+    assert verdicts["qi_b"].domain == 8
+    assert observed["b"] == 2  # octagon partners sit at distance 2
+    assert observed["b"] < 2 * 1.0 + 2
     # the sharper closeness-lemma bound also holds for the observed max
-    assert b.max_observed <= surface_labeled_run.artifacts.graph.k
-    assert _check(qi, "d").domain_size > 0
+    assert observed["b"] <= graph.k
+    assert verdicts["qi_d"].domain > 0
 
 
 def test_f2_empirical_k_matches_tree_distances(f2_run):
@@ -114,11 +114,10 @@ def test_injected_same_level_edge_fails_check_c(surface_labeled_run):
     for u, w in ((a, b), (c, d)):
         letter = next(x for x, t in enumerate(ball.row(u)) if t >= 0 and ball.sphere_of[t] == 2)
         ball.table[u * ball.degree + letter] = w
-    qi = verify_qi_bounds(graph)
-    check = _check(qi, "c")
+    check = verify_qi_bounds(graph)[0]["qi_c"]
     assert not check.passed
     # the first counterexample, not the last
-    assert check.witness == (a, b) == (1, 3)
+    assert check.counterexample == (a, b) == (1, 3)
 
 
 def test_injected_level_changing_edges_fail_check_d(surface_labeled_run):
@@ -131,10 +130,11 @@ def test_injected_level_changing_edges_fail_check_d(surface_labeled_run):
     for u, w in ((aa, b), (ab, c)):
         letter = next(x for x, t in enumerate(ball.row(u)) if t >= 0 and ball.sphere_of[t] == 3)
         ball.table[u * ball.degree + letter] = w
-    d = _check(verify_qi_bounds(graph), "d")
-    assert not d.passed and d.max_observed == 3
+    verdicts, observed = verify_qi_bounds(graph)
+    d = verdicts["qi_d"]
+    assert not d.passed and observed["d"] == 3
     # the first counterexample, not the last
-    assert d.witness == (aa, b)
+    assert d.counterexample == (aa, b)
 
 
 @pytest.mark.parametrize(
@@ -153,10 +153,11 @@ def test_b_is_exact_where_the_float_bound_rounds(surface_ball):
     # at the least positive delta, 2*delta + 2 rounds to 2.0, yet the
     # length-2 octagon edges lie below the exact bound
     graph = build_subdivision_graph(surface_ball, math.nextafter(0.0, 1.0))
-    b = _check(verify_qi_bounds(graph), "b")
-    assert b.bound == 2.0 and b.max_observed == 2 and b.domain_size > 0
+    verdicts, observed = verify_qi_bounds(graph)
+    b = verdicts["qi_b"]
+    assert 2 * graph.delta + 2 == 2.0 and observed["b"] == 2 and b.domain > 0
     assert b.passed
-    assert not _check(verify_qi_bounds(replace(graph, delta=0.0)), "b").passed
+    assert not verify_qi_bounds(replace(graph, delta=0.0))[0]["qi_b"].passed
 
 
 @pytest.fixture(scope="module")

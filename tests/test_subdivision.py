@@ -231,9 +231,10 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
     grown = replace(filtered, level_edges=level_edges, relative=relative)
     # the partner index is derived per graph, so the copy sees the new edges
     assert dc in grown.partners(ab) and dc not in filtered.partners(ab)
-    b = next(c for c in verify_qi_bounds(grown).checks if c.name == "b")
-    assert not b.passed and b.max_observed == 4
-    assert b.witness in extra
+    verdicts, observed = verify_qi_bounds(grown)
+    b = verdicts["qi_b"]
+    assert not b.passed and observed["b"] == 4
+    assert b.counterexample in extra
 
 
 @pytest.mark.parametrize(
@@ -317,36 +318,41 @@ def test_edge_label_involution(surface_labeled_run):
         assert back.relative == ball.normal_form(ball.element_of(back.relative))
 
 
+def _all_passed(verdicts):
+    assert list(verdicts) == [f"axiom_{i}" for i in range(1, 7)]
+    return all(v.passed for v in verdicts.values())
+
+
 def test_axioms_f2(f2_run):
-    rep = f2_run.artifacts.axiom_report
-    assert rep.all_passed
-    assert len(rep.vertex_subdivisions) == 5
-    assert len(rep.edge_subdivisions) == 0
-    sizes = sorted(g.size for g in rep.vertex_subdivisions.values())
+    verdicts, (vertex_subs, edge_subs) = verify_axioms(f2_run.artifacts.graph)
+    assert _all_passed(verdicts)
+    assert (vertex_subs, edge_subs) == f2_run.artifacts.subdivisions
+    assert len(vertex_subs) == 5
+    assert len(edge_subs) == 0
+    sizes = sorted(g.size for g in vertex_subs.values())
     assert sizes == [3, 3, 3, 3, 4]
 
 
 def test_axioms_z(z_run):
-    rep = z_run.artifacts.axiom_report
-    assert rep.all_passed
-    assert len(rep.vertex_subdivisions) == 3
-    assert len(rep.edge_subdivisions) == 0
+    verdicts, (vertex_subs, edge_subs) = verify_axioms(z_run.artifacts.graph)
+    assert _all_passed(verdicts)
+    assert len(vertex_subs) == 3
+    assert len(edge_subs) == 0
 
 
 def test_axioms_surface_labeled(surface_labeled_run):
-    rep = surface_labeled_run.artifacts.axiom_report
-    assert rep.all_passed
-    cond = {c.index: c for c in rep.conditions}
-    assert cond[4].domain_size == 8
-    assert cond[5].domain_size == 9
+    verdicts, _ = verify_axioms(surface_labeled_run.artifacts.graph)
+    assert _all_passed(verdicts)
+    assert verdicts["axiom_4"].domain == 8
+    assert verdicts["axiom_5"].domain == 9
 
 
 def test_axioms_surface_k2_edge_subdivisions(surface_k2):
     graph, _ = surface_k2
-    rep = verify_axioms(graph)
-    assert rep.all_passed
-    assert rep.edge_subdivisions and len(rep.edge_subdivisions) >= 1
-    for sub in rep.edge_subdivisions.values():
+    verdicts, (_, edge_subs) = verify_axioms(graph)
+    assert _all_passed(verdicts)
+    assert edge_subs and len(edge_subs) >= 1
+    for sub in edge_subs.values():
         sides = {lab[0] for lab in sub.vertex_labels}
         assert sides == {0, 1}
         for i, j, _lab in sub.edges:
@@ -369,11 +375,11 @@ def test_axiom6_orders_edge_sides_by_the_smaller_label(surface_k2, surface_ball)
     assert len(domain) == 8
     for u, v in domain:
         assert _label_sort_key(flipped.edge_labels[(v, u)]) < _label_sort_key(flipped.edge_labels[(u, v)])
-    rep = verify_axioms(flipped)
-    assert rep.all_passed
-    assert len(rep.edge_subdivisions) == len(verify_axioms(graph).edge_subdivisions)
+    verdicts, (_, edge_subs) = verify_axioms(flipped)
+    assert _all_passed(verdicts)
+    assert len(edge_subs) == len(verify_axioms(graph)[1][1])
     differs = 0
-    for label, sub in rep.edge_subdivisions.items():
+    for label, sub in edge_subs.items():
         # side 0 holds the children of v, the endpoint label.type_a types
         u, v = next((u, v) for u, v in domain if flipped.edge_labels[(v, u)] == label)
         assert label.type_a == backwards.class_of[v]
@@ -396,28 +402,27 @@ def test_axiom6_searches_only_a_preimage_unequal_to_its_representative(f2_run, m
 
     monkeypatch.setattr(subdivision, "find_isomorphism", recording)
     graph = copy.deepcopy(f2_run.artifacts.graph)
-    assert verify_axioms(graph).all_passed and calls == []
+    assert _all_passed(verify_axioms(graph)[0]) and calls == []
     ball, labels = graph.ball, graph.vertex_labels
     v = ball.sphere(graph.n_max - 1)[-1]
     c, d = ball.children(v)[:2]
     labels[c], labels[d] = labels[d], labels[c]
-    rep = verify_axioms(graph)
-    assert rep.all_passed
+    verdicts, (vertex_subs, _) = verify_axioms(graph)
+    assert _all_passed(verdicts)
     [(first, swapped)] = calls
-    assert first != swapped and first == rep.vertex_subdivisions[labels[v]]
+    assert first != swapped and first == vertex_subs[labels[v]]
 
 
 def test_corrupted_label_fails_condition5(f2_run):
     graph = copy.deepcopy(f2_run.artifacts.graph)
     corrupt_one_label(graph)
-    rep = verify_axioms(graph)
-    cond5 = next(c for c in rep.conditions if c.index == 5)
-    assert not cond5.passed
-    assert cond5.counterexample is not None
+    verdicts, subdivisions = verify_axioms(graph)
+    assert not verdicts["axiom_5"].passed
+    assert verdicts["axiom_5"].counterexample is not None
+    assert subdivisions is None
 
 
 def test_witness_inheritance_in_condition4(surface_k2):
     graph, _ = surface_k2
-    rep = verify_axioms(graph)
-    cond4 = next(c for c in rep.conditions if c.index == 4)
-    assert cond4.passed and cond4.domain_size == 56
+    cond4 = verify_axioms(graph)[0]["axiom_4"]
+    assert cond4.passed and cond4.domain == 56

@@ -8,10 +8,9 @@ Each config is one fresh ``python -m subforge run`` child, built from the
 ``src`` next to this script and run one at a time, without exports.  For
 each config it records the child's wall time, exit code and peak RSS
 (``ru_maxrss`` from ``os.wait4``, this child alone) and, from its
-``report.json``, the per-stage ``timings``, the ``checks`` verdicts and
-the size of the domain each verdict reports (the acceptor's reports
-none), so each run shows what it checked next to what it cost.  The
-result goes to
+``report.json``, the per-stage ``timings`` and, from ``checks``, whether
+each verdict passed and the size of the domain it quantified over, so
+each run shows what it checked next to what it cost.  The result goes to
 ``BENCH_stages.json`` at the repository root, with the machine it ran on.
 One run per config: compare two files only when the gap is well above the
 few percent a run varies by.  Stdlib only.
@@ -44,19 +43,6 @@ CONFIGS = {
 }
 
 
-def verdict_domains(report: dict) -> dict[str, int]:
-    """Domain size of each verdict that reports one: the parent links of
-    prefix closure, the pairs the cone lemma compared and the domain of
-    every axiom and QI check."""
-    domains = {
-        "prefix_closure": report["prefix_closure"]["domain"],
-        "cone_lemma": report["cone_lemma"]["pairs_checked"],
-    }
-    domains.update((f"axiom_{c['index']}", c["domain"]) for c in report["axioms"])
-    domains.update((f"qi_{c['name']}", c["domain"]) for c in report["qi"]["checks"])
-    return domains
-
-
 def run_config(args: list[str]) -> dict:
     """One child run of ``subforge run`` in a fresh directory."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -75,14 +61,15 @@ def run_config(args: list[str]) -> dict:
                 report = json.load(fh)
         except FileNotFoundError:
             report = {}
+    checks = report.get("checks", {})
     return {
         "argv": ["run", *args],
         "exit_code": proc.returncode,
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
         "timings_s": report.get("timings", {}),
-        "checks": report.get("checks", {}),
-        "domains": verdict_domains(report) if report.get("status") == "completed" else {},
+        "checks": {name: v["passed"] for name, v in checks.items()},
+        "domains": {name: v["domain"] for name, v in checks.items()},
     }
 
 
