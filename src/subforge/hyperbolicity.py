@@ -80,16 +80,14 @@ against 0.67-0.76 s in the CLI, and f2 R=12 (133,246) 3.9-4.8 against
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
+from . import log
 from .ball import CayleyBall, TrustRadiusError
 from .parallel import cpu_count, fork_map, split
 from .presentation import letter_symmetries
 from .words import inverse_word
-
-log = logging.getLogger(__name__)
 
 # computed pairs from which the triangles are split over the CPUs: the
 # break-even lies between 26,335 and 133,246 (module docstring)
@@ -180,8 +178,7 @@ def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int) -> list[tuple[int
     return paths
 
 
-@dataclass(frozen=True)
-class TriangleWitness:
+class TriangleWitness(NamedTuple):
     """Triangle (identity, x, y) realizing the reported thinness at
     ``point`` on side ``side`` (0: id-x, 1: id-y, 2: x-y)."""
 
@@ -192,8 +189,7 @@ class TriangleWitness:
     value: int
 
 
-@dataclass
-class DeltaEstimate:
+class DeltaEstimate(NamedTuple):
     delta: float
     radius_checked: int
     witness: TriangleWitness | None
@@ -327,7 +323,7 @@ def compute_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
             v, w = triangle_thinness(run, x, y, value)
             if v > value:
                 value, witness = v, w
-        return value, None if witness is None else astuple(witness)
+        return value, None if witness is None else tuple(witness)
 
     chunks = split(pairs) if len(pairs) >= FORK_PAIRS else [pairs]
     log.info(

@@ -9,22 +9,21 @@ one exists.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple("LabeledGraph", [("vertex_labels", tuple), ("edges", tuple)])):
     """Vertices 0..n-1 with hashable labels; undirected labeled edges
     stored as (i, j, label) with i < j."""
 
-    vertex_labels: tuple[Hashable, ...]
-    edges: tuple[tuple[int, int, Hashable], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.vertex_labels)
-        for i, j, _ in self.edges:
+    def __new__(cls, vertex_labels: tuple[Hashable, ...], edges: tuple[tuple[int, int, Hashable], ...]):
+        n = len(vertex_labels)
+        for i, j, _ in edges:
             if not (0 <= i < j < n):
                 raise ValueError(f"bad edge ({i}, {j}) in graph of size {n}")
+        return super().__new__(cls, vertex_labels, edges)
 
     @property
     def size(self) -> int:
@@ -39,8 +38,8 @@ def _signatures(g: LabeledGraph) -> list[tuple]:
     for i, j, lab in g.edges:
         incident[i].append(lab)
         incident[j].append(lab)
-    # repr gives a canonical orderable key; labels are frozen dataclasses
-    # and tuples, for which repr equality is value equality
+    # repr gives a canonical orderable key; labels are NamedTuples and
+    # tuples, for which repr equality is value equality
     return [
         (repr(g.vertex_labels[v]), tuple(sorted(map(repr, incident[v]))))
         for v in range(g.size)

@@ -18,14 +18,13 @@ are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ball import CayleyBall, TrustRadiusError
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """What one check decided: whether it passed, the size of the domain it
     quantified over, its first counterexample and a note.  In a
     counterexample an int is an element id, a string a letter or a kind,
@@ -54,8 +53,7 @@ def level_fingerprint(ball: CayleyBall, g: int, n: int) -> tuple[int, ...]:
     return tuple(h for h, gh in enumerate(ball.translate(g, n)) if sphere_of[gh] < depth)
 
 
-@dataclass
-class ConeTypeTable:
+class ConeTypeTable(NamedTuple):
     """Interned K-level fingerprint classes on the trusted region."""
 
     k: int
@@ -129,8 +127,7 @@ def verify_cone_lemma(ball: CayleyBall, table: ConeTypeTable, probe: int) -> Ver
     return Verdict(counterexample is None, pairs, counterexample)
 
 
-@dataclass
-class WordAcceptor:
+class WordAcceptor(NamedTuple):
     """Deterministic acceptor of the normal-form language.
 
     States are cone-type class ids; every state accepts, so the language is

@@ -29,14 +29,14 @@ failed, 1 operational error.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import ball as ball_mod
 from . import hyperbolicity as hyp
+from . import log
 from .ball import BallCapExceeded, CayleyBall, enumerate_ball
 from .language import (
     ConeTypeTable,
@@ -52,8 +52,6 @@ from .presentation import Presentation, parse_presentation, preset, verify_small
 from .qi import estimate_qi_constants, verify_qi_bounds
 from .subdivision import Subdivisions, assign_labels, build_subdivision_graph, verify_axioms, working_constant
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
@@ -63,8 +61,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     preset: str | None = None
     file: str | None = None
     radius: int = 4
@@ -85,19 +82,21 @@ class RunConfig:
             raise ConfigError("delta override must be >= 0 with 2*delta finite")
 
 
-@dataclass
 class Artifacts:
-    presentation: Presentation | None = None
-    ball: CayleyBall | None = None
-    delta: hyp.DeltaEstimate | None = None
-    table: ConeTypeTable | None = None
-    acceptor: WordAcceptor | None = None
-    graph: object | None = None
-    subdivisions: Subdivisions | None = None
+    """What a run built, filled in stage by stage; None where it stopped
+    short."""
+
+    __slots__ = ("presentation", "ball", "delta", "table", "acceptor", "graph", "subdivisions")
+
+    def __init__(self, presentation: Presentation | None = None, ball: CayleyBall | None = None,
+                 delta: hyp.DeltaEstimate | None = None, table: ConeTypeTable | None = None,
+                 acceptor: WordAcceptor | None = None, graph: object | None = None,
+                 subdivisions: Subdivisions | None = None):
+        self.presentation, self.ball, self.delta, self.table = presentation, ball, delta, table
+        self.acceptor, self.graph, self.subdivisions = acceptor, graph, subdivisions
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     report: dict
     artifacts: Artifacts
     exit_code: int
@@ -169,7 +168,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "status": "completed",
         # every setting but the cache directory, so cold and cached runs
         # write the same report
-        "config": {k: v for k, v in asdict(config).items() if k != "cache_dir"},
+        "config": {k: v for k, v in config._asdict().items() if k != "cache_dir"},
     }
     artifacts = Artifacts()
 

@@ -13,9 +13,9 @@ no pipeline stage calls them.
 from __future__ import annotations
 
 import itertools
-import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import log
 from .words import (
     GeneratorAlphabet,
     PresentationError,
@@ -25,23 +25,20 @@ from .words import (
     inverse_word,
 )
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple("Presentation", [("alphabet", GeneratorAlphabet), ("relators", tuple[Word, ...]),
+                                                ("name", str | None)])):
     """Alphabet plus cyclically reduced relators."""
 
-    alphabet: GeneratorAlphabet
-    relators: tuple[Word, ...]
-    name: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __new__(cls, alphabet: GeneratorAlphabet, relators: tuple[Word, ...], name: str | None = None):
+        for r in relators:
             if not r:
                 raise PresentationError("empty relator")
-            if cyclically_reduce(r, self.alphabet) != r:
+            if cyclically_reduce(r, alphabet) != r:
                 raise PresentationError("relator not cyclically reduced")
+        return super().__new__(cls, alphabet, relators, name)
 
     def text(self) -> str:
         """Round-trippable presentation-file form (used for cache keys)."""
@@ -60,8 +57,7 @@ class Presentation:
 PieceWitness = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 
-@dataclass(frozen=True)
-class PieceReport:
+class PieceReport(NamedTuple):
     """Outcome of the C'(1/6) check.
 
     ``max_piece_len`` is the longest proper subword occurring in two

@@ -48,18 +48,16 @@ of B_M is the in-ball distance by the bound above.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from collections.abc import Sequence
 from itertools import islice
 from operator import countOf
 
+from . import log
 from .ball import CayleyBall, bidirectional_distance
 from .language import Verdict
 from .subdivision import SubdivisionGraph, horizontal_edge_length, working_constant
-
-log = logging.getLogger(__name__)
 
 
 def _trusted_vertices(graph: SubdivisionGraph) -> range:

@@ -22,8 +22,7 @@ one reserved label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .ball import CayleyBall
 from .labeled_graph import LabeledGraph, find_isomorphism
@@ -31,8 +30,7 @@ from .language import ConeTypeTable, Verdict
 from .words import Word, inverse_word
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Outward vertices certifying a geodesically close pair."""
 
     first: int
@@ -40,31 +38,36 @@ class Witness:
     separation: int  # 0: geodesics meet, 1: adjacent vertices
 
 
-@dataclass(frozen=True)
-class VertexLabel:
+class VertexLabel(NamedTuple):
     own_type: int
     neighborhood: tuple[tuple[Word, int], ...]  # (relative normal form, cone type)
 
 
-@dataclass(frozen=True)
-class EdgeLabel:
+class EdgeLabel(NamedTuple):
     type_a: int
     type_b: int
     relative: Word  # normal form of u^-1 v, the edge read from u toward v
 
 
-@dataclass
 class SubdivisionGraph:
-    ball: CayleyBall
-    k: int
-    n_max: int
-    delta: float
-    level_edges: dict[int, tuple[tuple[int, int], ...]]
-    witnesses: dict[tuple[int, int], Witness]
-    unstable_levels: tuple[int, ...]
-    relative: dict[tuple[int, int], int] = field(default_factory=dict)  # (u, v) -> id of u^-1 v
-    vertex_labels: dict[int, VertexLabel] = field(default_factory=dict)
-    edge_labels: dict[tuple[int, int], EdgeLabel] = field(default_factory=dict)
+    """The horizontal edges by level, with their minimal witnesses and
+    ``relative``, (u, v) -> id of u^-1 v; ``assign_labels`` fills in the
+    labels.  Slots, as the axioms and QI read the fields per vertex."""
+
+    __slots__ = ("ball", "k", "n_max", "delta", "level_edges", "witnesses", "unstable_levels", "relative",
+                 "vertex_labels", "edge_labels", "_partners")
+
+    def __init__(self, ball: CayleyBall, k: int, n_max: int, delta: float,
+                 level_edges: dict[int, tuple[tuple[int, int], ...]], witnesses: dict[tuple[int, int], Witness],
+                 unstable_levels: tuple[int, ...], relative: dict[tuple[int, int], int] | None = None,
+                 vertex_labels: dict[int, VertexLabel] | None = None,
+                 edge_labels: dict[tuple[int, int], EdgeLabel] | None = None):
+        self.ball, self.k, self.n_max, self.delta = ball, k, n_max, delta
+        self.level_edges, self.witnesses, self.unstable_levels = level_edges, witnesses, unstable_levels
+        self.relative = {} if relative is None else relative
+        self.vertex_labels = {} if vertex_labels is None else vertex_labels
+        self.edge_labels = {} if edge_labels is None else edge_labels
+        self._partners = None
 
     def all_level_edges(self):
         for n in sorted(self.level_edges):
@@ -74,18 +77,16 @@ class SubdivisionGraph:
     def edge_count(self) -> int:
         return sum(len(v) for v in self.level_edges.values())
 
-    @cached_property
-    def partner_index(self) -> dict[int, tuple[int, ...]]:
-        """Horizontal partners of every vertex, in edge order, read once
-        off ``level_edges`` (which are not changed after construction)."""
-        index: dict[int, list[int]] = {}
-        for _, (u, v) in self.all_level_edges():
-            index.setdefault(u, []).append(v)
-            index.setdefault(v, []).append(u)
-        return {v: tuple(ps) for v, ps in index.items()}
-
     def partners(self, v: int) -> tuple[int, ...]:
-        return self.partner_index.get(v, ())
+        """Horizontal partners of v, in edge order, from an index read once
+        off ``level_edges`` (which are not changed after construction)."""
+        if self._partners is None:
+            index: dict[int, list[int]] = {}
+            for _, (u, w) in self.all_level_edges():
+                index.setdefault(u, []).append(w)
+                index.setdefault(w, []).append(u)
+            self._partners = {u: tuple(ps) for u, ps in index.items()}
+        return self._partners.get(v, ())
 
 
 def outward_vertices(ball: CayleyBall, u: int) -> set[int]:

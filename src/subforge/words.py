@@ -8,7 +8,7 @@ normal forms all derive from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -28,8 +28,7 @@ def _check_symbols(symbols) -> None:
             raise PresentationError(f"generator symbol must be a single ASCII letter: {t!r}")
 
 
-@dataclass(frozen=True)
-class GeneratorAlphabet:
+class GeneratorAlphabet(NamedTuple("GeneratorAlphabet", [("symbols", tuple[str, ...]), ("inverse", tuple[int, ...])])):
     """Symmetric generating set with a declared total order.
 
     ``symbols[i]`` is the display symbol of letter ``i`` and ``inverse[i]``
@@ -38,23 +37,23 @@ class GeneratorAlphabet:
     never its own inverse.  Every symbol is a single ASCII letter.
     """
 
-    symbols: tuple[str, ...]
-    inverse: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_symbols(self.symbols)
-        if len(self.symbols) != len(set(self.symbols)):
+    def __new__(cls, symbols: tuple[str, ...], inverse: tuple[int, ...]):
+        _check_symbols(symbols)
+        if len(symbols) != len(set(symbols)):
             raise PresentationError("duplicate letter symbol in alphabet")
-        n = len(self.symbols)
-        if len(self.inverse) != n:
+        n = len(symbols)
+        if len(inverse) != n:
             raise PresentationError("inverse table does not match symbol count")
-        for i, j in enumerate(self.inverse):
+        for i, j in enumerate(inverse):
             if not 0 <= j < n:
-                raise PresentationError(f"inverse of {self.symbols[i]!r} out of range")
+                raise PresentationError(f"inverse of {symbols[i]!r} out of range")
             if j == i:
-                raise PresentationError(f"letter {self.symbols[i]!r} is its own inverse")
-            if self.inverse[j] != i:
-                raise PresentationError(f"involution broken at {self.symbols[i]!r}")
+                raise PresentationError(f"letter {symbols[i]!r} is its own inverse")
+            if inverse[j] != i:
+                raise PresentationError(f"involution broken at {symbols[i]!r}")
+        return super().__new__(cls, symbols, inverse)
 
     @classmethod
     def from_case_pairs(cls, tokens: list[str] | tuple[str, ...]) -> "GeneratorAlphabet":

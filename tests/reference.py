@@ -14,7 +14,8 @@ triangle, with no symmetry quotient, and ``reference_qi_constants``
 measures every QI pair by search.  The export writers that built each
 file as one string (``json.dumps`` of the whole object tree, DOT lines
 joined at the end) are kept as the reference for the streamed exports.
-``word_oracle`` picks a presentation's word oracle, and
+``word_oracle`` picks a presentation's word oracle, ``graph_with`` copies
+a subdivision graph with some fields changed, and
 ``corrupt_pipeline_labels`` injects the label fault of the negative
 controls into ``run_pipeline``.
 """
@@ -60,6 +61,14 @@ def word_oracle(pres: Presentation) -> WordOracle:
     """Dehn's algorithm when there are relators, free reduction when there
     are none."""
     return DehnOracle(pres) if pres.relators else WordOracle(pres.alphabet)
+
+
+def graph_with(graph: SubdivisionGraph, **changes) -> SubdivisionGraph:
+    """A new subdivision graph with the fields of ``graph`` but those in
+    ``changes``; it builds its own partner index."""
+    names = ("ball", "k", "n_max", "delta", "level_edges", "witnesses", "unstable_levels", "relative",
+             "vertex_labels", "edge_labels")
+    return SubdivisionGraph(**{name: changes[name] if name in changes else getattr(graph, name) for name in names})
 
 
 def corrupt_one_label(graph: SubdivisionGraph) -> None:

@@ -1,7 +1,6 @@
 import hashlib
 import random
 import struct
-from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -446,7 +445,8 @@ def test_default_cap_admits_surface_radius_eight():
 
 def _assert_flat(ball):
     n, a = ball.size, ball.degree
-    assert [f.name for f in fields(ball)] == ["presentation", "radius", "sphere_of", "parent", "last_letter", "table"]
+    assert CayleyBall.__slots__ == ("presentation", "radius", "sphere_of", "parent", "last_letter", "table", "degree")
+    assert ball.degree == len(ball.presentation.alphabet.symbols)
     for name, length in (("sphere_of", n), ("parent", n), ("last_letter", n), ("table", n * a)):
         field = getattr(ball, name)
         assert type(field) is list and len(field) == length, name

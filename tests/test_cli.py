@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import logging
 import os
 import pickle
 import re
@@ -212,6 +211,30 @@ def test_presentation_file_input(tmp_path):
     assert _report(out)["presentation"]["generators"] == ["a", "A", "b", "B"]
 
 
+def test_relator_reduction_warns_with_and_without_verbose(tmp_path, capsys):
+    # a warning reaches stderr without -v, as a bare line, and under -v
+    # among the progress lines, with their prefix
+    path = tmp_path / "pres.txt"
+    path.write_text("gens: a A b B c C d D\nrelators: aabABcdCDA\n")
+    warning = "relator 'aabABcdCDA' cyclically reduced to 'abABcdCD'"
+    argv = ["run", "--file", str(path), "--radius", "3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == warning + "\n"
+    assert main(argv + ["-v"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "subforge: " + warning and len(lines) > 8
+
+
+def test_verbose_lasts_one_call(tmp_path, monkeypatch, capsys):
+    # main() turns the progress lines off again when its -v run ends
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--preset", "f2", "--radius", "3", "--out", "out"]
+    assert main(argv + ["-v"]) == 0
+    assert "subforge: parse: " in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_odd_relator_file_pipeline(tmp_path):
     from reference import ODD_RELATOR
 
@@ -316,7 +339,7 @@ def _version_2_file() -> bytes:
     "spoil",
     ["truncated", "flipped_byte", "other_presentation", "other_radius", "old_version", "parent_cycle", "bad_letter"],
 )
-def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
+def test_unusable_cache_file_is_a_logged_miss(tmp_path, capsys, spoil):
     cache = tmp_path / "cache"
     assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "fill")]) == 0
     (path,) = cache.iterdir()
@@ -345,15 +368,17 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
         assert main(["run", *other, "--cache-dir", str(elsewhere), "--out", str(tmp_path / "o")]) == 0
         (foreign,) = elsewhere.iterdir()
         path.write_bytes(foreign.read_bytes())
-    with caplog.at_level(logging.WARNING, logger="subforge.pipeline"):
-        assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "cached")]) == 0
-    assert "re-enumerating" in caplog.text
+    capsys.readouterr()
+    assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "cached")]) == 0
+    # without -v the warning is one bare line on stderr
+    (warning,) = capsys.readouterr().err.splitlines()
+    assert warning.startswith(f"ball cache {path} unusable (") and warning.endswith("); re-enumerating")
     if spoil == "flipped_byte":
-        assert "checksum mismatch" in caplog.text
+        assert "checksum mismatch" in warning
     if spoil in ("parent_cycle", "bad_letter"):
-        assert "parent links do not each point to a smaller id" in caplog.text
+        assert "parent links do not each point to a smaller id" in warning
     if spoil == "old_version":
-        assert "cache format version 2, expected 3" in caplog.text
+        assert "cache format version 2, expected 3" in warning
         assert UNPICKLED == []
         # the tripwire is live: loading the payload would have tripped it
         pickle.loads(_version_2_file()[CACHE_HEADER_LEN:])
@@ -367,30 +392,31 @@ def test_unusable_cache_file_is_a_logged_miss(tmp_path, caplog, spoil):
     assert path.read_bytes() == good
 
 
-def _run_with_unwritable_cache(tmp_path, caplog, cache) -> None:
+def _run_with_unwritable_cache(tmp_path, capsys, cache) -> str:
     """Run F2_R4 with ``cache`` as the cache directory, which cannot take
-    the ball: the write is a logged warning and the run's outputs are a
-    run's without a cache."""
-    with caplog.at_level(logging.WARNING, logger="subforge.pipeline"):
-        assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "cached")]) == 0
-    assert "not written" in caplog.text
+    the ball: the write is a warning on stderr and the run's outputs are a
+    run's without a cache.  Returns the run's stderr."""
+    capsys.readouterr()
+    assert main(F2_R4 + ["--cache-dir", str(cache), "--out", str(tmp_path / "cached")]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("ball cache ") and " not written (" in err
     assert main(F2_R4 + ["--out", str(tmp_path / "cold")]) == 0
     assert _report(tmp_path / "cached")["checks"] == _report(tmp_path / "cold")["checks"]
     assert _exports(tmp_path / "cached") == _exports(tmp_path / "cold")
+    return err
 
 
-def test_cache_dir_that_is_a_file_is_a_logged_miss(tmp_path, caplog):
+def test_cache_dir_that_is_a_file_is_a_logged_miss(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.write_text("not a directory")
-    _run_with_unwritable_cache(tmp_path, caplog, cache)
+    assert len(_run_with_unwritable_cache(tmp_path, capsys, cache).splitlines()) == 1
     assert cache.read_text() == "not a directory"
 
 
-def test_directory_at_the_cache_file_path_is_a_logged_miss(tmp_path, caplog):
+def test_directory_at_the_cache_file_path_is_a_logged_miss(tmp_path, capsys):
     cache = tmp_path / "cache"
     (cache / f"{cache_key(preset('f2'), 4)}.ball").mkdir(parents=True)
-    _run_with_unwritable_cache(tmp_path, caplog, cache)
-    assert "re-enumerating" in caplog.text
+    assert "re-enumerating" in _run_with_unwritable_cache(tmp_path, capsys, cache)
     # the temp file is removed, and the directory left as it was
     (entry,) = cache.iterdir()
     assert entry.is_dir() and not any(entry.iterdir())
@@ -467,6 +493,30 @@ def test_hashlib_loads_only_with_the_cache(tmp_path, cached):
     if before == "True":
         pytest.skip("the interpreter loads hashlib before subforge is imported")
     assert (loaded, code) == (str(cached), "0")
+
+
+def test_cli_starts_without_dataclasses_inspect_or_logging(tmp_path):
+    # each would cost every run milliseconds of import (README, start-up);
+    # a run without a cache loads none of them, nor hashlib
+    script = (
+        "import json, sys\n"
+        "heavy = ('dataclasses', 'inspect', 'logging', 'hashlib')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "before = loaded()\n"
+        "import subforge.cli\n"
+        "imported = loaded()\n"
+        "code = subforge.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([before, imported, loaded(), code]))\n"
+    )
+    argv = ["run", "--preset", "f2", "--radius", "3", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=_child_env(), stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, check=True,
+    )
+    before, imported, ran, code = json.loads(proc.stdout.splitlines()[-1])
+    if before:
+        pytest.skip(f"the interpreter loads {before} before subforge is imported")
+    assert (imported, ran, code) == ([], [], 0)
 
 
 def test_exports_do_not_depend_on_the_cpu_count(tmp_path):

@@ -2,10 +2,10 @@
 (``reference.reference_export``): every kind in every format, byte for
 byte."""
 
-import dataclasses
+import copy
 
 import pytest
-from reference import ODD_RELATOR, reference_export
+from reference import ODD_RELATOR, graph_with, reference_export
 
 from subforge import exports
 from subforge.ball import enumerate_ball
@@ -120,8 +120,8 @@ def test_unstable_levels_stream_as_the_reference(f2_r5_run, tmp_path):
     # no config above has unstable levels, so give one graph some
     arts = f2_r5_run.artifacts
     assert arts.graph.unstable_levels == ()
-    graph = dataclasses.replace(arts.graph, unstable_levels=(1, 2))
-    unstable = dataclasses.replace(arts, graph=graph)
+    unstable = copy.copy(arts)
+    unstable.graph = graph_with(arts.graph, unstable_levels=(1, 2))
     for fmt in EXPORT_FORMATS:
         path = tmp_path / f"xi.{fmt}"
         export_graph(unstable, str(tmp_path), ["xi"], [fmt])

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import copy
 
 import pytest
 
@@ -171,7 +171,9 @@ def _spoiled(ball, field, e, value):
     last letters or the letter table) replaced."""
     table = list(getattr(ball, field))
     table[e] = value
-    return replace(ball, **{field: table})
+    spoiled = copy.copy(ball)
+    setattr(spoiled, field, table)
+    return spoiled
 
 
 def test_corrupt_parent_links_are_caught():

@@ -87,7 +87,7 @@ def test_delta_is_the_same_for_any_chunk_count(ball_name, r, request, monkeypatc
     serial = compute_delta(ball, r)
     for cpus in (2, 3):
         _pin(monkeypatch, cpus)
-        # dataclass equality: value, witness, triangles_computed and the rest
+        # field-by-field equality: value, witness, triangles_computed and the rest
         assert compute_delta(ball, r) == serial
     assert _no_children_left()
 

@@ -1,15 +1,13 @@
 import copy
-import logging
 import math
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from subforge import parallel
+from subforge import log, parallel
 from subforge.ball import bidirectional_distance, enumerate_ball
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import (
@@ -29,6 +27,7 @@ from reference import (
     FOUR_GENERATORS,
     TWO_RELATORS,
     distinct_letter_relators,
+    graph_with,
     in_ball_neighbors,
     one_sided_distance,
     reference_qi_constants,
@@ -157,7 +156,7 @@ def test_b_is_exact_where_the_float_bound_rounds(surface_ball):
     b = verdicts["qi_b"]
     assert 2 * graph.delta + 2 == 2.0 and observed["b"] == 2 and b.domain > 0
     assert b.passed
-    assert not verify_qi_bounds(replace(graph, delta=0.0))[0]["qi_b"].passed
+    assert not verify_qi_bounds(graph_with(graph, delta=0.0))[0]["qi_b"].passed
 
 
 @pytest.fixture(scope="module")
@@ -275,15 +274,15 @@ def test_qi_constants_equal_the_search_reference(source, request):
     assert estimate_qi_constants(graph, seed=2024) == reference_qi_constants(graph, seed=2024)
 
 
-def test_a_horizontal_edge_switches_the_subdivision_graph_to_the_search(f2_run, caplog):
+def test_a_horizontal_edge_switches_the_subdivision_graph_to_the_search(f2_run, capsys, monkeypatch):
     graph = f2_run.artifacts.graph
     ball = graph.ball
     u, v = sorted(ball.element_of(w) for w in ("aaaa", "BBBB"))
     assert graph.n_max == 4 and graph.edge_count() == 0
-    mutated = replace(graph, level_edges={**graph.level_edges, 4: ((u, v),)})
-    with caplog.at_level(logging.INFO, logger="subforge.qi"):
-        got = estimate_qi_constants(mutated, seed=7)
-    assert "Cayley graph by geodesic tree, subdivision graph by search over rows" in caplog.text
+    mutated = graph_with(graph, level_edges={**graph.level_edges, 4: ((u, v),)})
+    monkeypatch.setattr(log, "verbose", True)
+    got = estimate_qi_constants(mutated, seed=7)
+    assert "Cayley graph by geodesic tree, subdivision graph by search over rows" in capsys.readouterr().err
     assert got == reference_qi_constants(mutated, seed=7)
     assert got[0] > 1.0  # the shortcut from aaaa to BBBB is measured
 

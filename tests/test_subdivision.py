@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -11,6 +10,8 @@ from subforge.language import cone_type_classes
 from subforge.presentation import Presentation, preset, verify_small_cancellation
 from subforge.qi import verify_qi_bounds
 from subforge.subdivision import (
+    EdgeLabel,
+    VertexLabel,
     _edge_subdivision,
     _label_sort_key,
     assign_labels,
@@ -30,6 +31,7 @@ from reference import (
     cone_neighborhood,
     corrupt_one_label,
     distinct_letter_relators,
+    graph_with,
     odd_relator_presentation,
     relative_element,
     same_level_within,
@@ -228,7 +230,7 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
         for u, v in es:
             relative.setdefault((u, v), relative_element(surface_ball, u, v))
     assert len(relative) == len(filtered.relative) + 8
-    grown = replace(filtered, level_edges=level_edges, relative=relative)
+    grown = graph_with(filtered, level_edges=level_edges, relative=relative)
     # the partner index is derived per graph, so the copy sees the new edges
     assert dc in grown.partners(ab) and dc not in filtered.partners(ab)
     verdicts, observed = verify_qi_bounds(grown)
@@ -359,14 +361,21 @@ def test_axioms_surface_k2_edge_subdivisions(surface_k2):
             assert sub.vertex_labels[i][0] != sub.vertex_labels[j][0]
 
 
+
+def test_label_reprs_are_pinned():
+    # exports._by_repr and labeled_graph._signatures sort labels by their
+    # repr, so a change to it would reorder the subdivision tables
+    assert repr(VertexLabel(1, (((0,), 2),))) == "VertexLabel(own_type=1, neighborhood=(((0,), 2),))"
+    assert repr(EdgeLabel(1, 2, (0, 3))) == "EdgeLabel(type_a=1, type_b=2, relative=(0, 3))"
+
+
 def test_axiom6_orders_edge_sides_by_the_smaller_label(surface_k2, surface_ball):
     # numbering the cone types backwards is the same labelling, but now the
     # reverse reading of every edge is the smaller label, so axiom 6 swaps
     # the preimage sides of each edge before grouping it
     graph, table = surface_k2
     top = table.class_count - 1
-    backwards = replace(
-        table,
+    backwards = table._replace(
         class_of={e: top - c for e, c in table.class_of.items()},
         fingerprints=table.fingerprints[::-1],
     )
