@@ -34,9 +34,18 @@ geodesics with the same endpoints bound a ladder of relator cells
 no anchored side up to R=6 has more than two.
 
 The Cayley graph is vertex-transitive, so a side from x to y is x times a
-side from the identity to x^-1 y, whose geodesics walk down the levels
-the ball already stores: no distance map from x is built.  The only BFS
-left is the thinness search from a point, grown one layer at a time to
+side from the identity to z = x^-1 y, whose geodesics walk down the levels
+the ball already stores: no distance map from x is built.  The pairs come
+x by x, and z is read off the translate x^-1 B_r of the current x
+(``CayleyBall.translate``, exact since |x| + r <= 2r <= R), one per x.
+One walker (``enumerate_pair_geodesics``) goes back from y and from z in
+step: the letters that take z's side one level down are the letters that
+take the x-y side one step toward x.  Each element's descending letters
+are found once per run and kept (``_Descents``), and a side with several
+geodesics has them sorted by the walk back from y.  The sides from the
+identity are walked by the same walker (z = y) and kept for the run with
+the vertex set of each geodesic and the vertices on all of them.  The only
+BFS left is the thinness search from a point, grown one layer at a time to
 the first depth where every geodesic of one other side has been met; its
 layers are shallow and kept for the run.
 
@@ -55,32 +64,35 @@ computed.
 
 Each end of a side lies on every geodesic of one of the other two sides,
 so a point at distance i from one end of a side of length L has thinness
-at most min(i, L - i).  No side is longer than |x| + |y|, so no value of
-the triangle (1, x, y) exceeds (|x| + |y|) // 2.  A chunk passes its
-running value v to each triangle: one with (|x| + |y|) // 2 <= v is not
-searched, and on each geodesic only the points farther than the larger
-of v and the triangle's best so far from both ends are measured.  What
-is skipped cannot exceed the value it would be compared with, so every
-strict comparison that can change the result takes the same branch, and
-the value and witness are those of the full search.
+at most min(i, L - i) <= L // 2.  The sides have lengths |x|, |y| and
+|z| = d(x, y), so no value of the triangle (1, x, y) exceeds
+max(|x|, |y|, |z|) // 2, one list read once z is known.  A chunk passes
+its running value v to each triangle: one with max(|x|, |y|, |z|) // 2 <= v
+is not searched, and on each geodesic only the points farther than the
+larger of v and the triangle's best so far from both ends are measured.
+A point on every geodesic of another side has thinness 0, read off that
+side's kept intersection without a search; once the value to beat is 0 or
+more it is skipped.  What is skipped cannot exceed the value it would be
+compared with, so every strict comparison that can change the result takes
+the same branch, and the value and witness are those of the full search.
 
 The triangles are independent, so from ``FORK_PAIRS`` computed pairs on
 they are cut into one contiguous chunk per CPU (``parallel.fork_map``).
-Each chunk keeps its own BFS layers and anchored sides and returns its
+Each chunk keeps its own ``_DeltaRun`` and returns its
 first maximal triangle; the chunks are merged in order with the same
 strict comparison, so the value and witness are those of one loop over
 every triangle, whatever the chunk count.  Below ``FORK_PAIRS`` the pairs
 run as one chunk in the process, where a fork does not pay for itself (and
 a second chunk starts with no running value to prune by).  One chunk
-against two on a 2-vCPU VM: surface2 R=5 (561 pairs) 5 against 13 ms,
-f2 R=8 (1,691) 40-60 ms either way, surface2 R=7 (26,335) 0.56-0.72
-against 0.67-0.76 s in the CLI, and f2 R=12 (133,246) 3.9-4.8 against
-2.9 s.
+against two, in process on a 2-vCPU VM: surface2 R=7 (26,335 pairs)
+0.14-0.26 against 0.17-0.35 s, ``BBAABabAAbABA`` R=11 (117,855) 0.64-0.76
+against 0.47-0.57 s, and f2 R=12 (133,246) 1.14-1.54 against 0.84-1.80 s.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple
 
 from . import log
@@ -90,20 +102,59 @@ from .presentation import letter_symmetries
 from .words import inverse_word
 
 # computed pairs from which the triangles are split over the CPUs: the
-# break-even lies between 26,335 and 133,246 (module docstring)
+# break-even lies between 26,335 and 117,855 (module docstring)
 FORK_PAIRS = 100_000
+
+
+class _Descents:
+    """The letters that step each element one level down, learned the
+    first time a walk passes the element and kept for the run.
+    ``kinds[code[e]]`` is e's tuple of descending letters in increasing
+    order, and the empty tuple (code 0) until e is learned.  Few distinct
+    tuples occur, so ``code`` is an array of small indices into ``kinds``:
+    two bytes per element of B_2r while the alphabet has at most 16
+    letters, and at most 2^16 tuples can occur."""
+
+    __slots__ = ("ball", "code", "kinds")
+
+    def __init__(self, ball: CayleyBall, n: int):
+        self.ball = ball
+        self.code = array("H" if ball.degree <= 16 else "I", [0]) * n
+        self.kinds: list[tuple[int, ...]] = [()]
+
+    def learn(self, e: int) -> tuple[int, ...]:
+        sphere_of, table, a = self.ball.sphere_of, self.ball.table, self.ball.degree
+        level = sphere_of[e]
+        letters = tuple(b for b, t in enumerate(table[e * a : e * a + a]) if t >= 0 and sphere_of[t] < level)
+        kinds = self.kinds
+        if letters not in kinds:
+            kinds.append(letters)
+        self.code[e] = kinds.index(letters)
+        return letters
+
+
+def _with_sets(geodesics: list[tuple[int, ...]]):
+    """A side: its geodesics, the vertex set of each, and the vertices on
+    every one of them."""
+    sets = [set(geo) for geo in geodesics]
+    return geodesics, sets, sets[0].intersection(*sets[1:]) if len(sets) > 1 else sets[0]
 
 
 class _DeltaRun:
     """What one delta computation keeps for the run: the BFS layers over
     the in-ball graph around each thinness point, grown on demand (a
-    search from a point rarely goes past a few layers), and the geodesics
-    of each side from the identity, which most triangles share."""
+    search from a point rarely goes past a few layers), each side from the
+    identity with its vertex sets, which most triangles share, the
+    descending letters of every element a side walk has passed, and the
+    translate x^-1 B_r of the current x, from which each x^-1 y is read.
+    The pairs come x by x, so one translate serves every pair of an x."""
 
-    def __init__(self, ball: CayleyBall):
-        self.ball = ball
+    def __init__(self, ball: CayleyBall, r: int):
+        self.ball, self.r = ball, r
+        self.descents = _Descents(ball, ball.sphere(2 * r).stop)
         self._state: dict[int, tuple[set[int], list[list[int]]]] = {}
-        self._anchored: dict[int, list[tuple[int, ...]]] = {}
+        self._anchored: dict[int, tuple] = {}
+        self._x, self._image = 0, None
 
     def expand(self, source: int, depth: int) -> list[list[int]]:
         """Layers of the BFS from ``source`` out to ``depth`` (or until the
@@ -123,28 +174,47 @@ class _DeltaRun:
             layers.append(nxt)
         return layers
 
-    def side(self, a: int, b: int) -> list[tuple[int, ...]]:
-        """Every geodesic from a to b (``enumerate_pair_geodesics``); a
-        side from the identity is enumerated once per run."""
-        if a == b:
-            return [(a,)]
-        if a:
-            return enumerate_pair_geodesics(self.ball, a, b)
-        geos = self._anchored.get(b)
-        if geos is None:
-            geos = self._anchored[b] = enumerate_pair_geodesics(self.ball, 0, b)
-        return geos
+    def quotient(self, x: int, y: int) -> int:
+        """x^-1 y for y in B_r, read off the translate x^-1 B_r, which is
+        exact because |x| + r <= 2r <= R."""
+        if not x:
+            return y
+        if x != self._x:
+            ball = self.ball
+            x_inv = ball.walk(0, inverse_word(ball.normal_form(x), ball.presentation.alphabet))
+            self._x, self._image = x, ball.translate(x_inv, self.r)
+        return self._image[y]
+
+    def anchored(self, b: int):
+        """The side from the identity to b (``_with_sets``), walked once
+        per run."""
+        side = self._anchored.get(b)
+        if side is None:
+            geos = enumerate_pair_geodesics(self.ball, 0, b, z=b, descents=self.descents)
+            side = self._anchored[b] = _with_sets(geos)
+        return side
+
+    def sides(self, x: int, y: int, z: int):
+        """The sides id-x, id-y and x-y of a triangle, z = x^-1 y."""
+        if not x:
+            side = self.anchored(y)
+            return self.anchored(0), side, side
+        geos = enumerate_pair_geodesics(self.ball, x, y, z=z, descents=self.descents)
+        return self.anchored(x), self.anchored(y), _with_sets(geos)
 
 
-def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int) -> list[tuple[int, ...]]:
+def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int, z: int | None = None,
+                             descents: _Descents | None = None) -> list[tuple[int, ...]]:
     """Every geodesic vertex path from x to y, in deterministic order (the
     paths walked back from y, taking neighbours in increasing id order).
 
     The geodesics from x to y are x times the geodesics from the identity
     to z = x^-1 y, so no distance map from x is needed: the walk goes back
-    from y and from z in step, and a letter a steps toward x exactly where
-    it steps z's side one level down.  Requires |x| + |y| <= radius, so
-    that z and every geodesic between x and y lie inside the ball.
+    from y and from z in step, and a letter b steps toward x exactly where
+    it steps z's side one level down.  A caller that knows z passes it,
+    and ``descents`` keeps each element's descending letters across calls.
+    Requires |x| + |y| <= radius, so that z and every geodesic between x
+    and y lie inside the ball.
     """
     sphere_of, table, a = ball.sphere_of, ball.table, ball.degree
     if sphere_of[x] + sphere_of[y] > ball.radius:
@@ -152,30 +222,31 @@ def enumerate_pair_geodesics(ball: CayleyBall, x: int, y: int) -> list[tuple[int
             f"geodesics between lengths {sphere_of[x]} and {sphere_of[y]} need radius "
             f"{sphere_of[x] + sphere_of[y]}"
         )
-    if x == 0:
-        z = y
-    else:
+    if z is None:
         x_inv = inverse_word(ball.normal_form(x), ball.presentation.alphabet)
         z = ball.walk(0, x_inv + ball.normal_form(y))
-    paths: list[tuple[int, ...]] = []
-    stack = [y]
-
-    def rec(v: int, l: int) -> None:
-        if l == 0:
-            paths.append(tuple(reversed(stack)))
-            return
-        level = sphere_of[l]
-        i, j = v * a, l * a
-        steps = [(table[i + b], t) for b, t in enumerate(table[j : j + a]) if t >= 0 and sphere_of[t] < level]
-        if len(steps) > 1:
-            steps.sort()
-        for w, t in steps:
-            stack.append(w)
-            rec(w, t)
-            stack.pop()
-
-    rec(y, z)
-    return paths
+    if descents is None:
+        descents = _Descents(ball, z + 1)  # the walk only goes down from z
+    code, kinds = descents.code, descents.kinds
+    # each walk: its path from y so far, the path's end v and v's image
+    # l = x^-1 v on the side from the identity to z
+    paths: list[list[int]] = []
+    walks = [([y], y, z)]
+    while walks:
+        path, v, l = walks.pop()
+        while l:
+            letters = kinds[code[l]] or descents.learn(l)
+            for b in letters[1:]:  # a branch: walked after this path
+                w = table[v * a + b]
+                walks.append((path + [w], w, table[l * a + b]))
+            b = letters[0]
+            v = table[v * a + b]
+            l = table[l * a + b]
+            path.append(v)
+        paths.append(path)
+    if len(paths) > 1:
+        paths.sort()  # by the walk back from y, neighbours in id order
+    return [tuple(reversed(path)) for path in paths]
 
 
 class TriangleWitness(NamedTuple):
@@ -198,26 +269,13 @@ class DeltaEstimate(NamedTuple):
     is_lower_bound: bool = True
 
 
-def _side_geodesics(run, x, y):
-    return [run.side(a, b) for a, b in ((0, x), (0, y), (x, y))]
-
-
 def _point_thinness(run, p, other_sides):
     """min over the two other sides of (max over geodesics of d(p, geo)).
 
     ``other_sides`` holds, per side, the vertex set of each of its
-    geodesics.  A point on every geodesic of one side has thinness 0 and
-    builds no BFS state; otherwise the BFS from p is expanded one layer at
-    a time and stops as soon as one side has every geodesic hit.
+    geodesics.  The BFS from p is expanded one layer at a time and stops
+    as soon as one side has every geodesic hit.
     """
-    # plain loops: written as any(all(...)), the generators cost more than
-    # the BFS state saved (delta on f2 R=8 r=4 +10%, against -40% here)
-    for side in other_sides:
-        for geo in side:
-            if p not in geo:
-                break
-        else:
-            return 0
     targets = list(other_sides)
     maxima = [0, 0]
     depth = 0
@@ -241,30 +299,43 @@ def _point_thinness(run, p, other_sides):
 
 def triangle_thinness(run, x, y, floor=-1):
     """Worst thinness value over all points of all sides of the anchored
-    triangle (identity, x, y); returns (value, witness).  A point that
-    cannot exceed the larger of ``floor`` and the best value found so far
-    is not measured (module docstring): a triangle whose worst value is at most
-    ``floor`` may return less, down to (-1, None), and any other returns
-    the value and witness of the full search."""
+    triangle (identity, x, y); returns (value, witness).  A triangle or a
+    point that cannot exceed the larger of ``floor`` and the best value
+    found so far is not measured (module docstring): a triangle whose
+    worst value is at most ``floor`` may return less, down to (-1, None),
+    and any other returns the value and witness of the full search."""
     sphere_of = run.ball.sphere_of
-    if (sphere_of[x] + sphere_of[y]) // 2 <= floor:
+    z = run.quotient(x, y)
+    if max(sphere_of[x], sphere_of[y], sphere_of[z]) // 2 <= floor:
         return -1, None
-    sides = _side_geodesics(run, x, y)
-    vertex_sets = [[set(geo) for geo in side] for side in sides]
+    sides = run.sides(x, y, z)
     best = (-1, None)
+    v = floor
     for si in range(3):
-        others = [vertex_sets[(si + 1) % 3], vertex_sets[(si + 2) % 3]]
-        seen_points = set()
-        for geo in sides[si]:
+        _, sets1, on1 = sides[(si + 1) % 3]
+        _, sets2, on2 = sides[(si + 2) % 3]
+        others = (sets1, sets2)
+        geos = sides[si][0]
+        # points already measured on another geodesic of this side
+        seen_points = set() if len(geos) > 1 else None
+        for geo in geos:
             # a point within v of an end of its side is within v of another side
-            v = max(best[0], floor)
             for p in geo[v + 1 : len(geo) - 1 - v]:
-                if p in seen_points:
-                    continue
-                seen_points.add(p)
-                value = _point_thinness(run, p, others)
+                if seen_points is not None:
+                    if p in seen_points:
+                        continue
+                    seen_points.add(p)
+                if p in on1 or p in on2:
+                    # on every geodesic of another side: thinness 0, which
+                    # beats nothing once the value to beat is 0 or more
+                    if v >= 0:
+                        continue
+                    value = 0
+                else:
+                    value = _point_thinness(run, p, others)
                 if value > best[0]:
                     best = (value, TriangleWitness(x, y, si, p, value))
+                    v = max(value, floor)
     return best
 
 
@@ -317,7 +388,7 @@ def compute_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
     def chunk_thinness(chunk):
         # the first maximal triangle of the chunk, its witness as a tuple
         # so that it crosses the pipe
-        run = _DeltaRun(ball)
+        run = _DeltaRun(ball, r)
         value, witness = -1, None
         for x, y in chunk:
             v, w = triangle_thinness(run, x, y, value)

@@ -25,6 +25,12 @@ class LabeledGraph(NamedTuple("LabeledGraph", [("vertex_labels", tuple), ("edges
                 raise ValueError(f"bad edge ({i}, {j}) in graph of size {n}")
         return super().__new__(cls, vertex_labels, edges)
 
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make (and _replace, which calls it) would build
+        # through tuple.__new__ and skip the checks above
+        return cls(*iterable)
+
     @property
     def size(self) -> int:
         return len(self.vertex_labels)

@@ -40,6 +40,12 @@ class Presentation(NamedTuple("Presentation", [("alphabet", GeneratorAlphabet), 
                 raise PresentationError("relator not cyclically reduced")
         return super().__new__(cls, alphabet, relators, name)
 
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make (and _replace, which calls it) would build
+        # through tuple.__new__ and skip the checks above
+        return cls(*iterable)
+
     def text(self) -> str:
         """Round-trippable presentation-file form (used for cache keys)."""
         lines = ["gens: " + " ".join(self.alphabet.symbols)]

@@ -56,6 +56,12 @@ class GeneratorAlphabet(NamedTuple("GeneratorAlphabet", [("symbols", tuple[str, 
         return super().__new__(cls, symbols, inverse)
 
     @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make (and _replace, which calls it) would build
+        # through tuple.__new__ and skip the checks above
+        return cls(*iterable)
+
+    @classmethod
     def from_case_pairs(cls, tokens: list[str] | tuple[str, ...]) -> "GeneratorAlphabet":
         """Build an alphabet from a flat symbol list using the lowercase /
         uppercase pairing convention (``a`` and ``A`` are mutual inverses).

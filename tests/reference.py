@@ -35,7 +35,6 @@ from subforge.hyperbolicity import (
     TriangleWitness,
     _DeltaRun,
     _point_thinness,
-    _side_geodesics,
     triangle_thinness,
 )
 from subforge.language import ConeTypeTable, WordAcceptor
@@ -522,7 +521,9 @@ class BfsPairGeodesics:
             self._fields[source] = dist
         return dist
 
-    def __call__(self, ball: CayleyBall, x: int, y: int) -> list[tuple[int, ...]]:
+    def __call__(self, ball: CayleyBall, x: int, y: int, z=None, descents=None) -> list[tuple[int, ...]]:
+        # z = x^-1 y and the descending-letter memo are hints delta passes
+        # to the walker; the BFS needs neither
         field = self.field(ball, x)
         paths: list[tuple[int, ...]] = []
         stack = [y]
@@ -545,7 +546,7 @@ def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
     """Exhaustive delta with no symmetry quotient: every anchored triangle
     (1, x, y) with x <= y in B_r is computed."""
     n = ball.sphere(r).stop
-    run = _DeltaRun(ball)
+    run = _DeltaRun(ball, r)
     value, witness = -1, None
     triangles = 0
     for x in range(n):
@@ -565,9 +566,10 @@ def reference_delta(ball: CayleyBall, r: int) -> DeltaEstimate:
 
 def reevaluate_witness(ball: CayleyBall, witness: TriangleWitness) -> int:
     """Recompute the thinness value of a stored witness triangle."""
-    run = _DeltaRun(ball)
-    sides = _side_geodesics(run, witness.x, witness.y)
-    others = [[set(geo) for geo in sides[(witness.side + k) % 3]] for k in (1, 2)]
+    x, y = witness.x, witness.y
+    run = _DeltaRun(ball, ball.radius // 2)
+    sides = run.sides(x, y, run.quotient(x, y))
+    others = [sides[(witness.side + k) % 3][1] for k in (1, 2)]
     return _point_thinness(run, witness.point, others)
 
 
@@ -586,7 +588,7 @@ def validate_delta(
         r = ball.radius // 2
     rng = random.Random(seed)
     ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
-    run = _DeltaRun(ball)
+    run = _DeltaRun(ball, r)
     for _ in range(samples):
         x, y = rng.choice(ids), rng.choice(ids)
         value, witness = triangle_thinness(run, x, y)

@@ -158,15 +158,41 @@ def odd_relator_ball():
     return enumerate_ball(odd_relator_presentation(), 4)
 
 
-@pytest.mark.parametrize("ball_name, r", [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2)])
+@pytest.fixture(scope="module")
+def f5_relator_ball():
+    # ten letters: a letter index does not fit a one-byte letter mask
+    return enumerate_ball(parse_presentation(F5_RELATOR), 4)
+
+
+@pytest.mark.parametrize(
+    "ball_name, r",
+    [("surface4_ball", 2), ("f2_ball", 3), ("odd_relator_ball", 2), ("f5_relator_ball", 2)],
+)
 def test_early_stop_geodesics_match_whole_ball_bfs(ball_name, r, request):
-    # same paths in the same order as walking back along a BFS from x
+    # same paths in the same order as walking back along a BFS from x,
+    # both from a call on its own and inside one delta run, which reads
+    # x^-1 y off a translate per x and keeps the descending letters of
+    # every element for all pairs
     ball = request.getfixturevalue(ball_name)
     bfs = BfsPairGeodesics()
+    run = _DeltaRun(ball, r)
     ids = [e for e in range(ball.size) if ball.sphere_of[e] <= r]
     for x in ids:
         for y in ids:
-            assert enumerate_pair_geodesics(ball, x, y) == bfs(ball, x, y), (x, y)
+            expected = bfs(ball, x, y)
+            assert enumerate_pair_geodesics(ball, x, y) == expected, (x, y)
+            z = run.quotient(x, y)
+            assert enumerate_pair_geodesics(ball, x, y, z=z, descents=run.descents) == expected, (x, y)
+
+
+def counting(walker, calls):
+    """``walker`` that also records the (x, y) of every call in ``calls``."""
+
+    def read_side(*args, **kwargs):
+        calls.append(args[1:3])
+        return walker(*args, **kwargs)
+
+    return read_side
 
 
 @pytest.mark.parametrize(
@@ -177,17 +203,25 @@ def test_early_stop_geodesics_match_whole_ball_bfs(ball_name, r, request):
 )
 def test_delta_matches_whole_ball_bfs(ball_name, r, request, monkeypatch):
     ball = request.getfixturevalue(ball_name)
+    fast_calls, bfs_calls = [], []
+    monkeypatch.setattr(hyperbolicity, "enumerate_pair_geodesics", counting(enumerate_pair_geodesics, fast_calls))
     fast = compute_delta(ball, r)
-    monkeypatch.setattr(hyperbolicity, "enumerate_pair_geodesics", BfsPairGeodesics())
+    monkeypatch.setattr(hyperbolicity, "enumerate_pair_geodesics", counting(BfsPairGeodesics(), bfs_calls))
     # field-by-field equality: value, witness, triangles
     assert compute_delta(ball, r) == fast
+    # delta read every side through the swapped name, so the BFS route
+    # decided the same sides
+    assert bfs_calls == fast_calls and fast_calls
 
 
 def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     # vertices visited, summed over every BFS state of one delta run: a
     # work bound machine noise cannot move.  Only the thinness points keep
     # BFS layers, 26 vertices over 2 points when the triangles and points
-    # that cannot beat the running value are skipped; 141 over 13 points
+    # that cannot beat the running value are skipped (skipping a triangle
+    # by max(|x|, |y|, d(x, y)) // 2 rather than (|x| + |y|) // 2, and
+    # deciding a point on every geodesic of another side from the side's
+    # intersection, leave the same 2 points); 141 over 13 points
     # with one triangle per symmetry orbit; 202 over 74 points when a point
     # on every geodesic of another side built its depth-0 layer as well,
     # 409 over 89 points when every triangle was computed (and the depth-0
@@ -198,8 +232,8 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     states = []
 
     class Recording(_DeltaRun):
-        def __init__(self, ball):
-            super().__init__(ball)
+        def __init__(self, ball, r):
+            super().__init__(ball, r)
             states.append(self._state)
 
     monkeypatch.setattr(hyperbolicity, "_DeltaRun", Recording)
@@ -208,3 +242,19 @@ def test_delta_bfs_work_gate(surface4_ball, monkeypatch):
     assert estimate.triangles_computed < hyperbolicity.FORK_PAIRS
     visited = sum(len(seen) for state in states for seen, _ in state.values())
     assert 0 < visited <= 26
+
+
+def test_delta_side_walks_surface2_r6(monkeypatch):
+    # sides walked by one delta run at surface2 R=6 (r=3), a work count
+    # machine noise cannot move: 17,621 when a triangle is skipped once
+    # max(|x|, |y|, d(x, y)) // 2 cannot beat the running value, against
+    # 20,099 when it was skipped by (|x| + |y|) // 2 (19,999 when the
+    # degenerate sides from x to x were not walked either).  26,335 pairs
+    # are computed, fewer than the fork threshold, so every walk is
+    # counted in this process.
+    walks = []
+    monkeypatch.setattr(hyperbolicity, "enumerate_pair_geodesics", counting(enumerate_pair_geodesics, walks))
+    estimate = compute_delta(enumerate_ball(preset("surface2"), 6), 3)
+    assert (estimate.delta, estimate.triangles_computed) == (2.0, 26_335)
+    assert estimate.triangles_computed < hyperbolicity.FORK_PAIRS
+    assert len(walks) == 17_621

@@ -8,6 +8,15 @@ def test_identical_graphs_identity_map():
     assert find_isomorphism(g, g) == {0: 0, 1: 1, 2: 2}
 
 
+def test_replace_and_make_run_the_checks():
+    g = LabeledGraph(("x", "y"), ((0, 1, "e"),))
+    with pytest.raises(ValueError, match="bad edge"):
+        g._replace(edges=((1, 0, "e"),))
+    with pytest.raises(ValueError, match="bad edge"):
+        LabeledGraph._make((("x",), ((0, 1, "e"),)))
+    assert type(g._replace(vertex_labels=("y", "x"))) is LabeledGraph
+
+
 def test_vertex_label_mismatch():
     g1 = LabeledGraph(("x", "y"), ((0, 1, "e"),))
     g2 = LabeledGraph(("x", "z"), ((0, 1, "e"),))

@@ -73,6 +73,18 @@ def test_presets():
         preset("nope")
 
 
+def test_replace_and_make_run_the_checks():
+    # NamedTuple's _replace and _make build through tuple.__new__ unless
+    # the class routes them through its checking constructor
+    f2 = preset("f2")
+    with pytest.raises(PresentationError, match="empty relator"):
+        f2._replace(relators=((),))
+    with pytest.raises(PresentationError, match="cyclically reduced"):
+        Presentation._make((f2.alphabet, ((0, 2, 1),), None))
+    named = f2._replace(name="renamed")
+    assert type(named) is Presentation and named == (f2.alphabet, (), "renamed")
+
+
 # -- small cancellation -------------------------------------------------------
 
 

@@ -35,6 +35,15 @@ def test_alphabet_validation():
         GeneratorAlphabet(('"', "x"), (1, 0))  # exports would not escape it
 
 
+def test_alphabet_replace_and_make_run_the_checks():
+    with pytest.raises(PresentationError, match="own inverse"):
+        F2._replace(inverse=(0, 1, 3, 2))
+    with pytest.raises(PresentationError, match="duplicate"):
+        GeneratorAlphabet._make((("a", "a"), (1, 0)))
+    swapped = F2._replace(symbols=("x", "X", "y", "Y"))
+    assert type(swapped) is GeneratorAlphabet and swapped.inverse == F2.inverse
+
+
 def test_parse_format_roundtrip():
     w = F2.parse_word("abAB")
     assert w == (0, 2, 1, 3)

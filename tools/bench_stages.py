@@ -52,6 +52,7 @@ CONFIGS = {
     "surface2-r6-delta1.0": ["--preset", "surface2", "--radius", "6", "--delta", "1.0"],
     "surface2-r6-delta0.5": ["--preset", "surface2", "--radius", "6", "--delta", "0.5"],
     "surface2-r7-delta0.5": ["--preset", "surface2", "--radius", "7", "--delta", "0.5"],
+    "surface2-r7": ["--preset", "surface2", "--radius", "7"],
     "bbaab-r11": ["--file", "bbaab.txt", "--radius", "11"],
 }
 
