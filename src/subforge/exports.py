@@ -46,7 +46,7 @@ from .ball import CayleyBall
 from .labeled_graph import LabeledGraph
 from .language import WordAcceptor
 from .pipeline import Artifacts
-from .subdivision import EdgeLabel, SubdivisionGraph, VertexLabel
+from .subdivision import EdgeLabel, SubdivisionGraph, VertexLabel, Witness
 
 EXPORT_KINDS = ("gamma", "xi", "acceptor", "subdivisions")
 EXPORT_FORMATS = ("dot", "json")
@@ -139,12 +139,11 @@ def _edge_label_json(ball: CayleyBall, label: EdgeLabel) -> dict:
     return {"type_a": label.type_a, "type_b": label.type_b, "relative": fmt(label.relative)}
 
 
-def _horizontal_edge(graph: SubdivisionGraph, n: int, u: int, v: int) -> str:
-    entry = {"level": n, "u": u, "v": v}
+def _horizontal_edge(graph: SubdivisionGraph, u: int, v: int, w: Witness) -> str:
+    entry = {"level": graph.ball.sphere_of[u], "u": u, "v": v}
     label = graph.edge_labels.get((u, v))
     if label is not None:
         entry["label"] = _edge_label_json(graph.ball, label)
-    w = graph.witnesses[(u, v)]
     entry["witness"] = {"first": w.first, "second": w.second, "separation": w.separation}
     return "    " + _nested(entry, 2)
 
@@ -154,7 +153,8 @@ def _xi_json_head(graph: SubdivisionGraph, write) -> None:
     write(f'{{\n  "horizon": {graph.ball.radius},\n  "horizontal_edges": ')
     _array(
         write,
-        ([_horizontal_edge(graph, n, u, v) for n, (u, v) in edges] for edges in _batches(graph.all_level_edges())),
+        ([_horizontal_edge(graph, u, v, edge.witness) for (u, v), edge in edges]
+         for edges in _batches(graph.edges.items())),
         "  ",
     )
     write(
@@ -250,8 +250,8 @@ def _write_graphs(arts: Artifacts, files: dict) -> None:
     if gd:
         gd("}\n")
     if xd:
-        for edges in _batches(graph.all_level_edges()):
-            xd("".join([f"  v{u} -- v{v} [kind=horizontal];\n" for _, (u, v) in edges]))
+        for edges in _batches(graph.edges):
+            xd("".join([f"  v{u} -- v{v} [kind=horizontal];\n" for u, v in edges]))
         xd("}\n")
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ball import CayleyBall, TrustRadiusError
-from .words import Word
 
 
 class Verdict(NamedTuple):
@@ -75,7 +74,6 @@ def cone_type_classes(ball: CayleyBall, k: int) -> ConeTypeTable:
     if trusted < 0:
         raise TrustRadiusError(f"K={k} exceeds ball radius {ball.radius}")
     intern: dict[tuple[int, ...], int] = {}
-    fingerprints: list[tuple[int, ...]] = []
     class_of: dict[int, int] = {}
     for e in range(ball.size):
         if ball.sphere_of[e] > trusted:
@@ -83,11 +81,9 @@ def cone_type_classes(ball: CayleyBall, k: int) -> ConeTypeTable:
         fp = level_fingerprint(ball, e, k)
         cls = intern.get(fp)
         if cls is None:
-            cls = len(fingerprints)
-            intern[fp] = cls
-            fingerprints.append(fp)
+            cls = intern[fp] = len(intern)
         class_of[e] = cls
-    return ConeTypeTable(k, trusted, class_of, tuple(fingerprints))
+    return ConeTypeTable(k, trusted, class_of, tuple(intern))
 
 
 def _probe_cone(ball: CayleyBall, g: int, probe: int) -> frozenset[int]:
@@ -138,15 +134,6 @@ class WordAcceptor(NamedTuple):
     initial: int
     transitions: dict[tuple[int, int], int]  # (state, letter) -> state
 
-    def accepts(self, word: Word) -> bool:
-        s = self.initial
-        for x in word:
-            nxt = self.transitions.get((s, x))
-            if nxt is None:
-                return False
-            s = nxt
-        return True
-
 
 def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor, Verdict]:
     """Record class transitions along tree edges inside the trusted region
@@ -158,7 +145,6 @@ def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor
     kind, witness, witness), with the count and the class in the note.
     """
     transitions: dict[tuple[int, int], int] = {}
-    trans_witness: dict[tuple[int, int], int] = {}
     conflicts: list[tuple] = []
     votes: dict[tuple[int, int], dict[bool, int]] = {}
     for e in range(ball.size):
@@ -173,17 +159,13 @@ def build_acceptor(ball: CayleyBall, table: ConeTypeTable) -> tuple[WordAcceptor
                 and ball.last_letter[child] == x
             )
             slot = votes.setdefault((cls, x), {})
-            if is_tree_child not in slot:
-                slot[is_tree_child] = e
+            slot.setdefault(is_tree_child, e)
             if not is_tree_child:
                 continue
-            key = (cls, x)
+            # slot[True] is the first element whose child by x set the target
             target = table.class_of[child]
-            if key in transitions and transitions[key] != target:
-                conflicts.append((cls, x, "two-targets", trans_witness[key], e))
-            elif key not in transitions:
-                transitions[key] = target
-                trans_witness[key] = e
+            if transitions.setdefault((cls, x), target) != target:
+                conflicts.append((cls, x, "two-targets", slot[True], e))
     for (cls, x), slot in sorted(votes.items()):
         if len(slot) == 2:
             conflicts.append((cls, x, "presence-differs", slot[True], slot[False]))

@@ -280,6 +280,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     graph = build_subdivision_graph(ball, delta, k_override=k)
     assign_labels(graph, table)
     artifacts.graph = graph
+    levels = [ball.sphere_of[u] for u, _ in graph.edges]
     report["xi"] = {
         "k": graph.k,
         "n_max": graph.n_max,
@@ -291,8 +292,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "(see unstable_levels)",
             "equal levels are required for closeness, as defined",
         ],
-        "level_edge_counts": {str(n): len(es) for n, es in graph.level_edges.items()},
-        "total_horizontal": graph.edge_count(),
+        "level_edge_counts": {str(n): levels.count(n) for n in range(1, graph.n_max + 1)},
+        "total_horizontal": len(graph.edges),
         "unstable_levels": list(graph.unstable_levels),
         "vertical_edges": ball.size - 1,
     }

@@ -57,7 +57,7 @@ from operator import countOf
 from . import log
 from .ball import CayleyBall, bidirectional_distance
 from .language import Verdict
-from .subdivision import SubdivisionGraph, horizontal_edge_length, working_constant
+from .subdivision import SubdivisionGraph, working_constant
 
 
 def _trusted_vertices(graph: SubdivisionGraph) -> range:
@@ -73,7 +73,7 @@ def _xi_adjacency(graph: SubdivisionGraph) -> list[list[int]]:
     for v in range(1, len(rows)):
         rows[v].append(parent[v])
         rows[parent[v]].append(v)
-    for _, (u, v) in graph.all_level_edges():
+    for u, v in graph.edges:
         rows[u].append(v)
         rows[v].append(u)
     return rows
@@ -128,19 +128,18 @@ def verify_qi_bounds(graph: SubdivisionGraph) -> tuple[dict[str, Verdict], dict[
 
     # (b) horizontal edges stay within 2*delta + 2 in the Cayley graph;
     # for an integer d, d < 2*delta + 2 is d <= ceil(2*delta) + 1, which
-    # floating point decides exactly (2*delta + 2 itself may round)
+    # floating point decides exactly (2*delta + 2 itself may round); an
+    # edge's Cayley length d(u, v) is the length of its u^-1 v, as v = u h
     longest = working_constant(graph.delta)
     worst = 0
     bad = None
-    domain = 0
-    for _, (u, v) in graph.all_level_edges():
-        domain += 1
-        d = horizontal_edge_length(graph, u, v)
+    for (u, v), edge in graph.edges.items():
+        d = ball.sphere_of[edge.relative]
         worst = max(worst, d)
         if d > longest and bad is None:
             bad = (u, v)
-    verdicts["qi_b"] = Verdict(bad is None, domain, bad)
-    observed["b"] = worst if domain else None
+    verdicts["qi_b"] = Verdict(bad is None, len(graph.edges), bad)
+    observed["b"] = worst if graph.edges else None
 
     # (c) same-level Cayley edges force horizontal edges
     domain = 0
@@ -170,7 +169,7 @@ def verify_qi_bounds(graph: SubdivisionGraph) -> tuple[dict[str, Verdict], dict[
                 if w == p:
                     worst = max(worst, 1)
                     continue
-                if (min(p, w), max(p, w)) in graph.witnesses:
+                if (min(p, w), max(p, w)) in graph.edges:
                     worst = max(worst, 2)
                 else:
                     if bad is None:
@@ -226,7 +225,7 @@ def estimate_qi_constants(
     m = min(ball.radius, limit)
     stop = ball.sphere(m).stop
     cayley_tree = _is_geodesic_tree(ball, stop)
-    xi = None if graph.edge_count() == 0 else _xi_adjacency(graph)
+    xi = _xi_adjacency(graph) if graph.edges else None
     log.info(
         "qi: distances within B_%d of B_%d (%s of %s elements): Cayley graph by %s, subdivision graph by %s",
         m, ball.radius, f"{stop:,}", f"{ball.size:,}",

@@ -9,7 +9,8 @@ radius and returns the witness minimizing (depth of first vertex,
 shortlex, shortlex), so results are reproducible.  Candidate partners are
 read by translation: the vertices within distance K of u are u h for h in
 B_K, so each edge (u, v) comes with h = u^-1 v and no path search between
-u and v is needed.
+u and v is needed.  Each edge keeps one record, its minimal witness and h,
+in one dict keyed by (u, v), u < v, that every reader goes through.
 
 Levels up to n_max = R - K - 1 (K = ceil(2*delta) + 1) carry complete label
 data: vertex labels are cone K-neighborhoods (every geodesically close
@@ -49,40 +50,39 @@ class EdgeLabel(NamedTuple):
     relative: Word  # normal form of u^-1 v, the edge read from u toward v
 
 
-class SubdivisionGraph:
-    """The horizontal edges by level, with their minimal witnesses and
-    ``relative``, (u, v) -> id of u^-1 v; ``assign_labels`` fills in the
-    labels.  Slots, as the axioms and QI read the fields per vertex."""
+class HorizontalEdge(NamedTuple):
+    """One horizontal edge (u, v): its minimal witness and the id of u^-1 v
+    that its candidate search found."""
 
-    __slots__ = ("ball", "k", "n_max", "delta", "level_edges", "witnesses", "unstable_levels", "relative",
-                 "vertex_labels", "edge_labels", "_partners")
+    witness: Witness
+    relative: int
+
+
+class SubdivisionGraph:
+    """The horizontal edges, (u, v) -> ``HorizontalEdge`` with u < v, in id
+    order of (u, v), which is level order since ids are level-sorted;
+    ``assign_labels`` fills in the labels.  Slots, as the axioms and QI
+    read the fields per vertex."""
+
+    __slots__ = ("ball", "k", "n_max", "delta", "edges", "unstable_levels", "vertex_labels", "edge_labels",
+                 "_partners")
 
     def __init__(self, ball: CayleyBall, k: int, n_max: int, delta: float,
-                 level_edges: dict[int, tuple[tuple[int, int], ...]], witnesses: dict[tuple[int, int], Witness],
-                 unstable_levels: tuple[int, ...], relative: dict[tuple[int, int], int] | None = None,
+                 edges: dict[tuple[int, int], HorizontalEdge], unstable_levels: tuple[int, ...],
                  vertex_labels: dict[int, VertexLabel] | None = None,
                  edge_labels: dict[tuple[int, int], EdgeLabel] | None = None):
         self.ball, self.k, self.n_max, self.delta = ball, k, n_max, delta
-        self.level_edges, self.witnesses, self.unstable_levels = level_edges, witnesses, unstable_levels
-        self.relative = {} if relative is None else relative
+        self.edges, self.unstable_levels = edges, unstable_levels
         self.vertex_labels = {} if vertex_labels is None else vertex_labels
         self.edge_labels = {} if edge_labels is None else edge_labels
         self._partners = None
 
-    def all_level_edges(self):
-        for n in sorted(self.level_edges):
-            for e in self.level_edges[n]:
-                yield n, e
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.level_edges.values())
-
     def partners(self, v: int) -> tuple[int, ...]:
         """Horizontal partners of v, in edge order, from an index read once
-        off ``level_edges`` (which are not changed after construction)."""
+        off ``edges`` (which are not changed after construction)."""
         if self._partners is None:
             index: dict[int, list[int]] = {}
-            for _, (u, w) in self.all_level_edges():
+            for u, w in self.edges:
                 index.setdefault(u, []).append(w)
                 index.setdefault(w, []).append(u)
             self._partners = {u: tuple(ps) for u, ps in index.items()}
@@ -181,7 +181,8 @@ def build_subdivision_graph(
     The candidate partners of u are the same-level vertices within Cayley
     distance K (``close_candidates``), which loses nothing by the closeness
     lemma (the tests compare the edges with an all-pairs search).  Each
-    edge (u, v) keeps the id of u^-1 v that its candidate search found.  A
+    edge (u, v) keeps its minimal witness and the id of u^-1 v that its
+    candidate search found, and the edges are found in id order.  A
     level is flagged unstable when some edge's minimal witness reaches the
     ball's outer sphere: its edges needed the whole ball, so a larger ball
     may add more.
@@ -200,14 +201,11 @@ def build_subdivision_graph(
     """
     k = working_constant(delta) if k_override is None else k_override
     n_max = ball.radius - k - 1
-    level_edges: dict[int, tuple[tuple[int, int], ...]] = {}
-    witnesses: dict[tuple[int, int], Witness] = {}
-    relative: dict[tuple[int, int], int] = {}
+    edges: dict[tuple[int, int], HorizontalEdge] = {}
     unstable = set()
     cache: dict[int, set[int]] = {}
     bipartite = all(len(r) % 2 == 0 for r in ball.presentation.relators)
     for n in range(1, n_max + 1):
-        edges = []
         for u in ball.sphere(n):
             candidates = close_candidates(ball, u, k)
             if not candidates:
@@ -219,22 +217,17 @@ def build_subdivision_graph(
                 if other.isdisjoint(out) and other.isdisjoint(beside):
                     continue
                 w = geodesically_close(ball, u, v, cache)
-                edges.append((u, v))
-                witnesses[(u, v)] = w
-                relative[(u, v)] = h
+                edges[(u, v)] = HorizontalEdge(w, h)
                 if max(ball.sphere_of[w.first], ball.sphere_of[w.second]) == ball.radius:
                     unstable.add(n)
-        level_edges[n] = tuple(sorted(edges))
         cache.clear()
     return SubdivisionGraph(
         ball=ball,
         k=k,
         n_max=n_max,
         delta=delta,
-        level_edges=level_edges,
-        witnesses=witnesses,
+        edges=edges,
         unstable_levels=tuple(sorted(unstable)),
-        relative=relative,
     )
 
 
@@ -254,8 +247,8 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
     class_of = table.class_of
     alphabet = ball.presentation.alphabet
     edge_labels: dict[tuple[int, int], EdgeLabel] = {}
-    for (u, v), h in graph.relative.items():
-        form = ball.normal_form(h)
+    for (u, v), edge in graph.edges.items():
+        form = ball.normal_form(edge.relative)
         back = ball.normal_form(ball.element_of(inverse_word(form, alphabet)))
         edge_labels[(u, v)] = EdgeLabel(class_of[u], class_of[v], form)
         edge_labels[(v, u)] = EdgeLabel(class_of[v], class_of[u], back)
@@ -269,12 +262,6 @@ def assign_labels(graph: SubdivisionGraph, table: ConeTypeTable) -> SubdivisionG
     graph.vertex_labels = vertex_labels
     graph.edge_labels = edge_labels
     return graph
-
-
-def horizontal_edge_length(graph: SubdivisionGraph, u: int, v: int) -> int:
-    """Cayley length of the horizontal edge (u, v): the length of the u^-1 v
-    its candidate search found, which is d(u, v) since v = u h."""
-    return graph.ball.sphere_of[graph.relative[(u, v)]]
 
 
 def _label_sort_key(label: EdgeLabel):
@@ -344,10 +331,10 @@ def _predecessor_failure(graph: SubdivisionGraph, u: int, v: int) -> tuple[tuple
     pu, pv = ball.parent[u], ball.parent[v]
     if pu == pv:
         return None
-    if (min(pu, pv), max(pu, pv)) not in graph.witnesses:
+    if (min(pu, pv), max(pu, pv)) not in graph.edges:
         return (u, v, pu, pv), ""
     # witness inheritance: the witness for (u, v) certifies the parents
-    w = graph.witnesses[(u, v)]
+    w = graph.edges[(u, v)].witness
     for parent, outer in ((pu, w.first), (pv, w.second)):
         need = ball.sphere_of[outer] - ball.sphere_of[parent]
         if ball.distance_between(parent, outer, need) != need:
@@ -392,9 +379,9 @@ def verify_axioms(graph: SubdivisionGraph) -> tuple[dict[str, Verdict], Subdivis
     verdicts["axiom_3"] = Verdict(bad3 is None, ball.size - 1, bad3)
 
     # 4: predecessors of edge endpoints are equal or connected
-    failures4 = [f for _, (u, v) in graph.all_level_edges() if (f := _predecessor_failure(graph, u, v))]
+    failures4 = [f for u, v in graph.edges if (f := _predecessor_failure(graph, u, v))]
     bad4, note4 = failures4[0] if failures4 else (None, "")
-    verdicts["axiom_4"] = Verdict(bad4 is None, graph.edge_count(), bad4, note4)
+    verdicts["axiom_4"] = Verdict(bad4 is None, len(graph.edges), bad4, note4)
 
     labels_ready = graph.n_max >= 0 and (graph.vertex_labels or ball.size == 0)
 
@@ -439,8 +426,8 @@ def verify_axioms(graph: SubdivisionGraph) -> tuple[dict[str, Verdict], Subdivis
         # labels of its two orientations, with the preimage sides ordered to
         # match that normalization
         es_groups: dict[tuple, tuple[tuple[int, int], LabeledGraph, EdgeLabel]] = {}
-        for n, (u, v) in graph.all_level_edges():
-            if n + 1 > graph.n_max:
+        for u, v in graph.edges:
+            if ball.sphere_of[u] >= graph.n_max:
                 continue
             domain6 += 1
             stored = graph.edge_labels[(u, v)]

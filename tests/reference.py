@@ -3,13 +3,13 @@
 Unlike ``bruteforce``, these are built on the production ball, delta and
 closeness machinery: they re-derive, by a second and slower route, values
 the pipeline computes (the Cayley ball itself, all geodesics to an
-element, the acceptor's language, a witness triangle's thinness, a
-vertex's cone neighborhood).  The pipeline reads distances from a vertex
-other than the identity by translating the ball around the identity;
-the BFS routes it replaced live here as the cross-check: the geodesics of
-a side from a distance map of its source, the same-level vertices near a
-vertex, u^-1 v from a path between them, and the horizontal edges found
-over all same-level pairs.  ``reference_delta`` computes every anchored
+element, the acceptor's language and which words it reads, a witness
+triangle's thinness, a vertex's cone neighborhood).  The pipeline reads
+distances from a vertex other than the identity by translating the ball
+around the identity; the BFS routes it replaced live here as the
+cross-check: the geodesics of a side from a distance map of its source,
+the same-level vertices near a vertex, u^-1 v from a path between them,
+and the horizontal edges found over all same-level pairs.  ``reference_delta`` computes every anchored
 triangle, with no symmetry quotient, and ``reference_qi_constants``
 measures every QI pair by search.  The export writers that built each
 file as one string (``json.dumps`` of the whole object tree, DOT lines
@@ -40,7 +40,7 @@ from subforge.hyperbolicity import (
 from subforge.language import ConeTypeTable, WordAcceptor
 from subforge.presentation import DehnOracle, Presentation, WordOracle, parse_presentation
 from subforge.qi import _pair_constant
-from subforge.subdivision import SubdivisionGraph, VertexLabel, Witness, geodesically_close
+from subforge.subdivision import HorizontalEdge, SubdivisionGraph, VertexLabel, geodesically_close
 from subforge.words import EMPTY_WORD, GeneratorAlphabet, Word, inverse_word
 
 # one-relator C'(1/6) group with an odd relator (randomized search, seed 1;
@@ -65,8 +65,7 @@ def word_oracle(pres: Presentation) -> WordOracle:
 def graph_with(graph: SubdivisionGraph, **changes) -> SubdivisionGraph:
     """A new subdivision graph with the fields of ``graph`` but those in
     ``changes``; it builds its own partner index."""
-    names = ("ball", "k", "n_max", "delta", "level_edges", "witnesses", "unstable_levels", "relative",
-             "vertex_labels", "edge_labels")
+    names = ("ball", "k", "n_max", "delta", "edges", "unstable_levels", "vertex_labels", "edge_labels")
     return SubdivisionGraph(**{name: changes[name] if name in changes else getattr(graph, name) for name in names})
 
 
@@ -379,7 +378,7 @@ def reference_qi_constants(graph: SubdivisionGraph, sample_pairs: int = 2000, se
                 v = rng.choice(trusted)
             pairs.append((u, v))
     xi: dict[int, list[int]] = {v: [] for v in trusted}
-    edges = [(ball.parent[v], v) for v in trusted if v] + [e for _, e in graph.all_level_edges()]
+    edges = [(ball.parent[v], v) for v in trusted if v] + list(graph.edges)
     for u, v in edges:
         xi[u].append(v)
         xi[v].append(u)
@@ -476,6 +475,17 @@ def count_geodesics(ball: CayleyBall, g: int) -> int:
 
 
 # -- acceptor ------------------------------------------------------------------
+
+
+def accepts(acceptor: WordAcceptor, word: Word) -> bool:
+    """Whether the acceptor reads ``word`` from its initial state; every
+    state accepts."""
+    s = acceptor.initial
+    for x in word:
+        s = acceptor.transitions.get((s, x))
+        if s is None:
+            return False
+    return True
 
 
 def language(acceptor: WordAcceptor, max_len: int):
@@ -642,27 +652,22 @@ def same_level_within(ball: CayleyBall, u: int, k: int) -> list[int]:
     return sorted(found)
 
 
-def all_pairs_close_edges(
-    ball: CayleyBall, n_max: int
-) -> tuple[dict[int, tuple[tuple[int, int], ...]], dict[tuple[int, int], Witness]]:
-    """Level edges and witnesses of every geodesically close same-level
-    pair on levels 1..n_max, searched over all pairs rather than only
-    those within Cayley distance K."""
-    level_edges: dict[int, tuple[tuple[int, int], ...]] = {}
-    witnesses: dict[tuple[int, int], Witness] = {}
+def all_pairs_close_edges(ball: CayleyBall, n_max: int) -> dict[tuple[int, int], HorizontalEdge]:
+    """The edge record of every geodesically close same-level pair on
+    levels 1..n_max, in id order, searched over all pairs rather than only
+    those within Cayley distance K, with u^-1 v from an in-ball path
+    (``relative_element``) rather than by translation."""
+    edges: dict[tuple[int, int], HorizontalEdge] = {}
     cache: dict[int, set[int]] = {}
     for n in range(1, n_max + 1):
         sphere = ball.sphere(n)
-        edges = []
         for u in sphere:
             for v in range(u + 1, sphere.stop):
                 w = geodesically_close(ball, u, v, cache)
                 if w is not None:
-                    edges.append((u, v))
-                    witnesses[(u, v)] = w
-        level_edges[n] = tuple(edges)
+                    edges[(u, v)] = HorizontalEdge(w, relative_element(ball, u, v))
         cache.clear()
-    return level_edges, witnesses
+    return edges
 
 
 # -- exports as whole strings ---------------------------------------------------
@@ -708,12 +713,12 @@ def _xi_json(arts) -> str:
     ball = graph.ball
     words = _words(ball)
     horizontal = []
-    for n, (u, v) in graph.all_level_edges():
-        entry = {"level": n, "u": u, "v": v}
+    for (u, v), edge in graph.edges.items():
+        entry = {"level": ball.sphere_of[u], "u": u, "v": v}
         label = graph.edge_labels.get((u, v))
         if label is not None:
             entry["label"] = _edge_label_json(ball, label)
-        w = graph.witnesses[(u, v)]
+        w = edge.witness
         entry["witness"] = {"first": w.first, "second": w.second, "separation": w.separation}
         horizontal.append(entry)
     return _dumps(
@@ -752,7 +757,7 @@ def _xi_dot(arts) -> str:
         lines.append("  }")
     for e in range(1, ball.size):
         lines.append(f"  v{e} -- v{ball.parent[e]} [kind=vertical];")
-    for _, (u, v) in graph.all_level_edges():
+    for u, v in graph.edges:
         lines.append(f"  v{u} -- v{v} [kind=horizontal];")
     lines.append("}")
     return "\n".join(lines) + "\n"

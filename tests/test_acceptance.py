@@ -82,8 +82,8 @@ def test_criterion_1_f2_golden_run():
                     close_pairs += 1
     _verdict(
         "1e: zero horizontal edges",
-        graph.edge_count() == 0 and close_pairs == 0,
-        f"graph={graph.edge_count()} brute force={close_pairs}",
+        not graph.edges and close_pairs == 0,
+        f"graph={len(graph.edges)} brute force={close_pairs}",
     )
 
     checks = report["checks"]
@@ -248,8 +248,10 @@ def test_criterion_4_stability(name, radius):
     )
 
     shared_nmax = min(big.artifacts.graph.n_max, small.artifacts.graph.n_max)
-    edges_big = {n: big.artifacts.graph.level_edges.get(n, ()) for n in range(1, shared_nmax + 1)}
-    edges_small = {n: small.artifacts.graph.level_edges.get(n, ()) for n in range(1, shared_nmax + 1)}
+    edges_big, edges_small = (
+        [(u, v) for u, v in g.edges if g.ball.sphere_of[u] <= shared_nmax]
+        for g in (big.artifacts.graph, small.artifacts.graph)
+    )
     _verdict(
         f"4-{name}: per-level horizontal edges agree on shared levels",
         edges_big == edges_small,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import subforge
+from subforge import pipeline
 from subforge.ball import CACHE_HEADER_LEN, CACHE_MAGIC, CayleyBall, cache_key, enumerate_ball
 from subforge.cli import _config_from, build_parser, main
 from subforge.exports import EXPORT_FORMATS, EXPORT_KINDS
@@ -268,39 +269,47 @@ def test_cache_dir_roundtrip(tmp_path):
     assert r1["ball"] == r2["ball"]
 
 
-def test_cached_ball_with_an_off_level_parent_fails_its_checks(tmp_path):
-    # a cache file that loads but whose ball has one parent link two
-    # levels down: the run ends with verdicts, not an exception
-    pres = preset("f2")
-    ball = enumerate_ball(pres, 3)
+def _run_on_ball(ball, route, tmp_path, monkeypatch) -> Path:
+    """Run f2 at the ball's radius on ``ball`` instead of the enumerated
+    one, read from a cache file that holds it ("cache") or returned by a
+    patched ``enumerate_ball`` ("enumerate"); returns the output directory
+    after asserting the run ended with failed checks (exit 2)."""
+    argv = ["run", "--preset", "f2", "--radius", str(ball.radius)]
+    if route == "cache":
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / f"{cache_key(ball.presentation, ball.radius)}.ball").write_bytes(ball.to_bytes())
+        argv += ["--cache-dir", str(cache)]
+    else:
+        monkeypatch.setattr(pipeline, "enumerate_ball", lambda *args, **kwargs: ball)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    return out
+
+
+@pytest.mark.parametrize("route", ["cache", "enumerate"])
+def test_cached_ball_with_an_off_level_parent_fails_its_checks(route, tmp_path, monkeypatch):
+    # a ball, loaded from a cache file or enumerated, that has one parent
+    # link two levels down: the run ends with verdicts, not an exception
+    ball = enumerate_ball(preset("f2"), 3)
     e = ball.sphere(2).start
     ball.parent[e] = 0
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / f"{cache_key(pres, 3)}.ball").write_bytes(ball.to_bytes())
-    out = tmp_path / "out"
-    assert main(["run", "--preset", "f2", "--radius", "3", "--cache-dir", str(cache), "--out", str(out)]) == 2
-    report = _report(out)
+    report = _report(_run_on_ball(ball, route, tmp_path, monkeypatch))
     failed = {name for name, v in report["checks"].items() if not v["passed"]}
     assert {"prefix_closure", "axiom_3"} <= failed
     assert [x["id"] for x in report["checks"]["axiom_3"]["counterexample"]] == [e, 0]
 
 
-def test_cached_ball_with_a_wrong_parent_link_entry_fails_prefix_closure(tmp_path):
-    # a checksum-valid cache file in which the letter-table entry of one
-    # parent link names another element of the same level: the file loads,
-    # and prefix closure fails on that link
-    pres = preset("f2")
-    ball = enumerate_ball(pres, 3)
+@pytest.mark.parametrize("route", ["cache", "enumerate"])
+def test_cached_ball_with_a_wrong_parent_link_entry_fails_prefix_closure(route, tmp_path, monkeypatch):
+    # a ball, from a checksum-valid cache file or enumerated, in which the
+    # letter-table entry of one parent link names another element of the
+    # same level: the run goes on, and prefix closure fails on that link
+    ball = enumerate_ball(preset("f2"), 3)
     e = ball.sphere(2).start
     p = ball.parent[e]
     ball.table[p * ball.degree + ball.last_letter[e]] = e + 1
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / f"{cache_key(pres, 3)}.ball").write_bytes(ball.to_bytes())
-    out = tmp_path / "out"
-    assert main(["run", "--preset", "f2", "--radius", "3", "--cache-dir", str(cache), "--out", str(out)]) == 2
-    closure = _report(out)["checks"]["prefix_closure"]
+    closure = _report(_run_on_ball(ball, route, tmp_path, monkeypatch))["checks"]["prefix_closure"]
     assert not closure["passed"] and closure["domain"] == ball.size - 1
     assert [x["id"] for x in closure["counterexample"]] == [e, p]
 

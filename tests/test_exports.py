@@ -111,9 +111,8 @@ def test_the_compared_exports_are_not_vacuous(f2_r5_run, surface_labeled_run):
     assert len(graph.vertex_labels) == 53
     assert f2_r5_run.artifacts.subdivisions[0]
     graph = surface_labeled_run.artifacts.graph
-    edges = [e for _, e in graph.all_level_edges()]
-    assert len(edges) == 8
-    assert all(e in graph.edge_labels and e in graph.witnesses for e in edges)
+    assert len(graph.edges) == 8
+    assert all(e in graph.edge_labels for e in graph.edges)
 
 
 def test_unstable_levels_stream_as_the_reference(f2_r5_run, tmp_path):

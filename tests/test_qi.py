@@ -20,7 +20,13 @@ from subforge.qi import (
     estimate_qi_constants,
     verify_qi_bounds,
 )
-from subforge.subdivision import SubdivisionGraph, build_subdivision_graph, working_constant
+from subforge.subdivision import (
+    HorizontalEdge,
+    SubdivisionGraph,
+    Witness,
+    build_subdivision_graph,
+    working_constant,
+)
 
 from bruteforce import free_distance
 from reference import (
@@ -31,6 +37,7 @@ from reference import (
     in_ball_neighbors,
     one_sided_distance,
     reference_qi_constants,
+    relative_element,
 )
 
 
@@ -211,7 +218,7 @@ def test_tree_distance_is_the_search_distance(source, request):
     # over the subdivision graph's rows agree
     graph = request.getfixturevalue(source).artifacts.graph
     ball = graph.ball
-    assert _is_geodesic_tree(ball, _tree_test_stop(graph)) and graph.edge_count() == 0
+    assert _is_geodesic_tree(ball, _tree_test_stop(graph)) and not graph.edges
     xi = _xi_adjacency(graph)
     trusted = _trusted_vertices(graph)
     for u in trusted:
@@ -244,7 +251,7 @@ def test_tree_test_of_each_graph(source, stop, cayley_tree, edges, request):
         graph = _graph_of(source, request)
     assert _tree_test_stop(graph) == stop
     assert _is_geodesic_tree(graph.ball, stop) == cayley_tree
-    assert graph.edge_count() == edges
+    assert len(graph.edges) == edges
 
 
 def test_tree_test_counts_a_repeated_entry(f2_run):
@@ -275,16 +282,24 @@ def test_qi_constants_equal_the_search_reference(source, request):
 
 
 def test_a_horizontal_edge_switches_the_subdivision_graph_to_the_search(f2_run, capsys, monkeypatch):
+    # f2 has no close pair, so the edge aa-BB (distance 4) is injected with
+    # its u^-1 v and a witness no check reads
     graph = f2_run.artifacts.graph
     ball = graph.ball
-    u, v = sorted(ball.element_of(w) for w in ("aaaa", "BBBB"))
-    assert graph.n_max == 4 and graph.edge_count() == 0
-    mutated = graph_with(graph, level_edges={**graph.level_edges, 4: ((u, v),)})
+    u, v = sorted(ball.element_of(w) for w in ("aa", "BB"))
+    assert graph.n_max == 4 and not graph.edges
+    h = relative_element(ball, u, v)
+    assert ball.sphere_of[h] == 4
+    mutated = graph_with(graph, edges={(u, v): HorizontalEdge(Witness(u, v, 1), h)})
     monkeypatch.setattr(log, "verbose", True)
     got = estimate_qi_constants(mutated, seed=7)
     assert "Cayley graph by geodesic tree, subdivision graph by search over rows" in capsys.readouterr().err
     assert got == reference_qi_constants(mutated, seed=7)
-    assert got[0] > 1.0  # the shortcut from aaaa to BBBB is measured
+    assert got[0] > 1.0  # the shortcut from aa to BB is measured
+    # every QI check reads the same edge: (b) measures it, longer than K = 1
+    verdicts, observed = verify_qi_bounds(mutated)
+    assert verdicts["qi_b"].domain == 1 and verdicts["qi_b"].counterexample == (u, v)
+    assert observed["b"] == 4
 
 
 def test_qi_forks_nothing(surface_r6_delta1_graph, monkeypatch):

@@ -11,6 +11,7 @@ from subforge.presentation import Presentation, preset, verify_small_cancellatio
 from subforge.qi import verify_qi_bounds
 from subforge.subdivision import (
     EdgeLabel,
+    HorizontalEdge,
     VertexLabel,
     _edge_subdivision,
     _label_sort_key,
@@ -117,14 +118,14 @@ def test_distance_one_pairs_are_close(surface_small_ball):
 
 def test_build_f2_no_horizontal(f2_run):
     graph = f2_run.artifacts.graph
-    assert graph.edge_count() == 0
+    assert graph.edges == {}
     assert graph.n_max == 4
     assert graph.unstable_levels == ()
 
 
 def test_build_z_two_rays(z_run):
     graph = z_run.artifacts.graph
-    assert graph.edge_count() == 0
+    assert graph.edges == {}
     ball = graph.ball
     assert all(len(ball.sphere(n)) == 2 for n in range(1, ball.radius + 1))
 
@@ -132,8 +133,8 @@ def test_build_z_two_rays(z_run):
 def test_surface_level_one_is_octagon_cycle(surface_labeled_run):
     graph = surface_labeled_run.artifacts.graph
     assert graph.n_max == 1
-    edges = graph.level_edges[1]
-    assert len(edges) == 8
+    edges = graph.edges
+    assert len(edges) == 8 and all(graph.ball.sphere_of[u] == 1 for u, _ in edges)
     degree = {}
     for u, v in edges:
         degree[u] = degree.get(u, 0) + 1
@@ -141,15 +142,16 @@ def test_surface_level_one_is_octagon_cycle(surface_labeled_run):
     # relator octagons pair each generator with exactly two partners
     assert set(degree.values()) == {2} and len(degree) == 8
     for u, v in edges:
-        _assert_witness_valid(graph.ball, u, v, graph.witnesses[(u, v)])
+        _assert_witness_valid(graph.ball, u, v, edges[(u, v)].witness)
 
 
 def test_prefilter_loses_nothing(surface_ball):
-    # candidates within distance K find every edge the all-pairs search does
+    # candidates within distance K find every edge the all-pairs search
+    # does, with the same record, in the same id order
     graph = build_subdivision_graph(surface_ball, 1.0)
-    level_edges, witnesses = all_pairs_close_edges(surface_ball, graph.n_max)
-    assert graph.level_edges == level_edges
-    assert graph.witnesses == witnesses
+    edges = all_pairs_close_edges(surface_ball, graph.n_max)
+    assert list(graph.edges.items()) == list(edges.items())
+    assert len(edges) == 8
 
 
 def _set_tests_agree(ball, n: int, k: int) -> tuple[int, int, int]:
@@ -208,9 +210,9 @@ def test_set_tests_keep_every_edge_two_relators():
             for v, h in close_candidates(ball, u, 2):
                 w = geodesically_close(ball, u, v)
                 if w is not None:
-                    searched[(u, v)] = (w, h)
-    assert {e: (graph.witnesses[e], graph.relative[e]) for _, e in graph.all_level_edges()} == searched
-    assert graph.edge_count() > 0
+                    searched[(u, v)] = HorizontalEdge(w, h)
+    assert list(graph.edges.items()) == list(searched.items())
+    assert graph.edges
 
 
 def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
@@ -219,18 +221,15 @@ def test_undersized_k_prefilter_is_detectably_lossy(surface_ball):
     # outward vertex); the all-pairs search finds them and QI (b), the
     # closeness-lemma bound 2*delta + 2 = 3, flags the graph
     filtered = build_subdivision_graph(surface_ball, 0.5, k_override=2)
-    level_edges, _ = all_pairs_close_edges(surface_ball, filtered.n_max)
-    extra = set(level_edges[2]) - set(filtered.level_edges[2])
-    assert len(extra) == 8
+    edges = all_pairs_close_edges(surface_ball, filtered.n_max)
+    extra = edges.keys() - filtered.edges.keys()
+    assert len(extra) == 8 and {surface_ball.sphere_of[u] for u, _ in extra} == {2}
     ab, dc = surface_ball.element_of("ab"), surface_ball.element_of("dc")
     assert (min(ab, dc), max(ab, dc)) in extra
-    # the injected edges carry their u^-1 v, as the candidate search would
-    relative = dict(filtered.relative)
-    for es in level_edges.values():
-        for u, v in es:
-            relative.setdefault((u, v), relative_element(surface_ball, u, v))
-    assert len(relative) == len(filtered.relative) + 8
-    grown = graph_with(filtered, level_edges=level_edges, relative=relative)
+    # the edges both searches find carry the same records, and the
+    # injected ones their u^-1 v, as the candidate search would
+    assert {e: edges[e] for e in filtered.edges} == filtered.edges
+    grown = graph_with(filtered, edges=edges)
     # the partner index is derived per graph, so the copy sees the new edges
     assert dc in grown.partners(ab) and dc not in filtered.partners(ab)
     verdicts, observed = verify_qi_bounds(grown)
@@ -256,9 +255,8 @@ def test_translated_candidates_match_bfs(which, k, surface_ball):
             for v, h in candidates:
                 assert h == relative_element(ball, u, v), (u, v)
     graph = build_subdivision_graph(ball, 0.0, k_override=k)
-    assert set(graph.relative) == set(graph.witnesses)
-    for (u, v), h in graph.relative.items():
-        assert h == relative_element(ball, u, v), (u, v)
+    for (u, v), edge in graph.edges.items():
+        assert edge.relative == relative_element(ball, u, v), (u, v)
 
 
 def test_witnesses_on_the_outer_sphere_flag_the_level(surface4_ball, surface_ball):
@@ -268,10 +266,11 @@ def test_witnesses_on_the_outer_sphere_flag_the_level(surface4_ball, surface_bal
         build_subdivision_graph(surface4_ball, 1.0, k_override=2),
         build_subdivision_graph(surface_ball, 1.0),
     ]
-    edges = [{(g.ball.normal_form(u), g.ball.normal_form(v)) for u, v in g.level_edges[1]} for g in graphs]
+    edges = [{(g.ball.normal_form(u), g.ball.normal_form(v)) for u, v in g.edges} for g in graphs]
     assert len(edges[0]) == 8 and edges[0] == edges[1]
+    assert all(len(u) == 1 for u, _ in edges[0])
     level = surface4_ball.sphere_of
-    assert max(max(level[w.first], level[w.second]) for w in graphs[0].witnesses.values()) == 4
+    assert max(max(level[e.witness.first], level[e.witness.second]) for e in graphs[0].edges.values()) == 4
     assert [g.unstable_levels for g in graphs] == [(1,), ()]
 
 
@@ -311,8 +310,8 @@ def test_edge_label_involution(surface_labeled_run):
     # swaps the endpoint types and spells the inverse relative element
     graph = surface_labeled_run.artifacts.graph
     ball = graph.ball
-    assert len(graph.edge_labels) == 2 * graph.edge_count() == 16
-    for _, (u, v) in graph.all_level_edges():
+    assert len(graph.edge_labels) == 2 * len(graph.edges) == 16
+    for u, v in graph.edges:
         label, back = graph.edge_labels[(u, v)], graph.edge_labels[(v, u)]
         assert (back.type_a, back.type_b) == (label.type_b, label.type_a)
         assert ball.element_of(label.relative + back.relative) == 0
@@ -380,7 +379,7 @@ def test_axiom6_orders_edge_sides_by_the_smaller_label(surface_k2, surface_ball)
         fingerprints=table.fingerprints[::-1],
     )
     flipped = assign_labels(build_subdivision_graph(surface_ball, 0.5, k_override=2), backwards)
-    domain = [(u, v) for n, (u, v) in flipped.all_level_edges() if n + 1 <= flipped.n_max]
+    domain = [(u, v) for u, v in flipped.edges if surface_ball.sphere_of[u] < flipped.n_max]
     assert len(domain) == 8
     for u, v in domain:
         assert _label_sort_key(flipped.edge_labels[(v, u)]) < _label_sort_key(flipped.edge_labels[(u, v)])
